@@ -7,11 +7,10 @@ from .medium import (MediumParams, SpectralClass, dephasing_time,
 from .dynamics import (ControlDrive, DetectorTrace, Grid, SimState,
                        balance_residual, effective_velocity,
                        excitation_number, field_centroid, model_rhs,
-                       run_dynamics, step)
+                       run_dynamics, step, switching_readout)
 from .experiment import (ProtocolParams, PulseEvent, PulseSequence,
-                         SweepResult, released_peak, run_experiment,
-                         standard_sequence, sweep_delay, sweep_duration,
-                         switching_readout)
+                         SweepResult, released_peak, standard_sequence,
+                         sweep_delay, sweep_duration)
 from .analysis import (FitResult, WaveVector, fit_decay, group_delay,
                        phase_match)
 

@@ -176,10 +176,10 @@ def cmd_run(args) -> int:
                 "duration_us": e.duration, "peak": e.peak, "shape": e.shape}
                for e in trace.annotations]
     checks = {
-        "state_finite": True,  # run_dynamics aborts otherwise
+        "state_finite": bool(np.isfinite(final.f).all()
+                             and np.isfinite(final.a).all()),
         "weak_probe_ok": final.weak_probe_ok,
         "weights_normalized": abs(float(np.sum(final.weights)) - 1.0) < 1e-10,
-        "cfl_exact": True,     # enforced by construction, c*dt == dz
     }
     _write_json(out / "run.json", _summary(cfg, sha, wall, {
         "events": markers,
@@ -233,9 +233,11 @@ def cmd_fit(args) -> int:
     cfg, _text, sha = _load_config(args.config)
     out = _out_dir(args, cfg)
     sweep_path = Path(args.input) if args.input else out / "sweep.csv"
+    t0 = time.perf_counter()
     values, intensities = _read_sweep_csv(sweep_path)
     report = _fit_report(values, intensities)
-    body = _summary(cfg, sha, 0.0, {"input": str(sweep_path), "fits": report})
+    body = _summary(cfg, sha, time.perf_counter() - t0,
+                    {"input": str(sweep_path), "fits": report})
     _write_json(out / "fit.json", body)
     print(f"wrote {out / 'fit.json'}")
     return EXIT_OK
@@ -255,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="sweep-point parallelism; 0 = auto")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the model is deterministic")
         if name == "fit":
             p.add_argument("--input", default=None,
                            help="sweep CSV to fit (default: <out>/sweep.csv)")

@@ -30,11 +30,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class MediumConfig:
-    gamma_opt: float = 1.0 / 110.0
+    gamma_opt: float | None = None    # None: 1/t1_opt_us
     gamma_spin: float | None = None
     t2_spin_us: float = 500.0
     t1_opt_us: float = 110.0
-    t1_spin_us: float = 6.0e7
     delta_s_khz: float = 30.0
     distribution: str = "lorentzian"
     n_classes: int = 64
@@ -117,7 +116,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "gamma_spin": ("float", _nonneg, False),
         "t2_spin_us": ("float", _positive, False),
         "t1_opt_us": ("float", _positive, False),
-        "t1_spin_us": ("float", _positive, False),
         "delta_S_khz": ("float", _nonneg, False),
         "distribution": ("choice", ("lorentzian", "gaussian", "single"), False),
         "n_classes": ("int", lambda v: v >= 1, False),
@@ -330,7 +328,6 @@ def build_medium(cfg: Config) -> MediumParams:
         gamma_spin=mc.gamma_spin,
         t2_spin=mc.t2_spin_us,
         t1_opt=mc.t1_opt_us,
-        t1_spin=mc.t1_spin_us,
         delta_s_khz=mc.delta_s_khz,
         g_c=mc.g_c,
         g_a=mc.g_a,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .medium import MediumParams, SpectralClass, class_arrays
+from .medium import MediumParams, SpectralClass, class_arrays, group_velocity
 
 _FINITE_CHECK_EVERY = 64  # steps between NaN/Inf sweeps of the state
 
@@ -84,14 +84,19 @@ class ControlDrive:
 
 @dataclass
 class SimState:
-    """Fields on the z grid plus atomic amplitudes per cell and class."""
+    """Fields on the z grid plus atomic amplitudes per cell and class.
+
+    The state is held in the integrator's packed layout, which step() and
+    run_dynamics advance in place: fields f = (2, M) rows [E+, E-] and
+    atoms a = (3, K, M) blocks [P+, P-, S], class-major so the field drive
+    broadcasts along the contiguous cell axis.  e_plus, e_minus (M,) and
+    p_plus, p_minus, s (M, K) are writable views into these arrays, so a
+    write such as ``state.s[:, j] = ...`` changes the packed state.
+    """
 
     t: float
-    e_plus: np.ndarray   # (M,) complex
-    e_minus: np.ndarray  # (M,) complex
-    p_plus: np.ndarray   # (M, K) complex
-    p_minus: np.ndarray  # (M, K) complex
-    s: np.ndarray        # (M, K) complex
+    f: np.ndarray        # (2, M) complex
+    a: np.ndarray        # (3, K, M) complex
     grid: Grid
     deltas: np.ndarray   # (K,) spin detunings
     weights: np.ndarray  # (K,) quadrature weights
@@ -101,44 +106,52 @@ class SimState:
     def zeros(cls, grid: Grid, classes: Sequence[SpectralClass]) -> "SimState":
         deltas, weights, delta_opt = class_arrays(classes)
         m, k = grid.cells, len(deltas)
-        return cls(
-            t=0.0,
-            e_plus=np.zeros(m, dtype=complex),
-            e_minus=np.zeros(m, dtype=complex),
-            p_plus=np.zeros((m, k), dtype=complex),
-            p_minus=np.zeros((m, k), dtype=complex),
-            s=np.zeros((m, k), dtype=complex),
-            grid=grid,
-            deltas=deltas,
-            weights=weights,
-            delta_opt=delta_opt,
-        )
+        return cls(t=0.0, f=np.zeros((2, m), dtype=complex),
+                   a=np.zeros((3, k, m), dtype=complex), grid=grid,
+                   deltas=deltas, weights=weights, delta_opt=delta_opt)
 
     def copy(self) -> "SimState":
-        return SimState(self.t, self.e_plus.copy(), self.e_minus.copy(),
-                        self.p_plus.copy(), self.p_minus.copy(), self.s.copy(),
-                        self.grid, self.deltas, self.weights, self.delta_opt)
+        return SimState(self.t, self.f.copy(), self.a.copy(), self.grid,
+                        self.deltas, self.weights, self.delta_opt)
 
-    def validate(self) -> None:
-        m, k = self.grid.cells, len(self.deltas)
-        if self.e_plus.shape != (m,) or self.e_minus.shape != (m,):
-            raise ValueError("field arrays must have shape (cells,)")
-        for name in ("p_plus", "p_minus", "s"):
-            if getattr(self, name).shape != (m, k):
-                raise ValueError(f"{name} must have shape (cells, n_classes)")
-        _assert_finite_arrays(self.t, e_plus=self.e_plus, e_minus=self.e_minus,
-                              p_plus=self.p_plus, p_minus=self.p_minus, s=self.s)
+    @property
+    def e_plus(self) -> np.ndarray:
+        return self.f[0]
+
+    @property
+    def e_minus(self) -> np.ndarray:
+        return self.f[1]
+
+    @property
+    def p_plus(self) -> np.ndarray:
+        return self.a[0].T
+
+    @property
+    def p_minus(self) -> np.ndarray:
+        return self.a[1].T
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.a[2].T
 
     @property
     def weak_probe_ok(self) -> bool:
         """True while the linearized (weak-probe) model is self-consistent."""
-        return bool(max(np.abs(self.p_plus).max(initial=0.0),
-                        np.abs(self.p_minus).max(initial=0.0),
-                        np.abs(self.s).max(initial=0.0)) <= 1.0)
+        return bool(np.abs(self.a).max(initial=0.0) <= 1.0)
 
     def spin_norm(self) -> float:
         """sum_z dz sum_j w_j |S|^2, the stored spin-coherence norm."""
-        return float((np.abs(self.s) ** 2 @ self.weights).sum() * self.grid.dz)
+        return float((self.weights @ (np.abs(self.a[2]) ** 2)).sum()
+                     * self.grid.dz)
+
+    def check_finite(self) -> None:
+        """Raise NumericalAbort naming the first non-finite value's cell."""
+        for name, arr in (("fields", self.f), ("atoms", self.a)):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                cell = int(np.argwhere(~finite)[0][-1])
+                raise NumericalAbort(f"non-finite value in {name} at "
+                                     f"t={self.t:.6g} us, cell {cell}")
 
 
 @dataclass
@@ -149,17 +162,8 @@ class DetectorTrace:
     fwd_intensity: np.ndarray   # |E+(L, t)|^2
     bwd_intensity: np.ndarray   # |E-(0, t)|^2
     spin_norm: np.ndarray       # sum_z dz sum_j w_j |S|^2
-    annotations: tuple = ()     # pulse events, filled in by experiment
+    annotations: tuple = ()     # the sequence's pulse events
     readouts: tuple = ()        # (t, diffracted_signal) pairs
-
-
-def _assert_finite_arrays(t: float, **arrays) -> None:
-    for name, arr in arrays.items():
-        finite = np.isfinite(arr)
-        if not finite.all():
-            cell = int(np.argwhere(~finite)[0][0])
-            raise NumericalAbort(
-                f"non-finite value in {name} at t={t:.6g} us, cell {cell}")
 
 
 def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
@@ -192,39 +196,24 @@ def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
 
 
 class _Propagator:
-    """Packed state and preallocated buffers for the advance loop.
+    """Coefficients and preallocated buffers that advance a SimState in place.
 
-    Layout: fields f = (2, M) rows [E+, E-]; atoms a = (3, K, M) blocks
-    [P+, P-, S] (class-major so the E drive broadcasts along the
-    contiguous axis).  All Runge-Kutta arithmetic runs in place on buffers
-    allocated once, and the Rabi couplings between the three atomic blocks
-    apply as a single 3x3 matrix product, which keeps the per-step cost
-    close to the memory-bandwidth floor.
+    All Runge-Kutta arithmetic runs in place on buffers allocated once, and
+    the Rabi couplings between the three atomic blocks apply as a single
+    3x3 matrix product over the packed (3, K, M) atoms, which keeps the
+    per-step cost close to the memory-bandwidth floor.
     """
 
     def __init__(self, m: MediumParams, state: SimState,
                  detuning_c: float = 0.0, detuning_a: float = 0.0):
-        self.m = m
-        self.grid = state.grid
-        self.g = math.sqrt(m.g2n)
-        self.half_g = 0.5j * self.g
+        self.half_g = 0.5j * math.sqrt(m.g2n)
         self.dt = state.grid.dz / m.c
-        cells = state.grid.cells
-        k = len(state.deltas)
+        k, cells = state.a.shape[1:]
         self.w = state.weights.astype(complex)
-        self.w_real = state.weights
         self.dec = np.empty((3, k, 1), dtype=complex)
         self.dec[0, :, 0] = -(0.5 * m.gamma_opt + 1j * (detuning_c + state.delta_opt))
         self.dec[1, :, 0] = -(0.5 * m.gamma_opt + 1j * (detuning_a + state.delta_opt))
         self.dec[2, :, 0] = -(0.5 * m.gamma_spin + 1j * state.deltas)
-        self.t = state.t
-        self.f = np.empty((2, cells), dtype=complex)
-        self.a = np.empty((3, k, cells), dtype=complex)
-        self.f[0] = state.e_plus
-        self.f[1] = state.e_minus
-        self.a[0] = state.p_plus.T
-        self.a[1] = state.p_minus.T
-        self.a[2] = state.s.T
         # RK4 work areas
         shape_f, shape_a = (2, cells), (3, k, cells)
         self._kf = [np.empty(shape_f, complex) for _ in range(4)]
@@ -233,18 +222,6 @@ class _Propagator:
         self._ya = np.empty(shape_a, complex)
         self._cross = np.empty(shape_a, complex)
         self._tmp_e = np.empty(cells, dtype=complex)
-
-    def sync_to_state(self, state: SimState) -> None:
-        state.t = self.t
-        state.e_plus = self.f[0].copy()
-        state.e_minus = self.f[1].copy()
-        state.p_plus = self.a[0].T.copy()
-        state.p_minus = self.a[1].T.copy()
-        state.s = self.a[2].T.copy()
-
-    def load_spin(self, s: np.ndarray) -> None:
-        """Overwrite the packed spin block from an (M, K) array."""
-        self.a[2] = s.T
 
     def _rhs(self, f, a, oc, oa, kf, ka) -> None:
         """kf, ka <- time derivatives of (fields, atoms) at drive (oc, oa)."""
@@ -268,14 +245,14 @@ class _Propagator:
         np.multiply(f[1], self.half_g, out=self._tmp_e)
         ka[1] += self._tmp_e
 
-    def _stage(self, coeff, kf, ka) -> None:
-        """(_yf, _ya) <- y + coeff * k, in place."""
+    def _stage(self, f, a, coeff, kf, ka) -> None:
+        """(_yf, _ya) <- (f, a) + coeff * k, in place."""
         np.multiply(kf, coeff, out=self._yf)
-        self._yf += self.f
+        self._yf += f
         np.multiply(ka, coeff, out=self._ya)
-        self._ya += self.a
+        self._ya += a
 
-    def local_update(self, oc0, oa0, oc1, oa1, oc2, oa2) -> None:
+    def local_update(self, state: SimState, oc0, oa0, oc1, oa1, oc2, oa2) -> None:
         """Classical RK4 on the per-cell field-atom system over one dt.
 
         Drive values are supplied at the step start (0), midpoint (1) and
@@ -284,16 +261,17 @@ class _Propagator:
         atoms.
         """
         dt = self.dt
+        f, a = state.f, state.a
         kf, ka = self._kf, self._ka
-        self._rhs(self.f, self.a, oc0, oa0, kf[0], ka[0])
-        self._stage(0.5 * dt, kf[0], ka[0])
+        self._rhs(f, a, oc0, oa0, kf[0], ka[0])
+        self._stage(f, a, 0.5 * dt, kf[0], ka[0])
         self._rhs(self._yf, self._ya, oc1, oa1, kf[1], ka[1])
-        self._stage(0.5 * dt, kf[1], ka[1])
+        self._stage(f, a, 0.5 * dt, kf[1], ka[1])
         self._rhs(self._yf, self._ya, oc1, oa1, kf[2], ka[2])
-        self._stage(dt, kf[2], ka[2])
+        self._stage(f, a, dt, kf[2], ka[2])
         self._rhs(self._yf, self._ya, oc2, oa2, kf[3], ka[3])
         # y += dt/6 * (k1 + 2 (k2 + k3) + k4)
-        for y, k in ((self.f, kf), (self.a, ka)):
+        for y, k in ((f, kf), (a, ka)):
             acc = k[1]
             acc += k[2]
             acc *= 2.0
@@ -302,24 +280,19 @@ class _Propagator:
             acc *= dt / 6.0
             y += acc
 
-    def advect(self, inject_plus: complex, inject_minus: complex,
+    @staticmethod
+    def advect(state: SimState, inject_plus: complex, inject_minus: complex,
                boundary: str) -> None:
-        ep, em = self.f[0], self.f[1]
+        f = state.f
+        ep, em = f[0], f[1]
         if boundary == "periodic":
-            self.f[0] = np.roll(ep, 1)
-            self.f[1] = np.roll(em, -1)
+            f[0] = np.roll(ep, 1)
+            f[1] = np.roll(em, -1)
         else:
             ep[1:] = ep[:-1]
             ep[0] = inject_plus
             em[:-1] = em[1:]
             em[-1] = inject_minus
-
-    def spin_norm(self) -> float:
-        return float((self.w_real @ (np.abs(self.a[2]) ** 2)).sum()
-                     * self.grid.dz)
-
-    def check_finite(self) -> None:
-        _assert_finite_arrays(self.t, fields=self.f, atoms=self.a)
 
 
 def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
@@ -336,14 +309,13 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
     _require_cfl(m, state.grid, dt)
     prop = _Propagator(m, state, drive.detuning_c, drive.detuning_a)
     t = state.t
-    prop.advect(inject_plus, inject_minus, boundary)
+    prop.advect(state, inject_plus, inject_minus, boundary)
     oc0, oa0 = drive.sample(t)
     oc1, oa1 = drive.sample(t + 0.5 * dt)
     oc2, oa2 = drive.sample(t + dt)
-    prop.local_update(oc0, oa0, oc1, oa1, oc2, oa2)
-    prop.t = t + dt
-    prop.check_finite()
-    prop.sync_to_state(state)
+    prop.local_update(state, oc0, oa0, oc1, oa1, oc2, oa2)
+    state.t = t + dt
+    state.check_finite()
     return state
 
 
@@ -366,15 +338,14 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
                  ) -> tuple[DetectorTrace, list[SimState]]:
     """Run a pulse sequence and record the exit intensities.
 
-    `sequence` provides t_end_us, sample_rate, probe_samples(t),
-    drive_samples(t) and readout_events() (see experiment.PulseSequence).
-    Returns the detector trace |E+(L,t)|^2, |E-(0,t)|^2 and the
-    spin-coherence norm, plus state snapshots (always including the final
-    state).  E+ is injected at z=0 from the probe channel; nothing is
-    injected into E-.
+    `sequence` provides events, t_end_us, sample_rate, probe_duration_us,
+    writing_omega_c, probe_samples(t), drive_samples(t) and
+    readout_events() (see experiment.PulseSequence).  Returns the detector
+    trace |E+(L,t)|^2, |E-(0,t)|^2 and the spin-coherence norm, plus state
+    snapshots (always including the final state).  Readout events deplete
+    the spin coherence through switching_readout.  E+ is injected at z=0
+    from the probe channel; nothing is injected into E-.
     """
-    from .experiment import sequence_markers, switching_readout
-
     state = initial_state.copy() if initial_state is not None \
         else SimState.zeros(grid, classes)
     dt = grid.dz / m.c
@@ -405,60 +376,71 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
 
     def record() -> None:
         nonlocal i_rec
-        rec_t[i_rec] = prop.t
-        rec_fwd[i_rec] = abs(prop.f[0, -1]) ** 2
-        rec_bwd[i_rec] = abs(prop.f[1, 0]) ** 2
-        rec_spin[i_rec] = prop.spin_norm()
+        rec_t[i_rec] = state.t
+        rec_fwd[i_rec] = abs(state.f[0, -1]) ** 2
+        rec_bwd[i_rec] = abs(state.f[1, 0]) ** 2
+        rec_spin[i_rec] = state.spin_norm()
         i_rec += 1
 
     record()
     for n in range(n_steps):
-        prop.advect(inject[n], 0.0j, "open")
+        prop.advect(state, inject[n], 0.0j, "open")
         n2 = 2 * n
-        prop.local_update(omega_c[n2], omega_a[n2],
+        prop.local_update(state, omega_c[n2], omega_a[n2],
                           omega_c[n2 + 1], omega_a[n2 + 1],
                           omega_c[n2 + 2], omega_a[n2 + 2])
-        prop.t += dt
-        if pending_reads and prop.t >= pending_reads[0][0]:
-            prop.sync_to_state(state)
-            while pending_reads and prop.t >= pending_reads[0][0]:
-                _, omega_y, dt_read = pending_reads.pop(0)
-                readouts.append((prop.t, switching_readout(state, omega_y, dt_read)))
-            prop.load_spin(state.s)
+        state.t += dt
+        while pending_reads and state.t >= pending_reads[0][0]:
+            _, omega_y, dt_read = pending_reads.pop(0)
+            readouts.append((state.t, switching_readout(state, omega_y, dt_read)))
         if (n + 1) % every == 0:
             record()
         if (n + 1) % _FINITE_CHECK_EVERY == 0:
-            prop.check_finite()
-        if prop.t >= next_snap:
-            prop.sync_to_state(state)
+            state.check_finite()
+        if state.t >= next_snap:
             snapshots.append(state.copy())
             next_snap += snapshot_every_us
-    prop.check_finite()
-    prop.sync_to_state(state)
-    snapshots.append(state.copy())
+    state.check_finite()
+    snapshots.append(state)
 
     trace = DetectorTrace(
         t=rec_t[:i_rec], fwd_intensity=rec_fwd[:i_rec],
         bwd_intensity=rec_bwd[:i_rec], spin_norm=rec_spin[:i_rec],
-        annotations=sequence_markers(sequence), readouts=tuple(readouts))
+        annotations=tuple(sequence.events), readouts=tuple(readouts))
     return trace, snapshots
 
 
 def _check_probe_resolution(sequence, m: MediumParams, grid: Grid) -> None:
     """Warn when the grid underresolves the compressed probe pulse."""
-    duration = getattr(sequence, "probe_duration_us", None)
-    omega = getattr(sequence, "writing_omega_c", None)
-    if not duration or not omega:
-        return
-    from .medium import group_velocity
-    v_g = group_velocity(m, abs(omega))
-    if v_g <= 0.0:
-        return
-    cells = duration * v_g / grid.dz
-    if cells < 16.0:
+    v_g = group_velocity(m, abs(sequence.writing_omega_c))
+    cells = sequence.probe_duration_us * v_g / grid.dz
+    if 0.0 < cells < 16.0:
         warnings.warn(
             f"probe pulse spans {cells:.1f} cells at the group velocity; "
             "16 or more are recommended", stacklevel=3)
+
+
+def switching_readout(state: SimState, omega_y: float, dt_read: float) -> float:
+    """Scalar diffracted-signal proxy for a photon-switching readout.
+
+    Returns D = f * N_S(t) where N_S is the spin-coherence norm and
+    f = omega_y^2 * dt_read is the depletion fraction (clamped to 1 with a
+    warning).  The stored coherence is depleted by the same fraction, in
+    place, so repeated readouts drain the memory.
+    """
+    if omega_y < 0.0:
+        raise ValueError(f"omega_y must be >= 0, got {omega_y!r}")
+    if dt_read < 0.0:
+        raise ValueError(f"dt_read must be >= 0, got {dt_read!r}")
+    fraction = omega_y * omega_y * dt_read
+    if fraction > 1.0:
+        warnings.warn(f"readout depletion fraction {fraction:.3g} clamped to 1",
+                      stacklevel=2)
+        fraction = 1.0
+    spin_norm = state.spin_norm()
+    if fraction > 0.0:
+        state.a[2] *= math.sqrt(1.0 - fraction)
+    return fraction * spin_norm
 
 
 def balance_residual(omega_c: float, g_c: float, omega_a: float, g_a: float) -> float:
@@ -500,10 +482,8 @@ def excitation_number(state: SimState, m: MediumParams) -> float:
     Conserved when all decay rates and detunings vanish and the boundaries
     are closed.
     """
-    w = state.weights
-    fields = np.abs(state.e_plus) ** 2 + np.abs(state.e_minus) ** 2
-    atoms = (np.abs(state.p_plus) ** 2 + np.abs(state.p_minus) ** 2
-             + np.abs(state.s) ** 2) @ w
+    fields = (np.abs(state.f) ** 2).sum(axis=0)
+    atoms = state.weights @ (np.abs(state.a) ** 2).sum(axis=0)
     return float((fields + atoms).sum() * state.grid.dz)
 
 

@@ -1,5 +1,4 @@
-"""Pulse sequences, protocol builders, parameter sweeps and the
-photon-switching readout proxy.
+"""Pulse sequences, protocol builders and parameter sweeps.
 
 Three standard protocols are provided:
 
@@ -21,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DetectorTrace, Grid, SimState, run_dynamics
+from .dynamics import DetectorTrace, Grid, balance_residual, run_dynamics
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A", "Y")
@@ -112,6 +111,9 @@ class PulseSequence:
             for a, b in zip(evs, evs[1:]):
                 if b.t_start < a.t_end - 1e-12:
                     raise ValueError(f"overlapping events on channel {channel}")
+            # a run holds one detuning per coupling channel
+            if channel in ("C", "A") and len({e.detuning for e in evs}) > 1:
+                raise ValueError(f"events on channel {channel} disagree on detuning")
 
     def channel_envelope(self, channel: str, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -134,12 +136,6 @@ class PulseSequence:
     def readout_events(self) -> list[tuple[float, float, float]]:
         return [(e.t_start, e.peak, e.duration)
                 for e in self.events if e.channel == "Y"]
-
-
-def sequence_markers(sequence) -> tuple:
-    """Annotation tuple attached to traces: one marker per event."""
-    events = getattr(sequence, "events", ())
-    return tuple(events)
 
 
 @dataclass
@@ -232,13 +228,6 @@ def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
                          release_time_us=release)
 
 
-def run_experiment(sequence: PulseSequence, m: MediumParams, grid: Grid,
-                   classes: Sequence[SpectralClass], **kwargs) -> DetectorTrace:
-    """Run a sequence and return its annotated detector trace."""
-    trace, _ = run_dynamics(sequence, m, grid, classes, **kwargs)
-    return trace
-
-
 def released_peak(trace: DetectorTrace, t_min: float) -> tuple[float, float]:
     """Largest forward-intensity sample at or after t_min: (t_peak, peak)."""
     mask = trace.t >= t_min
@@ -269,7 +258,7 @@ class SweepResult:
 
 def _run_point(args):
     sequence, m, grid, classes, guard = args
-    trace = run_experiment(sequence, m, grid, classes)
+    trace, _ = run_dynamics(sequence, m, grid, classes)
     t_peak, peak = released_peak(trace, sequence.release_time_us + guard)
     return trace, t_peak, peak
 
@@ -325,8 +314,6 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
                    keep_traces: bool = False, balance_bound: float = 1.0,
                    threads: int = 1) -> SweepResult:
     """Stationary-protocol sweep: released peak versus backward-pulse duration."""
-    from .dynamics import balance_residual
-
     a_durations = list(a_durations)
     if not a_durations:
         raise ValueError("a_durations must be non-empty")
@@ -346,26 +333,3 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
                        intensities=np.array([r[2] for r in results]),
                        peak_times=np.array([r[1] for r in results]),
                        traces=[r[0] for r in results] if keep_traces else None)
-
-
-def switching_readout(state: SimState, omega_y: float, dt_read: float) -> float:
-    """Scalar diffracted-signal proxy for a photon-switching readout.
-
-    Returns D = f * N_S(t) where N_S is the spin-coherence norm and
-    f = omega_y^2 * dt_read is the depletion fraction (clamped to 1 with a
-    warning).  The stored coherence is depleted by the same fraction, so
-    repeated readouts drain the memory.
-    """
-    if omega_y < 0.0:
-        raise ValueError(f"omega_y must be >= 0, got {omega_y!r}")
-    if dt_read < 0.0:
-        raise ValueError(f"dt_read must be >= 0, got {dt_read!r}")
-    fraction = omega_y * omega_y * dt_read
-    if fraction > 1.0:
-        warnings.warn(f"readout depletion fraction {fraction:.3g} clamped to 1",
-                      stacklevel=2)
-        fraction = 1.0
-    spin_norm = float((np.abs(state.s) ** 2 @ state.weights).sum() * state.grid.dz)
-    if fraction > 0.0:
-        state.s = state.s * math.sqrt(1.0 - fraction)
-    return fraction * spin_norm

@@ -59,7 +59,6 @@ class MediumParams:
 
     delta_s_khz: float = 30.0
     t1_opt: float = 110.0
-    t1_spin: float = 6.0e7
     t2_spin: float = 500.0
     gamma_opt: float | None = None
     gamma_spin: float | None = None
@@ -70,8 +69,7 @@ class MediumParams:
     c: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("t1_opt", "t1_spin", "t2_spin", "g_c", "g_a",
-                     "length", "c"):
+        for name in ("t1_opt", "t2_spin", "g_c", "g_a", "length", "c"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")

@@ -141,6 +141,16 @@ class TestParseConfig:
             parse_config("[medium]\ngamma_spin = 0.004\nt2_spin_us = 250\n"
                          "[protocol]\nkind = memory\n")
 
+    def test_gamma_opt_defaults_to_inverse_t1_opt(self):
+        derived = parse_config("[medium]\nt1_opt_us = 50\n"
+                               "[protocol]\nkind = memory\n")
+        assert build_medium(derived).gamma_opt == pytest.approx(0.02)
+        explicit = parse_config("[medium]\nt1_opt_us = 50\ngamma_opt = 0.3\n"
+                                "[protocol]\nkind = memory\n")
+        assert build_medium(explicit).gamma_opt == 0.3
+        for cfg in (derived, explicit):
+            assert parse_config(render_config(cfg)) == cfg
+
     def test_builders(self):
         cfg = parse_config(SMALL_RUN)
         m = build_medium(cfg)
@@ -195,8 +205,9 @@ class TestCommands:
         code = main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
                      "--out", str(out)])
         assert code == EXIT_OK
-        fits = json.loads((out / "fit.json").read_text())["fits"]
-        assert fits["gaussian_sq"]["tau_us"] == pytest.approx(tau, rel=1e-6)
+        body = json.loads((out / "fit.json").read_text())
+        assert body["fits"]["gaussian_sq"]["tau_us"] == pytest.approx(tau, rel=1e-6)
+        assert 0.0 < body["wall_time_s"] < 60.0  # measured, not a placeholder
 
     def test_sweep_rejects_empty_values(self, cfg_file):
         text = SMALL_SWEEP.replace("values = 0, 3, 6", "values =")

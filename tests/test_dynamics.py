@@ -74,13 +74,65 @@ class TestModelRhs:
         kf = np.empty((2, 4), complex)
         ka = np.empty((3, 5, 4), complex)
         oc, oa = drive.sample(0.0)
-        prop._rhs(prop.f, prop.a, oc, oa, kf, ka)
+        prop._rhs(state.f, state.a, oc, oa, kf, ka)
         for cell in range(4):
             for j in range(5):
                 d_pp, d_pm, d_s = model_rhs(state, drive, m, j=j, cell=cell)
                 assert ka[0, j, cell] == pytest.approx(d_pp, rel=1e-13)
                 assert ka[1, j, cell] == pytest.approx(d_pm, rel=1e-13)
                 assert ka[2, j, cell] == pytest.approx(d_s, rel=1e-13)
+
+
+class TestStateLayout:
+    def _filled(self, via_blocks):
+        rng = np.random.default_rng(3)
+        classes = make_spectral_classes(30.0, 3, "lorentzian")
+        state = _state(grid_cells=6, classes=classes)
+        fields = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+        atoms = rng.normal(size=(3, 3, 6)) + 1j * rng.normal(size=(3, 3, 6))
+        if via_blocks:
+            state.e_plus[:] = fields[0]
+            state.e_minus[:] = fields[1]
+            for j in range(3):
+                state.p_plus[:, j] = atoms[0, j]
+                state.p_minus[:, j] = atoms[1, j]
+                state.s[:, j] = atoms[2, j]
+        else:
+            state.f[:] = fields
+            state.a[:] = atoms
+        return state, fields, atoms
+
+    def test_block_writes_reach_packed_arrays_that_step_advances(self):
+        state, fields, atoms = self._filled(via_blocks=True)
+        assert np.array_equal(state.f, fields)
+        assert np.array_equal(state.a, atoms)
+        packed, _, _ = self._filled(via_blocks=False)
+        f, a = state.f, state.a
+        m = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
+        drive = ControlDrive.constant(0.8, 0.3)
+        dt = state.grid.dz / m.c
+        for s in (state, packed):
+            step(s, drive, m, dt, inject_plus=0.2)
+        assert state.f is f and state.a is a  # advanced in place
+        assert np.array_equal(state.f, packed.f)
+        assert np.array_equal(state.a, packed.a)
+        assert not np.array_equal(state.a, atoms)
+
+    def test_block_names_cannot_be_rebound(self):
+        state = _state()
+        with pytest.raises(AttributeError):
+            state.s = np.zeros_like(state.s)
+
+    def test_copy_is_independent(self):
+        state, fields, atoms = self._filled(via_blocks=False)
+        clone = state.copy()
+        clone.e_plus[:] = 0.0
+        clone.s[:, 1] = 7.0
+        m = MediumParams(g2n=1.0, c=5.0)
+        step(clone, ControlDrive.constant(0.5, 0.0), m, clone.grid.dz / m.c)
+        assert state.t == 0.0 and clone.t > 0.0
+        assert np.array_equal(state.f, fields)
+        assert np.array_equal(state.a, atoms)
 
 
 class TestStep:
@@ -126,7 +178,8 @@ class TestStep:
         state = _state()
         state.e_plus[2] = np.nan
         drive = ControlDrive.constant(0.1, 0.0)
-        with pytest.raises(NumericalAbort, match="cell"):
+        # advection carries the NaN one cell forward before the check
+        with pytest.raises(NumericalAbort, match="fields .* cell 3$"):
             step(state, drive, m, state.grid.dz / m.c)
 
 

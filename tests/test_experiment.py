@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from slowlight.analysis import fit_decay
-from slowlight.dynamics import Grid, SimState, run_dynamics
+from slowlight.dynamics import Grid, SimState, run_dynamics, switching_readout
 from slowlight.experiment import (ProtocolParams, PulseEvent, PulseSequence,
-                                  released_peak, run_experiment,
-                                  standard_sequence, sweep_delay,
-                                  sweep_duration, switching_readout)
+                                  released_peak, standard_sequence,
+                                  sweep_delay, sweep_duration)
 from slowlight.medium import MediumParams, make_spectral_classes
 
 SINGLE = make_spectral_classes(0.0, 1, "single")
@@ -64,6 +63,19 @@ class TestPulseSequence:
         with pytest.raises(ValueError, match="overlap"):
             PulseSequence(events=[PulseEvent("C", 0.0, 5.0, 1.0),
                                   PulseEvent("C", 4.0, 3.0, 1.0)], t_end_us=10.0)
+
+    @pytest.mark.parametrize("channel", ["C", "A"])
+    def test_rejects_detuning_conflict_on_coupling_channel(self, channel):
+        with pytest.raises(ValueError, match="detuning"):
+            PulseSequence(events=[PulseEvent(channel, 0.0, 4.0, 1.0, detuning=0.5),
+                                  PulseEvent(channel, 5.0, 3.0, 1.0)],
+                          t_end_us=10.0)
+        seq = PulseSequence(events=[PulseEvent(channel, 0.0, 4.0, 1.0, detuning=0.5),
+                                    PulseEvent(channel, 5.0, 3.0, 2.0, detuning=0.5),
+                                    PulseEvent("Y", 6.0, 1.0, 0.4, detuning=9.0)],
+                            t_end_us=10.0)
+        detunings = seq.drive_samples(np.array([0.0]))[2:]
+        assert detunings == ((0.5, 0.0) if channel == "C" else (0.0, 0.5))
 
 
 class TestStandardSequence:
@@ -127,8 +139,8 @@ class TestRunExperiment:
         m, grid, classes = _mini_setup()
         p = ProtocolParams(kind="slow_light", omega_c=1.5, probe_amplitude=0.0,
                            probe_duration_us=4.0, t_end_us=14.0)
-        trace = run_experiment(standard_sequence("slow_light", p),
-                               m, grid, classes)
+        trace, _ = run_dynamics(standard_sequence("slow_light", p),
+                                m, grid, classes)
         assert np.all(trace.fwd_intensity == 0.0)
 
     def test_stationary_with_zero_backward_matches_slow_light_bitwise(self):
@@ -141,8 +153,8 @@ class TestRunExperiment:
             warnings.simplefilter("ignore")
             freeze = standard_sequence("stationary", ProtocolParams(
                 kind="stationary", omega_a=0.0, a_duration_us=5.0, **common))
-            t_slow = run_experiment(slow, m, grid, classes)
-            t_frozen = run_experiment(freeze, m, grid, classes)
+            t_slow, _ = run_dynamics(slow, m, grid, classes)
+            t_frozen, _ = run_dynamics(freeze, m, grid, classes)
         assert np.array_equal(t_slow.fwd_intensity, t_frozen.fwd_intensity)
         assert np.array_equal(t_slow.bwd_intensity, t_frozen.bwd_intensity)
         assert np.array_equal(t_slow.spin_norm, t_frozen.spin_norm)
@@ -153,7 +165,7 @@ class TestRunExperiment:
                            storage_t_us=3.0, c_off_us=13.0,
                            release_window_us=10.0)
         seq = standard_sequence("memory", p)
-        trace = run_experiment(seq, m, grid, classes)
+        trace, _ = run_dynamics(seq, m, grid, classes)
         assert len(trace.annotations) == len(seq.events)
         for event in seq.events:
             assert trace.annotations.count(event) == 1
@@ -240,7 +252,7 @@ class TestSweepDuration:
                       release_window_us=40.0, peak_guard_us=1.0)
         slow_seq = standard_sequence("slow_light", ProtocolParams(
             kind="slow_light", **common))
-        slow_trace = run_experiment(slow_seq, m, grid, classes)
+        slow_trace, _ = run_dynamics(slow_seq, m, grid, classes)
         _, slow_peak = released_peak(slow_trace, 1.0)
         base = ProtocolParams(kind="stationary", omega_a=2.0,
                               p_a_delay_us=20.0, **common)
@@ -293,7 +305,7 @@ class TestSwitchingReadout:
         state_idle = self._stored_state()
         idle = 3.0 * 1000.0 / (math.pi * 30.0)
         decay = np.exp(-(0.5 * gamma_spin + 1j * state_idle.deltas) * idle)
-        state_idle.s = state_idle.s * decay[None, :]
+        state_idle.s[:] *= decay[None, :]
         d_now = switching_readout(state_now, 0.3, 1.0)
         d_idle = switching_readout(state_idle, 0.3, 1.0)
         assert d_now > d_idle
