@@ -224,6 +224,8 @@ def cmd_sweep(args) -> int:
         "parameter": cfg.sweep.parameter,
         "n_points": len(result.values),
         "peak_times_us": list(result.peak_times),
+        "simulated_steps": result.simulated_steps,
+        "independent_steps": result.independent_steps,
     }))
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK

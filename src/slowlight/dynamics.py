@@ -335,6 +335,8 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
                  classes: Sequence[SpectralClass], *,
                  snapshot_every_us: float | None = None,
                  initial_state: SimState | None = None,
+                 _snapshot_steps: Sequence[int] = (),
+                 _check_probe: bool = True,
                  ) -> tuple[DetectorTrace, list[SimState]]:
     """Run a pulse sequence and record the exit intensities.
 
@@ -342,34 +344,58 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     writing_omega_c, probe_samples(t), drive_samples(t) and
     readout_events() (see experiment.PulseSequence).  Returns the detector
     trace |E+(L,t)|^2, |E-(0,t)|^2 and the spin-coherence norm, plus state
-    snapshots (always including the final state).  Readout events deplete
+    snapshots: one at the first step at or after each multiple of
+    snapshot_every_us, and always the final state.  Readout events deplete
     the spin coherence through switching_readout.  E+ is injected at z=0
     from the probe channel; nothing is injected into E-.
+
+    Steps lie on the global grid t = n dt (dt = dz/c).  A run resumed from
+    `initial_state`, which must sit on that grid, on `grid` and with
+    len(classes) classes, samples its drives at the same half steps,
+    records and snapshots on the same step indices and treats readouts at
+    or before initial_state.t as done, so resuming from a snapshot
+    reproduces the uninterrupted run bit for bit; a state already at
+    t_end_us runs no step.  The private arguments serve the branching
+    sweeps of the experiment module: extra snapshot step indices, and
+    leaving the probe-resolution warning to the sweep.
     """
-    state = initial_state.copy() if initial_state is not None \
-        else SimState.zeros(grid, classes)
     dt = grid.dz / m.c
-    t_end = float(sequence.t_end_us)
-    n_steps = int(round((t_end - state.t) / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end_us {t_end} shorter than one step {dt}")
+    if initial_state is None:
+        state = SimState.zeros(grid, classes)
+    else:
+        _check_initial_state(initial_state, grid, classes, dt)
+        state = initial_state.copy()
+    n0 = int(round(state.t / dt))
+    n_total = int(round(float(sequence.t_end_us) / dt))
+    n_steps = n_total - n0
+    if n_total < 1 or n_steps < 0:
+        raise ValueError(f"t_end_us {sequence.t_end_us} is shorter than one "
+                         f"step {dt} or ends before t = {state.t}")
 
     # Half-grid drive samples cover every RK4 stage time.
-    t_half = state.t + 0.5 * dt * np.arange(2 * n_steps + 1)
+    t_half = _half_step_times(dt, n0, n_total)
     omega_c, omega_a, detuning_c, detuning_a = sequence.drive_samples(t_half)
     inject = sequence.probe_samples(t_half[0::2][:n_steps])
-    _check_probe_resolution(sequence, m, grid)
+    if _check_probe:
+        _check_probe_resolution(sequence, m, grid)
 
     every = max(1, int(round(1.0 / (sequence.sample_rate * dt))))
-    n_rec = n_steps // every + 1
+    # records fall on the multiples of `every` in [n0, n_total]
+    n_rec = n_total // every - (n0 - 1) // every
     rec_t = np.empty(n_rec)
     rec_fwd = np.empty(n_rec)
     rec_bwd = np.empty(n_rec)
     rec_spin = np.empty(n_rec)
     readouts = []
-    pending_reads = sorted(sequence.readout_events(), key=lambda e: e[0])
+    pending_reads = sorted((e for e in sequence.readout_events()
+                            if e[0] > state.t), key=lambda e: e[0])
+    snap_steps = {n for n in _snapshot_steps if n0 < n <= n_total}
+    if snapshot_every_us is not None:
+        # steps whose interval ((n-1) dt, n dt] holds a multiple of the period
+        slot = np.floor(np.round(np.arange(n0, n_total + 1) * dt
+                                 / snapshot_every_us, 9))
+        snap_steps.update((n0 + 1 + np.flatnonzero(np.diff(slot))).tolist())
     snapshots: list[SimState] = []
-    next_snap = snapshot_every_us if snapshot_every_us is not None else math.inf
 
     prop = _Propagator(m, state, detuning_c, detuning_a)
     i_rec = 0
@@ -382,24 +408,25 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
         rec_spin[i_rec] = state.spin_norm()
         i_rec += 1
 
-    record()
-    for n in range(n_steps):
-        prop.advect(state, inject[n], 0.0j, "open")
-        n2 = 2 * n
-        prop.local_update(state, omega_c[n2], omega_a[n2],
-                          omega_c[n2 + 1], omega_a[n2 + 1],
-                          omega_c[n2 + 2], omega_a[n2 + 2])
+    if n0 % every == 0:
+        record()
+    for i in range(n_steps):
+        prop.advect(state, inject[i], 0.0j, "open")
+        i2 = 2 * i
+        prop.local_update(state, omega_c[i2], omega_a[i2],
+                          omega_c[i2 + 1], omega_a[i2 + 1],
+                          omega_c[i2 + 2], omega_a[i2 + 2])
         state.t += dt
         while pending_reads and state.t >= pending_reads[0][0]:
             _, omega_y, dt_read = pending_reads.pop(0)
             readouts.append((state.t, switching_readout(state, omega_y, dt_read)))
-        if (n + 1) % every == 0:
+        n = n0 + i + 1  # global index of the step just completed
+        if n % every == 0:
             record()
-        if (n + 1) % _FINITE_CHECK_EVERY == 0:
+        if n % _FINITE_CHECK_EVERY == 0:
             state.check_finite()
-        if state.t >= next_snap:
+        if n in snap_steps:
             snapshots.append(state.copy())
-            next_snap += snapshot_every_us
     state.check_finite()
     snapshots.append(state)
 
@@ -410,14 +437,41 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     return trace, snapshots
 
 
-def _check_probe_resolution(sequence, m: MediumParams, grid: Grid) -> None:
-    """Warn when the grid underresolves the compressed probe pulse."""
+def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:
+    """Drive sample times 0.5*dt*k, k = 2*n0 .. 2*n1, of global steps n0..n1-1.
+
+    Every RK4 stage of step n reads the samples k = 2n, 2n+1 and 2n+2.
+    Each time depends on k alone, so a resumed run and a branch-point
+    search read the very values an uninterrupted run reads.
+    """
+    return 0.5 * dt * np.arange(2 * n0, 2 * n1 + 1)
+
+
+def _check_initial_state(state: SimState, grid: Grid,
+                         classes: Sequence[SpectralClass], dt: float) -> None:
+    """Reject a starting state that is off the run's grid, classes or steps."""
+    k, cells = state.a.shape[1:]
+    if state.grid != grid or cells != grid.cells or k != len(classes):
+        raise ValueError(
+            f"initial_state has {cells} cells on {state.grid} and {k} classes; "
+            f"the run has {grid.cells} cells on {grid} and {len(classes)} classes")
+    n0 = round(state.t / dt)
+    # state.t is summed step by step, so its rounding error grows with t
+    if n0 < 0 or abs(state.t - n0 * dt) > 1e-9 * max(abs(state.t), dt):
+        raise ValueError(f"initial_state.t = {state.t!r} is not on the step "
+                         f"grid n * {dt!r}")
+
+
+def _check_probe_resolution(sequence, m: MediumParams, grid: Grid,
+                            context: str = "") -> None:
+    """Warn, blaming the caller's caller, when the grid underresolves the
+    compressed probe pulse."""
     v_g = group_velocity(m, abs(sequence.writing_omega_c))
     cells = sequence.probe_duration_us * v_g / grid.dz
     if 0.0 < cells < 16.0:
         warnings.warn(
             f"probe pulse spans {cells:.1f} cells at the group velocity; "
-            "16 or more are recommended", stacklevel=3)
+            f"16 or more are recommended{context}", stacklevel=3)
 
 
 def switching_readout(state: SimState, omega_y: float, dt_read: float) -> float:

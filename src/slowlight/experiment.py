@@ -20,13 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DetectorTrace, Grid, balance_residual, run_dynamics
+from .dynamics import (DetectorTrace, Grid, _check_probe_resolution,
+                       _half_step_times, balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A", "Y")
 SHAPES = ("rect", "raised_cosine", "gaussian")
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
+_BRANCH_CHUNK = 1024  # steps per drive comparison in _branch_step
 
 
 @dataclass(frozen=True)
@@ -241,13 +243,20 @@ def released_peak(trace: DetectorTrace, t_min: float) -> tuple[float, float]:
 
 @dataclass
 class SweepResult:
-    """Peak released intensity versus a swept protocol parameter."""
+    """Peak released intensity versus a swept protocol parameter.
+
+    simulated_steps counts the steps the sweep integrated (trunk plus
+    branches); independent_steps counts those that running every point
+    from t = 0 would take.
+    """
 
     values: np.ndarray
     intensities: np.ndarray
     peak_times: np.ndarray
     traces: list[DetectorTrace] | None = None
     stationary_intensities: np.ndarray | None = None
+    simulated_steps: int = 0
+    independent_steps: int = 0
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.intensities):
@@ -256,9 +265,44 @@ class SweepResult:
             raise ValueError("intensities must be >= 0")
 
 
+def _branch_step(sequence: PulseSequence, trunk: PulseSequence, dt: float,
+                 n_steps: int) -> int:
+    """Global step from which `sequence` can resume a snapshot of `trunk`.
+
+    Both are sampled on the global half-step grid 0.5*dt*k, k <= 2*n_steps.
+    With k* the first sample where their C, A or probe envelopes differ,
+    steps before (k* - 1) // 2 read only samples k < k*, so the trunk's
+    state after them is this sequence's state too.  A sequence that agrees
+    with the trunk throughout branches at its own end, n_steps.  The
+    samples are taken _BRANCH_CHUNK steps at a time, so the search holds
+    little memory and stops at the first difference.
+    """
+    for n in range(0, n_steps, _BRANCH_CHUNK):
+        t = _half_step_times(dt, n, min(n + _BRANCH_CHUNK, n_steps))
+        omega_c, omega_a, det_c, det_a = sequence.drive_samples(t)
+        t_omega_c, t_omega_a, t_det_c, t_det_a = trunk.drive_samples(t)
+        if (det_c, det_a) != (t_det_c, t_det_a):
+            return 0  # the propagators differ from the first step on
+        differ = (omega_c != t_omega_c) | (omega_a != t_omega_a)
+        differ |= sequence.probe_samples(t) != trunk.probe_samples(t)
+        if differ.any():
+            return max(0, (2 * n + int(np.argmax(differ)) - 1) // 2)
+    return n_steps
+
+
 def _run_point(args):
-    sequence, m, grid, classes, guard = args
-    trace, _ = run_dynamics(sequence, m, grid, classes)
+    """Integrate one point from its snapshot and splice it onto the trunk's
+    records before the snapshot: (trace, t_peak, peak)."""
+    sequence, m, grid, classes, start, trunk, guard = args
+    branch, _ = run_dynamics(sequence, m, grid, classes, initial_state=start,
+                             _check_probe=False)
+    cut = 0 if start is None else int(np.searchsorted(trunk.t, start.t))
+    trace = DetectorTrace(
+        *(np.concatenate([head[:cut], tail]) for head, tail in (
+            (trunk.t, branch.t), (trunk.fwd_intensity, branch.fwd_intensity),
+            (trunk.bwd_intensity, branch.bwd_intensity),
+            (trunk.spin_norm, branch.spin_norm))),
+        annotations=branch.annotations, readouts=branch.readouts)
     t_peak, peak = released_peak(trace, sequence.release_time_us + guard)
     return trace, t_peak, peak
 
@@ -271,6 +315,33 @@ def _run_points(jobs, threads: int):
     return [_run_point(job) for job in jobs]
 
 
+def _branched_sweep(sequences: list[PulseSequence], m: MediumParams,
+                    grid: Grid, classes: Sequence[SpectralClass], guard: float,
+                    threads: int):
+    """Run every sequence of a sweep, sharing their common prefix.
+
+    The longest sequence is the trunk: it runs once from t = 0 and leaves a
+    snapshot at each point's branch step, from which the point runs to its
+    own end.  The points' results equal independent runs bit for bit.
+    Returns the (trace, t_peak, peak) of each point, the steps integrated
+    and the steps independent runs would take.  Standard sequences carry
+    no readout events, so a spliced trace takes the branch's readouts.
+    """
+    dt = grid.dz / m.c
+    ends = [int(round(s.t_end_us / dt)) for s in sequences]
+    trunk = sequences[int(np.argmax(ends))]
+    branch = [_branch_step(s, trunk, dt, n) for s, n in zip(sequences, ends)]
+    steps = sorted({b for b in branch if b > 0})
+    trunk_trace, snapshots = run_dynamics(trunk, m, grid, classes,
+                                          _snapshot_steps=steps,
+                                          _check_probe=False)
+    start = dict(zip(steps, snapshots))
+    jobs = [(s, m, grid, classes, start.get(b), trunk_trace, guard)
+            for s, b in zip(sequences, branch)]
+    simulated = max(ends) + sum(n - b for n, b in zip(ends, branch))
+    return _run_points(jobs, threads), simulated, sum(ends)
+
+
 def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
                 m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
                 *, keep_traces: bool = False, include_stationary: bool = False,
@@ -278,34 +349,40 @@ def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
     """Memory-protocol storage sweep: released peak intensity versus delay T.
 
     With include_stationary the stationary protocol is also run for each T
-    with a matched dark interval (backward coupling held on for T).
+    with a matched dark interval (backward coupling held on for T).  Each
+    protocol's points branch off one trunk run (see _branched_sweep);
+    threads > 1 runs the branches in a thread pool.
     """
     t_values = list(t_values)
     if not t_values:
         raise ValueError("t_values must be non-empty")
     if any(t < 0.0 for t in t_values):
         raise ValueError("delays must be >= 0")
-    jobs = []
-    for t_store in t_values:
-        p = replace(base, kind="memory", storage_t_us=float(t_store), t_end_us=None)
-        jobs.append((standard_sequence("memory", p), m, grid, classes,
-                     base.peak_guard_us))
-    results = _run_points(jobs, threads)
-    peaks = np.array([r[2] for r in results])
-    times = np.array([r[1] for r in results])
+    sequences = [standard_sequence("memory", replace(
+        base, kind="memory", storage_t_us=float(t), t_end_us=None))
+        for t in t_values]
+    _check_probe_resolution(
+        sequences[0], m, grid,
+        f" (all {len(t_values)} points of the storage_t_us sweep)")
+    results, simulated, independent = _branched_sweep(
+        sequences, m, grid, classes, base.peak_guard_us, threads)
     stationary = None
     if include_stationary:
-        sjobs = []
-        for t_store in t_values:
-            p = replace(base, kind="stationary",
-                        a_duration_us=max(float(t_store), 1e-6), t_end_us=None)
-            sjobs.append((standard_sequence("stationary", p), m, grid, classes,
-                          base.peak_guard_us))
-        stationary = np.array([r[2] for r in _run_points(sjobs, threads)])
+        sequences = [standard_sequence("stationary", replace(
+            base, kind="stationary", a_duration_us=max(float(t), 1e-6),
+            t_end_us=None)) for t in t_values]
+        s_results, s_simulated, s_independent = _branched_sweep(
+            sequences, m, grid, classes, base.peak_guard_us, threads)
+        stationary = np.array([r[2] for r in s_results])
+        simulated += s_simulated
+        independent += s_independent
     return SweepResult(values=np.asarray(t_values, dtype=float),
-                       intensities=peaks, peak_times=times,
+                       intensities=np.array([r[2] for r in results]),
+                       peak_times=np.array([r[1] for r in results]),
                        traces=[r[0] for r in results] if keep_traces else None,
-                       stationary_intensities=stationary)
+                       stationary_intensities=stationary,
+                       simulated_steps=simulated,
+                       independent_steps=independent)
 
 
 def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
@@ -313,7 +390,11 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
                    classes: Sequence[SpectralClass], *,
                    keep_traces: bool = False, balance_bound: float = 1.0,
                    threads: int = 1) -> SweepResult:
-    """Stationary-protocol sweep: released peak versus backward-pulse duration."""
+    """Stationary-protocol sweep: released peak versus backward-pulse duration.
+
+    The points branch off one trunk run, the longest hold (see
+    _branched_sweep); threads > 1 runs the branches in a thread pool.
+    """
     a_durations = list(a_durations)
     if not a_durations:
         raise ValueError("a_durations must be non-empty")
@@ -323,13 +404,17 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
     if residual > balance_bound:
         raise ValueError(
             f"balance residual {residual:.3f} exceeds bound {balance_bound:.3f}")
-    jobs = []
-    for dur in a_durations:
-        p = replace(base, kind="stationary", a_duration_us=float(dur), t_end_us=None)
-        jobs.append((standard_sequence("stationary", p), m, grid, classes,
-                     base.peak_guard_us))
-    results = _run_points(jobs, threads)
+    sequences = [standard_sequence("stationary", replace(
+        base, kind="stationary", a_duration_us=float(d), t_end_us=None))
+        for d in a_durations]
+    _check_probe_resolution(
+        sequences[0], m, grid,
+        f" (all {len(a_durations)} points of the a_duration_us sweep)")
+    results, simulated, independent = _branched_sweep(
+        sequences, m, grid, classes, base.peak_guard_us, threads)
     return SweepResult(values=np.asarray(a_durations, dtype=float),
                        intensities=np.array([r[2] for r in results]),
                        peak_times=np.array([r[1] for r in results]),
-                       traces=[r[0] for r in results] if keep_traces else None)
+                       traces=[r[0] for r in results] if keep_traces else None,
+                       simulated_steps=simulated,
+                       independent_steps=independent)

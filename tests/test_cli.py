@@ -209,6 +209,17 @@ class TestCommands:
         assert body["fits"]["gaussian_sq"]["tau_us"] == pytest.approx(tau, rel=1e-6)
         assert 0.0 < body["wall_time_s"] < 60.0  # measured, not a placeholder
 
+    def test_sweep_json_reports_simulated_steps(self, cfg_file, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            assert main(["sweep", "--config", cfg_file(SMALL_SWEEP),
+                         "--out", str(out)]) == EXIT_OK
+        body = json.loads((out / "sweep.json").read_text())
+        # runs of 26, 29 and 32 us at dt = 0.0125 us; the trunk (T = 6) runs
+        # whole and the other two integrate only their 10 us release
+        assert body["independent_steps"] == 2080 + 2320 + 2560
+        assert body["simulated_steps"] == 2560 + 2 * 800
+
     def test_sweep_rejects_empty_values(self, cfg_file):
         text = SMALL_SWEEP.replace("values = 0, 3, 6", "values =")
         assert main(["sweep", "--config", cfg_file(text)]) == EXIT_CONFIG
@@ -278,7 +289,8 @@ class TestDeterminism:
         csvs = []
         for name, threads in (("t1", "1"), ("t3", "3")):
             out = tmp_path / name
-            assert main(["sweep", "--config", config, "--out", str(out),
-                         "--threads", threads]) == EXIT_OK
+            with pytest.warns(UserWarning, match="probe pulse spans"):
+                assert main(["sweep", "--config", config, "--out", str(out),
+                             "--threads", threads]) == EXIT_OK
             csvs.append((out / "sweep.csv").read_bytes())
         assert csvs[0] == csvs[1]

@@ -248,6 +248,83 @@ class TestRunDynamics:
             run_dynamics(seq, m, grid, SINGLE)
 
 
+def _resume_setup():
+    """A gated memory run with readouts on both sides of most snapshots."""
+    from slowlight.experiment import PulseEvent, PulseSequence
+
+    m = MediumParams.from_optical_depth(30.0, gamma_opt=1.0, c=5.0)
+    grid = Grid(cells=16)
+    classes = make_spectral_classes(30.0, 3, "lorentzian")
+    seq = PulseSequence(
+        events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
+                PulseEvent("C", 0.0, 5.0, 1.5, "raised_cosine", 0.5),
+                PulseEvent("C", 7.0, 3.0, 2.0, "raised_cosine", 0.5),
+                PulseEvent("Y", 2.5, 0.5, 0.3),
+                PulseEvent("Y", 6.0, 0.5, 0.3)],
+        t_end_us=10.0, sample_rate=20.0)
+    return m, grid, classes, seq
+
+
+class TestResume:
+    def test_resumed_runs_match_the_uninterrupted_run_bitwise(self):
+        m, grid, classes, seq = _resume_setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # snapshots at steps 80, 159, 238, 317, 396, ...: on and off
+            # the record cadence of 4 steps
+            full, snaps = run_dynamics(seq, m, grid, classes,
+                                       snapshot_every_us=0.99)
+            assert len(snaps) == 11
+            for start in snaps[:-1]:
+                before = start.a.copy()
+                part, part_snaps = run_dynamics(seq, m, grid, classes,
+                                                snapshot_every_us=0.99,
+                                                initial_state=start)
+                assert np.array_equal(start.a, before)
+                tail = full.t >= start.t
+                assert tail.sum() < len(full.t)
+                for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
+                    assert np.array_equal(getattr(part, name),
+                                          getattr(full, name)[tail])
+                assert part.readouts == tuple(r for r in full.readouts
+                                              if r[0] > start.t)
+                later = [s for s in snaps if s.t > start.t]
+                assert len(part_snaps) == len(later)
+                for mine, theirs in zip(part_snaps, later):
+                    assert mine.t == theirs.t
+                    assert np.array_equal(mine.f, theirs.f)
+                    assert np.array_equal(mine.a, theirs.a)
+        assert len(full.readouts) == 2
+
+    def test_state_at_the_end_runs_no_step(self):
+        m, grid, classes, seq = _resume_setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full, snaps = run_dynamics(seq, m, grid, classes)
+            part, part_snaps = run_dynamics(seq, m, grid, classes,
+                                            initial_state=snaps[-1])
+        assert part.t.tolist() == [full.t[-1]]
+        assert np.array_equal(part_snaps[-1].a, snaps[-1].a)
+
+    def test_rejects_state_off_the_run(self):
+        m, grid, classes, seq = _resume_setup()
+        dt = grid.dz / m.c
+        bad = [SimState.zeros(Grid(cells=8), classes),
+               SimState.zeros(Grid(cells=16, length=2.0), classes),
+               SimState.zeros(grid, classes[:2])]
+        for state in bad:
+            with pytest.raises(ValueError, match="initial_state has"):
+                run_dynamics(seq, m, grid, classes, initial_state=state)
+        off_grid = SimState.zeros(grid, classes)
+        off_grid.t = 40.5 * dt
+        with pytest.raises(ValueError, match="step grid"):
+            run_dynamics(seq, m, grid, classes, initial_state=off_grid)
+        late = SimState.zeros(grid, classes)
+        late.t = 801 * dt
+        with pytest.raises(ValueError, match="ends before"):
+            run_dynamics(seq, m, grid, classes, initial_state=late)
+
+
 class TestBalanceResidual:
     @pytest.mark.parametrize("args,expected", [
         ((10.0, 1.0, 10.0, 1.0), 0.0),

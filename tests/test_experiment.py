@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,8 +140,9 @@ class TestRunExperiment:
         m, grid, classes = _mini_setup()
         p = ProtocolParams(kind="slow_light", omega_c=1.5, probe_amplitude=0.0,
                            probe_duration_us=4.0, t_end_us=14.0)
-        trace, _ = run_dynamics(standard_sequence("slow_light", p),
-                                m, grid, classes)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            trace, _ = run_dynamics(standard_sequence("slow_light", p),
+                                    m, grid, classes)
         assert np.all(trace.fwd_intensity == 0.0)
 
     def test_stationary_with_zero_backward_matches_slow_light_bitwise(self):
@@ -165,7 +167,8 @@ class TestRunExperiment:
                            storage_t_us=3.0, c_off_us=13.0,
                            release_window_us=10.0)
         seq = standard_sequence("memory", p)
-        trace, _ = run_dynamics(seq, m, grid, classes)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            trace, _ = run_dynamics(seq, m, grid, classes)
         assert len(trace.annotations) == len(seq.events)
         for event in seq.events:
             assert trace.annotations.count(event) == 1
@@ -190,7 +193,8 @@ class TestSweepDelay:
                               c_off_us=19.0, c_ramp_us=1.5,
                               release_window_us=12.0, sample_rate=20.0)
         delays = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
-        result = sweep_delay(delays, base, m, grid, SINGLE)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            result = sweep_delay(delays, base, m, grid, SINGLE)
         assert result.values.tolist() == delays.tolist()
         assert result.intensities[0] == result.intensities.max()
         assert np.all(np.diff(result.intensities) <= 1e-9)
@@ -204,7 +208,8 @@ class TestSweepDelay:
         base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=6.0,
                               c_off_us=19.0, c_ramp_us=1.5,
                               release_window_us=12.0, sample_rate=20.0)
-        result = sweep_delay([0.0, 3.0, 6.0, 9.0], base, m, grid, classes)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            result = sweep_delay([0.0, 3.0, 6.0, 9.0], base, m, grid, classes)
         assert np.all(result.intensities <= result.intensities[0] * (1 + 1e-9))
         assert np.all(np.diff(result.intensities) <= 1e-9)
 
@@ -224,8 +229,12 @@ class TestSweepDelay:
         m, grid, classes = _mini_setup(n_classes=2)
         base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0)
-        serial = sweep_delay([0.0, 2.0, 4.0], base, m, grid, classes, threads=1)
-        threaded = sweep_delay([0.0, 2.0, 4.0], base, m, grid, classes, threads=3)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            serial = sweep_delay([0.0, 2.0, 4.0], base, m, grid, classes,
+                                 threads=1)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            threaded = sweep_delay([0.0, 2.0, 4.0], base, m, grid, classes,
+                                   threads=3)
         assert np.array_equal(serial.intensities, threaded.intensities)
 
 
@@ -252,7 +261,8 @@ class TestSweepDuration:
                       release_window_us=40.0, peak_guard_us=1.0)
         slow_seq = standard_sequence("slow_light", ProtocolParams(
             kind="slow_light", **common))
-        slow_trace, _ = run_dynamics(slow_seq, m, grid, classes)
+        with pytest.warns(UserWarning, match="probe pulse spans"):
+            slow_trace, _ = run_dynamics(slow_seq, m, grid, classes)
         _, slow_peak = released_peak(slow_trace, 1.0)
         base = ProtocolParams(kind="stationary", omega_a=2.0,
                               p_a_delay_us=20.0, **common)
@@ -260,6 +270,99 @@ class TestSweepDuration:
             warnings.simplefilter("ignore")
             result = sweep_duration([0.02], base, m, grid, classes)
         assert result.intensities[0] == pytest.approx(slow_peak, rel=0.15)
+
+
+def _independent(kind, field, values, base, m, grid, classes):
+    """(trace, t_peak, peak) of each point run on its own from t = 0."""
+    out = []
+    for value in values:
+        p = replace(base, kind=kind, t_end_us=None, **{field: value})
+        seq = standard_sequence(kind, p)
+        trace, _ = run_dynamics(seq, m, grid, classes)
+        out.append((trace, *released_peak(trace, seq.release_time_us
+                                          + base.peak_guard_us)))
+    return out
+
+
+def _assert_same(result, reference):
+    assert np.array_equal(result.intensities, [r[2] for r in reference])
+    assert np.array_equal(result.peak_times, [r[1] for r in reference])
+    for trace, (ref, _, _) in zip(result.traces, reference):
+        for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
+            assert np.array_equal(getattr(trace, name), getattr(ref, name))
+        assert trace.annotations == ref.annotations
+
+
+def _probe_warnings(record):
+    return [w for w in record if "probe pulse spans" in str(w.message)]
+
+
+class TestBranchedSweeps:
+    """Sweeps integrate one trunk and branch each point off a snapshot of
+    it; every result must equal an independent run bit for bit."""
+
+    DELAYS = [4.0, 0.0, 2.5, 4.0, 1.3]  # unsorted, duplicated, T = 0
+
+    @pytest.mark.parametrize("include_stationary, threads",
+                             [(False, 1), (True, 3)])
+    def test_delay_sweep_matches_independent_runs(self, include_stationary,
+                                                  threads):
+        m, grid, classes = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
+                              release_window_us=8.0, sample_rate=20.0)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = sweep_delay(self.DELAYS, base, m, grid, classes,
+                                 keep_traces=True, threads=threads,
+                                 include_stationary=include_stationary)
+        probe = _probe_warnings(record)
+        assert len(probe) == 1 and probe[0].filename == __file__
+        assert "storage_t_us sweep" in str(probe[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_same(result, _independent(
+                "memory", "storage_t_us", self.DELAYS, base, m, grid, classes))
+            if include_stationary:
+                stationary = _independent(
+                    "stationary", "a_duration_us",
+                    [max(t, 1e-6) for t in self.DELAYS], base, m, grid, classes)
+                assert np.array_equal(result.stationary_intensities,
+                                      [r[2] for r in stationary])
+        assert result.simulated_steps < 0.6 * result.independent_steps
+
+    def test_duration_sweep_matches_independent_runs(self):
+        m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=2,
+                                       cells=16)
+        base = ProtocolParams(kind="stationary", omega_c=2.0, omega_a=2.0,
+                              probe_duration_us=4.0, p_a_delay_us=13.0,
+                              release_window_us=8.0, sample_rate=10.0)
+        durations = [2.0, 0.5, 3.5, 2.0]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = sweep_duration(durations, base, m, grid, classes,
+                                    keep_traces=True, threads=3)
+        probe = _probe_warnings(record)
+        assert len(probe) == 1 and probe[0].filename == __file__
+        assert "a_duration_us sweep" in str(probe[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _assert_same(result, _independent(
+                "stationary", "a_duration_us", durations, base, m, grid,
+                classes))
+        assert result.simulated_steps < result.independent_steps
+
+    def test_single_point_is_its_own_trunk(self):
+        m, grid, classes = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, release_window_us=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = sweep_delay([3.0], base, m, grid, classes,
+                                 keep_traces=True)
+            _assert_same(result, _independent(
+                "memory", "storage_t_us", [3.0], base, m, grid, classes))
+        assert result.simulated_steps == result.independent_steps == 1920
 
 
 class TestSwitchingReadout:
