@@ -257,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="sweep-point parallelism; 0 = auto")
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1,
+                           help="sweep-point parallelism; 0 = auto")
         if name == "fit":
             p.add_argument("--input", default=None,
                            help="sweep CSV to fit (default: <out>/sweep.csv)")

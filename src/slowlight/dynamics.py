@@ -333,9 +333,8 @@ def _require_cfl(m: MediumParams, grid: Grid, dt: float) -> None:
 
 def run_dynamics(sequence, m: MediumParams, grid: Grid,
                  classes: Sequence[SpectralClass], *,
-                 snapshot_every_us: float | None = None,
                  initial_state: SimState | None = None,
-                 _snapshot_steps: Sequence[int] = (),
+                 snapshot_steps: Sequence[int] = (),
                  _check_probe: bool = True,
                  ) -> tuple[DetectorTrace, list[SimState]]:
     """Run a pulse sequence and record the exit intensities.
@@ -344,20 +343,20 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     writing_omega_c, probe_samples(t), drive_samples(t) and
     readout_events() (see experiment.PulseSequence).  Returns the detector
     trace |E+(L,t)|^2, |E-(0,t)|^2 and the spin-coherence norm, plus state
-    snapshots: one at the first step at or after each multiple of
-    snapshot_every_us, and always the final state.  Readout events deplete
+    snapshots: one after each global step index in snapshot_steps that the
+    run completes, and always the final state.  Readout events deplete
     the spin coherence through switching_readout.  E+ is injected at z=0
     from the probe channel; nothing is injected into E-.
 
-    Steps lie on the global grid t = n dt (dt = dz/c).  A run resumed from
-    `initial_state`, which must sit on that grid, on `grid` and with
-    len(classes) classes, samples its drives at the same half steps,
-    records and snapshots on the same step indices and treats readouts at
-    or before initial_state.t as done, so resuming from a snapshot
-    reproduces the uninterrupted run bit for bit; a state already at
-    t_end_us runs no step.  The private arguments serve the branching
-    sweeps of the experiment module: extra snapshot step indices, and
-    leaving the probe-resolution warning to the sweep.
+    Steps lie on the global grid t = n dt (dt = dz/c), and the state's t
+    is set to n dt after step n.  A run resumed from `initial_state`,
+    which must sit on that grid, on `grid` and with len(classes) classes,
+    samples its drives at the same half steps, records and snapshots on
+    the same step indices and treats readouts at or before
+    initial_state.t as done, so resuming from a snapshot reproduces the
+    uninterrupted run bit for bit; a state already at t_end_us runs no
+    step.  _check_probe=False leaves the probe-resolution warning to a
+    sweep that raises it once for all its points.
     """
     dt = grid.dz / m.c
     if initial_state is None:
@@ -389,12 +388,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     readouts = []
     pending_reads = sorted((e for e in sequence.readout_events()
                             if e[0] > state.t), key=lambda e: e[0])
-    snap_steps = {n for n in _snapshot_steps if n0 < n <= n_total}
-    if snapshot_every_us is not None:
-        # steps whose interval ((n-1) dt, n dt] holds a multiple of the period
-        slot = np.floor(np.round(np.arange(n0, n_total + 1) * dt
-                                 / snapshot_every_us, 9))
-        snap_steps.update((n0 + 1 + np.flatnonzero(np.diff(slot))).tolist())
+    snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
     snapshots: list[SimState] = []
 
     prop = _Propagator(m, state, detuning_c, detuning_a)
@@ -416,11 +410,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
         prop.local_update(state, omega_c[i2], omega_a[i2],
                           omega_c[i2 + 1], omega_a[i2 + 1],
                           omega_c[i2 + 2], omega_a[i2 + 2])
-        state.t += dt
+        n = n0 + i + 1  # global index of the step just completed
+        state.t = n * dt
         while pending_reads and state.t >= pending_reads[0][0]:
             _, omega_y, dt_read = pending_reads.pop(0)
             readouts.append((state.t, switching_readout(state, omega_y, dt_read)))
-        n = n0 + i + 1  # global index of the step just completed
         if n % every == 0:
             record()
         if n % _FINITE_CHECK_EVERY == 0:
@@ -456,14 +450,14 @@ def _check_initial_state(state: SimState, grid: Grid,
             f"initial_state has {cells} cells on {state.grid} and {k} classes; "
             f"the run has {grid.cells} cells on {grid} and {len(classes)} classes")
     n0 = round(state.t / dt)
-    # state.t is summed step by step, so its rounding error grows with t
+    # a hand-built or step()-advanced state sums its t, so the rounding
+    # error grows with t
     if n0 < 0 or abs(state.t - n0 * dt) > 1e-9 * max(abs(state.t), dt):
         raise ValueError(f"initial_state.t = {state.t!r} is not on the step "
                          f"grid n * {dt!r}")
 
 
-def _check_probe_resolution(sequence, m: MediumParams, grid: Grid,
-                            context: str = "") -> None:
+def _check_probe_resolution(sequence, m: MediumParams, grid: Grid) -> None:
     """Warn, blaming the caller's caller, when the grid underresolves the
     compressed probe pulse."""
     v_g = group_velocity(m, abs(sequence.writing_omega_c))
@@ -471,7 +465,7 @@ def _check_probe_resolution(sequence, m: MediumParams, grid: Grid,
     if 0.0 < cells < 16.0:
         warnings.warn(
             f"probe pulse spans {cells:.1f} cells at the group velocity; "
-            f"16 or more are recommended{context}", stacklevel=3)
+            "16 or more are recommended", stacklevel=3)
 
 
 def switching_readout(state: SimState, omega_y: float, dt_read: float) -> float:

@@ -254,7 +254,6 @@ class SweepResult:
     intensities: np.ndarray
     peak_times: np.ndarray
     traces: list[DetectorTrace] | None = None
-    stationary_intensities: np.ndarray | None = None
     simulated_steps: int = 0
     independent_steps: int = 0
 
@@ -307,50 +306,63 @@ def _run_point(args):
     return trace, t_peak, peak
 
 
-def _run_points(jobs, threads: int):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_run_point, jobs))
-    return [_run_point(job) for job in jobs]
+def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
+           m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
+           keep_traces: bool, threads: int) -> SweepResult:
+    """Run protocol `kind` at each value of `field`, sharing the prefix.
 
-
-def _branched_sweep(sequences: list[PulseSequence], m: MediumParams,
-                    grid: Grid, classes: Sequence[SpectralClass], guard: float,
-                    threads: int):
-    """Run every sequence of a sweep, sharing their common prefix.
-
-    The longest sequence is the trunk: it runs once from t = 0 and leaves a
-    snapshot at each point's branch step, from which the point runs to its
-    own end.  The points' results equal independent runs bit for bit.
-    Returns the (trace, t_peak, peak) of each point, the steps integrated
-    and the steps independent runs would take.  Standard sequences carry
-    no readout events, so a spliced trace takes the branch's readouts.
+    The longest point is the trunk: it runs once from t = 0 and leaves a
+    snapshot at each point's branch step (see _branch_step), from which the
+    point runs to its own end, so every result equals an independent run
+    bit for bit.  threads > 1 runs the branches in a thread pool.  Each
+    distinct warning raised while building the points' sequences or
+    checking the probe resolution is raised once, blamed on the caller of
+    the public sweep.  Standard sequences carry no readout events, so a
+    spliced trace takes the branch's readouts.
     """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sequences = [standard_sequence(kind, replace(
+            base, kind=kind, t_end_us=None, **{field: float(v)}))
+            for v in values]
+        _check_probe_resolution(sequences[0], m, grid)
+    for message, category in dict((str(w.message), w.category)
+                                  for w in caught).items():
+        warnings.warn(f"{message} (all {len(values)} points of the {field} "
+                      f"sweep)", category, stacklevel=3)
     dt = grid.dz / m.c
     ends = [int(round(s.t_end_us / dt)) for s in sequences]
     trunk = sequences[int(np.argmax(ends))]
     branch = [_branch_step(s, trunk, dt, n) for s, n in zip(sequences, ends)]
     steps = sorted({b for b in branch if b > 0})
     trunk_trace, snapshots = run_dynamics(trunk, m, grid, classes,
-                                          _snapshot_steps=steps,
+                                          snapshot_steps=steps,
                                           _check_probe=False)
     start = dict(zip(steps, snapshots))
+    guard = base.peak_guard_us
     jobs = [(s, m, grid, classes, start.get(b), trunk_trace, guard)
             for s, b in zip(sequences, branch)]
-    simulated = max(ends) + sum(n - b for n, b in zip(ends, branch))
-    return _run_points(jobs, threads), simulated, sum(ends)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_run_point, jobs))
+    else:
+        results = [_run_point(job) for job in jobs]
+    return SweepResult(
+        values=np.asarray(values, dtype=float),
+        intensities=np.array([r[2] for r in results]),
+        peak_times=np.array([r[1] for r in results]),
+        traces=[r[0] for r in results] if keep_traces else None,
+        simulated_steps=max(ends) + sum(n - b for n, b in zip(ends, branch)),
+        independent_steps=sum(ends))
 
 
 def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
                 m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
-                *, keep_traces: bool = False, include_stationary: bool = False,
-                threads: int = 1) -> SweepResult:
+                *, keep_traces: bool = False, threads: int = 1) -> SweepResult:
     """Memory-protocol storage sweep: released peak intensity versus delay T.
 
-    With include_stationary the stationary protocol is also run for each T
-    with a matched dark interval (backward coupling held on for T).  Each
-    protocol's points branch off one trunk run (see _branched_sweep);
+    The points branch off one trunk run, the longest delay (see _sweep);
     threads > 1 runs the branches in a thread pool.
     """
     t_values = list(t_values)
@@ -358,63 +370,25 @@ def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
         raise ValueError("t_values must be non-empty")
     if any(t < 0.0 for t in t_values):
         raise ValueError("delays must be >= 0")
-    sequences = [standard_sequence("memory", replace(
-        base, kind="memory", storage_t_us=float(t), t_end_us=None))
-        for t in t_values]
-    _check_probe_resolution(
-        sequences[0], m, grid,
-        f" (all {len(t_values)} points of the storage_t_us sweep)")
-    results, simulated, independent = _branched_sweep(
-        sequences, m, grid, classes, base.peak_guard_us, threads)
-    stationary = None
-    if include_stationary:
-        sequences = [standard_sequence("stationary", replace(
-            base, kind="stationary", a_duration_us=max(float(t), 1e-6),
-            t_end_us=None)) for t in t_values]
-        s_results, s_simulated, s_independent = _branched_sweep(
-            sequences, m, grid, classes, base.peak_guard_us, threads)
-        stationary = np.array([r[2] for r in s_results])
-        simulated += s_simulated
-        independent += s_independent
-    return SweepResult(values=np.asarray(t_values, dtype=float),
-                       intensities=np.array([r[2] for r in results]),
-                       peak_times=np.array([r[1] for r in results]),
-                       traces=[r[0] for r in results] if keep_traces else None,
-                       stationary_intensities=stationary,
-                       simulated_steps=simulated,
-                       independent_steps=independent)
+    return _sweep("memory", "storage_t_us", t_values, base, m, grid, classes,
+                  keep_traces, threads)
 
 
 def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
                    m: MediumParams, grid: Grid,
                    classes: Sequence[SpectralClass], *,
-                   keep_traces: bool = False, balance_bound: float = 1.0,
-                   threads: int = 1) -> SweepResult:
+                   keep_traces: bool = False, threads: int = 1) -> SweepResult:
     """Stationary-protocol sweep: released peak versus backward-pulse duration.
 
-    The points branch off one trunk run, the longest hold (see
-    _branched_sweep); threads > 1 runs the branches in a thread pool.
+    The points branch off one trunk run, the longest hold (see _sweep);
+    threads > 1 runs the branches in a thread pool.
     """
     a_durations = list(a_durations)
     if not a_durations:
         raise ValueError("a_durations must be non-empty")
     if any(d <= 0.0 for d in a_durations):
         raise ValueError("durations must be > 0")
-    residual = balance_residual(base.omega_c, m.g_c, base.omega_a, m.g_a)
-    if residual > balance_bound:
-        raise ValueError(
-            f"balance residual {residual:.3f} exceeds bound {balance_bound:.3f}")
-    sequences = [standard_sequence("stationary", replace(
-        base, kind="stationary", a_duration_us=float(d), t_end_us=None))
-        for d in a_durations]
-    _check_probe_resolution(
-        sequences[0], m, grid,
-        f" (all {len(a_durations)} points of the a_duration_us sweep)")
-    results, simulated, independent = _branched_sweep(
-        sequences, m, grid, classes, base.peak_guard_us, threads)
-    return SweepResult(values=np.asarray(a_durations, dtype=float),
-                       intensities=np.array([r[2] for r in results]),
-                       peak_times=np.array([r[1] for r in results]),
-                       traces=[r[0] for r in results] if keep_traces else None,
-                       simulated_steps=simulated,
-                       independent_steps=independent)
+    # rejects negative or all-zero couplings
+    balance_residual(base.omega_c, m.g_c, base.omega_a, m.g_a)
+    return _sweep("stationary", "a_duration_us", a_durations, base, m, grid,
+                  classes, keep_traces, threads)

@@ -269,6 +269,11 @@ class TestCommands:
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["spectrum", "run", "fit"])
+    def test_threads_only_on_sweep(self, command, cfg_file, tmp_path):
+        assert main([command, "--config", cfg_file(SMALL_RUN), "--out",
+                     str(tmp_path), "--threads", "2"]) == EXIT_CONFIG
+
 
 class TestDeterminism:
     def test_sweep_byte_identical_across_processes(self, cfg_file, tmp_path):

@@ -69,18 +69,20 @@ class TestModelRhs:
             arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
         for arr in (state.p_plus, state.p_minus, state.s):
             arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-        drive = ControlDrive.constant(0.6 + 0.2j, 0.3 - 0.1j)
-        prop = _Propagator(m, state)
         kf = np.empty((2, 4), complex)
         ka = np.empty((3, 5, 4), complex)
-        oc, oa = drive.sample(0.0)
-        prop._rhs(state.f, state.a, oc, oa, kf, ka)
-        for cell in range(4):
-            for j in range(5):
-                d_pp, d_pm, d_s = model_rhs(state, drive, m, j=j, cell=cell)
-                assert ka[0, j, cell] == pytest.approx(d_pp, rel=1e-13)
-                assert ka[1, j, cell] == pytest.approx(d_pm, rel=1e-13)
-                assert ka[2, j, cell] == pytest.approx(d_s, rel=1e-13)
+        # resonant, then detuned Raman channels
+        for det_c, det_a in ((0.0, 0.0), (0.3, -0.2)):
+            drive = ControlDrive.constant(0.6 + 0.2j, 0.3 - 0.1j, det_c, det_a)
+            prop = _Propagator(m, state, det_c, det_a)
+            oc, oa = drive.sample(0.0)
+            prop._rhs(state.f, state.a, oc, oa, kf, ka)
+            for cell in range(4):
+                for j in range(5):
+                    d_pp, d_pm, d_s = model_rhs(state, drive, m, j=j, cell=cell)
+                    assert ka[0, j, cell] == pytest.approx(d_pp, rel=1e-13)
+                    assert ka[1, j, cell] == pytest.approx(d_pm, rel=1e-13)
+                    assert ka[2, j, cell] == pytest.approx(d_s, rel=1e-13)
 
 
 class TestStateLayout:
@@ -273,13 +275,13 @@ class TestResume:
             # snapshots at steps 80, 159, 238, 317, 396, ...: on and off
             # the record cadence of 4 steps
             full, snaps = run_dynamics(seq, m, grid, classes,
-                                       snapshot_every_us=0.99)
+                                       snapshot_steps=range(80, 800, 79))
             assert len(snaps) == 11
             for start in snaps[:-1]:
                 before = start.a.copy()
-                part, part_snaps = run_dynamics(seq, m, grid, classes,
-                                                snapshot_every_us=0.99,
-                                                initial_state=start)
+                part, part_snaps = run_dynamics(
+                    seq, m, grid, classes, snapshot_steps=range(80, 800, 79),
+                    initial_state=start)
                 assert np.array_equal(start.a, before)
                 tail = full.t >= start.t
                 assert tail.sum() < len(full.t)
@@ -295,6 +297,22 @@ class TestResume:
                     assert np.array_equal(mine.f, theirs.f)
                     assert np.array_equal(mine.a, theirs.a)
         assert len(full.readouts) == 2
+
+    def test_times_are_exact_step_multiples(self):
+        m, grid, classes, seq = _resume_setup()
+        dt = grid.dz / m.c
+        steps = range(80, 800, 79)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full, snaps = run_dynamics(seq, m, grid, classes,
+                                       snapshot_steps=steps)
+            part, _ = run_dynamics(seq, m, grid, classes,
+                                   initial_state=snaps[4])
+        # one record every 4 steps, from step 0 and from step 396
+        assert full.t.tolist() == (np.arange(0, 801, 4) * dt).tolist()
+        assert part.t.tolist() == (np.arange(396, 801, 4) * dt).tolist()
+        assert [s.t for s in snaps] == [n * dt for n in [*steps, 800]]
+        assert [t for t, _ in full.readouts] == [200 * dt, 480 * dt]
 
     def test_state_at_the_end_runs_no_step(self):
         m, grid, classes, seq = _resume_setup()
@@ -500,8 +518,9 @@ class TestSymmetries:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 seq = standard_sequence("stationary", p)
+                # a snapshot every 2 us (384 steps of dt = 1/192 us) to the end
                 _, snaps = run_dynamics(seq, m, grid, classes,
-                                        snapshot_every_us=2.0)
+                                        snapshot_steps=range(384, 16000, 384))
             inside = [s for s in snaps if 31.0 <= s.t <= 49.0]
             drifts[label] = abs(field_centroid(inside[-1])
                                 - field_centroid(inside[0]))
@@ -520,7 +539,9 @@ class TestSymmetries:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             seq = standard_sequence("stationary", p)
-            _, snaps = run_dynamics(seq, m, grid, classes, snapshot_every_us=2.0)
+            # a snapshot every 2 us (384 steps of dt = 1/192 us) to the end
+            _, snaps = run_dynamics(seq, m, grid, classes,
+                                    snapshot_steps=range(384, 16000, 384))
         inside = [s for s in snaps if 31.0 <= s.t <= 63.0]
         drift = abs(field_centroid(inside[-1]) - field_centroid(inside[0]))
         assert drift <= 0.02 * grid.length

@@ -84,7 +84,8 @@ class TestStandardSequence:
         p = ProtocolParams(kind="stationary", omega_c=1.0, omega_a=1.0,
                            probe_start_us=2.0, p_a_delay_us=3.0,
                            a_duration_us=4.0)
-        seq = standard_sequence("stationary", p)
+        with pytest.warns(UserWarning, match="before the probe"):
+            seq = standard_sequence("stationary", p)
         a_events = [e for e in seq.events if e.channel == "A"]
         assert len(a_events) == 1
         assert a_events[0].t_start == 5.0  # probe start + 3 us
@@ -213,18 +214,6 @@ class TestSweepDelay:
         assert np.all(result.intensities <= result.intensities[0] * (1 + 1e-9))
         assert np.all(np.diff(result.intensities) <= 1e-9)
 
-    def test_stationary_comparison_mode(self):
-        m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=2)
-        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
-                              c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
-                              release_window_us=10.0, sample_rate=10.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = sweep_delay([0.0, 4.0], base, m, grid, classes,
-                                 include_stationary=True)
-        assert result.stationary_intensities is not None
-        assert result.stationary_intensities.shape == result.values.shape
-
     def test_threads_do_not_change_results(self):
         m, grid, classes = _mini_setup(n_classes=2)
         base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
@@ -246,12 +235,22 @@ class TestSweepDuration:
             sweep_duration([], base, m, grid, classes)
         with pytest.raises(ValueError):
             sweep_duration([0.0, 2.0], base, m, grid, classes)
+        for omega_c, omega_a in ((1.0, -0.5), (0.0, 0.0)):
+            couplings = replace(base, omega_c=omega_c, omega_a=omega_a)
+            with pytest.raises(ValueError, match="Rabi frequenc"):
+                sweep_duration([2.0], couplings, m, grid, classes)
 
-    def test_balance_bound_enforced(self):
-        m, grid, classes = _mini_setup()
-        base = ProtocolParams(kind="stationary", omega_c=1.0, omega_a=0.25)
-        with pytest.raises(ValueError, match="residual"):
-            sweep_duration([2.0], base, m, grid, classes, balance_bound=0.5)
+    def test_backward_coupling_warning_once_per_sweep(self):
+        m, grid, classes = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(kind="stationary", omega_c=2.0, omega_a=2.0,
+                              probe_duration_us=4.0, p_a_delay_us=3.0,
+                              release_window_us=12.0, sample_rate=10.0)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            sweep_duration([1.0, 2.0, 3.0], base, m, grid, classes)
+        early = [w for w in record if "before the probe" in str(w.message)]
+        assert len(early) == 1 and early[0].filename == __file__
+        assert "all 3 points of the a_duration_us sweep" in str(early[0].message)
 
     def test_short_trap_approaches_untrapped_transmission(self):
         m = MediumParams.from_optical_depth(200.0, gamma_opt=1.0, c=4.0)
@@ -303,10 +302,8 @@ class TestBranchedSweeps:
 
     DELAYS = [4.0, 0.0, 2.5, 4.0, 1.3]  # unsorted, duplicated, T = 0
 
-    @pytest.mark.parametrize("include_stationary, threads",
-                             [(False, 1), (True, 3)])
-    def test_delay_sweep_matches_independent_runs(self, include_stationary,
-                                                  threads):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_delay_sweep_matches_independent_runs(self, threads):
         m, grid, classes = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
@@ -314,8 +311,7 @@ class TestBranchedSweeps:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep_delay(self.DELAYS, base, m, grid, classes,
-                                 keep_traces=True, threads=threads,
-                                 include_stationary=include_stationary)
+                                 keep_traces=True, threads=threads)
         probe = _probe_warnings(record)
         assert len(probe) == 1 and probe[0].filename == __file__
         assert "storage_t_us sweep" in str(probe[0].message)
@@ -323,12 +319,6 @@ class TestBranchedSweeps:
             warnings.simplefilter("ignore")
             _assert_same(result, _independent(
                 "memory", "storage_t_us", self.DELAYS, base, m, grid, classes))
-            if include_stationary:
-                stationary = _independent(
-                    "stationary", "a_duration_us",
-                    [max(t, 1e-6) for t in self.DELAYS], base, m, grid, classes)
-                assert np.array_equal(result.stationary_intensities,
-                                      [r[2] for r in stationary])
         assert result.simulated_steps < 0.6 * result.independent_steps
 
     def test_duration_sweep_matches_independent_runs(self):
