@@ -192,6 +192,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 0:
+        raise _UsageError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
     cfg, _text, sha = _load_config(args.config)
     if not cfg.sweep.parameter:
         raise ConfigError("sweep needs sweep.parameter", "missing")
@@ -201,7 +203,7 @@ def cmd_sweep(args) -> int:
     classes = build_classes(cfg)
     grid = Grid(cells=cfg.grid.cells)
     base = build_protocol(cfg)
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    threads = args.threads or os.cpu_count() or 1
     keep = cfg.output.per_point_traces
     t0 = time.perf_counter()
     if cfg.sweep.parameter == "storage_T_us":

@@ -10,7 +10,7 @@ embed for reproducibility).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import Field, dataclass, field, fields as dc_fields
 
 from .experiment import ProtocolParams
 from .medium import MediumParams, make_spectral_classes
@@ -28,67 +28,89 @@ class ConfigError(ValueError):
         self.line = line
 
 
+def _positive(v: float) -> bool:
+    return v > 0.0 and math.isfinite(v)
+
+
+def _nonneg(v: float) -> bool:
+    return v >= 0.0 and math.isfinite(v)
+
+
+def _key(default, check=None, name: str | None = None, required: bool = False):
+    """A config key declared on its section field.
+
+    `check` is a range predicate or a tuple of allowed choices, `name` the
+    key's spelling in the file where it differs from the attribute (keys
+    follow the capitalized channel and width symbols) and `required` marks
+    a key the file must set.  The parse kind follows from the annotation.
+    """
+    return field(default=default,
+                 metadata={"check": check, "name": name, "required": required})
+
+
 @dataclass
 class MediumConfig:
-    gamma_opt: float | None = None    # None: 1/t1_opt_us
-    gamma_spin: float | None = None
-    t2_spin_us: float = 500.0
-    t1_opt_us: float = 110.0
-    delta_s_khz: float = 30.0
-    distribution: str = "lorentzian"
-    n_classes: int = 64
-    optical_depth: float = 40.0
-    transit_time_us: float = 0.01
-    g_c: float = 1.0
-    g_a: float = 1.0
+    # gamma_opt None: 1/t1_opt_us
+    gamma_opt: float | None = _key(MediumParams.gamma_opt, _positive)
+    gamma_spin: float | None = _key(MediumParams.gamma_spin, _nonneg)
+    t2_spin_us: float = _key(MediumParams.t2_spin, _positive)
+    t1_opt_us: float = _key(MediumParams.t1_opt, _positive)
+    delta_s_khz: float = _key(MediumParams.delta_s_khz, _nonneg, "delta_S_khz")
+    distribution: str = _key("lorentzian", ("lorentzian", "gaussian", "single"))
+    n_classes: int = _key(64, lambda v: v >= 1)
+    optical_depth: float = _key(40.0, _nonneg)
+    transit_time_us: float = _key(0.01, _positive)
+    g_c: float = _key(MediumParams.g_c, _positive, "g_C")
+    g_a: float = _key(MediumParams.g_a, _positive, "g_A")
 
 
 @dataclass
 class GridConfig:
-    cells: int = 64
-    t_end_us: float | None = None
-    sample_rate: float = 20.0
+    cells: int = _key(64, lambda v: v >= 4)
+    t_end_us: float | None = _key(None, _positive)
+    sample_rate: float = _key(ProtocolParams.sample_rate, _positive)
 
 
 @dataclass
 class ProtocolConfig:
-    kind: str = ""
-    probe_duration_us: float = 10.0
-    probe_amplitude: float = 1.0
-    probe_start_us: float = 0.0
-    probe_shape: str = "gaussian"
-    omega_c: float | None = None
-    omega_a: float | None = None
-    power_c_mw: float | None = None
-    power_a_mw: float | None = None
-    rabi_per_sqrt_mw: float | None = None
-    retrieval_scale: float = math.sqrt(2.0)
-    p_a_delay_us: float = 3.0
-    storage_t_us: float = 0.0
-    a_duration_us: float = 0.0
-    c_off_us: float | None = None
-    c_ramp_us: float = 1.0
-    release_window_us: float = 30.0
-    peak_guard_us: float = 1.0
+    kind: str = _key("", ("slow_light", "memory", "stationary"), required=True)
+    probe_duration_us: float = _key(ProtocolParams.probe_duration_us, _positive)
+    probe_amplitude: float = _key(ProtocolParams.probe_amplitude, _nonneg)
+    probe_start_us: float = _key(ProtocolParams.probe_start_us, _nonneg)
+    probe_shape: str = _key(ProtocolParams.probe_shape,
+                            ("gaussian", "rect", "raised_cosine"))
+    omega_c: float | None = _key(None, _nonneg, "omega_C")
+    omega_a: float | None = _key(None, _nonneg, "omega_A")
+    power_c_mw: float | None = _key(None, _nonneg, "power_C_mw")
+    power_a_mw: float | None = _key(None, _nonneg, "power_A_mw")
+    rabi_per_sqrt_mw: float | None = _key(None, _positive)
+    retrieval_scale: float = _key(ProtocolParams.retrieval_scale, _positive)
+    p_a_delay_us: float = _key(ProtocolParams.p_a_delay_us, _nonneg)
+    storage_t_us: float = _key(ProtocolParams.storage_t_us, _nonneg, "storage_T_us")
+    a_duration_us: float = _key(ProtocolParams.a_duration_us, _nonneg)
+    c_off_us: float | None = _key(ProtocolParams.c_off_us, _positive)
+    c_ramp_us: float = _key(ProtocolParams.c_ramp_us, _nonneg)
+    release_window_us: float = _key(ProtocolParams.release_window_us, _positive)
+    peak_guard_us: float = _key(ProtocolParams.peak_guard_us, _nonneg)
 
 
 @dataclass
 class SweepConfig:
-    parameter: str = ""
-    values: tuple = ()
+    parameter: str = _key("", SWEEPABLE)
+    values: tuple = _key((), lambda v: all(x >= 0.0 for x in v))
 
 
 @dataclass
 class SpectrumConfig:
-    omega_c: float | None = None
-    span_rad_per_us: float = 5.0
-    points: int = 801
+    omega_c: float | None = _key(None, _nonneg, "omega_C")
+    span_rad_per_us: float = _key(5.0, _positive)
+    points: int = _key(801, lambda v: v >= 3)
 
 
 @dataclass
 class OutputConfig:
-    dir: str = ""
-    per_point_traces: bool = False
+    dir: str = _key("")
+    per_point_traces: bool = _key(False)
 
 
 @dataclass
@@ -101,83 +123,13 @@ class Config:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _positive(v: float) -> bool:
-    return v > 0.0 and math.isfinite(v)
+def _keys(section) -> dict[str, Field]:
+    """File spelling -> field, for every key of a section dataclass."""
+    return {f.metadata["name"] or f.name: f for f in dc_fields(section)}
 
 
-def _nonneg(v: float) -> bool:
-    return v >= 0.0 and math.isfinite(v)
-
-
-# key -> (type tag, validator or allowed choices, required)
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "medium": {
-        "gamma_opt": ("float", _positive, False),
-        "gamma_spin": ("float", _nonneg, False),
-        "t2_spin_us": ("float", _positive, False),
-        "t1_opt_us": ("float", _positive, False),
-        "delta_S_khz": ("float", _nonneg, False),
-        "distribution": ("choice", ("lorentzian", "gaussian", "single"), False),
-        "n_classes": ("int", lambda v: v >= 1, False),
-        "optical_depth": ("float", _nonneg, False),
-        "transit_time_us": ("float", _positive, False),
-        "g_C": ("float", _positive, False),
-        "g_A": ("float", _positive, False),
-    },
-    "grid": {
-        "cells": ("int", lambda v: v >= 4, False),
-        "t_end_us": ("float", _positive, False),
-        "sample_rate": ("float", _positive, False),
-    },
-    "protocol": {
-        "kind": ("choice", ("slow_light", "memory", "stationary"), True),
-        "probe_duration_us": ("float", _positive, False),
-        "probe_amplitude": ("float", _nonneg, False),
-        "probe_start_us": ("float", _nonneg, False),
-        "probe_shape": ("choice", ("gaussian", "rect", "raised_cosine"), False),
-        "omega_C": ("float", _nonneg, False),
-        "omega_A": ("float", _nonneg, False),
-        "power_C_mw": ("float", _nonneg, False),
-        "power_A_mw": ("float", _nonneg, False),
-        "rabi_per_sqrt_mw": ("float", _positive, False),
-        "retrieval_scale": ("float", _positive, False),
-        "p_a_delay_us": ("float", _nonneg, False),
-        "storage_T_us": ("float", _nonneg, False),
-        "a_duration_us": ("float", _nonneg, False),
-        "c_off_us": ("float", _positive, False),
-        "c_ramp_us": ("float", _nonneg, False),
-        "release_window_us": ("float", _positive, False),
-        "peak_guard_us": ("float", _nonneg, False),
-    },
-    "sweep": {
-        "parameter": ("choice", SWEEPABLE, False),
-        "values": ("float_list", lambda v: all(x >= 0.0 for x in v), False),
-    },
-    "spectrum": {
-        "omega_C": ("float", _nonneg, False),
-        "span_rad_per_us": ("float", _positive, False),
-        "points": ("int", lambda v: v >= 3, False),
-    },
-    "output": {
-        "dir": ("str", lambda v: True, False),
-        "per_point_traces": ("bool", lambda v: True, False),
-    },
-}
-
-# config key -> dataclass attribute, where the spelling differs (config
-# keys follow the conventional capitalized channel and width symbols)
-_ALIASES = {
-    ("medium", "delta_S_khz"): "delta_s_khz",
-    ("medium", "g_C"): "g_c",
-    ("medium", "g_A"): "g_a",
-    ("protocol", "omega_C"): "omega_c",
-    ("protocol", "omega_A"): "omega_a",
-    ("protocol", "power_C_mw"): "power_c_mw",
-    ("protocol", "power_A_mw"): "power_a_mw",
-    ("protocol", "storage_T_us"): "storage_t_us",
-    ("spectrum", "omega_C"): "omega_c",
-}
-_RENDER_NAMES = {(section, attr): key for (section, key), attr in _ALIASES.items()}
+# parse kind of an annotation, where it is not the annotation itself
+_KINDS = {"float | None": "float", "tuple": "float_list"}
 
 
 def _convert(raw: str, kind: str, line: int, key: str):
@@ -209,8 +161,7 @@ def _convert(raw: str, kind: str, line: int, key: str):
 def parse_config(text: str) -> Config:
     """Parse and fully validate a configuration."""
     cfg = Config()
-    sections = {"medium": cfg.medium, "grid": cfg.grid, "protocol": cfg.protocol,
-                "sweep": cfg.sweep, "spectrum": cfg.spectrum, "output": cfg.output}
+    keys = {section: _keys(obj) for section, obj in vars(cfg).items()}
     seen: set[tuple[str, str]] = set()
     current: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -222,7 +173,7 @@ def parse_config(text: str) -> Config:
                 raise ConfigError(f"malformed section header {stripped!r}",
                                   "syntax", lineno)
             name = stripped[1:-1].strip()
-            if name not in _SCHEMA:
+            if name not in keys:
                 raise ConfigError(f"unknown section [{name}]", "unknown", lineno)
             current = name
             continue
@@ -232,26 +183,26 @@ def parse_config(text: str) -> Config:
         if current is None:
             raise ConfigError("key before any [section] header", "syntax", lineno)
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        schema = _SCHEMA[current]
-        if key not in schema:
+        if key not in keys[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]",
                               "unknown", lineno)
         if (current, key) in seen:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]",
                               "syntax", lineno)
         seen.add((current, key))
-        kind, check, _required = schema[key]
-        value = _convert(raw, kind, lineno, key)
-        ok = value in check if kind == "choice" else check(value)
+        f = keys[current][key]
+        value = _convert(raw, _KINDS.get(f.type, f.type), lineno, key)
+        check = f.metadata["check"]
+        ok = value in check if isinstance(check, tuple) \
+            else check is None or check(value)
         if not ok:
             raise ConfigError(f"value {raw!r} out of range for key {key!r}",
                               "range", lineno)
-        attr = _ALIASES.get((current, key), key)
-        setattr(sections[current], attr, value)
+        setattr(getattr(cfg, current), f.name, value)
 
-    for section, schema in _SCHEMA.items():
-        for key, (_kind, _check, required) in schema.items():
-            if required and (section, key) not in seen:
+    for section, section_keys in keys.items():
+        for key, f in section_keys.items():
+            if f.metadata["required"] and (section, key) not in seen:
                 raise ConfigError(f"missing required key {key!r} in "
                                   f"section [{section}]", "missing")
     if ("medium", "gamma_spin") in seen and ("medium", "t2_spin_us") in seen:
@@ -279,13 +230,10 @@ def _cross_validate(cfg: Config) -> None:
 def render_config(cfg: Config) -> str:
     """Canonical text form; parse_config(render_config(c)) equals c."""
     out: list[str] = []
-    for section, obj in (("medium", cfg.medium), ("grid", cfg.grid),
-                         ("protocol", cfg.protocol), ("sweep", cfg.sweep),
-                         ("spectrum", cfg.spectrum), ("output", cfg.output)):
+    for section, obj in vars(cfg).items():
         lines = []
-        for f in dc_fields(obj):
+        for key, f in _keys(obj).items():
             value = getattr(obj, f.name)
-            key = _RENDER_NAMES.get((section, f.name), f.name)
             if value is None or value == () or value == "":
                 continue
             if (section, f.name) == ("medium", "t2_spin_us") \

@@ -252,16 +252,24 @@ class _Propagator:
         np.multiply(ka, coeff, out=self._ya)
         self._ya += a
 
-    def local_update(self, state: SimState, oc0, oa0, oc1, oa1, oc2, oa2) -> None:
-        """Classical RK4 on the per-cell field-atom system over one dt.
+    def advance(self, state: SimState, n: int, inject_plus: complex,
+                inject_minus: complex, omega_c, omega_a) -> None:
+        """Advance the state in place by one step, to t = n dt.
 
-        Drive values are supplied at the step start (0), midpoint (1) and
-        end (2).  Advection happens outside this update, so within the
-        step the fields behave as local variables coupled to their cell's
-        atoms.
+        E+ shifts one cell toward +z and takes inject_plus at z = 0, E- one
+        cell toward -z and takes inject_minus at z = L.  Then every cell
+        runs classical RK4 on its field-atom system over one dt, the fields
+        acting as local variables coupled to their cell's atoms, with the
+        drives omega_c / omega_a given at the step start, midpoint and end.
         """
         dt = self.dt
         f, a = state.f, state.a
+        f[0, 1:] = f[0, :-1]
+        f[0, 0] = inject_plus
+        f[1, :-1] = f[1, 1:]
+        f[1, -1] = inject_minus
+        oc0, oc1, oc2 = omega_c
+        oa0, oa1, oa2 = omega_a
         kf, ka = self._kf, self._ka
         self._rhs(f, a, oc0, oa0, kf[0], ka[0])
         self._stage(f, a, 0.5 * dt, kf[0], ka[0])
@@ -279,20 +287,7 @@ class _Propagator:
             acc += k[3]
             acc *= dt / 6.0
             y += acc
-
-    @staticmethod
-    def advect(state: SimState, inject_plus: complex, inject_minus: complex,
-               boundary: str) -> None:
-        f = state.f
-        ep, em = f[0], f[1]
-        if boundary == "periodic":
-            f[0] = np.roll(ep, 1)
-            f[1] = np.roll(em, -1)
-        else:
-            ep[1:] = ep[:-1]
-            ep[0] = inject_plus
-            em[:-1] = em[1:]
-            em[-1] = inject_minus
+        state.t = n * dt
 
 
 def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
@@ -302,19 +297,24 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
 
     The fields advect by one cell (exact upwind transport), then every
     cell runs a 4th-order local update of its atomic amplitudes together
-    with the source deposition into the local fields.  Mutates and returns
-    `state`.  Raises CFLViolation unless c*dt == dz to within 1e-9
-    relative, and NumericalAbort if the state stops being finite.
+    with the source deposition into the local fields.  The state must sit
+    on the global step grid t = n dt; it is sampled and advanced exactly
+    as step n + 1 of run_dynamics and leaves at t = (n + 1) dt.  With
+    boundary "periodic" each field's exit value re-enters at its entry
+    cell and the injections are ignored; "open" injects them.  Mutates
+    and returns `state`.  Raises CFLViolation unless c*dt == dz to within
+    1e-9 relative, ValueError for another boundary or an off-grid t, and
+    NumericalAbort if the state stops being finite.
     """
     _require_cfl(m, state.grid, dt)
+    if boundary == "periodic":
+        inject_plus, inject_minus = state.f[0, -1], state.f[1, 0]
+    elif boundary != "open":
+        raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     prop = _Propagator(m, state, drive.detuning_c, drive.detuning_a)
-    t = state.t
-    prop.advect(state, inject_plus, inject_minus, boundary)
-    oc0, oa0 = drive.sample(t)
-    oc1, oa1 = drive.sample(t + 0.5 * dt)
-    oc2, oa2 = drive.sample(t + dt)
-    prop.local_update(state, oc0, oa0, oc1, oa1, oc2, oa2)
-    state.t = t + dt
+    n = _step_index(state.t, prop.dt)
+    omega_c, omega_a = zip(*map(drive.sample, _half_step_times(prop.dt, n, n + 1)))
+    prop.advance(state, n + 1, inject_plus, inject_minus, omega_c, omega_a)
     state.check_finite()
     return state
 
@@ -350,21 +350,22 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
 
     Steps lie on the global grid t = n dt (dt = dz/c), and the state's t
     is set to n dt after step n.  A run resumed from `initial_state`,
-    which must sit on that grid, on `grid` and with len(classes) classes,
-    samples its drives at the same half steps, records and snapshots on
-    the same step indices and treats readouts at or before
-    initial_state.t as done, so resuming from a snapshot reproduces the
-    uninterrupted run bit for bit; a state already at t_end_us runs no
-    step.  _check_probe=False leaves the probe-resolution warning to a
-    sweep that raises it once for all its points.
+    which must sit on that grid, on `grid` and on `classes` (the same
+    detunings, weights and optical offsets), samples its drives at the
+    same half steps, records and snapshots on the same step indices and
+    treats readouts at or before initial_state.t as done, so resuming
+    from a snapshot reproduces the uninterrupted run bit for bit; a state
+    already at t_end_us runs no step.  _check_probe=False leaves the
+    probe-resolution warning to a sweep that raises it once for all its
+    points.
     """
     dt = grid.dz / m.c
     if initial_state is None:
         state = SimState.zeros(grid, classes)
     else:
-        _check_initial_state(initial_state, grid, classes, dt)
+        _check_initial_state(initial_state, grid, classes)
         state = initial_state.copy()
-    n0 = int(round(state.t / dt))
+    n0 = _step_index(state.t, dt)
     n_total = int(round(float(sequence.t_end_us) / dt))
     n_steps = n_total - n0
     if n_total < 1 or n_steps < 0:
@@ -405,13 +406,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     if n0 % every == 0:
         record()
     for i in range(n_steps):
-        prop.advect(state, inject[i], 0.0j, "open")
-        i2 = 2 * i
-        prop.local_update(state, omega_c[i2], omega_a[i2],
-                          omega_c[i2 + 1], omega_a[i2 + 1],
-                          omega_c[i2 + 2], omega_a[i2 + 2])
-        n = n0 + i + 1  # global index of the step just completed
-        state.t = n * dt
+        n = n0 + i + 1  # global index of the step being completed
+        # the step's three drive samples, as Python scalars (cheaper to unpack)
+        k = slice(2 * i, 2 * i + 3)
+        prop.advance(state, n, inject[i], 0.0j,
+                     omega_c[k].tolist(), omega_a[k].tolist())
         while pending_reads and state.t >= pending_reads[0][0]:
             _, omega_y, dt_read = pending_reads.pop(0)
             readouts.append((state.t, switching_readout(state, omega_y, dt_read)))
@@ -442,19 +441,29 @@ def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:
 
 
 def _check_initial_state(state: SimState, grid: Grid,
-                         classes: Sequence[SpectralClass], dt: float) -> None:
-    """Reject a starting state that is off the run's grid, classes or steps."""
+                         classes: Sequence[SpectralClass]) -> None:
+    """Reject a starting state that is off the run's grid or classes."""
     k, cells = state.a.shape[1:]
     if state.grid != grid or cells != grid.cells or k != len(classes):
         raise ValueError(
             f"initial_state has {cells} cells on {state.grid} and {k} classes; "
             f"the run has {grid.cells} cells on {grid} and {len(classes)} classes")
-    n0 = round(state.t / dt)
-    # a hand-built or step()-advanced state sums its t, so the rounding
-    # error grows with t
-    if n0 < 0 or abs(state.t - n0 * dt) > 1e-9 * max(abs(state.t), dt):
-        raise ValueError(f"initial_state.t = {state.t!r} is not on the step "
-                         f"grid n * {dt!r}")
+    ours = (state.deltas, state.weights, state.delta_opt)
+    if not all(map(np.array_equal, ours, class_arrays(classes))):
+        raise ValueError("initial_state has other class detunings, weights or "
+                         "optical offsets than the run's classes")
+
+
+def _step_index(t: float, dt: float) -> int:
+    """Global step index n of a state at t = n dt.
+
+    Raises ValueError when t is off that grid; a hand-built t may carry
+    rounding error, which grows with t.
+    """
+    n = round(t / dt)
+    if n < 0 or abs(t - n * dt) > 1e-9 * max(abs(t), dt):
+        raise ValueError(f"state t = {t!r} is not on the step grid n * {dt!r}")
+    return n
 
 
 def _check_probe_resolution(sequence, m: MediumParams, grid: Grid) -> None:

@@ -2,13 +2,15 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from slowlight.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
-from slowlight.config import (ConfigError, build_medium, build_protocol,
-                              parse_config, render_config, resolved_omegas)
+from slowlight.config import (Config, ConfigError, build_medium,
+                              build_protocol, parse_config, render_config,
+                              resolved_omegas)
 
 MINIMAL = """
 [protocol]
@@ -60,7 +62,73 @@ values = 0, 3, 6
 """
 
 
+# every key in its file spelling: (section, key, text, attribute, value),
+# each value valid and other than the default
+EVERY_KEY = [
+    ("medium", "gamma_opt", "0.5", "gamma_opt", 0.5),
+    ("medium", "gamma_spin", "0.01", "gamma_spin", 0.01),
+    ("medium", "t2_spin_us", "250", "t2_spin_us", 250.0),
+    ("medium", "t1_opt_us", "3", "t1_opt_us", 3.0),
+    ("medium", "delta_S_khz", "12.5", "delta_s_khz", 12.5),
+    ("medium", "distribution", "gaussian", "distribution", "gaussian"),
+    ("medium", "n_classes", "7", "n_classes", 7),
+    ("medium", "optical_depth", "3.5", "optical_depth", 3.5),
+    ("medium", "transit_time_us", "0.5", "transit_time_us", 0.5),
+    ("medium", "g_C", "2", "g_c", 2.0),
+    ("medium", "g_A", "3", "g_a", 3.0),
+    ("grid", "cells", "9", "cells", 9),
+    ("grid", "t_end_us", "12.5", "t_end_us", 12.5),
+    ("grid", "sample_rate", "7", "sample_rate", 7.0),
+    ("protocol", "kind", "stationary", "kind", "stationary"),
+    ("protocol", "probe_duration_us", "2", "probe_duration_us", 2.0),
+    ("protocol", "probe_amplitude", "0.5", "probe_amplitude", 0.5),
+    ("protocol", "probe_start_us", "1", "probe_start_us", 1.0),
+    ("protocol", "probe_shape", "rect", "probe_shape", "rect"),
+    ("protocol", "omega_C", "1.5", "omega_c", 1.5),
+    ("protocol", "omega_A", "0.75", "omega_a", 0.75),
+    ("protocol", "power_C_mw", "4", "power_c_mw", 4.0),
+    ("protocol", "power_A_mw", "9", "power_a_mw", 9.0),
+    ("protocol", "rabi_per_sqrt_mw", "0.5", "rabi_per_sqrt_mw", 0.5),
+    ("protocol", "retrieval_scale", "1.25", "retrieval_scale", 1.25),
+    ("protocol", "p_a_delay_us", "2", "p_a_delay_us", 2.0),
+    ("protocol", "storage_T_us", "4", "storage_t_us", 4.0),
+    ("protocol", "a_duration_us", "5", "a_duration_us", 5.0),
+    ("protocol", "c_off_us", "6", "c_off_us", 6.0),
+    ("protocol", "c_ramp_us", "0.25", "c_ramp_us", 0.25),
+    ("protocol", "release_window_us", "7", "release_window_us", 7.0),
+    ("protocol", "peak_guard_us", "0.5", "peak_guard_us", 0.5),
+    ("sweep", "parameter", "a_duration_us", "parameter", "a_duration_us"),
+    ("sweep", "values", "0, 1.5 3", "values", (0.0, 1.5, 3.0)),
+    ("spectrum", "omega_C", "0.5", "omega_c", 0.5),
+    ("spectrum", "span_rad_per_us", "2", "span_rad_per_us", 2.0),
+    ("spectrum", "points", "11", "points", 11),
+    ("output", "dir", "runs/x", "dir", "runs/x"),
+    ("output", "per_point_traces", "yes", "per_point_traces", True),
+]
+# keys that exclude each other are set in different configurations
+EXCLUSIVE = ({("medium", "t2_spin_us"), ("protocol", "power_C_mw"),
+              ("protocol", "power_A_mw"), ("protocol", "rabi_per_sqrt_mw")},
+             {("medium", "gamma_spin"), ("protocol", "omega_C"),
+              ("protocol", "omega_A")})
+
+
 class TestParseConfig:
+    def test_every_key_round_trips(self):
+        default = Config()
+        for section, obj in vars(default).items():
+            listed = {attr for s, _, _, attr, _ in EVERY_KEY if s == section}
+            assert listed == {f.name for f in fields(obj)}, section
+        for left_out in EXCLUSIVE:
+            keys = [k for k in EVERY_KEY if k[:2] not in left_out]
+            cfg = parse_config("".join(f"[{section}]\n{key} = {text}\n"
+                                       for section, key, text, _, _ in keys))
+            for section, key, _, attr, value in keys:
+                got = getattr(getattr(cfg, section), attr)
+                assert got == value and type(got) is type(value), key
+                assert got != getattr(getattr(default, section), attr), key
+            assert parse_config(render_config(cfg)) == cfg
+
+
     def test_minimal_config_gets_documented_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.protocol.kind == "slow_light"
@@ -268,6 +336,11 @@ class TestCommands:
 
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+    def test_negative_threads_is_usage_error(self, cfg_file, tmp_path):
+        assert main(["sweep", "--config", cfg_file(SMALL_SWEEP), "--out",
+                     str(tmp_path), "--threads", "-3"]) == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "run", "fit"])
     def test_threads_only_on_sweep(self, command, cfg_file, tmp_path):

@@ -175,6 +175,30 @@ class TestStep:
         q1 = excitation_number(state, m)
         assert abs(q1 - q0) / q0 <= 1e-6
 
+    def test_rejects_unknown_boundary_and_off_grid_time(self):
+        m = MediumParams(g2n=1.0, c=5.0)
+        state = _state()
+        state.e_plus[2] = 0.5
+        drive = ControlDrive.constant(0.1, 0.0)
+        dt = state.grid.dz / m.c
+        with pytest.raises(ValueError, match="boundary"):
+            step(state, drive, m, dt, boundary="perodic")
+        state.t = 2.5 * dt
+        with pytest.raises(ValueError, match="step grid"):
+            step(state, drive, m, dt)
+        assert state.e_plus[2] == 0.5 and np.count_nonzero(state.f) == 1
+
+    def test_periodic_boundary_wraps_the_exit_values(self):
+        m = MediumParams(g2n=0.0, c=5.0)
+        state = _state()
+        state.e_plus[-1] = 0.3j
+        state.e_minus[0] = 0.7
+        drive = ControlDrive.constant(0.0, 0.0)
+        step(state, drive, m, state.grid.dz / m.c, inject_plus=9.0,
+             boundary="periodic")
+        assert state.e_plus[0] == 0.3j and state.e_minus[-1] == 0.7
+        assert np.count_nonzero(state.f) == 2
+
     def test_nonfinite_state_aborts_with_location(self):
         m = MediumParams(g2n=1.0, c=5.0)
         state = _state()
@@ -329,7 +353,8 @@ class TestResume:
         dt = grid.dz / m.c
         bad = [SimState.zeros(Grid(cells=8), classes),
                SimState.zeros(Grid(cells=16, length=2.0), classes),
-               SimState.zeros(grid, classes[:2])]
+               SimState.zeros(grid, classes[:2]),
+               SimState.zeros(grid, make_spectral_classes(30.0, 3, "gaussian"))]
         for state in bad:
             with pytest.raises(ValueError, match="initial_state has"):
                 run_dynamics(seq, m, grid, classes, initial_state=state)
@@ -570,5 +595,6 @@ class TestSymmetries:
             inject = complex(seq.probe_samples(np.asarray([state.t]))[0])
             step(state, drive, m, dt, inject_plus=inject)
         final = snaps[-1]
-        assert np.max(np.abs(state.e_plus - final.e_plus)) <= 1e-10
-        assert np.max(np.abs(state.s - final.s)) <= 1e-10
+        assert np.array_equal(state.f, final.f)
+        assert np.array_equal(state.a, final.a)
+        assert state.t == final.t
