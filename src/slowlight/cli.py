@@ -56,6 +56,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_trace(path: Path, trace, config_sha: str) -> None:
+    _write_csv(path, ["t_us", "fwd_intensity", "bwd_intensity", "spin_norm"],
+               [trace.t, trace.fwd_intensity, trace.bwd_intensity,
+                trace.spin_norm], config_sha)
+
+
 def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     values, peaks = [], []
     header_seen = False
@@ -168,10 +174,7 @@ def cmd_run(args) -> int:
     wall = time.perf_counter() - t0
     final = snapshots[-1]
     out = _out_dir(args, cfg)
-    _write_csv(out / "trace.csv",
-               ["t_us", "fwd_intensity", "bwd_intensity", "spin_norm"],
-               [trace.t, trace.fwd_intensity, trace.bwd_intensity,
-                trace.spin_norm], sha)
+    _write_trace(out / "trace.csv", trace, sha)
     markers = [{"channel": e.channel, "t_start_us": e.t_start,
                 "duration_us": e.duration, "peak": e.peak, "shape": e.shape}
                for e in trace.annotations]
@@ -197,8 +200,6 @@ def cmd_sweep(args) -> int:
     cfg, _text, sha = _load_config(args.config)
     if not cfg.sweep.parameter:
         raise ConfigError("sweep needs sweep.parameter", "missing")
-    if not cfg.sweep.values:
-        raise ConfigError("sweep needs a non-empty sweep.values list", "missing")
     m = build_medium(cfg)
     classes = build_classes(cfg)
     grid = Grid(cells=cfg.grid.cells)
@@ -218,10 +219,7 @@ def cmd_sweep(args) -> int:
                [result.values, result.intensities], sha)
     if keep and result.traces is not None:
         for i, trace in enumerate(result.traces):
-            _write_csv(out / f"trace_{i:03d}.csv",
-                       ["t_us", "fwd_intensity", "bwd_intensity", "spin_norm"],
-                       [trace.t, trace.fwd_intensity, trace.bwd_intensity,
-                        trace.spin_norm], sha)
+            _write_trace(out / f"trace_{i:03d}.csv", trace, sha)
     _write_json(out / "sweep.json", _summary(cfg, sha, wall, {
         "parameter": cfg.sweep.parameter,
         "n_points": len(result.values),

@@ -97,7 +97,7 @@ class ProtocolConfig:
 @dataclass
 class SweepConfig:
     parameter: str = _key("", SWEEPABLE)
-    values: tuple = _key((), lambda v: all(x >= 0.0 for x in v))
+    values: tuple = _key((), lambda v: all(_nonneg(x) for x in v))
 
 
 @dataclass
@@ -214,10 +214,11 @@ def parse_config(text: str) -> Config:
 
 def _cross_validate(cfg: Config) -> None:
     p = cfg.protocol
-    if p.omega_c is not None and p.power_c_mw is not None:
-        raise ConfigError("give either omega_c or power_c_mw, not both", "range")
-    if p.omega_a is not None and p.power_a_mw is not None:
-        raise ConfigError("give either omega_a or power_a_mw, not both", "range")
+    spelling = {f.name: key for key, f in _keys(ProtocolConfig).items()}
+    for omega, power in (("omega_c", "power_c_mw"), ("omega_a", "power_a_mw")):
+        if getattr(p, omega) is not None and getattr(p, power) is not None:
+            raise ConfigError(f"give either {spelling[omega]} or "
+                              f"{spelling[power]}, not both", "range")
     if (p.power_c_mw is not None or p.power_a_mw is not None) \
             and p.rabi_per_sqrt_mw is None:
         raise ConfigError("power_*_mw keys need rabi_per_sqrt_mw", "missing")

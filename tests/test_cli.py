@@ -146,6 +146,13 @@ class TestParseConfig:
         assert err.value.category == "range"
         assert err.value.line == 2
 
+    def test_sweep_values_must_be_finite(self):
+        bad = SMALL_SWEEP.replace("values = 0, 3, 6", "values = 0, inf")
+        with pytest.raises(ConfigError, match="'values'") as err:
+            parse_config(bad)
+        assert err.value.category == "range"
+        assert err.value.line == bad.splitlines().index("values = 0, inf") + 1
+
     def test_unknown_key_rejected_with_location(self):
         bad = "[medium]\nfoo = 1\n[protocol]\nkind = memory\n"
         with pytest.raises(ConfigError, match="foo") as err:
@@ -187,9 +194,12 @@ class TestParseConfig:
         assert omega_a == 0.0
 
     def test_power_and_rabi_conflict(self):
-        with pytest.raises(ConfigError, match="not both"):
-            parse_config("[protocol]\nkind = memory\nomega_C = 1\n"
-                         "power_C_mw = 10\nrabi_per_sqrt_mw = 1\n")
+        for omega, power in (("omega_C", "power_C_mw"),
+                             ("omega_A", "power_A_mw")):
+            with pytest.raises(ConfigError, match=f"give either {omega} or "
+                                                  f"{power}, not both"):
+                parse_config(f"[protocol]\nkind = memory\n{omega} = 1\n"
+                             f"{power} = 10\nrabi_per_sqrt_mw = 1\n")
 
     def test_power_without_calibration(self):
         with pytest.raises(ConfigError, match="rabi_per_sqrt_mw"):
