@@ -5,7 +5,11 @@ with per-cell, per-spectral-class atomic amplitudes (two optical
 coherences and one spin coherence).  The scheme locks the time step to the
 grid, c*dt = dz, advects both fields by exactly one cell per step (no
 numerical dispersion) and advances the local field-atom system in each
-cell with a classical 4th-order Runge-Kutta update.
+cell with a classical 4th-order Runge-Kutta update.  The drives are
+uniform in z, so that update is one linear map in every cell: it is built
+from the step's drive samples with per-class 3x3 algebra, kept while they
+repeat, and applied to the class-major (K, 3, M) atoms as a batched 3x3
+product plus a rank-10 coupling through the fields (see _Propagator).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,26 +92,31 @@ class SimState:
 
     The state is held in the integrator's packed layout, which step() and
     run_dynamics advance in place: fields f = (2, M) rows [E+, E-] and
-    atoms a = (3, K, M) blocks [P+, P-, S], class-major so the field drive
-    broadcasts along the contiguous cell axis.  e_plus, e_minus (M,) and
-    p_plus, p_minus, s (M, K) are writable views into these arrays, so a
-    write such as ``state.s[:, j] = ...`` changes the packed state.
+    atoms a = (K, 3, M), class-major, each class's rows [P+, P-, S], so the
+    per-class 3x3 block of a step is one batched product over a.  e_plus,
+    e_minus (M,) and p_plus, p_minus, s (M, K) are writable views into
+    these arrays, so a write such as ``state.s[:, j] = ...`` changes the
+    packed state.  step() keeps its propagator on the state between calls;
+    copy() does not carry it.
     """
 
     t: float
     f: np.ndarray        # (2, M) complex
-    a: np.ndarray        # (3, K, M) complex
+    a: np.ndarray        # (K, 3, M) complex
     grid: Grid
     deltas: np.ndarray   # (K,) spin detunings
     weights: np.ndarray  # (K,) quadrature weights
     delta_opt: np.ndarray  # (K,) optical detuning offsets
+    # step()'s (inputs, _Propagator), reused while the inputs are equal
+    _kept: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def zeros(cls, grid: Grid, classes: Sequence[SpectralClass]) -> "SimState":
         deltas, weights, delta_opt = class_arrays(classes)
         m, k = grid.cells, len(deltas)
         return cls(t=0.0, f=np.zeros((2, m), dtype=complex),
-                   a=np.zeros((3, k, m), dtype=complex), grid=grid,
+                   a=np.zeros((k, 3, m), dtype=complex), grid=grid,
                    deltas=deltas, weights=weights, delta_opt=delta_opt)
 
     def copy(self) -> "SimState":
@@ -124,15 +133,15 @@ class SimState:
 
     @property
     def p_plus(self) -> np.ndarray:
-        return self.a[0].T
+        return self.a[:, 0].T
 
     @property
     def p_minus(self) -> np.ndarray:
-        return self.a[1].T
+        return self.a[:, 1].T
 
     @property
     def s(self) -> np.ndarray:
-        return self.a[2].T
+        return self.a[:, 2].T
 
     @property
     def weak_probe_ok(self) -> bool:
@@ -141,7 +150,7 @@ class SimState:
 
     def spin_norm(self) -> float:
         """sum_z dz sum_j w_j |S|^2, the stored spin-coherence norm."""
-        return float((self.weights @ (np.abs(self.a[2]) ** 2)).sum()
+        return float((self.weights @ (np.abs(self.a[:, 2]) ** 2)).sum()
                      * self.grid.dz)
 
     def check_finite(self) -> None:
@@ -175,7 +184,7 @@ def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
     dS/dt  = -(gamma_spin/2 + i delta_j) S + (i/2)(Omega_C* P+ + Omega_A* P-)
 
     with g = sqrt(g2n).  Reference implementation used by tests; the run
-    loop evaluates the same expressions vectorized over cells and classes.
+    loop applies one RK4 step of these equations as a per-cell operator.
     """
     omega_c, omega_a = drive.sample(state.t)
     g = math.sqrt(m.g2n)
@@ -196,61 +205,85 @@ def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
 
 
 class _Propagator:
-    """Coefficients and preallocated buffers that advance a SimState in place.
+    """One RK4 step of every cell's field-atom system as a cached operator.
 
-    All Runge-Kutta arithmetic runs in place on buffers allocated once, and
-    the Rabi couplings between the three atomic blocks apply as a single
-    3x3 matrix product over the packed (3, K, M) atoms, which keeps the
-    per-step cost close to the memory-bandwidth floor.
+    The drives are uniform in z, so a step is the same linear map R in every
+    cell, acting on the cell's vector y = (E+, E-, x) with x the K classes'
+    (P+, P-, S).  Tracing the four RK4 stages gives R exactly as
+
+        x' = D_k x_k + A (V y),    (E+, E-)' = F (V y),
+
+    D_k the per-class 3x3 RK4 polynomial of the stage matrices, and
+    V y = (E+, E-, W x) ten functionals: the two fields and, per stage, the
+    weighted sums (i/2) sqrt(g2n) sum_k w_k D_s,k[:2] x_k that source the
+    fields.  advance applies R with one batched 3x3 product and three BLAS
+    products; R is rebuilt, with O(K) batched 3x3 algebra, only when the
+    step's six drive samples differ from those of the operator held.
     """
+
+    RANK = 10  # the two fields plus two field sources per RK4 stage
 
     def __init__(self, m: MediumParams, state: SimState,
                  detuning_c: float = 0.0, detuning_a: float = 0.0):
-        self.half_g = 0.5j * math.sqrt(m.g2n)
         self.dt = state.grid.dz / m.c
-        k, cells = state.a.shape[1:]
-        self.w = state.weights.astype(complex)
-        self.dec = np.empty((3, k, 1), dtype=complex)
-        self.dec[0, :, 0] = -(0.5 * m.gamma_opt + 1j * (detuning_c + state.delta_opt))
-        self.dec[1, :, 0] = -(0.5 * m.gamma_opt + 1j * (detuning_a + state.delta_opt))
-        self.dec[2, :, 0] = -(0.5 * m.gamma_spin + 1j * state.deltas)
-        # RK4 work areas
-        shape_f, shape_a = (2, cells), (3, k, cells)
-        self._kf = [np.empty(shape_f, complex) for _ in range(4)]
-        self._ka = [np.empty(shape_a, complex) for _ in range(4)]
-        self._yf = np.empty(shape_f, complex)
-        self._ya = np.empty(shape_a, complex)
-        self._cross = np.empty(shape_a, complex)
-        self._tmp_e = np.empty(cells, dtype=complex)
+        k, _, cells = state.a.shape
+        self.half_g = 0.5j * math.sqrt(m.g2n)
+        self.source = self.half_g * state.weights  # (K,) field source per class
+        # per-class decay and detuning of (P+, P-, S), classes last
+        self.decay = np.stack([
+            -(0.5 * m.gamma_opt + 1j * (detuning_c + state.delta_opt)),
+            -(0.5 * m.gamma_opt + 1j * (detuning_a + state.delta_opt)),
+            -(0.5 * m.gamma_spin + 1j * state.deltas)])[:, None, :]
+        # the operator, for the drive samples in self.drive
+        self.drive: tuple | None = None
+        self.d = np.empty((k, 3, 3), dtype=complex)
+        self.w = np.empty((self.RANK - 2, 3 * k), dtype=complex)
+        self.a_op = np.empty((3 * k, self.RANK), dtype=complex)
+        self.f_op = np.empty((2, self.RANK), dtype=complex)
+        # work areas: the functionals V y, and the two parts of x'
+        self._phi = np.empty((self.RANK, cells), dtype=complex)
+        self._dx = np.empty((k, 3, cells), dtype=complex)
+        self._ax = np.empty((3 * k, cells), dtype=complex)
 
-    def _rhs(self, f, a, oc, oa, kf, ka) -> None:
-        """kf, ka <- time derivatives of (fields, atoms) at drive (oc, oa)."""
-        np.matmul(self.w, a[0], out=kf[0])
-        np.matmul(self.w, a[1], out=kf[1])
-        kf *= self.half_g
-        # decay and detuning, then the three Rabi cross couplings in one
-        # 3x3 product over the flattened class/cell axis
-        np.multiply(a, self.dec, out=ka)
-        nk = a.shape[1] * a.shape[2]
-        cross = np.array([[0.0, 0.0, 0.5j * oc],
-                          [0.0, 0.0, 0.5j * oa],
-                          [0.5j * np.conj(oc), 0.5j * np.conj(oa), 0.0]],
-                         dtype=complex)
-        flat = self._cross.reshape(3, nk)
-        np.matmul(cross, a.reshape(3, nk), out=flat)
-        ka += self._cross
-        # field drive of the optical coherences
-        np.multiply(f[0], self.half_g, out=self._tmp_e)
-        ka[0] += self._tmp_e
-        np.multiply(f[1], self.half_g, out=self._tmp_e)
-        ka[1] += self._tmp_e
+    def _build(self, omega_c, omega_a) -> None:
+        """Set (d, w, a_op, f_op) to the RK4 step at these drive samples.
 
-    def _stage(self, f, a, coeff, kf, ka) -> None:
-        """(_yf, _ya) <- (f, a) + coeff * k, in place."""
-        np.multiply(kf, coeff, out=self._yf)
-        self._yf += f
-        np.multiply(ka, coeff, out=self._ya)
-        self._ya += a
+        A linear map of y is carried as t = [D | A] (3, 3 + RANK, K), the
+        classes last, and f (2, RANK): its x-part is D_k x_k + A_k (V y),
+        its field part f (V y).  Each stage's slope L_s y_s of the stage
+        input y_s is again of that form, with the field sources of y_s as
+        two new functionals.
+        """
+        h, r, k = self.dt, self.RANK, len(self.source)
+        one_t = np.zeros((3, 3 + r, k), dtype=complex)
+        for i in range(3):
+            one_t[i, i] = 1.0
+        one_f = np.eye(2, r, dtype=complex)
+        t, f = one_t, one_f
+        sum_t, sum_f = np.zeros_like(one_t), np.zeros_like(one_f)
+        stages = ((omega_c[0], omega_a[0], 0.5, 1.0), (omega_c[1], omega_a[1], 0.5, 2.0),
+                  (omega_c[1], omega_a[1], 1.0, 2.0), (omega_c[2], omega_a[2], 0.0, 1.0))
+        for s, (oc, oa, to_next, weight) in enumerate(stages):
+            cross = np.array([[0.0, 0.0, 0.5j * oc],
+                              [0.0, 0.0, 0.5j * oa],
+                              [0.5j * np.conj(oc), 0.5j * np.conj(oa), 0.0]])
+            # slope: x-part B_s x_s + G e_s, field part the sources of x_s
+            slope_t = (cross @ t.reshape(3, -1)).reshape(t.shape)
+            slope_t += self.decay * t
+            slope_t[:2, 3:] += self.half_g * f[:, :, None]
+            sources = self.source * t[:2, :3]
+            self.w[2 * s:2 * s + 2] = sources.transpose(0, 2, 1).reshape(2, 3 * k)
+            slope_f = t[:2, 3:] @ self.source
+            slope_f[:, 2 * s + 2:2 * s + 4] += np.eye(2)
+            sum_t += weight * slope_t
+            sum_f += weight * slope_f
+            t = one_t + to_next * h * slope_t
+            f = one_f + to_next * h * slope_f
+        t = one_t + h / 6.0 * sum_t
+        self.d[:] = t[:, :3].transpose(2, 0, 1)
+        self.a_op[:] = t[:, 3:].transpose(2, 0, 1).reshape(3 * k, r)
+        self.f_op[:] = one_f + h / 6.0 * sum_f
+        self.drive = (*omega_c, *omega_a)
 
     def advance(self, state: SimState, n: int, inject_plus: complex,
                 inject_minus: complex, omega_c, omega_a) -> None:
@@ -258,36 +291,26 @@ class _Propagator:
 
         E+ shifts one cell toward +z and takes inject_plus at z = 0, E- one
         cell toward -z and takes inject_minus at z = L.  Then every cell
-        runs classical RK4 on its field-atom system over one dt, the fields
-        acting as local variables coupled to their cell's atoms, with the
-        drives omega_c / omega_a given at the step start, midpoint and end.
+        takes one classical RK4 step of its field-atom system over dt, the
+        fields acting as local variables coupled to their cell's atoms, with
+        the drives omega_c / omega_a given at the step start, midpoint and
+        end.
         """
-        dt = self.dt
-        f, a = state.f, state.a
-        f[0, 1:] = f[0, :-1]
-        f[0, 0] = inject_plus
-        f[1, :-1] = f[1, 1:]
-        f[1, -1] = inject_minus
-        oc0, oc1, oc2 = omega_c
-        oa0, oa1, oa2 = omega_a
-        kf, ka = self._kf, self._ka
-        self._rhs(f, a, oc0, oa0, kf[0], ka[0])
-        self._stage(f, a, 0.5 * dt, kf[0], ka[0])
-        self._rhs(self._yf, self._ya, oc1, oa1, kf[1], ka[1])
-        self._stage(f, a, 0.5 * dt, kf[1], ka[1])
-        self._rhs(self._yf, self._ya, oc1, oa1, kf[2], ka[2])
-        self._stage(f, a, dt, kf[2], ka[2])
-        self._rhs(self._yf, self._ya, oc2, oa2, kf[3], ka[3])
-        # y += dt/6 * (k1 + 2 (k2 + k3) + k4)
-        for y, k in ((f, kf), (a, ka)):
-            acc = k[1]
-            acc += k[2]
-            acc *= 2.0
-            acc += k[0]
-            acc += k[3]
-            acc *= dt / 6.0
-            y += acc
-        state.t = n * dt
+        if (*omega_c, *omega_a) != self.drive:
+            self._build(omega_c, omega_a)
+        f, a, phi = state.f, state.a, self._phi
+        k, _, cells = a.shape
+        # advect into the field functionals, then the sources W x
+        phi[0, 1:] = f[0, :-1]
+        phi[0, 0] = inject_plus
+        phi[1, :-1] = f[1, 1:]
+        phi[1, -1] = inject_minus
+        np.matmul(self.w, a.reshape(3 * k, cells), out=phi[2:])
+        np.matmul(self.d, a, out=self._dx)
+        np.matmul(self.a_op, phi, out=self._ax)
+        np.add(self._dx, self._ax.reshape(k, 3, cells), out=a)
+        np.matmul(self.f_op, phi, out=f)
+        state.t = n * self.dt
 
 
 def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
@@ -311,7 +334,13 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
         inject_plus, inject_minus = state.f[0, -1], state.f[1, 0]
     elif boundary != "open":
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
-    prop = _Propagator(m, state, drive.detuning_c, drive.detuning_a)
+    inputs = (m.g2n, m.gamma_opt, m.gamma_spin, m.c, state.grid,
+              drive.detuning_c, drive.detuning_a, state.deltas.tobytes(),
+              state.weights.tobytes(), state.delta_opt.tobytes())
+    if state._kept is None or state._kept[0] != inputs:
+        state._kept = (inputs, _Propagator(m, state, drive.detuning_c,
+                                           drive.detuning_a))
+    prop = state._kept[1]
     n = _step_index(state.t, prop.dt)
     omega_c, omega_a = zip(*map(drive.sample, _half_step_times(prop.dt, n, n + 1)))
     prop.advance(state, n + 1, inject_plus, inject_minus, omega_c, omega_a)
@@ -443,7 +472,7 @@ def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:
 def _check_initial_state(state: SimState, grid: Grid,
                          classes: Sequence[SpectralClass]) -> None:
     """Reject a starting state that is off the run's grid or classes."""
-    k, cells = state.a.shape[1:]
+    k, _, cells = state.a.shape
     if state.grid != grid or cells != grid.cells or k != len(classes):
         raise ValueError(
             f"initial_state has {cells} cells on {state.grid} and {k} classes; "
@@ -496,7 +525,7 @@ def switching_readout(state: SimState, omega_y: float, dt_read: float) -> float:
         fraction = 1.0
     spin_norm = state.spin_norm()
     if fraction > 0.0:
-        state.a[2] *= math.sqrt(1.0 - fraction)
+        state.a[:, 2] *= math.sqrt(1.0 - fraction)
     return fraction * spin_norm
 
 
@@ -540,7 +569,7 @@ def excitation_number(state: SimState, m: MediumParams) -> float:
     are closed.
     """
     fields = (np.abs(state.f) ** 2).sum(axis=0)
-    atoms = state.weights @ (np.abs(state.a) ** 2).sum(axis=0)
+    atoms = state.weights @ (np.abs(state.a) ** 2).sum(axis=1)
     return float((fields + atoms).sum() * state.grid.dz)
 
 

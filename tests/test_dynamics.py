@@ -55,7 +55,7 @@ class TestModelRhs:
         d_pp, d_pm, d_s = model_rhs(state, drive, m, j=0, cell=0)
         assert abs(d_pp) <= 1e-15 and abs(d_pm) == 0.0 and abs(d_s) == 0.0
 
-    def test_vectorized_loop_matches_reference(self):
+    def test_operator_step_matches_per_cell_rk4(self):
         from slowlight.medium import SpectralClass
 
         rng = np.random.default_rng(7)
@@ -63,26 +63,54 @@ class TestModelRhs:
         # exercise the optional per-class optical-detuning offsets too
         classes = [SpectralClass(c.delta_j, c.weight, 0.1 * i - 0.2)
                    for i, c in enumerate(base)]
-        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5)
-        state = _state(grid_cells=4, classes=classes)
-        for arr in (state.e_plus, state.e_minus):
-            arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-        for arr in (state.p_plus, state.p_minus, state.s):
-            arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-        kf = np.empty((2, 4), complex)
-        ka = np.empty((3, 5, 4), complex)
-        # resonant, then detuned Raman channels
-        for det_c, det_a in ((0.0, 0.0), (0.3, -0.2)):
-            drive = ControlDrive.constant(0.6 + 0.2j, 0.3 - 0.1j, det_c, det_a)
-            prop = _Propagator(m, state, det_c, det_a)
-            oc, oa = drive.sample(0.0)
-            prop._rhs(state.f, state.a, oc, oa, kf, ka)
-            for cell in range(4):
-                for j in range(5):
-                    d_pp, d_pm, d_s = model_rhs(state, drive, m, j=j, cell=cell)
-                    assert ka[0, j, cell] == pytest.approx(d_pp, rel=1e-13)
-                    assert ka[1, j, cell] == pytest.approx(d_pm, rel=1e-13)
-                    assert ka[2, j, cell] == pytest.approx(d_s, rel=1e-13)
+        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
+        g_half = 0.5j * math.sqrt(m.g2n)
+        for det_c, det_a in ((0.0, 0.0), (0.3, -0.2)):  # resonant, detuned
+            state = _state(grid_cells=4, classes=classes)
+            for arr in (state.f, state.a):
+                arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
+            state.t = 3 * state.grid.dz / m.c
+            dt = state.grid.dz / m.c
+            # three distinct drive samples at the step start, midpoint and end
+            drive = ControlDrive(lambda t: (0.6 + 0.2j) * (1.0 + t * t),
+                                 lambda t: (0.3 - 0.1j) * (2.0 - t), det_c, det_a)
+
+            # reference: advect, then plain RK4 in each cell on model_rhs
+            ref = state.copy()
+            ref.f[0] = np.roll(ref.f[0], 1)
+            ref.f[0, 0] = 0.2
+            ref.f[1] = np.roll(ref.f[1], -1)
+            ref.f[1, -1] = -0.1j
+
+            def slope(y, t):
+                y.t = t
+                kf = np.empty_like(y.f)
+                ka = np.empty_like(y.a)
+                for cell in range(4):
+                    kf[:, cell] = g_half * (y.weights @ y.a[:, :2, cell])
+                    for j in range(5):
+                        ka[j, :, cell] = model_rhs(y, drive, m, j=j, cell=cell)
+                return kf, ka
+
+            def shifted(c, k):
+                y = ref.copy()
+                y.f += c * k[0]
+                y.a += c * k[1]
+                return y
+
+            t0 = ref.t
+            k1 = slope(ref.copy(), t0)
+            k2 = slope(shifted(0.5 * dt, k1), t0 + 0.5 * dt)
+            k3 = slope(shifted(0.5 * dt, k2), t0 + 0.5 * dt)
+            k4 = slope(shifted(dt, k3), t0 + dt)
+            want_f = ref.f + dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+            want_a = ref.a + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+
+            step(state, drive, m, dt, inject_plus=0.2, inject_minus=-0.1j)
+            scale = max(np.abs(want_f).max(), np.abs(want_a).max())
+            assert np.abs(state.f - want_f).max() <= 1e-12 * scale
+            assert np.abs(state.a - want_a).max() <= 1e-12 * scale
+            assert state.t == pytest.approx(t0 + dt, rel=1e-15)
 
 
 class TestStateLayout:
@@ -96,9 +124,9 @@ class TestStateLayout:
             state.e_plus[:] = fields[0]
             state.e_minus[:] = fields[1]
             for j in range(3):
-                state.p_plus[:, j] = atoms[0, j]
-                state.p_minus[:, j] = atoms[1, j]
-                state.s[:, j] = atoms[2, j]
+                state.p_plus[:, j] = atoms[j, 0]
+                state.p_minus[:, j] = atoms[j, 1]
+                state.s[:, j] = atoms[j, 2]
         else:
             state.f[:] = fields
             state.a[:] = atoms
@@ -208,6 +236,36 @@ class TestStep:
         with pytest.raises(NumericalAbort, match="fields .* cell 3$"):
             step(state, drive, m, state.grid.dz / m.c)
 
+    def test_kept_propagator_follows_changed_inputs(self):
+        m = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
+        rng = np.random.default_rng(11)
+        state = _state(grid_cells=6, classes=make_spectral_classes(30.0, 3, "lorentzian"))
+        for arr in (state.f, state.a):
+            arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
+        dt = state.grid.dz / m.c
+        drives = {"drive": ControlDrive.constant(0.8, 0.3)}
+        step(state, drives["drive"], m, dt)  # keeps a propagator on the state
+
+        def detune():
+            drives["drive"] = ControlDrive.constant(0.8, 0.3, 0.4, -0.2)
+
+        def reclass():
+            state.deltas[:] = make_spectral_classes(90.0, 3, "lorentzian")[0].delta_j
+
+        for change in (lambda: setattr(m, "gamma_spin", 0.9), detune, reclass):
+            change()
+            fresh = state.copy()  # a copy carries no propagator
+            assert fresh._kept is None and state._kept is not None
+            step(fresh, drives["drive"], m, dt)
+            stale = state._kept
+            step(state, drives["drive"], m, dt)
+            assert state._kept is not stale
+            assert np.array_equal(state.f, fresh.f)
+            assert np.array_equal(state.a, fresh.a)
+        kept = state._kept
+        step(state, drives["drive"], m, dt)
+        assert state._kept is kept  # unchanged inputs reuse it
+
 
 def _slow_light_setup(optical_depth, omega_c=1.7, cells=64, duration=10.0,
                       n_classes=32, t_end=None):
@@ -263,6 +321,32 @@ class TestRunDynamics:
         t_rel, peak_rel = released_peak(trace_trap, 42.0)
         assert peak_rel > 5.0 * trace_trap.fwd_intensity[hold].max()
         assert t_rel > 42.0
+
+    @pytest.mark.parametrize("kind", ["stationary", "memory"])
+    def test_operator_rebuilt_once_per_drive_change(self, kind, monkeypatch):
+        m = MediumParams.from_optical_depth(50.0, gamma_opt=1.0, c=5.0)
+        grid = Grid(cells=16)
+        classes = make_spectral_classes(30.0, 2, "lorentzian")
+        p = ProtocolParams(kind=kind, omega_c=2.0, omega_a=2.0,
+                           probe_duration_us=4.0, p_a_delay_us=13.0,
+                           a_duration_us=2.0, c_off_us=13.0, storage_t_us=2.0,
+                           release_window_us=3.0)
+        seq = standard_sequence(kind, p)
+        dt = grid.dz / m.c
+        n = int(round(seq.t_end_us / dt))
+        oc, oa, _, _ = seq.drive_samples(0.5 * dt * np.arange(2 * n + 1))
+        triples = np.stack([oc[0:-1:2], oc[1::2], oc[2::2],
+                            oa[0:-1:2], oa[1::2], oa[2::2]], axis=1)
+        changes = 1 + np.count_nonzero((triples[1:] != triples[:-1]).any(axis=1))
+        builds = []
+        build = _Propagator._build
+        monkeypatch.setattr(_Propagator, "_build",
+                            lambda self, *a: builds.append(1) or build(self, *a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_dynamics(seq, m, grid, classes)
+        assert len(builds) == changes
+        assert changes <= 8 if kind == "stationary" else changes > 100
 
     def test_grid_resolution_warning(self):
         m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
