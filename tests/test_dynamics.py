@@ -69,8 +69,8 @@ class TestModelRhs:
             state = _state(grid_cells=4, classes=classes)
             for arr in (state.f, state.a):
                 arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-            state.t = 3 * state.grid.dz / m.c
             dt = state.grid.dz / m.c
+            state.t = 3 * dt
             # three distinct drive samples at the step start, midpoint and end
             drive = ControlDrive(lambda t: (0.6 + 0.2j) * (1.0 + t * t),
                                  lambda t: (0.3 - 0.1j) * (2.0 - t), det_c, det_a)
@@ -243,27 +243,26 @@ class TestStep:
         for arr in (state.f, state.a):
             arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
         dt = state.grid.dz / m.c
-        drives = {"drive": ControlDrive.constant(0.8, 0.3)}
-        step(state, drives["drive"], m, dt)  # keeps a propagator on the state
-
-        def detune():
-            drives["drive"] = ControlDrive.constant(0.8, 0.3, 0.4, -0.2)
-
-        def reclass():
-            state.deltas[:] = make_spectral_classes(90.0, 3, "lorentzian")[0].delta_j
-
-        for change in (lambda: setattr(m, "gamma_spin", 0.9), detune, reclass):
-            change()
+        drive = ControlDrive.constant(0.8, 0.3)
+        step(state, drive, m, dt)  # keeps a propagator on the state
+        for change in ("gamma_spin", "detuning", "classes"):
+            if change == "gamma_spin":
+                m.gamma_spin = 0.9  # in place
+            elif change == "detuning":
+                drive = ControlDrive.constant(0.8, 0.3, 0.4, -0.2)
+            else:
+                state.deltas[:] = [c.delta_j for c in
+                                   make_spectral_classes(90.0, 3, "lorentzian")]
             fresh = state.copy()  # a copy carries no propagator
             assert fresh._kept is None and state._kept is not None
-            step(fresh, drives["drive"], m, dt)
+            step(fresh, drive, m, dt)
             stale = state._kept
-            step(state, drives["drive"], m, dt)
+            step(state, drive, m, dt)
             assert state._kept is not stale
             assert np.array_equal(state.f, fresh.f)
             assert np.array_equal(state.a, fresh.a)
         kept = state._kept
-        step(state, drives["drive"], m, dt)
+        step(state, drive, m, dt)
         assert state._kept is kept  # unchanged inputs reuse it
 
 
