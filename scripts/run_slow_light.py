@@ -33,7 +33,8 @@ def main() -> None:
         m = MediumParams.from_optical_depth(depth, gamma_opt=1.0, c=5.0)
         trace, _ = run_dynamics(sequence, m, grid, classes)
         measured = group_delay(trace, reference)
-        predicted = m.length / group_velocity(m, args.omega_c) - m.length / m.c
+        # transit of the unit-length medium at v_g, less the vacuum transit
+        predicted = 1.0 / group_velocity(m, args.omega_c) - 1.0 / m.c
         table = np.column_stack([trace.t, trace.fwd_intensity])
         path = args.out / f"trace_d{depth:g}.csv"
         np.savetxt(path, table, delimiter=",", header="t_us,fwd_intensity")

@@ -55,13 +55,11 @@ class MediumConfig:
     gamma_spin: float | None = _key(MediumParams.gamma_spin, _nonneg)
     t2_spin_us: float = _key(MediumParams.t2_spin, _positive)
     t1_opt_us: float = _key(MediumParams.t1_opt, _positive)
-    delta_s_khz: float = _key(MediumParams.delta_s_khz, _nonneg, "delta_S_khz")
+    delta_s_khz: float = _key(30.0, _nonneg, "delta_S_khz")
     distribution: str = _key("lorentzian", ("lorentzian", "gaussian", "single"))
     n_classes: int = _key(64, lambda v: v >= 1)
     optical_depth: float = _key(40.0, _nonneg)
     transit_time_us: float = _key(0.01, _positive)
-    g_c: float = _key(MediumParams.g_c, _positive, "g_C")
-    g_a: float = _key(MediumParams.g_a, _positive, "g_A")
 
 
 @dataclass
@@ -277,9 +275,6 @@ def build_medium(cfg: Config) -> MediumParams:
         gamma_spin=mc.gamma_spin,
         t2_spin=mc.t2_spin_us,
         t1_opt=mc.t1_opt_us,
-        delta_s_khz=mc.delta_s_khz,
-        g_c=mc.g_c,
-        g_a=mc.g_a,
         c=1.0 / mc.transit_time_us,
     )
 
@@ -290,24 +285,9 @@ def build_classes(cfg: Config):
 
 
 def build_protocol(cfg: Config) -> ProtocolParams:
-    omega_c, omega_a = resolved_omegas(cfg)
-    p = cfg.protocol
-    return ProtocolParams(
-        kind=p.kind,
-        probe_duration_us=p.probe_duration_us,
-        probe_amplitude=p.probe_amplitude,
-        probe_start_us=p.probe_start_us,
-        probe_shape=p.probe_shape,
-        omega_c=omega_c,
-        omega_a=omega_a,
-        retrieval_scale=p.retrieval_scale,
-        p_a_delay_us=p.p_a_delay_us,
-        storage_t_us=p.storage_t_us,
-        a_duration_us=p.a_duration_us,
-        c_off_us=p.c_off_us,
-        c_ramp_us=p.c_ramp_us,
-        release_window_us=p.release_window_us,
-        peak_guard_us=p.peak_guard_us,
-        sample_rate=cfg.grid.sample_rate,
-        t_end_us=cfg.grid.t_end_us,
-    )
+    """ProtocolParams from the [protocol] and [grid] keys of the same names,
+    with the coupling Rabi frequencies resolved (see resolved_omegas)."""
+    given = {**vars(cfg.grid), **vars(cfg.protocol)}
+    given["omega_c"], given["omega_a"] = resolved_omegas(cfg)
+    return ProtocolParams(**{f.name: given[f.name]
+                             for f in dc_fields(ProtocolParams)})

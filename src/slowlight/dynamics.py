@@ -42,20 +42,17 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform z grid of `cells` cells covering [0, length]."""
+    """Uniform z grid of `cells` cells covering the unit-length medium [0, 1]."""
 
     cells: int
-    length: float = 1.0
 
     def __post_init__(self) -> None:
         if self.cells < 1:
             raise ValueError(f"cells must be >= 1, got {self.cells}")
-        if not (self.length > 0.0):
-            raise ValueError(f"length must be > 0, got {self.length}")
 
     @property
     def dz(self) -> float:
-        return self.length / self.cells
+        return 1.0 / self.cells
 
     @property
     def z(self) -> np.ndarray:
@@ -121,7 +118,8 @@ class SimState:
 
     def copy(self) -> "SimState":
         return SimState(self.t, self.f.copy(), self.a.copy(), self.grid,
-                        self.deltas, self.weights, self.delta_opt)
+                        self.deltas.copy(), self.weights.copy(),
+                        self.delta_opt.copy())
 
     @property
     def e_plus(self) -> np.ndarray:
@@ -168,7 +166,7 @@ class DetectorTrace:
     """Time series at the medium exits plus the spin-coherence norm."""
 
     t: np.ndarray
-    fwd_intensity: np.ndarray   # |E+(L, t)|^2
+    fwd_intensity: np.ndarray   # |E+(1, t)|^2
     bwd_intensity: np.ndarray   # |E-(0, t)|^2
     spin_norm: np.ndarray       # sum_z dz sum_j w_j |S|^2
     annotations: tuple = ()     # the sequence's pulse events
@@ -290,7 +288,7 @@ class _Propagator:
         """Advance the state in place by one step, to t = n dt.
 
         E+ shifts one cell toward +z and takes inject_plus at z = 0, E- one
-        cell toward -z and takes inject_minus at z = L.  Then every cell
+        cell toward -z and takes inject_minus at z = 1.  Then every cell
         takes one classical RK4 step of its field-atom system over dt, the
         fields acting as local variables coupled to their cell's atoms, with
         the drives omega_c / omega_a given at the step start, midpoint and
@@ -371,7 +369,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     `sequence` provides events, t_end_us, sample_rate, probe_duration_us,
     writing_omega_c, probe_samples(t), drive_samples(t) and
     readout_events() (see experiment.PulseSequence).  Returns the detector
-    trace |E+(L,t)|^2, |E-(0,t)|^2 and the spin-coherence norm, plus state
+    trace |E+(1,t)|^2, |E-(0,t)|^2 and the spin-coherence norm, plus state
     snapshots: one after each global step index in snapshot_steps that the
     run completes, and always the final state.  Readout events deplete
     the spin coherence through switching_readout.  E+ is injected at z=0

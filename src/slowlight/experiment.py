@@ -388,7 +388,7 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
         raise ValueError("a_durations must be non-empty")
     if any(d <= 0.0 for d in a_durations):
         raise ValueError("durations must be > 0")
-    # rejects negative or all-zero couplings
-    balance_residual(base.omega_c, m.g_c, base.omega_a, m.g_a)
+    # rejects negative or all-zero couplings; both channels couple with sqrt(g2n)
+    balance_residual(base.omega_c, 1.0, base.omega_a, 1.0)
     return _sweep("stationary", "a_duration_us", a_durations, base, m, grid,
                   classes, keep_traces, threads)

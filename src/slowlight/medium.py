@@ -5,9 +5,9 @@ distribution into weighted spectral classes, and provides the steady-state
 linear response (susceptibility, group velocity, dephasing time) of a
 three-level Lambda system driven by a strong coupling field.
 
-Units: time in microseconds, rates and detunings in rad/us, the medium
-length in normalized units (the full sample is ``length``), and the vacuum
-speed ``c`` in length units per microsecond.
+Units: time in microseconds, rates and detunings in rad/us.  The medium
+is the unit of length (z runs over [0, 1], and there is no length
+parameter), so the vacuum speed ``c`` is in medium lengths per microsecond.
 """
 from __future__ import annotations
 
@@ -48,28 +48,27 @@ class SpectralClass:
 
 @dataclass
 class MediumParams:
-    """Decay rates, inhomogeneous width and coupling strength of the medium.
+    """Decay rates, coupling strength and light speed of the medium.
 
     gamma_opt / gamma_spin are the optical and spin decay rates entering the
     equations of motion as gamma/2 on the respective amplitudes.  When not
     given they default to 1/t1_opt and 1/t2_spin.  g2n is the collective
-    coupling strength g^2*N in rad^2/us^2; use ``from_optical_depth`` to set
-    it through the resonant optical depth d = g2n*length/(gamma_opt*c).
+    coupling strength g^2*N in rad^2/us^2, the same for both channels; use
+    ``from_optical_depth`` to set it through the resonant optical depth
+    d = g2n/(gamma_opt*c) of the unit-length medium.  The spin
+    inhomogeneous width enters only through the spectral classes (see
+    make_spectral_classes).
     """
 
-    delta_s_khz: float = 30.0
     t1_opt: float = 110.0
     t2_spin: float = 500.0
     gamma_opt: float | None = None
     gamma_spin: float | None = None
     g2n: float = 0.0
-    g_c: float = 1.0
-    g_a: float = 1.0
-    length: float = 1.0
     c: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("t1_opt", "t2_spin", "g_c", "g_a", "length", "c"):
+        for name in ("t1_opt", "t2_spin", "c"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -83,8 +82,6 @@ class MediumParams:
             value = getattr(self, name)
             if not (value >= 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.delta_s_khz < 0.0:
-            raise ValueError(f"delta_s_khz must be >= 0, got {self.delta_s_khz!r}")
         if self.g2n < 0.0 or not math.isfinite(self.g2n):
             raise ValueError(f"g2n must be finite and >= 0, got {self.g2n!r}")
         if self.gamma_opt > 0.0:
@@ -94,23 +91,19 @@ class MediumParams:
 
     @property
     def optical_depth(self) -> float:
-        """Resonant optical depth d = g2n * length / (gamma_opt * c)."""
+        """Resonant optical depth d = g2n / (gamma_opt * c) of the medium."""
         if self.gamma_opt == 0.0:
             return math.inf if self.g2n > 0.0 else 0.0
-        return self.g2n * self.length / (self.gamma_opt * self.c)
-
-    @property
-    def transit_time(self) -> float:
-        """Vacuum transit time length/c in us."""
-        return self.length / self.c
+        return self.g2n / (self.gamma_opt * self.c)
 
     @classmethod
     def from_optical_depth(cls, optical_depth: float, **kwargs) -> "MediumParams":
-        """Build parameters with g2n chosen to match a resonant optical depth."""
+        """Build parameters with g2n = d * gamma_opt * c, so that the
+        unit-length medium has resonant optical depth d."""
         if optical_depth < 0.0:
             raise ValueError(f"optical_depth must be >= 0, got {optical_depth!r}")
         m = cls(**kwargs)
-        m.g2n = optical_depth * m.gamma_opt * m.c / m.length
+        m.g2n = optical_depth * m.gamma_opt * m.c
         return m
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from slowlight.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
-from slowlight.config import (Config, ConfigError, build_medium,
-                              build_protocol, parse_config, render_config,
-                              resolved_omegas)
+from slowlight.config import (Config, ConfigError, build_classes,
+                              build_medium, build_protocol, parse_config,
+                              render_config, resolved_omegas)
 
 MINIMAL = """
 [protocol]
@@ -74,8 +74,6 @@ EVERY_KEY = [
     ("medium", "n_classes", "7", "n_classes", 7),
     ("medium", "optical_depth", "3.5", "optical_depth", 3.5),
     ("medium", "transit_time_us", "0.5", "transit_time_us", 0.5),
-    ("medium", "g_C", "2", "g_c", 2.0),
-    ("medium", "g_A", "3", "g_a", 3.0),
     ("grid", "cells", "9", "cells", 9),
     ("grid", "t_end_us", "12.5", "t_end_us", 12.5),
     ("grid", "sample_rate", "7", "sample_rate", 7.0),
@@ -110,6 +108,17 @@ EXCLUSIVE = ({("medium", "t2_spin_us"), ("protocol", "power_C_mw"),
               ("protocol", "power_A_mw"), ("protocol", "rabi_per_sqrt_mw")},
              {("medium", "gamma_spin"), ("protocol", "omega_C"),
               ("protocol", "omega_A")})
+# what a key needs beside it to take effect alone, with values that make
+# the resolved Rabi frequency differ from the default
+COMPANIONS = {"power_C_mw": "rabi_per_sqrt_mw = 1",
+              "power_A_mw": "rabi_per_sqrt_mw = 1",
+              "rabi_per_sqrt_mw": "power_C_mw = 1"}
+
+
+def _built(cfg):
+    """Everything a run takes from the [medium], [grid] and [protocol] keys."""
+    return (build_medium(cfg), build_classes(cfg), build_protocol(cfg),
+            cfg.grid.cells)
 
 
 class TestParseConfig:
@@ -128,6 +137,14 @@ class TestParseConfig:
                 assert got != getattr(getattr(default, section), attr), key
             assert parse_config(render_config(cfg)) == cfg
 
+    def test_every_model_key_changes_the_built_inputs(self):
+        base = _built(parse_config(MINIMAL))
+        for section, key, text, _, _ in EVERY_KEY:
+            if section not in ("medium", "grid", "protocol"):
+                continue
+            alone = f"[{section}]\n{key} = {text}\n{COMPANIONS.get(key, '')}\n"
+            cfg = parse_config(alone if key == "kind" else MINIMAL + alone)
+            assert _built(cfg) != base, key
 
     def test_minimal_config_gets_documented_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -154,11 +171,12 @@ class TestParseConfig:
         assert err.value.line == bad.splitlines().index("values = 0, inf") + 1
 
     def test_unknown_key_rejected_with_location(self):
-        bad = "[medium]\nfoo = 1\n[protocol]\nkind = memory\n"
-        with pytest.raises(ConfigError, match="foo") as err:
-            parse_config(bad)
-        assert err.value.category == "unknown"
-        assert err.value.line == 2
+        for key in ("foo", "g_C"):
+            bad = f"[medium]\n{key} = 2\n[protocol]\nkind = memory\n"
+            with pytest.raises(ConfigError, match=key) as err:
+                parse_config(bad)
+            assert err.value.category == "unknown"
+            assert err.value.line == 2
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="laser") as err:

@@ -1,11 +1,12 @@
-"""The paper's workloads as config files.
+"""The paper's workloads and the documented format as config files.
 
 Each `configs/*.cfg` must build exactly the inputs of an acceptance sweep
 (criteria 2, 3 and 4 of tests/test_acceptance.py), so that `slowlight
-sweep` and `slowlight fit` on it reproduce the acceptance decay time.
-Nothing is integrated here.
+sweep` and `slowlight fit` on it reproduce the acceptance decay time, and
+the README's example configuration must parse.  Nothing is integrated here.
 """
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from slowlight.config import (build_classes, build_medium, build_protocol,
 from slowlight.experiment import ProtocolParams
 from slowlight.medium import MediumParams, make_spectral_classes
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _memory_inputs():
@@ -65,3 +67,11 @@ def test_config_builds_acceptance_inputs(name):
     assert cfg.grid.cells == cells
     assert cfg.sweep.parameter == parameter
     assert cfg.sweep.values == tuple(values)
+
+
+def test_readme_example_config_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert parse_config(render_config(cfg)) == cfg

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields as dc_fields
 
 import numpy as np
 import pytest
@@ -163,9 +164,41 @@ class TestStateLayout:
         assert state.t == 0.0 and clone.t > 0.0
         assert np.array_equal(state.f, fields)
         assert np.array_equal(state.a, atoms)
+        # the class arrays are copied too
+        classes = (clone.deltas.copy(), clone.weights.copy(),
+                   clone.delta_opt.copy())
+        state.deltas[0] = 5.0
+        state.weights[1] = 0.5
+        state.delta_opt[2] = 0.25
+        assert all(map(np.array_equal,
+                       (clone.deltas, clone.weights, clone.delta_opt), classes))
 
 
 class TestStep:
+    # each MediumParams field moved off its default; gamma_opt and
+    # gamma_spin default to 1/t1_opt and 1/t2_spin
+    MOVED = {"t1_opt": 50.0, "t2_spin": 100.0, "gamma_opt": 0.5,
+             "gamma_spin": 0.3, "g2n": 2.0, "c": 50.0}
+
+    def test_every_medium_field_changes_a_step(self):
+        assert set(self.MOVED) == {f.name for f in dc_fields(MediumParams)}
+        rng = np.random.default_rng(8)
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        start = _state(grid_cells=8, classes=classes)
+        start.f[:] = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        start.a[:] = rng.normal(size=(4, 3, 8)) + 1j * rng.normal(size=(4, 3, 8))
+        drive = ControlDrive.constant(0.8, 0.5)
+
+        def stepped(m):
+            state = start.copy()
+            step(state, drive, m, state.grid.dz / m.c, inject_plus=0.2)
+            return np.concatenate([state.f.ravel(), state.a.ravel()])
+
+        base = stepped(MediumParams())
+        for name, value in self.MOVED.items():
+            moved = stepped(MediumParams(**{name: value}))
+            assert np.abs(moved - base).max() > 1e-9 * np.abs(base).max(), name
+
     def test_free_propagation_translates_exactly(self):
         m = MediumParams(g2n=0.0, c=5.0)
         state = _state(grid_cells=16)
@@ -435,7 +468,6 @@ class TestResume:
         m, grid, classes, seq = _resume_setup()
         dt = grid.dz / m.c
         bad = [SimState.zeros(Grid(cells=8), classes),
-               SimState.zeros(Grid(cells=16, length=2.0), classes),
                SimState.zeros(grid, classes[:2]),
                SimState.zeros(grid, make_spectral_classes(30.0, 3, "gaussian"))]
         for state in bad:
@@ -532,7 +564,7 @@ class TestDiagnostics:
         assert excitation_number(_state(), m) == 0.0
 
     def test_excitation_single_cell_unit_field(self):
-        grid = Grid(cells=1, length=1.0)  # dz = 1
+        grid = Grid(cells=1)  # dz = 1
         state = SimState.zeros(grid, SINGLE)
         state.e_plus[0] = 1.0
         assert excitation_number(state, MediumParams(g2n=1.0)) == 1.0
@@ -652,7 +684,7 @@ class TestSymmetries:
                                     snapshot_steps=range(384, 16000, 384))
         inside = [s for s in snaps if 31.0 <= s.t <= 63.0]
         drift = abs(field_centroid(inside[-1]) - field_centroid(inside[0]))
-        assert drift <= 0.02 * grid.length
+        assert drift <= 0.02  # of the unit-length medium
 
     def test_step_sequence_equals_run_dynamics(self):
         # event edges deliberately off the step grid so both paths sample

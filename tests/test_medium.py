@@ -245,8 +245,8 @@ class TestMediumParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"gamma_opt": -1.0}, {"gamma_spin": -0.1}, {"t2_spin": 0.0},
-        {"length": -1.0}, {"c": 0.0}, {"g2n": -2.0}, {"delta_s_khz": -5.0},
-        {"g_c": 0.0}, {"t1_opt": -1.0},
+        {"c": -1.0}, {"c": 0.0}, {"g2n": -2.0}, {"g2n": math.inf},
+        {"t2_spin": math.inf}, {"t1_opt": -1.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
