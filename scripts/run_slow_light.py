@@ -22,7 +22,7 @@ def main() -> None:
 
     grid = Grid(cells=64)
     classes = make_spectral_classes(30.0, 32, "lorentzian")
-    protocol = ProtocolParams(kind="slow_light", omega_c=args.omega_c,
+    protocol = ProtocolParams(omega_c=args.omega_c,
                               probe_duration_us=20.0, sample_rate=20.0,
                               release_window_us=30.0)
     sequence = standard_sequence("slow_light", protocol)

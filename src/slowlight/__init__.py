@@ -7,7 +7,7 @@ from .medium import (MediumParams, SpectralClass, dephasing_time,
 from .dynamics import (ControlDrive, DetectorTrace, Grid, SimState,
                        balance_residual, effective_velocity,
                        excitation_number, field_centroid, model_rhs,
-                       run_dynamics, step, switching_readout)
+                       run_dynamics, step)
 from .experiment import (ProtocolParams, PulseEvent, PulseSequence,
                          SweepResult, released_peak, standard_sequence,
                          sweep_delay, sweep_duration)

@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
     classes = build_classes(cfg)
     grid = Grid(cells=cfg.grid.cells)
     protocol = build_protocol(cfg)
-    sequence = standard_sequence(protocol.kind, protocol)
+    sequence = standard_sequence(cfg.protocol.kind, protocol)
     t0 = time.perf_counter()
     trace, snapshots = run_dynamics(sequence, m, grid, classes)
     wall = time.perf_counter() - t0
@@ -187,7 +187,6 @@ def cmd_run(args) -> int:
     _write_json(out / "run.json", _summary(cfg, sha, wall, {
         "events": markers,
         "checks": checks,
-        "readouts": [{"t_us": t, "diffracted": d} for t, d in trace.readouts],
         "optical_depth": m.optical_depth,
     }))
     print(f"wrote {out / 'trace.csv'}")

@@ -65,19 +65,15 @@ class ControlDrive:
     """Spatially uniform control drives.
 
     omega_c / omega_a map a time in us to a complex Rabi frequency in
-    rad/us.  detuning_c / detuning_a are the optical detunings of the two
-    Raman channels (zero for resonant pairs).
+    rad/us.  Both Raman channels are resonant.
     """
 
     omega_c: Callable[[float], complex]
     omega_a: Callable[[float], complex]
-    detuning_c: float = 0.0
-    detuning_a: float = 0.0
 
     @classmethod
-    def constant(cls, omega_c: complex, omega_a: complex = 0.0,
-                 detuning_c: float = 0.0, detuning_a: float = 0.0) -> "ControlDrive":
-        return cls(lambda t: omega_c, lambda t: omega_a, detuning_c, detuning_a)
+    def constant(cls, omega_c: complex, omega_a: complex = 0.0) -> "ControlDrive":
+        return cls(lambda t: omega_c, lambda t: omega_a)
 
     def sample(self, t: float) -> tuple[complex, complex]:
         return complex(self.omega_c(t)), complex(self.omega_a(t))
@@ -103,23 +99,21 @@ class SimState:
     grid: Grid
     deltas: np.ndarray   # (K,) spin detunings
     weights: np.ndarray  # (K,) quadrature weights
-    delta_opt: np.ndarray  # (K,) optical detuning offsets
     # step()'s (inputs, _Propagator), reused while the inputs are equal
     _kept: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
     @classmethod
     def zeros(cls, grid: Grid, classes: Sequence[SpectralClass]) -> "SimState":
-        deltas, weights, delta_opt = class_arrays(classes)
+        deltas, weights = class_arrays(classes)
         m, k = grid.cells, len(deltas)
         return cls(t=0.0, f=np.zeros((2, m), dtype=complex),
                    a=np.zeros((k, 3, m), dtype=complex), grid=grid,
-                   deltas=deltas, weights=weights, delta_opt=delta_opt)
+                   deltas=deltas, weights=weights)
 
     def copy(self) -> "SimState":
         return SimState(self.t, self.f.copy(), self.a.copy(), self.grid,
-                        self.deltas.copy(), self.weights.copy(),
-                        self.delta_opt.copy())
+                        self.deltas.copy(), self.weights.copy())
 
     @property
     def e_plus(self) -> np.ndarray:
@@ -170,15 +164,14 @@ class DetectorTrace:
     bwd_intensity: np.ndarray   # |E-(0, t)|^2
     spin_norm: np.ndarray       # sum_z dz sum_j w_j |S|^2
     annotations: tuple = ()     # the sequence's pulse events
-    readouts: tuple = ()        # (t, diffracted_signal) pairs
 
 
 def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
               j: int, cell: int = 0) -> tuple[complex, complex, complex]:
     """Time derivatives of (P+, P-, S) for class j at one cell.
 
-    dP+/dt = -(gamma_opt/2 + i D+) P+ + (i/2)(g E+ + Omega_C S)
-    dP-/dt = -(gamma_opt/2 + i D-) P- + (i/2)(g E- + Omega_A S)
+    dP+/dt = -(gamma_opt/2) P+ + (i/2)(g E+ + Omega_C S)
+    dP-/dt = -(gamma_opt/2) P- + (i/2)(g E- + Omega_A S)
     dS/dt  = -(gamma_spin/2 + i delta_j) S + (i/2)(Omega_C* P+ + Omega_A* P-)
 
     with g = sqrt(g2n).  Reference implementation used by tests; the run
@@ -187,16 +180,13 @@ def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
     omega_c, omega_a = drive.sample(state.t)
     g = math.sqrt(m.g2n)
     dj = state.deltas[j]
-    dopt = state.delta_opt[j]
     pp = state.p_plus[cell, j]
     pm = state.p_minus[cell, j]
     s = state.s[cell, j]
     ep = state.e_plus[cell]
     em = state.e_minus[cell]
-    d_pp = -(0.5 * m.gamma_opt + 1j * (drive.detuning_c + dopt)) * pp \
-        + 0.5j * (g * ep + omega_c * s)
-    d_pm = -(0.5 * m.gamma_opt + 1j * (drive.detuning_a + dopt)) * pm \
-        + 0.5j * (g * em + omega_a * s)
+    d_pp = -0.5 * m.gamma_opt * pp + 0.5j * (g * ep + omega_c * s)
+    d_pm = -0.5 * m.gamma_opt * pm + 0.5j * (g * em + omega_a * s)
     d_s = -(0.5 * m.gamma_spin + 1j * dj) * s \
         + 0.5j * (omega_c.conjugate() * pp + omega_a.conjugate() * pm)
     return d_pp, d_pm, d_s
@@ -221,16 +211,15 @@ class _Propagator:
 
     RANK = 10  # the two fields plus two field sources per RK4 stage
 
-    def __init__(self, m: MediumParams, state: SimState,
-                 detuning_c: float = 0.0, detuning_a: float = 0.0):
+    def __init__(self, m: MediumParams, state: SimState):
         self.dt = state.grid.dz / m.c
         k, _, cells = state.a.shape
         self.half_g = 0.5j * math.sqrt(m.g2n)
         self.source = self.half_g * state.weights  # (K,) field source per class
         # per-class decay and detuning of (P+, P-, S), classes last
+        optical = np.full(k, -0.5 * m.gamma_opt, dtype=complex)
         self.decay = np.stack([
-            -(0.5 * m.gamma_opt + 1j * (detuning_c + state.delta_opt)),
-            -(0.5 * m.gamma_opt + 1j * (detuning_a + state.delta_opt)),
+            optical, optical,
             -(0.5 * m.gamma_spin + 1j * state.deltas)])[:, None, :]
         # the operator, for the drive samples in self.drive
         self.drive: tuple | None = None
@@ -333,11 +322,9 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
     elif boundary != "open":
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     inputs = (m.g2n, m.gamma_opt, m.gamma_spin, m.c, state.grid,
-              drive.detuning_c, drive.detuning_a, state.deltas.tobytes(),
-              state.weights.tobytes(), state.delta_opt.tobytes())
+              state.deltas.tobytes(), state.weights.tobytes())
     if state._kept is None or state._kept[0] != inputs:
-        state._kept = (inputs, _Propagator(m, state, drive.detuning_c,
-                                           drive.detuning_a))
+        state._kept = (inputs, _Propagator(m, state))
     prop = state._kept[1]
     n = _step_index(state.t, prop.dt)
     omega_c, omega_a = zip(*map(drive.sample, _half_step_times(prop.dt, n, n + 1)))
@@ -367,21 +354,19 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     """Run a pulse sequence and record the exit intensities.
 
     `sequence` provides events, t_end_us, sample_rate, probe_duration_us,
-    writing_omega_c, probe_samples(t), drive_samples(t) and
-    readout_events() (see experiment.PulseSequence).  Returns the detector
-    trace |E+(1,t)|^2, |E-(0,t)|^2 and the spin-coherence norm, plus state
-    snapshots: one after each global step index in snapshot_steps that the
-    run completes, and always the final state.  Readout events deplete
-    the spin coherence through switching_readout.  E+ is injected at z=0
-    from the probe channel; nothing is injected into E-.
+    writing_omega_c, probe_samples(t) and drive_samples(t) (see
+    experiment.PulseSequence).  Returns the detector trace |E+(1,t)|^2,
+    |E-(0,t)|^2 and the spin-coherence norm, plus state snapshots: one
+    after each global step index in snapshot_steps that the run completes,
+    and always the final state.  E+ is injected at z=0 from the probe
+    channel; nothing is injected into E-.
 
     Steps lie on the global grid t = n dt (dt = dz/c), and the state's t
     is set to n dt after step n.  A run resumed from `initial_state`,
     which must sit on that grid, on `grid` and on `classes` (the same
-    detunings, weights and optical offsets), samples its drives at the
-    same half steps, records and snapshots on the same step indices and
-    treats readouts at or before initial_state.t as done, so resuming
-    from a snapshot reproduces the uninterrupted run bit for bit; a state
+    detunings and weights), samples its drives at the same half steps and
+    records and snapshots on the same step indices, so resuming from a
+    snapshot reproduces the uninterrupted run bit for bit; a state
     already at t_end_us runs no step.  _check_probe=False leaves the
     probe-resolution warning to a sweep that raises it once for all its
     points.
@@ -401,7 +386,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
 
     # Half-grid drive samples cover every RK4 stage time.
     t_half = _half_step_times(dt, n0, n_total)
-    omega_c, omega_a, detuning_c, detuning_a = sequence.drive_samples(t_half)
+    omega_c, omega_a = sequence.drive_samples(t_half)
     inject = sequence.probe_samples(t_half[0::2][:n_steps])
     if _check_probe:
         _check_probe_resolution(sequence, m, grid)
@@ -413,13 +398,10 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     rec_fwd = np.empty(n_rec)
     rec_bwd = np.empty(n_rec)
     rec_spin = np.empty(n_rec)
-    readouts = []
-    pending_reads = sorted((e for e in sequence.readout_events()
-                            if e[0] > state.t), key=lambda e: e[0])
     snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
     snapshots: list[SimState] = []
 
-    prop = _Propagator(m, state, detuning_c, detuning_a)
+    prop = _Propagator(m, state)
     i_rec = 0
 
     def record() -> None:
@@ -438,9 +420,6 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
         k = slice(2 * i, 2 * i + 3)
         prop.advance(state, n, inject[i], 0.0j,
                      omega_c[k].tolist(), omega_a[k].tolist())
-        while pending_reads and state.t >= pending_reads[0][0]:
-            _, omega_y, dt_read = pending_reads.pop(0)
-            readouts.append((state.t, switching_readout(state, omega_y, dt_read)))
         if n % every == 0:
             record()
         if n % _FINITE_CHECK_EVERY == 0:
@@ -453,7 +432,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     trace = DetectorTrace(
         t=rec_t[:i_rec], fwd_intensity=rec_fwd[:i_rec],
         bwd_intensity=rec_bwd[:i_rec], spin_norm=rec_spin[:i_rec],
-        annotations=tuple(sequence.events), readouts=tuple(readouts))
+        annotations=tuple(sequence.events))
     return trace, snapshots
 
 
@@ -475,10 +454,10 @@ def _check_initial_state(state: SimState, grid: Grid,
         raise ValueError(
             f"initial_state has {cells} cells on {state.grid} and {k} classes; "
             f"the run has {grid.cells} cells on {grid} and {len(classes)} classes")
-    ours = (state.deltas, state.weights, state.delta_opt)
+    ours = (state.deltas, state.weights)
     if not all(map(np.array_equal, ours, class_arrays(classes))):
-        raise ValueError("initial_state has other class detunings, weights or "
-                         "optical offsets than the run's classes")
+        raise ValueError("initial_state has other class detunings or weights "
+                         "than the run's classes")
 
 
 def _step_index(t: float, dt: float) -> int:
@@ -504,52 +483,25 @@ def _check_probe_resolution(sequence, m: MediumParams, grid: Grid) -> None:
             "16 or more are recommended", stacklevel=3)
 
 
-def switching_readout(state: SimState, omega_y: float, dt_read: float) -> float:
-    """Scalar diffracted-signal proxy for a photon-switching readout.
-
-    Returns D = f * N_S(t) where N_S is the spin-coherence norm and
-    f = omega_y^2 * dt_read is the depletion fraction (clamped to 1 with a
-    warning).  The stored coherence is depleted by the same fraction, in
-    place, so repeated readouts drain the memory.
-    """
-    if omega_y < 0.0:
-        raise ValueError(f"omega_y must be >= 0, got {omega_y!r}")
-    if dt_read < 0.0:
-        raise ValueError(f"dt_read must be >= 0, got {dt_read!r}")
-    fraction = omega_y * omega_y * dt_read
-    if fraction > 1.0:
-        warnings.warn(f"readout depletion fraction {fraction:.3g} clamped to 1",
-                      stacklevel=2)
-        fraction = 1.0
-    spin_norm = state.spin_norm()
-    if fraction > 0.0:
-        state.a[:, 2] *= math.sqrt(1.0 - fraction)
-    return fraction * spin_norm
-
-
-def balance_residual(omega_c: float, g_c: float, omega_a: float, g_a: float) -> float:
+def balance_residual(omega_c: float, omega_a: float) -> float:
     """Normalized imbalance of the two coupling channels in [0, 1].
 
-    |Omega_C/g_C - Omega_A/g_A| / (Omega_C/g_C + Omega_A/g_A); zero exactly
-    when the two ratios are equal.
+    |Omega_C - Omega_A| / (Omega_C + Omega_A); zero exactly when the two
+    Rabi frequencies are equal (both channels couple with sqrt(g2n)).
     """
-    if g_c <= 0.0 or g_a <= 0.0:
-        raise ValueError("coupling constants must be > 0")
     if omega_c < 0.0 or omega_a < 0.0:
         raise ValueError("Rabi frequencies must be >= 0")
-    rc = omega_c / g_c
-    ra = omega_a / g_a
-    if rc + ra == 0.0:
+    if omega_c + omega_a == 0.0:
         raise ValueError("at least one Rabi frequency must be nonzero")
-    return abs(rc - ra) / (rc + ra)
+    return abs(omega_c - omega_a) / (omega_c + omega_a)
 
 
 def effective_velocity(m: MediumParams, omega_c: float, omega_a: float) -> float:
     """Signed drift velocity of the doubly driven polariton.
 
-    c (Omega_C^2 - Omega_A^2) / (Omega_C^2 + Omega_A^2 + g2n), assuming
-    equal coupling constants for the two channels.  Zero exactly at
-    balance; equals group_velocity when Omega_A = 0.
+    c (Omega_C^2 - Omega_A^2) / (Omega_C^2 + Omega_A^2 + g2n), both
+    channels coupling with sqrt(g2n).  Zero exactly at balance; equals
+    group_velocity when Omega_A = 0.
     """
     if omega_c < 0.0 or omega_a < 0.0:
         raise ValueError("Rabi frequencies must be >= 0")

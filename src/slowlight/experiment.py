@@ -24,7 +24,7 @@ from .dynamics import (DetectorTrace, Grid, _check_probe_resolution,
                        _half_step_times, balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
 
-CHANNELS = ("P", "C", "A", "Y")
+CHANNELS = ("P", "C", "A")
 SHAPES = ("rect", "raised_cosine", "gaussian")
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
@@ -35,7 +35,7 @@ _BRANCH_CHUNK = 1024  # steps per drive comparison in _branch_step
 class PulseEvent:
     """One timed envelope event on a channel.
 
-    peak is a Rabi frequency in rad/us for C/A/Y and a probe amplitude for
+    peak is a Rabi frequency in rad/us for C/A and a probe amplitude for
     P.  shape_param is the ramp length for raised_cosine and the FWHM for
     gaussian; it is ignored for rect.
     """
@@ -46,7 +46,6 @@ class PulseEvent:
     peak: float
     shape: str = "rect"
     shape_param: float = 0.0
-    detuning: float = 0.0
 
     def __post_init__(self) -> None:
         if self.channel not in CHANNELS:
@@ -113,9 +112,6 @@ class PulseSequence:
             for a, b in zip(evs, evs[1:]):
                 if b.t_start < a.t_end - 1e-12:
                     raise ValueError(f"overlapping events on channel {channel}")
-            # a run holds one detuning per coupling channel
-            if channel in ("C", "A") and len({e.detuning for e in evs}) > 1:
-                raise ValueError(f"events on channel {channel} disagree on detuning")
 
     def channel_envelope(self, channel: str, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -131,20 +127,14 @@ class PulseSequence:
     def drive_samples(self, t: np.ndarray):
         omega_c = self.channel_envelope("C", t).astype(complex)
         omega_a = self.channel_envelope("A", t).astype(complex)
-        det_c = next((e.detuning for e in self.events if e.channel == "C"), 0.0)
-        det_a = next((e.detuning for e in self.events if e.channel == "A"), 0.0)
-        return omega_c, omega_a, det_c, det_a
-
-    def readout_events(self) -> list[tuple[float, float, float]]:
-        return [(e.t_start, e.peak, e.duration)
-                for e in self.events if e.channel == "Y"]
+        return omega_c, omega_a
 
 
 @dataclass
 class ProtocolParams:
-    """Everything needed to build one of the standard sequences."""
+    """Everything needed to build one of the standard sequences; the
+    protocol itself is the `kind` argument of standard_sequence."""
 
-    kind: str = "slow_light"
     probe_duration_us: float = 10.0     # gaussian FWHM (or rect duration)
     probe_amplitude: float = 1.0
     probe_start_us: float = 0.0
@@ -278,10 +268,8 @@ def _branch_step(sequence: PulseSequence, trunk: PulseSequence, dt: float,
     """
     for n in range(0, n_steps, _BRANCH_CHUNK):
         t = _half_step_times(dt, n, min(n + _BRANCH_CHUNK, n_steps))
-        omega_c, omega_a, det_c, det_a = sequence.drive_samples(t)
-        t_omega_c, t_omega_a, t_det_c, t_det_a = trunk.drive_samples(t)
-        if (det_c, det_a) != (t_det_c, t_det_a):
-            return 0  # the propagators differ from the first step on
+        omega_c, omega_a = sequence.drive_samples(t)
+        t_omega_c, t_omega_a = trunk.drive_samples(t)
         differ = (omega_c != t_omega_c) | (omega_a != t_omega_a)
         differ |= sequence.probe_samples(t) != trunk.probe_samples(t)
         if differ.any():
@@ -301,7 +289,7 @@ def _run_point(args):
             (trunk.t, branch.t), (trunk.fwd_intensity, branch.fwd_intensity),
             (trunk.bwd_intensity, branch.bwd_intensity),
             (trunk.spin_norm, branch.spin_norm))),
-        annotations=branch.annotations, readouts=branch.readouts)
+        annotations=branch.annotations)
     t_peak, peak = released_peak(trace, sequence.release_time_us + guard)
     return trace, t_peak, peak
 
@@ -317,13 +305,12 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     bit for bit.  threads > 1 runs the branches in a thread pool.  Each
     distinct warning raised while building the points' sequences or
     checking the probe resolution is raised once, blamed on the caller of
-    the public sweep.  Standard sequences carry no readout events, so a
-    spliced trace takes the branch's readouts.
+    the public sweep.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sequences = [standard_sequence(kind, replace(
-            base, kind=kind, t_end_us=None, **{field: float(v)}))
+            base, t_end_us=None, **{field: float(v)}))
             for v in values]
         _check_probe_resolution(sequences[0], m, grid)
     for message, category in dict((str(w.message), w.category)
@@ -388,7 +375,7 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
         raise ValueError("a_durations must be non-empty")
     if any(d <= 0.0 for d in a_durations):
         raise ValueError("durations must be > 0")
-    # rejects negative or all-zero couplings; both channels couple with sqrt(g2n)
-    balance_residual(base.omega_c, 1.0, base.omega_a, 1.0)
+    # rejects negative or all-zero couplings
+    balance_residual(base.omega_c, base.omega_a)
     return _sweep("stationary", "a_duration_us", a_durations, base, m, grid,
                   classes, keep_traces, threads)

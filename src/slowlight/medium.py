@@ -36,14 +36,13 @@ class SpectralClass:
     """One spin-detuning sample of the inhomogeneous ensemble.
 
     delta_j is the two-photon (spin) detuning in rad/us, weight the
-    quadrature weight (the full ensemble sums to one).  delta_opt is an
-    optional optical-detuning offset; it defaults to zero because spectral
-    hole burning prepares a narrow optical feature.
+    quadrature weight (the full ensemble sums to one).  Every class is
+    optically resonant: spectral hole burning prepares a narrow optical
+    feature.
     """
 
     delta_j: float
     weight: float
-    delta_opt: float = 0.0
 
 
 @dataclass
@@ -164,17 +163,16 @@ def make_spectral_classes(delta_s_khz: float, n: int,
     return [SpectralClass(float(d), float(w)) for d, w in zip(deltas, weights)]
 
 
-def class_arrays(classes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack a class list into (delta_j, weight, delta_opt) arrays."""
+def class_arrays(classes) -> tuple[np.ndarray, np.ndarray]:
+    """Unpack a class list into (delta_j, weight) arrays."""
     deltas = np.array([c.delta_j for c in classes], dtype=float)
     weights = np.array([c.weight for c in classes], dtype=float)
-    delta_opt = np.array([c.delta_opt for c in classes], dtype=float)
-    return deltas, weights, delta_opt
+    return deltas, weights
 
 
 def free_decay_envelope(classes, t) -> np.ndarray:
     """|sum_j w_j exp(i delta_j t)|, the free dephasing envelope."""
-    deltas, weights, _ = class_arrays(classes)
+    deltas, weights = class_arrays(classes)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phases = np.exp(1j * np.outer(t, deltas))
     return np.abs(phases @ weights)
@@ -202,14 +200,14 @@ def susceptibility(delta_p, omega_c: float, m: MediumParams,
     scalar = dp.ndim == 0
     dp = np.atleast_1d(dp)
 
-    deltas, weights, delta_opt = class_arrays(classes)
+    deltas, weights = class_arrays(classes)
     gs = m.gamma_spin
     go = m.gamma_opt
     chi = np.zeros(dp.shape, dtype=complex)
     coupling = 0.25 * omega_c * omega_c
-    for dj, w, dopt in zip(deltas, weights, delta_opt):
+    opt = go - 1j * dp
+    for dj, w in zip(deltas, weights):
         spin = gs - 1j * (dp - dj)
-        opt = go - 1j * (dp - dopt)
         den = opt * spin + coupling
         with np.errstate(divide="ignore", invalid="ignore"):
             term = 1j * go * spin / den

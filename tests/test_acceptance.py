@@ -46,7 +46,7 @@ def memory_tau():
     m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
     grid = Grid(cells=32)
     classes = make_spectral_classes(30.0, 64, "lorentzian")
-    base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=10.0,
+    base = ProtocolParams(omega_c=2.0, probe_duration_us=10.0,
                           c_off_us=30.0, c_ramp_us=2.0,
                           release_window_us=18.0, sample_rate=20.0,
                           peak_guard_us=1.0)
@@ -60,7 +60,7 @@ def _trapping_sweep(omega_a_over_c: float) -> float:
     grid = Grid(cells=72)
     classes = make_spectral_classes(30.0, 64, "lorentzian")
     omega_c = math.sqrt(20.0)  # strong enough to lock the spin ensemble
-    base = ProtocolParams(kind="stationary", omega_c=omega_c,
+    base = ProtocolParams(omega_c=omega_c,
                           omega_a=omega_a_over_c * omega_c,
                           probe_duration_us=10.0, p_a_delay_us=33.0,
                           release_window_us=35.0, sample_rate=10.0,
@@ -97,7 +97,7 @@ def test_criterion_3_trapping_extends_storage(memory_tau, balanced_trap_tau):
 
 
 def test_criterion_4_balance_sensitivity(balanced_trap_tau):
-    residual = balance_residual(math.sqrt(20.0), 1.0, 2.0 * math.sqrt(20.0), 1.0)
+    residual = balance_residual(math.sqrt(20.0), 2.0 * math.sqrt(20.0))
     assert residual == pytest.approx(1.0 / 3.0)
     imbalanced_tau = _trapping_sweep(2.0)
     ok = imbalanced_tau <= balanced_trap_tau / 2.0
@@ -109,7 +109,7 @@ def test_criterion_5_slow_light_delay():
     grid = Grid(cells=64)
     classes = make_spectral_classes(30.0, 32, "lorentzian")
     omega_c = 1.7
-    p = ProtocolParams(kind="slow_light", omega_c=omega_c,
+    p = ProtocolParams(omega_c=omega_c,
                        probe_duration_us=20.0, sample_rate=20.0,
                        release_window_us=30.0)
     seq = standard_sequence("slow_light", p)
@@ -202,7 +202,7 @@ def _linearity_case(rng) -> float:
                                         gamma_opt=1.0, c=4.0)
     grid = Grid(cells=12)
     alpha = rng.uniform(0.05, 3.0)
-    p1 = ProtocolParams(kind="slow_light", omega_c=rng.uniform(0.5, 2.5),
+    p1 = ProtocolParams(omega_c=rng.uniform(0.5, 2.5),
                         probe_duration_us=1.5, probe_amplitude=1.0,
                         t_end_us=6.0, sample_rate=50.0)
     with warnings.catch_warnings():

@@ -118,7 +118,7 @@ COMPANIONS = {"power_C_mw": "rabi_per_sqrt_mw = 1",
 def _built(cfg):
     """Everything a run takes from the [medium], [grid] and [protocol] keys."""
     return (build_medium(cfg), build_classes(cfg), build_protocol(cfg),
-            cfg.grid.cells)
+            cfg.grid.cells, cfg.protocol.kind)
 
 
 class TestParseConfig:
@@ -252,9 +252,8 @@ class TestParseConfig:
         m = build_medium(cfg)
         assert m.optical_depth == pytest.approx(20.0)
         assert m.c == pytest.approx(5.0)
-        protocol = build_protocol(cfg)
-        assert protocol.kind == "slow_light"
-        assert protocol.omega_c == 1.5
+        assert cfg.protocol.kind == "slow_light"
+        assert build_protocol(cfg).omega_c == 1.5
 
 
 @pytest.fixture()

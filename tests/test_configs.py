@@ -25,7 +25,7 @@ def _memory_inputs():
     """Criterion 2: the storage-delay sweep of the memory protocol."""
     m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
     classes = make_spectral_classes(30.0, 64, "lorentzian")
-    base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=10.0,
+    base = ProtocolParams(omega_c=2.0, probe_duration_us=10.0,
                           c_off_us=30.0, c_ramp_us=2.0,
                           release_window_us=18.0, sample_rate=20.0,
                           peak_guard_us=1.0)
@@ -37,7 +37,7 @@ def _trapping_inputs(omega_a_over_c: float):
     m = MediumParams.from_optical_depth(800.0, gamma_opt=1.0, c=4.0)
     classes = make_spectral_classes(30.0, 64, "lorentzian")
     omega_c = math.sqrt(20.0)
-    base = ProtocolParams(kind="stationary", omega_c=omega_c,
+    base = ProtocolParams(omega_c=omega_c,
                           omega_a=omega_a_over_c * omega_c,
                           probe_duration_us=10.0, p_a_delay_us=33.0,
                           release_window_us=35.0, sample_rate=10.0,

@@ -1,12 +1,12 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from slowlight.analysis import fit_decay
-from slowlight.dynamics import Grid, SimState, run_dynamics, switching_readout
+from slowlight.dynamics import Grid, run_dynamics
 from slowlight.experiment import (ProtocolParams, PulseEvent, PulseSequence,
                                   released_peak, standard_sequence,
                                   sweep_delay, sweep_duration)
@@ -17,8 +17,9 @@ SINGLE = make_spectral_classes(0.0, 1, "single")
 
 class TestPulseEvent:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PulseEvent("X", 0.0, 1.0, 1.0)
+        for channel in ("X", "Y"):
+            with pytest.raises(ValueError, match="channel"):
+                PulseEvent(channel, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             PulseEvent("P", 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -65,23 +66,10 @@ class TestPulseSequence:
             PulseSequence(events=[PulseEvent("C", 0.0, 5.0, 1.0),
                                   PulseEvent("C", 4.0, 3.0, 1.0)], t_end_us=10.0)
 
-    @pytest.mark.parametrize("channel", ["C", "A"])
-    def test_rejects_detuning_conflict_on_coupling_channel(self, channel):
-        with pytest.raises(ValueError, match="detuning"):
-            PulseSequence(events=[PulseEvent(channel, 0.0, 4.0, 1.0, detuning=0.5),
-                                  PulseEvent(channel, 5.0, 3.0, 1.0)],
-                          t_end_us=10.0)
-        seq = PulseSequence(events=[PulseEvent(channel, 0.0, 4.0, 1.0, detuning=0.5),
-                                    PulseEvent(channel, 5.0, 3.0, 2.0, detuning=0.5),
-                                    PulseEvent("Y", 6.0, 1.0, 0.4, detuning=9.0)],
-                            t_end_us=10.0)
-        detunings = seq.drive_samples(np.array([0.0]))[2:]
-        assert detunings == ((0.5, 0.0) if channel == "C" else (0.0, 0.5))
-
 
 class TestStandardSequence:
     def test_stationary_backward_onset_delay(self):
-        p = ProtocolParams(kind="stationary", omega_c=1.0, omega_a=1.0,
+        p = ProtocolParams(omega_c=1.0, omega_a=1.0,
                            probe_start_us=2.0, p_a_delay_us=3.0,
                            a_duration_us=4.0)
         with pytest.warns(UserWarning, match="before the probe"):
@@ -91,13 +79,13 @@ class TestStandardSequence:
         assert a_events[0].t_start == 5.0  # probe start + 3 us
 
     def test_stationary_warns_when_a_fires_during_injection(self):
-        p = ProtocolParams(kind="stationary", omega_c=1.0, omega_a=1.0,
+        p = ProtocolParams(omega_c=1.0, omega_a=1.0,
                            p_a_delay_us=3.0, a_duration_us=4.0)
         with pytest.warns(UserWarning, match="before the probe"):
             standard_sequence("stationary", p)
 
     def test_memory_zero_delay_is_contiguous(self):
-        p = ProtocolParams(kind="memory", omega_c=1.0, storage_t_us=0.0,
+        p = ProtocolParams(omega_c=1.0, storage_t_us=0.0,
                            c_off_us=31.0)
         seq = standard_sequence("memory", p)
         c_events = [e for e in seq.events if e.channel == "C"]
@@ -106,7 +94,7 @@ class TestStandardSequence:
 
     @pytest.mark.parametrize("t_store", [0.0, 7.5, 22.0])
     def test_memory_dark_interval_equals_delay_exactly(self, t_store):
-        p = ProtocolParams(kind="memory", omega_c=1.2, storage_t_us=t_store,
+        p = ProtocolParams(omega_c=1.2, storage_t_us=t_store,
                            c_off_us=31.0, c_ramp_us=2.0)
         seq = standard_sequence("memory", p)
         first, second = (e for e in seq.events if e.channel == "C")
@@ -116,7 +104,7 @@ class TestStandardSequence:
             assert np.all(seq.channel_envelope("C", gap) == 0.0)
 
     def test_memory_retrieval_amplitude_scaled(self):
-        p = ProtocolParams(kind="memory", omega_c=1.0, storage_t_us=5.0,
+        p = ProtocolParams(omega_c=1.0, storage_t_us=5.0,
                            c_off_us=31.0)
         seq = standard_sequence("memory", p)
         first, second = (e for e in seq.events if e.channel == "C")
@@ -127,6 +115,41 @@ class TestStandardSequence:
             standard_sequence("echo", ProtocolParams())
         with pytest.raises(ValueError):
             standard_sequence("memory", ProtocolParams(storage_t_us=-1.0))
+
+    # each ProtocolParams field moved off its default, except peak_guard_us,
+    # which only the sweeps read
+    MOVED = {"probe_duration_us": 4.0, "probe_amplitude": 0.5,
+             "probe_start_us": 1.0, "probe_shape": "rect", "omega_c": 0.5,
+             "omega_a": 0.3, "retrieval_scale": 1.25, "p_a_delay_us": 2.0,
+             "storage_t_us": 4.0, "a_duration_us": 5.0, "c_off_us": 6.0,
+             "c_ramp_us": 0.25, "release_window_us": 40.0, "sample_rate": 7.0,
+             "t_end_us": 50.0}
+
+    def test_every_protocol_field_changes_a_sequence(self):
+        assert set(self.MOVED) | {"peak_guard_us"} == \
+            {f.name for f in fields(ProtocolParams)}
+        kinds = ("slow_light", "memory", "stationary")
+
+        def built(p):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return [standard_sequence(kind, p) for kind in kinds]
+
+        base = built(ProtocolParams())
+        for name, value in self.MOVED.items():
+            assert built(ProtocolParams(**{name: value})) != base, name
+        # peak_guard_us moves where the sweep looks for the released peak
+        m, grid, classes = _mini_setup(n_classes=2, cells=16)
+        p = ProtocolParams(omega_c=2.0, probe_duration_us=4.0, c_off_us=13.0,
+                           release_window_us=8.0)
+        peak_times = []
+        for guard in (ProtocolParams.peak_guard_us, 6.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = sweep_delay([3.0], replace(p, peak_guard_us=guard),
+                                     m, grid, classes)
+            peak_times.append(result.peak_times[0])
+        assert peak_times[1] > peak_times[0] + 1.0
 
 
 def _mini_setup(optical_depth=40.0, n_classes=4, cells=24):
@@ -139,7 +162,7 @@ def _mini_setup(optical_depth=40.0, n_classes=4, cells=24):
 class TestRunExperiment:
     def test_zero_probe_zero_trace(self):
         m, grid, classes = _mini_setup()
-        p = ProtocolParams(kind="slow_light", omega_c=1.5, probe_amplitude=0.0,
+        p = ProtocolParams(omega_c=1.5, probe_amplitude=0.0,
                            probe_duration_us=4.0, t_end_us=14.0)
         with pytest.warns(UserWarning, match="probe pulse spans"):
             trace, _ = run_dynamics(standard_sequence("slow_light", p),
@@ -150,12 +173,11 @@ class TestRunExperiment:
         m, grid, classes = _mini_setup()
         common = dict(omega_c=1.5, probe_duration_us=4.0, t_end_us=16.0,
                       sample_rate=20.0)
-        slow = standard_sequence("slow_light", ProtocolParams(
-            kind="slow_light", **common))
+        slow = standard_sequence("slow_light", ProtocolParams(**common))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             freeze = standard_sequence("stationary", ProtocolParams(
-                kind="stationary", omega_a=0.0, a_duration_us=5.0, **common))
+                omega_a=0.0, a_duration_us=5.0, **common))
             t_slow, _ = run_dynamics(slow, m, grid, classes)
             t_frozen, _ = run_dynamics(freeze, m, grid, classes)
         assert np.array_equal(t_slow.fwd_intensity, t_frozen.fwd_intensity)
@@ -164,7 +186,7 @@ class TestRunExperiment:
 
     def test_marker_integrity(self):
         m, grid, classes = _mini_setup()
-        p = ProtocolParams(kind="memory", omega_c=1.5, probe_duration_us=4.0,
+        p = ProtocolParams(omega_c=1.5, probe_duration_us=4.0,
                            storage_t_us=3.0, c_off_us=13.0,
                            release_window_us=10.0)
         seq = standard_sequence("memory", p)
@@ -178,7 +200,7 @@ class TestRunExperiment:
 class TestSweepDelay:
     def test_input_validation(self):
         m, grid, classes = _mini_setup()
-        base = ProtocolParams(kind="memory", omega_c=1.5)
+        base = ProtocolParams(omega_c=1.5)
         with pytest.raises(ValueError):
             sweep_delay([], base, m, grid, classes)
         with pytest.raises(ValueError):
@@ -190,7 +212,7 @@ class TestSweepDelay:
         m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0,
                                             t2_spin=25.0)
         grid = Grid(cells=24)
-        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=6.0,
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=6.0,
                               c_off_us=19.0, c_ramp_us=1.5,
                               release_window_us=12.0, sample_rate=20.0)
         delays = np.array([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
@@ -206,7 +228,7 @@ class TestSweepDelay:
         # a 24-class ensemble resolves the dephasing decay out to ~4 half
         # lives; within that range the retrieved peaks fall monotonically
         m, grid, classes = _mini_setup(n_classes=24)
-        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=6.0,
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=6.0,
                               c_off_us=19.0, c_ramp_us=1.5,
                               release_window_us=12.0, sample_rate=20.0)
         with pytest.warns(UserWarning, match="probe pulse spans"):
@@ -216,7 +238,7 @@ class TestSweepDelay:
 
     def test_threads_do_not_change_results(self):
         m, grid, classes = _mini_setup(n_classes=2)
-        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0)
         with pytest.warns(UserWarning, match="probe pulse spans"):
             serial = sweep_delay([0.0, 2.0, 4.0], base, m, grid, classes,
@@ -230,7 +252,7 @@ class TestSweepDelay:
 class TestSweepDuration:
     def test_input_validation(self):
         m, grid, classes = _mini_setup()
-        base = ProtocolParams(kind="stationary", omega_c=1.0, omega_a=1.0)
+        base = ProtocolParams(omega_c=1.0, omega_a=1.0)
         with pytest.raises(ValueError):
             sweep_duration([], base, m, grid, classes)
         with pytest.raises(ValueError):
@@ -242,7 +264,7 @@ class TestSweepDuration:
 
     def test_backward_coupling_warning_once_per_sweep(self):
         m, grid, classes = _mini_setup(n_classes=2, cells=16)
-        base = ProtocolParams(kind="stationary", omega_c=2.0, omega_a=2.0,
+        base = ProtocolParams(omega_c=2.0, omega_a=2.0,
                               probe_duration_us=4.0, p_a_delay_us=3.0,
                               release_window_us=12.0, sample_rate=10.0)
         with warnings.catch_warnings(record=True) as record:
@@ -258,12 +280,11 @@ class TestSweepDuration:
         classes = make_spectral_classes(30.0, 4, "lorentzian")
         common = dict(omega_c=2.0, probe_duration_us=6.0, sample_rate=20.0,
                       release_window_us=40.0, peak_guard_us=1.0)
-        slow_seq = standard_sequence("slow_light", ProtocolParams(
-            kind="slow_light", **common))
+        slow_seq = standard_sequence("slow_light", ProtocolParams(**common))
         with pytest.warns(UserWarning, match="probe pulse spans"):
             slow_trace, _ = run_dynamics(slow_seq, m, grid, classes)
         _, slow_peak = released_peak(slow_trace, 1.0)
-        base = ProtocolParams(kind="stationary", omega_a=2.0,
+        base = ProtocolParams(omega_a=2.0,
                               p_a_delay_us=20.0, **common)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -275,7 +296,7 @@ def _independent(kind, field, values, base, m, grid, classes):
     """(trace, t_peak, peak) of each point run on its own from t = 0."""
     out = []
     for value in values:
-        p = replace(base, kind=kind, t_end_us=None, **{field: value})
+        p = replace(base, t_end_us=None, **{field: value})
         seq = standard_sequence(kind, p)
         trace, _ = run_dynamics(seq, m, grid, classes)
         out.append((trace, *released_peak(trace, seq.release_time_us
@@ -305,7 +326,7 @@ class TestBranchedSweeps:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_delay_sweep_matches_independent_runs(self, threads):
         m, grid, classes = _mini_setup(n_classes=2, cells=16)
-        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
                               release_window_us=8.0, sample_rate=20.0)
         with warnings.catch_warnings(record=True) as record:
@@ -324,7 +345,7 @@ class TestBranchedSweeps:
     def test_duration_sweep_matches_independent_runs(self):
         m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=2,
                                        cells=16)
-        base = ProtocolParams(kind="stationary", omega_c=2.0, omega_a=2.0,
+        base = ProtocolParams(omega_c=2.0, omega_a=2.0,
                               probe_duration_us=4.0, p_a_delay_us=13.0,
                               release_window_us=8.0, sample_rate=10.0)
         durations = [2.0, 0.5, 3.5, 2.0]
@@ -344,7 +365,7 @@ class TestBranchedSweeps:
 
     def test_single_point_is_its_own_trunk(self):
         m, grid, classes = _mini_setup(n_classes=2, cells=16)
-        base = ProtocolParams(kind="memory", omega_c=2.0, probe_duration_us=4.0,
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -353,64 +374,3 @@ class TestBranchedSweeps:
             _assert_same(result, _independent(
                 "memory", "storage_t_us", [3.0], base, m, grid, classes))
         assert result.simulated_steps == result.independent_steps == 1920
-
-
-class TestSwitchingReadout:
-    def _stored_state(self, amplitude=0.1):
-        grid = Grid(cells=16)
-        classes = make_spectral_classes(30.0, 4, "lorentzian")
-        state = SimState.zeros(grid, classes)
-        z = grid.z
-        state.s[:, :] = amplitude * np.exp(-(((z[:, None] - 0.5) / 0.2) ** 2))
-        return state
-
-    def test_nothing_stored_reads_zero(self):
-        state = SimState.zeros(Grid(cells=8), SINGLE)
-        assert switching_readout(state, 1.0, 0.5) == 0.0
-
-    def test_zero_power_reads_zero_and_keeps_state(self):
-        state = self._stored_state()
-        before = state.s.copy()
-        assert switching_readout(state, 0.0, 1.0) == 0.0
-        assert np.array_equal(state.s, before)
-
-    def test_reads_fraction_and_depletes(self):
-        state = self._stored_state()
-        norm0 = state.spin_norm()
-        signal = switching_readout(state, 0.5, 1.0)  # fraction 0.25
-        assert signal == pytest.approx(0.25 * norm0)
-        assert state.spin_norm() == pytest.approx(0.75 * norm0)
-
-    def test_overdraw_clamped_with_warning(self):
-        state = self._stored_state()
-        norm0 = state.spin_norm()
-        with pytest.warns(UserWarning, match="clamped"):
-            signal = switching_readout(state, 3.0, 1.0)
-        assert signal == pytest.approx(norm0)
-        assert state.spin_norm() == pytest.approx(0.0, abs=1e-30)
-
-    def test_prompt_readout_beats_idle_memory(self):
-        # idle storage decays the coherence, so a prompt readout returns a
-        # strictly larger diffracted signal than one after three dephasing
-        # times of idle memory
-        gamma_spin = 1.0 / 500.0
-        state_now = self._stored_state()
-        state_idle = self._stored_state()
-        idle = 3.0 * 1000.0 / (math.pi * 30.0)
-        decay = np.exp(-(0.5 * gamma_spin + 1j * state_idle.deltas) * idle)
-        state_idle.s[:] *= decay[None, :]
-        d_now = switching_readout(state_now, 0.3, 1.0)
-        d_idle = switching_readout(state_idle, 0.3, 1.0)
-        assert d_now > d_idle
-
-    def test_readout_event_recorded_in_trace(self):
-        m, grid, classes = _mini_setup()
-        events = [PulseEvent("P", 0.0, 12.0, 1.0, "gaussian", 4.0),
-                  PulseEvent("C", 0.0, 20.0, 1.5),
-                  PulseEvent("Y", 15.0, 1.0, 0.4, detuning=6.28)]
-        seq = PulseSequence(events=events, t_end_us=20.0, sample_rate=20.0)
-        trace, _ = run_dynamics(seq, m, grid, classes)
-        assert len(trace.readouts) == 1
-        t_read, signal = trace.readouts[0]
-        assert t_read == pytest.approx(15.0, abs=0.05)
-        assert signal > 0.0
