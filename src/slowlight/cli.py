@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__
 from .analysis import fit_decay
 from .config import (Config, ConfigError, build_classes, build_medium,
-                     build_protocol, parse_config, render_config,
-                     resolved_omegas)
+                     build_protocol, parse_config, render_config)
 from .dynamics import Grid, NumericalAbort, run_dynamics
 from .experiment import standard_sequence, sweep_delay, sweep_duration
 from .medium import susceptibility
@@ -143,9 +142,7 @@ def cmd_spectrum(args) -> int:
     cfg, _text, sha = _load_config(args.config)
     m = build_medium(cfg)
     classes = build_classes(cfg)
-    omega_c = cfg.spectrum.omega_c
-    if omega_c is None:
-        omega_c, _ = resolved_omegas(cfg)
+    omega_c = cfg.protocol.omega_c
     span = cfg.spectrum.span_rad_per_us
     detunings = np.linspace(-span, span, cfg.spectrum.points)
     t0 = time.perf_counter()

@@ -50,11 +50,8 @@ def _key(default, check=None, name: str | None = None, required: bool = False):
 
 @dataclass
 class MediumConfig:
-    # gamma_opt None: 1/t1_opt_us
-    gamma_opt: float | None = _key(MediumParams.gamma_opt, _positive)
-    gamma_spin: float | None = _key(MediumParams.gamma_spin, _nonneg)
-    t2_spin_us: float = _key(MediumParams.t2_spin, _positive)
-    t1_opt_us: float = _key(MediumParams.t1_opt, _positive)
+    gamma_opt: float = _key(MediumParams.gamma_opt, _positive)
+    gamma_spin: float = _key(MediumParams.gamma_spin, _nonneg)
     delta_s_khz: float = _key(30.0, _nonneg, "delta_S_khz")
     distribution: str = _key("lorentzian", ("lorentzian", "gaussian", "single"))
     n_classes: int = _key(64, lambda v: v >= 1)
@@ -77,11 +74,8 @@ class ProtocolConfig:
     probe_start_us: float = _key(ProtocolParams.probe_start_us, _nonneg)
     probe_shape: str = _key(ProtocolParams.probe_shape,
                             ("gaussian", "rect", "raised_cosine"))
-    omega_c: float | None = _key(None, _nonneg, "omega_C")
-    omega_a: float | None = _key(None, _nonneg, "omega_A")
-    power_c_mw: float | None = _key(None, _nonneg, "power_C_mw")
-    power_a_mw: float | None = _key(None, _nonneg, "power_A_mw")
-    rabi_per_sqrt_mw: float | None = _key(None, _positive)
+    omega_c: float = _key(1.0, _nonneg, "omega_C")
+    omega_a: float = _key(ProtocolParams.omega_a, _nonneg, "omega_A")
     retrieval_scale: float = _key(ProtocolParams.retrieval_scale, _positive)
     p_a_delay_us: float = _key(ProtocolParams.p_a_delay_us, _nonneg)
     storage_t_us: float = _key(ProtocolParams.storage_t_us, _nonneg, "storage_T_us")
@@ -100,7 +94,6 @@ class SweepConfig:
 
 @dataclass
 class SpectrumConfig:
-    omega_c: float | None = _key(None, _nonneg, "omega_C")
     span_rad_per_us: float = _key(5.0, _positive)
     points: int = _key(801, lambda v: v >= 3)
 
@@ -151,7 +144,7 @@ def _convert(raw: str, kind: str, line: int, key: str):
                 return ()
             return tuple(float(x) for x in raw.replace(",", " ").split())
         return raw
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r} as {kind}",
                           "syntax", line) from None
 
@@ -203,23 +196,11 @@ def parse_config(text: str) -> Config:
             if f.metadata["required"] and (section, key) not in seen:
                 raise ConfigError(f"missing required key {key!r} in "
                                   f"section [{section}]", "missing")
-    if ("medium", "gamma_spin") in seen and ("medium", "t2_spin_us") in seen:
-        raise ConfigError("give either gamma_spin or t2_spin_us, not both",
-                          "range")
     _cross_validate(cfg)
     return cfg
 
 
 def _cross_validate(cfg: Config) -> None:
-    p = cfg.protocol
-    spelling = {f.name: key for key, f in _keys(ProtocolConfig).items()}
-    for omega, power in (("omega_c", "power_c_mw"), ("omega_a", "power_a_mw")):
-        if getattr(p, omega) is not None and getattr(p, power) is not None:
-            raise ConfigError(f"give either {spelling[omega]} or "
-                              f"{spelling[power]}, not both", "range")
-    if (p.power_c_mw is not None or p.power_a_mw is not None) \
-            and p.rabi_per_sqrt_mw is None:
-        raise ConfigError("power_*_mw keys need rabi_per_sqrt_mw", "missing")
     if cfg.medium.distribution == "single" and cfg.medium.n_classes != 1:
         raise ConfigError("distribution 'single' requires n_classes = 1", "range")
     if cfg.sweep.parameter and not cfg.sweep.values:
@@ -235,9 +216,6 @@ def render_config(cfg: Config) -> str:
             value = getattr(obj, f.name)
             if value is None or value == () or value == "":
                 continue
-            if (section, f.name) == ("medium", "t2_spin_us") \
-                    and cfg.medium.gamma_spin is not None:
-                continue  # the explicit rate supersedes the time constant
             if isinstance(value, bool):
                 rendered = "true" if value else "false"
             elif isinstance(value, float):
@@ -254,27 +232,12 @@ def render_config(cfg: Config) -> str:
     return "\n".join(out)
 
 
-def resolved_omegas(cfg: Config) -> tuple[float, float]:
-    """Coupling Rabi frequencies, from direct values or power calibration."""
-    p = cfg.protocol
-    cal = p.rabi_per_sqrt_mw
-    omega_c = p.omega_c
-    if omega_c is None:
-        omega_c = cal * math.sqrt(p.power_c_mw) if p.power_c_mw is not None else 1.0
-    omega_a = p.omega_a
-    if omega_a is None:
-        omega_a = cal * math.sqrt(p.power_a_mw) if p.power_a_mw is not None else 0.0
-    return omega_c, omega_a
-
-
 def build_medium(cfg: Config) -> MediumParams:
     mc = cfg.medium
     return MediumParams.from_optical_depth(
         mc.optical_depth,
         gamma_opt=mc.gamma_opt,
         gamma_spin=mc.gamma_spin,
-        t2_spin=mc.t2_spin_us,
-        t1_opt=mc.t1_opt_us,
         c=1.0 / mc.transit_time_us,
     )
 
@@ -285,9 +248,7 @@ def build_classes(cfg: Config):
 
 
 def build_protocol(cfg: Config) -> ProtocolParams:
-    """ProtocolParams from the [protocol] and [grid] keys of the same names,
-    with the coupling Rabi frequencies resolved (see resolved_omegas)."""
+    """ProtocolParams from the [protocol] and [grid] keys of the same names."""
     given = {**vars(cfg.grid), **vars(cfg.protocol)}
-    given["omega_c"], given["omega_a"] = resolved_omegas(cfg)
     return ProtocolParams(**{f.name: given[f.name]
                              for f in dc_fields(ProtocolParams)})

@@ -202,16 +202,15 @@ def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
         release = t_on
     else:
         a_on = p.probe_start_us + p.p_a_delay_us
-        if a_on < p.probe_end_us:
-            warnings.warn("backward coupling turns on before the probe "
-                          "finishes injecting", stacklevel=2)
         a_off = a_on + p.a_duration_us
         t_end = p.t_end_us if p.t_end_us is not None else \
             a_off + p.release_window_us
         events.append(PulseEvent("C", 0.0, t_end, p.omega_c))
-        if p.a_duration_us > 0.0 or p.omega_a > 0.0:
-            duration = p.a_duration_us if p.a_duration_us > 0.0 else 1e-9
-            events.append(PulseEvent("A", a_on, duration, p.omega_a))
+        if p.a_duration_us > 0.0:
+            if a_on < p.probe_end_us:
+                warnings.warn("backward coupling turns on before the probe "
+                              "finishes injecting", stacklevel=2)
+            events.append(PulseEvent("A", a_on, p.a_duration_us, p.omega_a))
         release = a_off
     return PulseSequence(events=events, t_end_us=t_end,
                          sample_rate=p.sample_rate,

@@ -49,9 +49,9 @@ class SpectralClass:
 class MediumParams:
     """Decay rates, coupling strength and light speed of the medium.
 
-    gamma_opt / gamma_spin are the optical and spin decay rates entering the
-    equations of motion as gamma/2 on the respective amplitudes.  When not
-    given they default to 1/t1_opt and 1/t2_spin.  g2n is the collective
+    gamma_opt / gamma_spin are the optical and spin decay rates in rad/us,
+    entering the equations of motion as gamma/2 on the respective
+    amplitudes; they default to 1/110 and 1/500.  g2n is the collective
     coupling strength g^2*N in rad^2/us^2, the same for both channels; use
     ``from_optical_depth`` to set it through the resonant optical depth
     d = g2n/(gamma_opt*c) of the unit-length medium.  The spin
@@ -59,22 +59,14 @@ class MediumParams:
     make_spectral_classes).
     """
 
-    t1_opt: float = 110.0
-    t2_spin: float = 500.0
-    gamma_opt: float | None = None
-    gamma_spin: float | None = None
+    gamma_opt: float = 1.0 / 110.0
+    gamma_spin: float = 1.0 / 500.0
     g2n: float = 0.0
     c: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("t1_opt", "t2_spin", "c"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.gamma_opt is None:
-            self.gamma_opt = 1.0 / self.t1_opt
-        if self.gamma_spin is None:
-            self.gamma_spin = 1.0 / self.t2_spin
+        if not (self.c > 0.0 and math.isfinite(self.c)):
+            raise ValueError(f"c must be strictly positive, got {self.c!r}")
         # Zero decay rates are accepted as the lossless idealization used
         # by conservation checks; negative rates never are.
         for name in ("gamma_opt", "gamma_spin"):

@@ -10,7 +10,7 @@ import pytest
 from slowlight.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from slowlight.config import (Config, ConfigError, build_classes,
                               build_medium, build_protocol, parse_config,
-                              render_config, resolved_omegas)
+                              render_config)
 
 MINIMAL = """
 [protocol]
@@ -67,8 +67,6 @@ values = 0, 3, 6
 EVERY_KEY = [
     ("medium", "gamma_opt", "0.5", "gamma_opt", 0.5),
     ("medium", "gamma_spin", "0.01", "gamma_spin", 0.01),
-    ("medium", "t2_spin_us", "250", "t2_spin_us", 250.0),
-    ("medium", "t1_opt_us", "3", "t1_opt_us", 3.0),
     ("medium", "delta_S_khz", "12.5", "delta_s_khz", 12.5),
     ("medium", "distribution", "gaussian", "distribution", "gaussian"),
     ("medium", "n_classes", "7", "n_classes", 7),
@@ -84,9 +82,6 @@ EVERY_KEY = [
     ("protocol", "probe_shape", "rect", "probe_shape", "rect"),
     ("protocol", "omega_C", "1.5", "omega_c", 1.5),
     ("protocol", "omega_A", "0.75", "omega_a", 0.75),
-    ("protocol", "power_C_mw", "4", "power_c_mw", 4.0),
-    ("protocol", "power_A_mw", "9", "power_a_mw", 9.0),
-    ("protocol", "rabi_per_sqrt_mw", "0.5", "rabi_per_sqrt_mw", 0.5),
     ("protocol", "retrieval_scale", "1.25", "retrieval_scale", 1.25),
     ("protocol", "p_a_delay_us", "2", "p_a_delay_us", 2.0),
     ("protocol", "storage_T_us", "4", "storage_t_us", 4.0),
@@ -97,22 +92,15 @@ EVERY_KEY = [
     ("protocol", "peak_guard_us", "0.5", "peak_guard_us", 0.5),
     ("sweep", "parameter", "a_duration_us", "parameter", "a_duration_us"),
     ("sweep", "values", "0, 1.5 3", "values", (0.0, 1.5, 3.0)),
-    ("spectrum", "omega_C", "0.5", "omega_c", 0.5),
     ("spectrum", "span_rad_per_us", "2", "span_rad_per_us", 2.0),
     ("spectrum", "points", "11", "points", 11),
     ("output", "dir", "runs/x", "dir", "runs/x"),
     ("output", "per_point_traces", "yes", "per_point_traces", True),
 ]
-# keys that exclude each other are set in different configurations
-EXCLUSIVE = ({("medium", "t2_spin_us"), ("protocol", "power_C_mw"),
-              ("protocol", "power_A_mw"), ("protocol", "rabi_per_sqrt_mw")},
-             {("medium", "gamma_spin"), ("protocol", "omega_C"),
-              ("protocol", "omega_A")})
-# what a key needs beside it to take effect alone, with values that make
-# the resolved Rabi frequency differ from the default
-COMPANIONS = {"power_C_mw": "rabi_per_sqrt_mw = 1",
-              "power_A_mw": "rabi_per_sqrt_mw = 1",
-              "rabi_per_sqrt_mw": "power_C_mw = 1"}
+# second spellings of the decay rates and Rabi frequencies, no longer keys
+REMOVED_KEYS = [("medium", "t2_spin_us"), ("medium", "t1_opt_us"),
+                ("protocol", "power_C_mw"), ("protocol", "power_A_mw"),
+                ("protocol", "rabi_per_sqrt_mw"), ("spectrum", "omega_C")]
 
 
 def _built(cfg):
@@ -127,22 +115,20 @@ class TestParseConfig:
         for section, obj in vars(default).items():
             listed = {attr for s, _, _, attr, _ in EVERY_KEY if s == section}
             assert listed == {f.name for f in fields(obj)}, section
-        for left_out in EXCLUSIVE:
-            keys = [k for k in EVERY_KEY if k[:2] not in left_out]
-            cfg = parse_config("".join(f"[{section}]\n{key} = {text}\n"
-                                       for section, key, text, _, _ in keys))
-            for section, key, _, attr, value in keys:
-                got = getattr(getattr(cfg, section), attr)
-                assert got == value and type(got) is type(value), key
-                assert got != getattr(getattr(default, section), attr), key
-            assert parse_config(render_config(cfg)) == cfg
+        cfg = parse_config("".join(f"[{section}]\n{key} = {text}\n"
+                                   for section, key, text, _, _ in EVERY_KEY))
+        for section, key, _, attr, value in EVERY_KEY:
+            got = getattr(getattr(cfg, section), attr)
+            assert got == value and type(got) is type(value), key
+            assert got != getattr(getattr(default, section), attr), key
+        assert parse_config(render_config(cfg)) == cfg
 
     def test_every_model_key_changes_the_built_inputs(self):
         base = _built(parse_config(MINIMAL))
         for section, key, text, _, _ in EVERY_KEY:
             if section not in ("medium", "grid", "protocol"):
                 continue
-            alone = f"[{section}]\n{key} = {text}\n{COMPANIONS.get(key, '')}\n"
+            alone = f"[{section}]\n{key} = {text}\n"
             cfg = parse_config(alone if key == "kind" else MINIMAL + alone)
             assert _built(cfg) != base, key
 
@@ -151,8 +137,11 @@ class TestParseConfig:
         assert cfg.protocol.kind == "slow_light"
         assert cfg.protocol.p_a_delay_us == 3.0
         assert cfg.medium.delta_s_khz == 30.0
-        assert cfg.medium.t2_spin_us == 500.0
-        assert cfg.medium.t1_opt_us == 110.0
+        m, p = build_medium(cfg), build_protocol(cfg)
+        assert cfg.medium.gamma_opt == m.gamma_opt == 1.0 / 110.0
+        assert cfg.medium.gamma_spin == m.gamma_spin == 1.0 / 500.0
+        assert cfg.protocol.omega_c == p.omega_c == 1.0
+        assert cfg.protocol.omega_a == p.omega_a == 0.0
         assert cfg.medium.distribution == "lorentzian"
         assert cfg.protocol.retrieval_scale == pytest.approx(math.sqrt(2.0))
 
@@ -203,25 +192,28 @@ class TestParseConfig:
             parse_config("kind = memory\n")
         assert err.value.category == "syntax"
 
-    def test_power_calibration(self):
-        cfg = parse_config(
-            "[protocol]\nkind = slow_light\npower_C_mw = 16\n"
-            "rabi_per_sqrt_mw = 0.5\n")
-        omega_c, omega_a = resolved_omegas(cfg)
-        assert omega_c == pytest.approx(2.0)
-        assert omega_a == 0.0
+    @pytest.mark.parametrize("key, text", [("cells", "inf"),
+                                           ("n_classes", "1e400")])
+    def test_infinite_integer_names_key_and_line(self, key, text):
+        section = "grid" if key == "cells" else "medium"
+        bad = f"[protocol]\nkind = memory\n[{section}]\n{key} = {text}\n"
+        with pytest.raises(ConfigError, match=f"'{key}'") as err:
+            parse_config(bad)
+        assert err.value.category == "syntax"
+        assert err.value.line == 4
 
-    def test_power_and_rabi_conflict(self):
-        for omega, power in (("omega_C", "power_C_mw"),
-                             ("omega_A", "power_A_mw")):
-            with pytest.raises(ConfigError, match=f"give either {omega} or "
-                                                  f"{power}, not both"):
-                parse_config(f"[protocol]\nkind = memory\n{omega} = 1\n"
-                             f"{power} = 10\nrabi_per_sqrt_mw = 1\n")
-
-    def test_power_without_calibration(self):
-        with pytest.raises(ConfigError, match="rabi_per_sqrt_mw"):
-            parse_config("[protocol]\nkind = memory\npower_C_mw = 10\n")
+    @pytest.mark.parametrize("section, key", REMOVED_KEYS)
+    def test_removed_spelling_is_unknown(self, section, key, tmp_path):
+        text = f"[protocol]\nkind = slow_light\n[{section}]\n{key} = 2\n"
+        with pytest.raises(ConfigError, match=key) as err:
+            parse_config(text)
+        assert err.value.category == "unknown"
+        assert err.value.line == 4
+        path = tmp_path / "removed.cfg"
+        path.write_text(text + "[grid]\nt_end_us = 1\n", encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_round_trip(self):
         cfg = parse_config(SMALL_SWEEP)
@@ -231,21 +223,6 @@ class TestParseConfig:
         cfg = parse_config("[medium]\ngamma_spin = 0.004\n"
                            "[protocol]\nkind = memory\n")
         assert parse_config(render_config(cfg)) == cfg
-
-    def test_spin_rate_and_time_conflict(self):
-        with pytest.raises(ConfigError, match="not both"):
-            parse_config("[medium]\ngamma_spin = 0.004\nt2_spin_us = 250\n"
-                         "[protocol]\nkind = memory\n")
-
-    def test_gamma_opt_defaults_to_inverse_t1_opt(self):
-        derived = parse_config("[medium]\nt1_opt_us = 50\n"
-                               "[protocol]\nkind = memory\n")
-        assert build_medium(derived).gamma_opt == pytest.approx(0.02)
-        explicit = parse_config("[medium]\nt1_opt_us = 50\ngamma_opt = 0.3\n"
-                                "[protocol]\nkind = memory\n")
-        assert build_medium(explicit).gamma_opt == 0.3
-        for cfg in (derived, explicit):
-            assert parse_config(render_config(cfg)) == cfg
 
     def test_builders(self):
         cfg = parse_config(SMALL_RUN)

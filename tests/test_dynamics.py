@@ -167,10 +167,8 @@ class TestStateLayout:
 
 
 class TestStep:
-    # each MediumParams field moved off its default; gamma_opt and
-    # gamma_spin default to 1/t1_opt and 1/t2_spin
-    MOVED = {"t1_opt": 50.0, "t2_spin": 100.0, "gamma_opt": 0.5,
-             "gamma_spin": 0.3, "g2n": 2.0, "c": 50.0}
+    # each MediumParams field moved off its default
+    MOVED = {"gamma_opt": 0.5, "gamma_spin": 0.3, "g2n": 2.0, "c": 50.0}
 
     def test_every_medium_field_changes_a_step(self):
         assert set(self.MOVED) == {f.name for f in dc_fields(MediumParams)}

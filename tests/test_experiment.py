@@ -84,6 +84,19 @@ class TestStandardSequence:
         with pytest.warns(UserWarning, match="before the probe"):
             standard_sequence("stationary", p)
 
+    def test_zero_hold_has_no_backward_coupling(self):
+        # a_duration_us = 0 adds no A event and no early-coupling warning,
+        # whatever omega_a is
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            off, on = (standard_sequence("stationary", ProtocolParams(
+                omega_c=1.0, omega_a=omega_a)) for omega_a in (0.0, 2.0))
+        assert on.events == off.events
+        t = np.append(np.linspace(0.0, on.t_end_us, 1001), 3.0)  # A onset
+        for held, idle in zip(on.drive_samples(t), off.drive_samples(t)):
+            assert np.array_equal(held, idle)
+        assert not record
+
     def test_memory_zero_delay_is_contiguous(self):
         p = ProtocolParams(omega_c=1.0, storage_t_us=0.0,
                            c_off_us=31.0)
@@ -135,9 +148,12 @@ class TestStandardSequence:
                 warnings.simplefilter("ignore")
                 return [standard_sequence(kind, p) for kind in kinds]
 
-        base = built(ProtocolParams())
+        # omega_a acts only during a hold, so its row holds on both sides
+        held = {"omega_a": {"a_duration_us": 5.0}}
         for name, value in self.MOVED.items():
-            assert built(ProtocolParams(**{name: value})) != base, name
+            context = held.get(name, {})
+            assert built(ProtocolParams(**context, **{name: value})) != \
+                built(ProtocolParams(**context)), name
         # peak_guard_us moves where the sweep looks for the released peak
         m, grid, classes = _mini_setup(n_classes=2, cells=16)
         p = ProtocolParams(omega_c=2.0, probe_duration_us=4.0, c_off_us=13.0,
@@ -210,7 +226,7 @@ class TestSweepDelay:
         # homogeneous ensemble: the retrieved intensity decays through the
         # spin coherence rate alone, strictly monotonically
         m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0,
-                                            t2_spin=25.0)
+                                            gamma_spin=1.0 / 25.0)
         grid = Grid(cells=24)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=6.0,
                               c_off_us=19.0, c_ramp_us=1.5,

@@ -244,9 +244,9 @@ class TestMediumParams:
         assert m.optical_depth == math.inf
 
     @pytest.mark.parametrize("kwargs", [
-        {"gamma_opt": -1.0}, {"gamma_spin": -0.1}, {"t2_spin": 0.0},
+        {"gamma_opt": -1.0}, {"gamma_spin": -0.1}, {"gamma_spin": math.inf},
         {"c": -1.0}, {"c": 0.0}, {"g2n": -2.0}, {"g2n": math.inf},
-        {"t2_spin": math.inf}, {"t1_opt": -1.0},
+        {"gamma_opt": math.nan}, {"c": math.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
