@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DetectorTrace
+from .experiment import PulseSequence
+from .medium import MediumParams, group_velocity
 
 MODELS = ("gaussian_sq", "exponential")
 
@@ -148,14 +150,33 @@ def group_delay(trace: DetectorTrace, reference: DetectorTrace) -> float:
     Both traces must contain a single dominant forward peak; secondary
     local maxima above half the main peak raise an error.
     """
-    c_trace = _single_peak_centroid(trace, "trace")
-    c_ref = _single_peak_centroid(reference, "reference")
-    return c_trace - c_ref
+    return (_single_peak_centroid(trace.t, trace.fwd_intensity, "trace")
+            - _single_peak_centroid(reference.t, reference.fwd_intensity,
+                                    "reference"))
 
 
-def _single_peak_centroid(trace: DetectorTrace, label: str) -> float:
-    y = np.asarray(trace.fwd_intensity, dtype=float)
-    t = np.asarray(trace.t, dtype=float)
+def slow_light_delay(trace: DetectorTrace, sequence: PulseSequence,
+                     m: MediumParams) -> tuple[float, float]:
+    """(measured, predicted) delay in us of a slow-light run's trace.
+
+    measured is the group delay (see group_delay) of the trace against the
+    probe's vacuum transit |probe(t - 1/c)|^2 on the trace's own times;
+    predicted is the transit of the unit-length medium at the EIT group
+    velocity less the vacuum transit, 1/v_g - 1/c.  Raises ValueError when
+    the trace has no single dominant peak or the coupling is off (v_g = 0).
+    """
+    v_g = group_velocity(m, sequence.writing_omega_c)
+    if v_g == 0.0:
+        raise ValueError("no group velocity with the coupling off")
+    vacuum = np.abs(sequence.probe_samples(trace.t - 1.0 / m.c)) ** 2
+    measured = (_single_peak_centroid(trace.t, trace.fwd_intensity, "trace")
+                - _single_peak_centroid(trace.t, vacuum, "reference"))
+    return measured, 1.0 / v_g - 1.0 / m.c
+
+
+def _single_peak_centroid(t, intensity, label: str) -> float:
+    y = np.asarray(intensity, dtype=float)
+    t = np.asarray(t, dtype=float)
     peak = y.max(initial=0.0)
     if peak <= 0.0:
         raise ValueError(f"no peak found in {label}")

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: `spectrum` (susceptibility tables), `run` (one protocol,
-detector trace), `sweep` (delay or duration sweeps) and `fit` (decay fits
-of a sweep CSV).  All CSV output is bit-stable: floats are serialized with
+detector trace; a slow-light run also reports its measured and predicted
+group delay), `sweep` (delay or duration sweeps) and `fit` (decay fits of
+a sweep CSV).  All CSV output is bit-stable: floats are serialized with
 17 significant digits, files start with a comment naming the tool version
 and the sha256 of the configuration text, and identical configurations
 produce byte-identical files.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import fit_decay
+from .analysis import fit_decay, slow_light_delay
 from .config import (Config, ConfigError, build_classes, build_medium,
                      build_protocol, parse_config, render_config)
 from .dynamics import Grid, NumericalAbort, run_dynamics
@@ -181,11 +182,15 @@ def cmd_run(args) -> int:
         "weak_probe_ok": final.weak_probe_ok,
         "weights_normalized": abs(float(np.sum(final.weights)) - 1.0) < 1e-10,
     }
-    _write_json(out / "run.json", _summary(cfg, sha, wall, {
-        "events": markers,
-        "checks": checks,
-        "optical_depth": m.optical_depth,
-    }))
+    report = {"events": markers, "checks": checks,
+              "optical_depth": m.optical_depth}
+    if cfg.protocol.kind == "slow_light":
+        try:
+            delays = slow_light_delay(trace, sequence, m)
+        except ValueError:  # no single peak to time, or no coupling
+            delays = (None, None)
+        report["group_delay_us"], report["predicted_delay_us"] = delays
+    _write_json(out / "run.json", _summary(cfg, sha, wall, report))
     print(f"wrote {out / 'trace.csv'}")
     return EXIT_OK
 

@@ -74,7 +74,7 @@ class ProtocolConfig:
     probe_start_us: float = _key(ProtocolParams.probe_start_us, _nonneg)
     probe_shape: str = _key(ProtocolParams.probe_shape,
                             ("gaussian", "rect", "raised_cosine"))
-    omega_c: float = _key(1.0, _nonneg, "omega_C")
+    omega_c: float = _key(ProtocolParams.omega_c, _nonneg, "omega_C")
     omega_a: float = _key(ProtocolParams.omega_a, _nonneg, "omega_A")
     retrieval_scale: float = _key(ProtocolParams.retrieval_scale, _positive)
     p_a_delay_us: float = _key(ProtocolParams.p_a_delay_us, _nonneg)

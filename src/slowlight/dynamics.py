@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .medium import MediumParams, SpectralClass, class_arrays, group_velocity
+from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
+                     group_velocity)
 
 _FINITE_CHECK_EVERY = 64  # steps between NaN/Inf sweeps of the state
 
@@ -217,10 +218,7 @@ class _Propagator:
         self.half_g = 0.5j * math.sqrt(m.g2n)
         self.source = self.half_g * state.weights  # (K,) field source per class
         # per-class decay and detuning of (P+, P-, S), classes last
-        optical = np.full(k, -0.5 * m.gamma_opt, dtype=complex)
-        self.decay = np.stack([
-            optical, optical,
-            -(0.5 * m.gamma_spin + 1j * state.deltas)])[:, None, :]
+        self.decay = -_class_rates(m, state.deltas)[:, None, :]
         # the operator, for the drive samples in self.drive
         self.drive: tuple | None = None
         self.d = np.empty((k, 3, 3), dtype=complex)

@@ -133,13 +133,14 @@ class PulseSequence:
 @dataclass
 class ProtocolParams:
     """Everything needed to build one of the standard sequences; the
-    protocol itself is the `kind` argument of standard_sequence."""
+    protocol itself is the `kind` argument of standard_sequence.  The
+    config keys share these defaults, omega_c = 1 rad/us among them."""
 
     probe_duration_us: float = 10.0     # gaussian FWHM (or rect duration)
     probe_amplitude: float = 1.0
     probe_start_us: float = 0.0
     probe_shape: str = "gaussian"
-    omega_c: float = 0.2
+    omega_c: float = 1.0
     omega_a: float = 0.0
     retrieval_scale: float = math.sqrt(2.0)  # doubled power at retrieval
     p_a_delay_us: float = 3.0

@@ -170,17 +170,27 @@ def free_decay_envelope(classes, t) -> np.ndarray:
     return np.abs(phases @ weights)
 
 
+def _class_rates(m: MediumParams, deltas: np.ndarray) -> np.ndarray:
+    """Rates (3, K) of the free evolution d(P+, P-, S)/dt = -rates * (P+,
+    P-, S) of each class: gamma_opt/2, gamma_opt/2, gamma_spin/2 + i delta_j."""
+    optical = np.full(len(deltas), 0.5 * m.gamma_opt, dtype=complex)
+    return np.stack([optical, optical, 0.5 * m.gamma_spin + 1j * deltas])
+
+
 def susceptibility(delta_p, omega_c: float, m: MediumParams,
                    classes=None) -> np.ndarray | complex:
     """Steady-state dimensionless susceptibility of the driven Lambda medium.
 
-    chi(delta_p) = i*gamma_opt*(gamma_s - i(delta_p - delta_j)) /
-                   [(gamma_opt - i*delta_p)(gamma_s - i(delta_p - delta_j))
+    chi(delta_p) = i*(gamma_opt/2)*(gamma_spin/2 - i(delta_p - delta_j)) /
+                   [(gamma_opt/2 - i*delta_p)(gamma_spin/2 - i(delta_p - delta_j))
                     + omega_c^2/4]
 
-    averaged over the spectral classes.  The prefactor normalizes the
-    resonant two-level case to Im chi = 1, so exp(-d*Im chi) is the
-    intensity transmission at optical depth d.  Im chi >= 0 everywhere.
+    averaged over the spectral classes: the steady state of the equations
+    of motion (dynamics.model_rhs) under a probe exp(-i delta_p t).  The
+    prefactor normalizes the resonant two-level case to Im chi = 1, so
+    exp(-d*Im chi) is the intensity transmission at optical depth d and
+    (d/2) dRe chi/d delta_p the delay beyond the vacuum transit.
+    Im chi >= 0 everywhere.
     """
     if omega_c < 0.0:
         raise ValueError(f"omega_c must be >= 0, got {omega_c!r}")
@@ -193,16 +203,15 @@ def susceptibility(delta_p, omega_c: float, m: MediumParams,
     dp = np.atleast_1d(dp)
 
     deltas, weights = class_arrays(classes)
-    gs = m.gamma_spin
-    go = m.gamma_opt
+    rates = _class_rates(m, deltas)
     chi = np.zeros(dp.shape, dtype=complex)
     coupling = 0.25 * omega_c * omega_c
-    opt = go - 1j * dp
-    for dj, w in zip(deltas, weights):
-        spin = gs - 1j * (dp - dj)
+    for optical, spin_rate, w in zip(rates[0], rates[2], weights):
+        opt = optical - 1j * dp
+        spin = spin_rate - 1j * dp
         den = opt * spin + coupling
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = 1j * go * spin / den
+            term = 1j * optical * spin / den
         bad = den == 0.0
         if np.any(bad):
             # den == 0 with coupling on means spin == 0: exact transparency.
@@ -210,7 +219,7 @@ def susceptibility(delta_p, omega_c: float, m: MediumParams,
             if coupling > 0.0:
                 term = np.where(bad, 0.0 + 0.0j, term)
             else:
-                term = np.where(bad, 1j * go / opt, term)
+                term = np.where(bad, 1j * optical / opt, term)
         chi += w * term
     return complex(chi[0]) if scalar else chi
 

@@ -1,32 +1,42 @@
 """Acceptance suite.
 
 Each numbered test exercises one acceptance criterion at its stated
-tolerance and prints a single PASS/FAIL line.  Decay times for coherence
-are quoted throughout as amplitude (field-envelope) time constants:
-detected peak intensities are squared envelopes, so the exponential decay
-model is fitted to the square root of the peak intensity, which is
-identical to fitting the squared-exponential intensity law directly.
+tolerance and prints a single PASS/FAIL line.  Criteria 2-5 read the
+paper's workloads from configs/*.cfg: criteria 2-4 run them the
+documented way, `slowlight sweep` then `slowlight fit`, and take the decay
+time from fit.json.  Decay times for coherence are quoted throughout as
+amplitude (field-envelope) time constants: detected peak intensities are
+squared envelopes, so the exponential decay model is fitted to the square
+root of the peak intensity, which is identical to fitting the
+squared-exponential intensity law directly.
 
 Run with `pytest tests/test_acceptance.py -s` to see the report lines.
 """
+import json
 import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slowlight.analysis import fit_decay, group_delay, phase_match, WaveVector
+from slowlight.analysis import (fit_decay, phase_match, slow_light_delay,
+                                WaveVector)
+from slowlight.cli import EXIT_OK, main
+from slowlight.config import (build_classes, build_medium, build_protocol,
+                              parse_config)
 from slowlight.dynamics import (ControlDrive, Grid, SimState, balance_residual,
                                 excitation_number, run_dynamics, step)
-from slowlight.experiment import ProtocolParams, standard_sequence, sweep_delay, \
-    sweep_duration
-from slowlight.medium import (MediumParams, dephasing_time, group_velocity,
-                              make_spectral_classes)
+from slowlight.experiment import ProtocolParams, standard_sequence
+from slowlight.medium import MediumParams, dephasing_time, make_spectral_classes
 
 T2_STAR = 1000.0 / (math.pi * 30.0)   # 10.61 us at 30 kHz width
 T2_SPIN = 500.0                       # homogeneous spin coherence time, us
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _report(number: int, passed: bool, detail: str) -> None:
@@ -34,47 +44,36 @@ def _report(number: int, passed: bool, detail: str) -> None:
     assert passed, detail
 
 
-def _amplitude_tau(values, intensities) -> float:
-    """Exponential amplitude decay time of a peak-intensity series."""
-    fit = fit_decay(list(zip(values, np.sqrt(intensities))), "exponential")
-    return fit.tau
+def _config(name: str):
+    return parse_config((CONFIGS / name).read_text(encoding="utf-8"))
+
+
+def _sweep_tau(name: str, tmp_path_factory) -> float:
+    """fit.json's amplitude decay time of `slowlight sweep` and `slowlight
+    fit` on configs/<name>."""
+    out = tmp_path_factory.mktemp(name.removesuffix(".cfg"))
+    for command in ("sweep", "fit"):
+        assert main([command, "--config", str(CONFIGS / name),
+                     "--out", str(out)]) == EXIT_OK
+    fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
+    return fit["fits"]["exponential_amplitude"]["tau_us"]
 
 
 @pytest.fixture(scope="module")
-def memory_tau():
+def memory_tau(tmp_path_factory):
     """Criterion-2 sweep: storage delay scan of the memory protocol."""
-    m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
-    grid = Grid(cells=32)
-    classes = make_spectral_classes(30.0, 64, "lorentzian")
-    base = ProtocolParams(omega_c=2.0, probe_duration_us=10.0,
-                          c_off_us=30.0, c_ramp_us=2.0,
-                          release_window_us=18.0, sample_rate=20.0,
-                          peak_guard_us=1.0)
-    delays = np.arange(0.0, 31.0, 2.0)
-    result = sweep_delay(delays, base, m, grid, classes)
-    return _amplitude_tau(result.values, result.intensities)
+    return _sweep_tau("memory.cfg", tmp_path_factory)
 
 
-def _trapping_sweep(omega_a_over_c: float) -> float:
-    m = MediumParams.from_optical_depth(800.0, gamma_opt=1.0, c=4.0)
-    grid = Grid(cells=72)
-    classes = make_spectral_classes(30.0, 64, "lorentzian")
-    omega_c = math.sqrt(20.0)  # strong enough to lock the spin ensemble
-    base = ProtocolParams(omega_c=omega_c,
-                          omega_a=omega_a_over_c * omega_c,
-                          probe_duration_us=10.0, p_a_delay_us=33.0,
-                          release_window_us=35.0, sample_rate=10.0,
-                          peak_guard_us=1.0)
-    durations = np.arange(3.0, 54.0, 5.0)
-    assert durations.max() <= 5.0 * T2_STAR + 1.0
-    result = sweep_duration(durations, base, m, grid, classes)
-    return _amplitude_tau(result.values, result.intensities)
+def _trapping_tau(name: str, tmp_path_factory) -> float:
+    assert max(_config(name).sweep.values) <= 5.0 * T2_STAR + 1.0
+    return _sweep_tau(name, tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
-def balanced_trap_tau():
+def balanced_trap_tau(tmp_path_factory):
     """Criterion-3 sweep: balanced counterpropagating couplings."""
-    return _trapping_sweep(1.0)
+    return _trapping_tau("trapping_balanced.cfg", tmp_path_factory)
 
 
 def test_criterion_1_dephasing_relation():
@@ -96,33 +95,28 @@ def test_criterion_3_trapping_extends_storage(memory_tau, balanced_trap_tau):
                    f">= 5 x {memory_tau:.2f} us and <= {upper:.0f} us")
 
 
-def test_criterion_4_balance_sensitivity(balanced_trap_tau):
-    residual = balance_residual(math.sqrt(20.0), 2.0 * math.sqrt(20.0))
+def test_criterion_4_balance_sensitivity(balanced_trap_tau, tmp_path_factory):
+    protocol = _config("trapping_imbalanced.cfg").protocol
+    residual = balance_residual(protocol.omega_c, protocol.omega_a)
     assert residual == pytest.approx(1.0 / 3.0)
-    imbalanced_tau = _trapping_sweep(2.0)
+    imbalanced_tau = _trapping_tau("trapping_imbalanced.cfg", tmp_path_factory)
     ok = imbalanced_tau <= balanced_trap_tau / 2.0
     _report(4, ok, f"imbalanced trapping tau = {imbalanced_tau:.1f} us "
                    f"<= half of {balanced_trap_tau:.1f} us")
 
 
 def test_criterion_5_slow_light_delay():
-    grid = Grid(cells=64)
-    classes = make_spectral_classes(30.0, 32, "lorentzian")
-    omega_c = 1.7
-    p = ProtocolParams(omega_c=omega_c,
-                       probe_duration_us=20.0, sample_rate=20.0,
-                       release_window_us=30.0)
-    seq = standard_sequence("slow_light", p)
-    empty = MediumParams(g2n=0.0, c=5.0, gamma_opt=1.0)
-    reference, _ = run_dynamics(seq, empty, grid, classes)
+    cfg = _config("slow_light.cfg")
+    grid = Grid(cells=cfg.grid.cells)
+    classes = build_classes(cfg)
+    seq = standard_sequence(cfg.protocol.kind, build_protocol(cfg))
     details = []
     ok = True
     for depth in (10.0, 30.0):
-        m = MediumParams.from_optical_depth(depth, gamma_opt=1.0, c=5.0)
+        m = build_medium(replace(cfg, medium=replace(cfg.medium,
+                                                     optical_depth=depth)))
         trace, _ = run_dynamics(seq, m, grid, classes)
-        measured = group_delay(trace, reference)
-        # transit of the unit-length medium at v_g, less the vacuum transit
-        predicted = 1.0 / group_velocity(m, omega_c) - 1.0 / m.c
+        measured, predicted = slow_light_delay(trace, seq, m)
         ok = ok and abs(measured - predicted) <= 0.10 * predicted
         details.append(f"d={depth:.0f}: {measured:.2f} vs {predicted:.2f} us")
     _report(5, ok, "; ".join(details) + " (within 10%)")

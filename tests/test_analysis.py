@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowlight.analysis import (FitResult, WaveVector, fit_decay, group_delay,
-                                phase_match)
-from slowlight.dynamics import DetectorTrace
+                                phase_match, slow_light_delay)
+from slowlight.dynamics import DetectorTrace, Grid, run_dynamics
+from slowlight.experiment import ProtocolParams, standard_sequence
+from slowlight.medium import MediumParams, group_velocity, make_spectral_classes
 
 
 def _curve(t, i0, tau, model):
@@ -148,6 +150,27 @@ class TestGroupDelay:
         single = np.exp(-(((t - 10.0) / 2.0) ** 2))
         with pytest.raises(ValueError, match="multiple"):
             group_delay(_trace(t, two), _trace(t, single))
+
+
+class TestSlowLightDelay:
+    def test_vacuum_reference_is_the_shifted_probe(self):
+        # the analytic vacuum trace |probe(t - 1/c)|^2 is what an empty
+        # medium (g2n = 0) transmits, so the delay equals group_delay
+        # against an integrated vacuum run
+        grid = Grid(cells=24)
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        seq = standard_sequence("slow_light", ProtocolParams(
+            omega_c=1.5, probe_duration_us=8.0, t_end_us=40.0,
+            sample_rate=10.0))
+        empty = MediumParams(gamma_opt=1.0, c=5.0)
+        vacuum, _ = run_dynamics(seq, empty, grid, classes)
+        analytic = np.abs(seq.probe_samples(vacuum.t - 1.0 / empty.c)) ** 2
+        assert np.max(np.abs(analytic - vacuum.fwd_intensity)) <= 1e-12
+        m = MediumParams.from_optical_depth(20.0, gamma_opt=1.0, c=5.0)
+        trace, _ = run_dynamics(seq, m, grid, classes)
+        measured, predicted = slow_light_delay(trace, seq, m)
+        assert measured == pytest.approx(group_delay(trace, vacuum), abs=1e-12)
+        assert predicted == 1.0 / group_velocity(m, 1.5) - 1.0 / m.c
 
 
 class TestWaveVector:

@@ -11,6 +11,7 @@ from slowlight.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from slowlight.config import (Config, ConfigError, build_classes,
                               build_medium, build_protocol, parse_config,
                               render_config)
+from slowlight.experiment import ProtocolParams
 
 MINIMAL = """
 [protocol]
@@ -144,6 +145,8 @@ class TestParseConfig:
         assert cfg.protocol.omega_a == p.omega_a == 0.0
         assert cfg.medium.distribution == "lorentzian"
         assert cfg.protocol.retrieval_scale == pytest.approx(math.sqrt(2.0))
+        # the library's defaults are the config's
+        assert p == ProtocolParams()
 
     def test_range_error_names_key_and_line(self):
         bad = "[medium]\ndelta_S_khz = -1\n[protocol]\nkind = memory\n"
@@ -254,6 +257,29 @@ class TestCommands:
         summary = json.loads((out / "run.json").read_text())
         assert summary["checks"]["state_finite"]
         assert parse_config(summary["config_echo"]) == parse_config(SMALL_RUN)
+        assert summary["group_delay_us"] == \
+            pytest.approx(summary["predicted_delay_us"], rel=0.10)
+
+    @pytest.mark.parametrize("coupling", [
+        "omega_C = 1.5\nprobe_amplitude = 0",  # no pulse to time
+        "omega_C = 0",                          # no group velocity
+    ])
+    def test_untimed_slow_light_run_reports_null_delay(self, coupling,
+                                                       cfg_file, tmp_path):
+        text = SMALL_RUN.replace("omega_C = 1.5", coupling)
+        assert main(["run", "--config", cfg_file(text),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        body = json.loads((tmp_path / "run.json").read_text())
+        assert body["group_delay_us"] is None
+        assert body["predicted_delay_us"] is None
+
+    def test_only_slow_light_runs_report_a_delay(self, cfg_file, tmp_path):
+        text = SMALL_RUN.replace("kind = slow_light", "kind = memory")
+        assert main(["run", "--config", cfg_file(text),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        body = json.loads((tmp_path / "run.json").read_text())
+        assert "group_delay_us" not in body
+        assert "predicted_delay_us" not in body
 
     def test_run_peak_arrives_later_than_empty_medium(self, cfg_file, tmp_path):
         t_peaks = {}

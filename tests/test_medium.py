@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowlight.dynamics import ControlDrive, Grid, SimState, step
 from slowlight.medium import (MediumParams, SpectralClass, dephasing_time,
                               free_decay_envelope, group_velocity,
                               khz_to_rad_per_us, make_spectral_classes,
@@ -132,14 +133,15 @@ class TestSusceptibility:
         m = MediumParams(gamma_opt=1.0, gamma_spin=0.0, g2n=1.0, c=5.0)
         detunings = np.linspace(-3.0, 3.0, 13)
         chi = susceptibility(detunings, 0.0, m)
-        expected = 1j * m.gamma_opt / (m.gamma_opt - 1j * detunings)
+        half = m.gamma_opt / 2.0  # the optical amplitude decays at gamma/2
+        expected = 1j * half / (half - 1j * detunings)
         assert np.allclose(chi, expected, atol=1e-14)
 
     def test_window_matches_dense_ensemble_average(self):
         # oracle: the same per-class response averaged over a 1e5-point
         # discretization of the truncated Lorentzian density
         m = _medium()
-        omega_c = m.gamma_opt / 2.0
+        omega_c = m.gamma_opt  # window omega_c^2/(2 gamma_opt) > spin width
         classes = make_spectral_classes(30.0, 64, "lorentzian")
         fwhm = khz_to_rad_per_us(30.0)
         hwhm = fwhm / 2.0
@@ -151,9 +153,9 @@ class TestSusceptibility:
         detunings = np.linspace(-0.8, 0.8, 321)
         num = np.zeros(detunings.shape, dtype=complex)
         for i, dp in enumerate(detunings):
-            spin = m.gamma_spin - 1j * (dp - x)
-            den = (m.gamma_opt - 1j * dp) * spin + omega_c ** 2 / 4.0
-            num[i] = np.trapezoid(pdf * 1j * m.gamma_opt * spin / den, x)
+            spin = m.gamma_spin / 2.0 - 1j * (dp - x)
+            den = (m.gamma_opt / 2.0 - 1j * dp) * spin + omega_c ** 2 / 4.0
+            num[i] = np.trapezoid(pdf * 0.5j * m.gamma_opt * spin / den, x)
 
         chi = susceptibility(detunings, omega_c, m, classes)
         mid = len(detunings) // 2
@@ -161,6 +163,41 @@ class TestSusceptibility:
         assert chi.imag[mid] == pytest.approx(num.imag[mid], rel=0.02)
         scale = np.max(np.abs(num.imag))
         assert np.max(np.abs(chi.imag - num.imag)) <= 0.02 * scale
+
+    @pytest.mark.parametrize("omega_c", [0.0, 1.0])
+    @pytest.mark.parametrize("delta_j", [0.0, 0.3])
+    def test_cw_transmission_through_step(self, omega_c, delta_j):
+        # oracle: a CW probe exp(-i delta t) injected through step() leaves
+        # the medium, once settled, with intensity exp(-d Im chi); an
+        # off-centre class makes a sign error in delta or delta_j fail
+        m = MediumParams.from_optical_depth(2.0, gamma_opt=1.0,
+                                            gamma_spin=0.5, c=5.0)
+        grid = Grid(cells=32)
+        classes = [SpectralClass(delta_j, 1.0)]
+        drive = ControlDrive.constant(omega_c)
+        dt = grid.dz / m.c
+        for delta in (-0.5, -0.2, 0.4):
+            state = SimState.zeros(grid, classes)
+            for n in range(int(round(25.0 / dt))):
+                step(state, drive, m, dt,
+                     inject_plus=np.exp(-1j * delta * n * dt))
+            chi = susceptibility(delta, omega_c, m, classes)
+            expected = math.exp(-m.optical_depth * chi.imag)
+            # measured worst relative error 1.0e-4 over these 12 cases
+            assert abs(state.e_plus[-1]) ** 2 == pytest.approx(expected,
+                                                              rel=1e-3)
+
+    def test_delay_slope_is_group_delay(self):
+        # (d/2) dRe chi/d delta at resonance is the delay beyond the vacuum
+        # transit, 1/v_g - 1/c: 2.5 us at d = 10, c = 5 and omega_C = 2
+        m = MediumParams.from_optical_depth(10.0, gamma_opt=1.0,
+                                            gamma_spin=0.0, c=5.0)
+        h = 1e-4
+        slope = (susceptibility(h, 2.0, m) - susceptibility(-h, 2.0, m)).real \
+            / (2.0 * h)
+        delay = 1.0 / group_velocity(m, 2.0) - 1.0 / m.c
+        assert delay == pytest.approx(2.5)
+        assert 0.5 * m.optical_depth * slope == pytest.approx(delay, rel=1e-6)
 
     def test_kramers_kronig_consistency(self):
         m = _medium()
