@@ -5,9 +5,8 @@ from .medium import (MediumParams, SpectralClass, dephasing_time,
                      free_decay_envelope, group_velocity,
                      make_spectral_classes, susceptibility)
 from .dynamics import (ControlDrive, DetectorTrace, Grid, SimState,
-                       balance_residual, effective_velocity,
-                       excitation_number, field_centroid, model_rhs,
-                       run_dynamics, step)
+                       balance_residual, excitation_number, field_centroid,
+                       model_rhs, run_dynamics, step)
 from .experiment import (ProtocolParams, PulseEvent, PulseSequence,
                          SweepResult, released_peak, standard_sequence,
                          sweep_delay, sweep_duration)

@@ -13,7 +13,7 @@ threshold on the relative step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,18 +159,18 @@ def slow_light_delay(trace: DetectorTrace, sequence: PulseSequence,
                      m: MediumParams) -> tuple[float, float]:
     """(measured, predicted) delay in us of a slow-light run's trace.
 
-    measured is the group delay (see group_delay) of the trace against the
-    probe's vacuum transit |probe(t - 1/c)|^2 on the trace's own times;
-    predicted is the transit of the unit-length medium at the EIT group
-    velocity less the vacuum transit, 1/v_g - 1/c.  Raises ValueError when
-    the trace has no single dominant peak or the coupling is off (v_g = 0).
+    measured is group_delay of the trace against the probe's vacuum
+    transit |probe(t - 1/c)|^2 on the trace's own times; predicted is
+    1/v_g - 1/c with v_g the group_velocity at the writing coupling, so 0
+    in an empty medium.  Raises ValueError when the trace has no single
+    dominant peak or the light is stopped (v_g = 0: coupling off in a
+    medium with g2n > 0).
     """
     v_g = group_velocity(m, sequence.writing_omega_c)
     if v_g == 0.0:
         raise ValueError("no group velocity with the coupling off")
     vacuum = np.abs(sequence.probe_samples(trace.t - 1.0 / m.c)) ** 2
-    measured = (_single_peak_centroid(trace.t, trace.fwd_intensity, "trace")
-                - _single_peak_centroid(trace.t, vacuum, "reference"))
+    measured = group_delay(trace, replace(trace, fwd_intensity=vacuum))
     return measured, 1.0 / v_g - 1.0 / m.c
 
 

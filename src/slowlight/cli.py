@@ -160,8 +160,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, _text, sha = _load_config(args.config)
-    if cfg.grid.t_end_us is None:
-        raise ConfigError("run needs grid.t_end_us", "missing")
     m = build_medium(cfg)
     classes = build_classes(cfg)
     grid = Grid(cells=cfg.grid.cells)

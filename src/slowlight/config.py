@@ -15,7 +15,8 @@ from dataclasses import Field, dataclass, field, fields as dc_fields
 from .experiment import ProtocolParams
 from .medium import MediumParams, make_spectral_classes
 
-SWEEPABLE = ("storage_T_us", "a_duration_us")
+# each sweepable [protocol] key and the protocol whose sweep varies it
+SWEEPABLE = {"storage_T_us": "memory", "a_duration_us": "stationary"}
 
 
 class ConfigError(ValueError):
@@ -88,7 +89,7 @@ class ProtocolConfig:
 
 @dataclass
 class SweepConfig:
-    parameter: str = _key("", SWEEPABLE)
+    parameter: str = _key("", tuple(SWEEPABLE))
     values: tuple = _key((), lambda v: all(_nonneg(x) for x in v))
 
 
@@ -205,6 +206,11 @@ def _cross_validate(cfg: Config) -> None:
         raise ConfigError("distribution 'single' requires n_classes = 1", "range")
     if cfg.sweep.parameter and not cfg.sweep.values:
         raise ConfigError("sweep.values must be a non-empty list", "missing")
+    kind = SWEEPABLE.get(cfg.sweep.parameter, cfg.protocol.kind)
+    if kind != cfg.protocol.kind:
+        raise ConfigError(f"sweep.parameter {cfg.sweep.parameter} sweeps the "
+                          f"{kind} protocol, not protocol.kind = "
+                          f"{cfg.protocol.kind}", "range")
 
 
 def render_config(cfg: Config) -> str:

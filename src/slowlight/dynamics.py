@@ -319,8 +319,7 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
         inject_plus, inject_minus = state.f[0, -1], state.f[1, 0]
     elif boundary != "open":
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
-    inputs = (m.g2n, m.gamma_opt, m.gamma_spin, m.c, state.grid,
-              state.deltas.tobytes(), state.weights.tobytes())
+    inputs = (m, state.grid, state.deltas.tobytes(), state.weights.tobytes())
     if state._kept is None or state._kept[0] != inputs:
         state._kept = (inputs, _Propagator(m, state))
     prop = state._kept[1]
@@ -333,11 +332,7 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
 
 def _require_cfl(m: MediumParams, grid: Grid, dt: float) -> None:
     dz = grid.dz
-    if dt <= 0.0:
-        raise CFLViolation(f"dt must be > 0, got {dt}")
-    if m.c * dt > dz * (1.0 + 1e-9):
-        raise CFLViolation(f"CFL violated: c*dt = {m.c * dt:.6g} > dz = {dz:.6g}")
-    if abs(m.c * dt - dz) > 1e-9 * dz:
+    if not abs(m.c * dt - dz) <= 1e-9 * dz:  # also false for a NaN dt
         raise CFLViolation(
             f"exact one-cell advection requires c*dt == dz; got c*dt = "
             f"{m.c * dt:.6g}, dz = {dz:.6g}")
@@ -353,7 +348,9 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
 
     `sequence` provides events, t_end_us, sample_rate, probe_duration_us,
     writing_omega_c, probe_samples(t) and drive_samples(t) (see
-    experiment.PulseSequence).  Returns the detector trace |E+(1,t)|^2,
+    experiment.PulseSequence); the run ends at its t_end_us, which
+    standard_sequence sets release_window_us after the release unless
+    t_end_us is given.  Returns the detector trace |E+(1,t)|^2,
     |E-(0,t)|^2 and the spin-coherence norm, plus state snapshots: one
     after each global step index in snapshot_steps that the run completes,
     and always the final state.  E+ is injected at z=0 from the probe
@@ -492,21 +489,6 @@ def balance_residual(omega_c: float, omega_a: float) -> float:
     if omega_c + omega_a == 0.0:
         raise ValueError("at least one Rabi frequency must be nonzero")
     return abs(omega_c - omega_a) / (omega_c + omega_a)
-
-
-def effective_velocity(m: MediumParams, omega_c: float, omega_a: float) -> float:
-    """Signed drift velocity of the doubly driven polariton.
-
-    c (Omega_C^2 - Omega_A^2) / (Omega_C^2 + Omega_A^2 + g2n), both
-    channels coupling with sqrt(g2n).  Zero exactly at balance; equals
-    group_velocity when Omega_A = 0.
-    """
-    if omega_c < 0.0 or omega_a < 0.0:
-        raise ValueError("Rabi frequencies must be >= 0")
-    den = omega_c ** 2 + omega_a ** 2 + m.g2n
-    if den == 0.0:
-        raise ValueError("all couplings are zero; velocity undefined")
-    return m.c * (omega_c ** 2 - omega_a ** 2) / den
 
 
 def excitation_number(state: SimState, m: MediumParams) -> float:

@@ -302,16 +302,19 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     The longest point is the trunk: it runs once from t = 0 and leaves a
     snapshot at each point's branch step (see _branch_step), from which the
     point runs to its own end, so every result equals an independent run
-    bit for bit.  threads > 1 runs the branches in a thread pool.  Each
-    distinct warning raised while building the points' sequences or
-    checking the probe resolution is raised once, blamed on the caller of
-    the public sweep.
+    bit for bit.  Each point ends release_window_us after its release, so
+    a base that sets t_end_us is a ValueError.  threads > 1 runs the
+    branches in a thread pool.  Each distinct warning raised while
+    building the points' sequences or checking the probe resolution is
+    raised once, blamed on the caller of the public sweep.
     """
+    if base.t_end_us is not None:
+        raise ValueError("a sweep ends each point by release_window_us; "
+                         "t_end_us must not be set")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sequences = [standard_sequence(kind, replace(
-            base, t_end_us=None, **{field: float(v)}))
-            for v in values]
+        sequences = [standard_sequence(kind, replace(base, **{field: float(v)}))
+                     for v in values]
         _check_probe_resolution(sequences[0], m, grid)
     for message, category in dict((str(w.message), w.category)
                                   for w in caught).items():

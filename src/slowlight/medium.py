@@ -12,7 +12,7 @@ parameter), so the vacuum speed ``c`` is in medium lengths per microsecond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class SpectralClass:
     weight: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MediumParams:
     """Decay rates, coupling strength and light speed of the medium.
 
@@ -56,7 +56,8 @@ class MediumParams:
     ``from_optical_depth`` to set it through the resonant optical depth
     d = g2n/(gamma_opt*c) of the unit-length medium.  The spin
     inhomogeneous width enters only through the spectral classes (see
-    make_spectral_classes).
+    make_spectral_classes).  Instances are frozen and validated once, on
+    construction; ``dataclasses.replace`` gives a changed, validated copy.
     """
 
     gamma_opt: float = 1.0 / 110.0
@@ -94,8 +95,7 @@ class MediumParams:
         if optical_depth < 0.0:
             raise ValueError(f"optical_depth must be >= 0, got {optical_depth!r}")
         m = cls(**kwargs)
-        m.g2n = optical_depth * m.gamma_opt * m.c
-        return m
+        return replace(m, g2n=optical_depth * m.gamma_opt * m.c)
 
 
 def dephasing_time(delta_s_khz: float) -> float:
@@ -224,14 +224,19 @@ def susceptibility(delta_p, omega_c: float, m: MediumParams,
     return complex(chi[0]) if scalar else chi
 
 
-def group_velocity(m: MediumParams, omega_c: float) -> float:
-    """EIT group velocity c / (1 + g2n / omega_c^2).
+def group_velocity(m: MediumParams, omega_c: float,
+                   omega_a: float = 0.0) -> float:
+    """Polariton velocity c (omega_c^2 - omega_a^2) / (omega_c^2 +
+    omega_a^2 + g2n) under forward and backward couplings.
 
-    omega_c == 0 is reported as the stopped-light result 0.0 rather than an
-    exception; negative values are rejected.
+    omega_a = 0 gives the EIT group velocity c / (1 + g2n / omega_c^2),
+    balance exactly 0.  With both off it is 0.0 (stopped light) if g2n > 0
+    and c in an empty medium.  Negative Rabi frequencies are rejected.
     """
-    if omega_c < 0.0:
-        raise ValueError(f"omega_c must be >= 0, got {omega_c!r}")
-    if omega_c == 0.0:
-        return 0.0
-    return m.c / (1.0 + m.g2n / (omega_c * omega_c))
+    if omega_c < 0.0 or omega_a < 0.0:
+        raise ValueError(f"Rabi frequencies must be >= 0, got {omega_c!r}, "
+                         f"{omega_a!r}")
+    s = omega_c * omega_c + omega_a * omega_a
+    if s == 0.0:
+        return 0.0 if m.g2n > 0.0 else m.c
+    return m.c * (1.0 - 2.0 * omega_a * omega_a / s) / (1.0 + m.g2n / s)

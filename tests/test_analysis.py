@@ -172,6 +172,17 @@ class TestSlowLightDelay:
         assert measured == pytest.approx(group_delay(trace, vacuum), abs=1e-12)
         assert predicted == 1.0 / group_velocity(m, 1.5) - 1.0 / m.c
 
+    def test_empty_undriven_medium_has_no_delay(self):
+        grid = Grid(cells=24)
+        seq = standard_sequence("slow_light", ProtocolParams(
+            omega_c=0.0, probe_duration_us=8.0, sample_rate=10.0))
+        empty = MediumParams(gamma_opt=1.0, c=5.0)
+        trace, _ = run_dynamics(seq, empty, grid,
+                                make_spectral_classes(0.0, 1, "single"))
+        measured, predicted = slow_light_delay(trace, seq, empty)
+        assert predicted == 0.0
+        assert measured == pytest.approx(0.0, abs=1e-9)
+
 
 class TestWaveVector:
     def test_direction_is_unit(self):

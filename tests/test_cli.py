@@ -213,7 +213,7 @@ class TestParseConfig:
         assert err.value.category == "unknown"
         assert err.value.line == 4
         path = tmp_path / "removed.cfg"
-        path.write_text(text + "[grid]\nt_end_us = 1\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(path), "--out",
                      str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "trace.csv").exists()
@@ -325,9 +325,39 @@ class TestCommands:
     def test_sweep_requires_sweep_section(self, cfg_file):
         assert main(["sweep", "--config", cfg_file(SMALL_RUN)]) == EXIT_CONFIG
 
-    def test_run_requires_t_end(self, cfg_file):
-        text = SMALL_RUN.replace("t_end_us = 40\n", "")
-        assert main(["run", "--config", cfg_file(text)]) == EXIT_CONFIG
+    def test_run_without_t_end_ends_by_release_window(self, cfg_file, tmp_path):
+        # slow light ends release_window_us after the 3-FWHM probe window
+        # (24 us), memory after its retrieval starts (24 + 2 us)
+        text = SMALL_RUN.replace("t_end_us = 40\n", "") + "release_window_us = 5\n"
+        for kind, extra, t_end in (("slow_light", "", 29.0),
+                                   ("memory", "storage_T_us = 2\n", 31.0)):
+            out = tmp_path / kind
+            config = text.replace("kind = slow_light", f"kind = {kind}") + extra
+            assert main(["run", "--config", cfg_file(config, f"{kind}.cfg"),
+                         "--out", str(out)]) == EXIT_OK
+            rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=2)
+            assert rows[-1, 0] == pytest.approx(t_end, abs=1e-9), kind
+
+    def test_sweep_rejects_t_end(self, cfg_file, tmp_path, capsys):
+        text = SMALL_SWEEP.replace("cells = 20\n", "cells = 20\nt_end_us = 40\n")
+        assert main(["sweep", "--config", cfg_file(text),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "t_end_us" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("kind, parameter", [
+        ("slow_light", "storage_T_us"), ("stationary", "storage_T_us"),
+        ("memory", "a_duration_us")])
+    def test_sweep_parameter_must_match_kind(self, kind, parameter, cfg_file,
+                                             tmp_path):
+        text = SMALL_SWEEP.replace("kind = memory", f"kind = {kind}").replace(
+            "parameter = storage_T_us", f"parameter = {parameter}")
+        with pytest.raises(ConfigError, match=parameter) as err:
+            parse_config(text)
+        assert err.value.category == "range"
+        assert main(["sweep", "--config", cfg_file(text),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_missing_config_file(self):
         assert main(["run", "--config", "/nonexistent/x.cfg"]) == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -243,6 +244,7 @@ class TestGroupVelocity:
     def test_empty_medium(self):
         m = MediumParams(g2n=0.0, c=5.0)
         assert group_velocity(m, 1.0) == 5.0
+        assert group_velocity(m, 0.0) == 5.0  # undriven, light crosses at c
 
     def test_direct_substitution(self):
         m = MediumParams(g2n=3.0, c=5.0)
@@ -252,9 +254,20 @@ class TestGroupVelocity:
         m = MediumParams(g2n=3.0, c=5.0)
         assert group_velocity(m, 0.0) == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+           st.floats(1e-3, 10.0))
+    def test_single_coupling_is_the_eit_formula_bit_for_bit(self, depth, gamma,
+                                                            c, omega):
+        m = MediumParams.from_optical_depth(depth, gamma_opt=gamma, c=c)
+        assert group_velocity(m, omega, 0.0) == \
+            m.c / (1.0 + m.g2n / (omega * omega))
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             group_velocity(MediumParams(g2n=1.0), -0.1)
+        with pytest.raises(ValueError):
+            group_velocity(MediumParams(g2n=1.0), 0.7, -0.1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.01, 10.0), st.floats(0.01, 10.0))
@@ -288,3 +301,10 @@ class TestMediumParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MediumParams(**kwargs)
+
+    def test_frozen_and_validated_once(self):
+        m = MediumParams(g2n=1.0)
+        with pytest.raises(FrozenInstanceError):
+            m.g2n = -5.0
+        with pytest.raises(ValueError, match="g2n"):
+            MediumParams.from_optical_depth(math.inf, gamma_opt=1.0, c=4.0)
