@@ -489,6 +489,13 @@ class TestEffectiveVelocity:
         m = MediumParams(g2n=7.0, c=5.0)
         assert group_velocity(m, math.sqrt(2.0), 1.0) == pytest.approx(0.5)
 
+    def test_all_zero_couplings_rejected(self):
+        # all-zero couplings are no longer rejected: with both couplings
+        # off an empty medium passes light at c and a loaded one stops it
+        empty = MediumParams(g2n=0.0, c=5.0)
+        assert group_velocity(empty, 0.0, 0.0) == empty.c
+        assert group_velocity(MediumParams(g2n=7.0, c=5.0), 0.0, 0.0) == 0.0
+
     def test_centroid_tracking_cross_check(self):
         # prepare a stored spin wave and ramp both couplings on slowly so
         # only the drifting dark mode is populated, then clock its centroid
