@@ -10,7 +10,7 @@ from .dynamics import (ControlDrive, DetectorTrace, Grid, SimState,
 from .experiment import (ProtocolParams, PulseEvent, PulseSequence,
                          SweepResult, released_peak, standard_sequence,
                          sweep_delay, sweep_duration)
-from .analysis import (FitResult, WaveVector, fit_decay, group_delay,
-                       phase_match, slow_light_delay)
+from .analysis import (FitResult, fit_decay, group_delay, phase_match,
+                       slow_light_delay)
 
 __version__ = "0.1.0"

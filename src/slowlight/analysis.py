@@ -186,55 +186,18 @@ def _single_peak_centroid(t, intensity, label: str) -> float:
     return float(np.dot(t, y) / y.sum())
 
 
-@dataclass(frozen=True)
-class WaveVector:
-    """A 3-component wave vector in normalized magnitude units."""
-
-    components: tuple[float, float, float]
-
-    @classmethod
-    def from_components(cls, x: float, y: float, z: float) -> "WaveVector":
-        return cls((float(x), float(y), float(z)))
-
-    @classmethod
-    def from_direction(cls, magnitude: float, direction) -> "WaveVector":
-        d = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(d))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction must be a unit vector, |d| = {norm!r}")
-        return cls(tuple(float(v) for v in magnitude * d))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=float)
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    @property
-    def direction(self) -> np.ndarray:
-        mag = self.magnitude
-        if mag == 0.0:
-            raise ValueError("zero vector has no direction")
-        return self.as_array() / mag
-
-    def angle_to(self, other: "WaveVector") -> float:
-        cosang = float(np.clip(np.dot(self.direction, other.direction), -1.0, 1.0))
-        return math.acos(cosang)
-
-
-def phase_match(k_c: WaveVector, k_p: WaveVector, k_a: WaveVector
-                ) -> tuple[WaveVector, float]:
+def phase_match(k_c, k_p, k_a) -> tuple[np.ndarray, float]:
     """Conjugate wave vector k_PC = k_C - k_P + k_A and its shell mismatch.
 
-    The mismatch is | |k_PC| - |k_P| | / |k_P|, the fractional deviation of
-    the conjugate from the probe momentum shell.
+    Each argument is a 3-vector (any array-like).  The mismatch is
+    | |k_PC| - |k_P| | / |k_P|, the fractional deviation of the conjugate
+    from the probe momentum shell.
     """
-    arrays = [k.as_array() for k in (k_c, k_p, k_a)]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("wave vectors must be finite")
-    if k_p.magnitude == 0.0:
+    k_c, k_p, k_a = (np.asarray(k, dtype=float) for k in (k_c, k_p, k_a))
+    if not all(k.shape == (3,) and np.isfinite(k).all() for k in (k_c, k_p, k_a)):
+        raise ValueError("wave vectors must be finite 3-vectors")
+    k_p_norm = np.linalg.norm(k_p)
+    if k_p_norm == 0.0:
         raise ValueError("probe wave vector must be nonzero")
-    k_pc = WaveVector(tuple(arrays[0] - arrays[1] + arrays[2]))
-    mismatch = abs(k_pc.magnitude - k_p.magnitude) / k_p.magnitude
-    return k_pc, mismatch
+    k_pc = k_c - k_p + k_a
+    return k_pc, float(abs(np.linalg.norm(k_pc) - k_p_norm) / k_p_norm)

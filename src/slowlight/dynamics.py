@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -103,6 +104,10 @@ class SimState:
     # step()'s (inputs, _Propagator), reused while the inputs are equal
     _kept: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+
+    def __post_init__(self) -> None:
+        # a step writes the atoms through a (3K, M) view of this array
+        self.a = np.ascontiguousarray(self.a)
 
     @classmethod
     def zeros(cls, grid: Grid, classes: Sequence[SpectralClass]) -> "SimState":
@@ -225,10 +230,10 @@ class _Propagator:
         self.w = np.empty((self.RANK - 2, 3 * k), dtype=complex)
         self.a_op = np.empty((3 * k, self.RANK), dtype=complex)
         self.f_op = np.empty((2, self.RANK), dtype=complex)
-        # work areas: the functionals V y, and the two parts of x'
+        # work areas: the functionals V y, and the per-class part D_k x_k
+        # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((self.RANK, cells), dtype=complex)
         self._dx = np.empty((k, 3, cells), dtype=complex)
-        self._ax = np.empty((3 * k, cells), dtype=complex)
 
     def _build(self, omega_c, omega_a) -> None:
         """Set (d, w, a_op, f_op) to the RK4 step at these drive samples.
@@ -292,8 +297,8 @@ class _Propagator:
         phi[1, -1] = inject_minus
         np.matmul(self.w, a.reshape(3 * k, cells), out=phi[2:])
         np.matmul(self.d, a, out=self._dx)
-        np.matmul(self.a_op, phi, out=self._ax)
-        np.add(self._dx, self._ax.reshape(k, 3, cells), out=a)
+        np.matmul(self.a_op, phi, out=a.reshape(3 * k, cells))
+        np.add(a, self._dx, out=a)
         np.matmul(self.f_op, phi, out=f)
         state.t = n * self.dt
 
@@ -349,7 +354,8 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     `sequence` provides events, t_end_us, sample_rate, probe_duration_us,
     writing_omega_c, probe_samples(t) and drive_samples(t) (see
     experiment.PulseSequence); the run ends at its t_end_us, which
-    standard_sequence sets release_window_us after the release unless
+    standard_sequence sets release_window_us after the recording window
+    opens (the release, or the probe window's end for slow light) unless
     t_end_us is given.  Returns the detector trace |E+(1,t)|^2,
     |E-(0,t)|^2 and the spin-coherence norm, plus state snapshots: one
     after each global step index in snapshot_steps that the run completes,
@@ -387,26 +393,16 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
         _check_probe_resolution(sequence, m, grid)
 
     every = max(1, int(round(1.0 / (sequence.sample_rate * dt))))
-    # records fall on the multiples of `every` in [n0, n_total]
-    n_rec = n_total // every - (n0 - 1) // every
-    rec_t = np.empty(n_rec)
-    rec_fwd = np.empty(n_rec)
-    rec_bwd = np.empty(n_rec)
-    rec_spin = np.empty(n_rec)
     snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
     snapshots: list[SimState] = []
-
     prop = _Propagator(m, state)
-    i_rec = 0
+    records = array("d")  # (t, |E+(1)|^2, |E-(0)|^2, spin norm) per record
 
     def record() -> None:
-        nonlocal i_rec
-        rec_t[i_rec] = state.t
-        rec_fwd[i_rec] = abs(state.f[0, -1]) ** 2
-        rec_bwd[i_rec] = abs(state.f[1, 0]) ** 2
-        rec_spin[i_rec] = state.spin_norm()
-        i_rec += 1
+        records.extend((state.t, abs(state.f[0, -1]) ** 2,
+                        abs(state.f[1, 0]) ** 2, state.spin_norm()))
 
+    # steps on the multiples of `every` record, those of a resumed run too
     if n0 % every == 0:
         record()
     for i in range(n_steps):
@@ -424,11 +420,8 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     state.check_finite()
     snapshots.append(state)
 
-    trace = DetectorTrace(
-        t=rec_t[:i_rec], fwd_intensity=rec_fwd[:i_rec],
-        bwd_intensity=rec_bwd[:i_rec], spin_norm=rec_spin[:i_rec],
-        annotations=tuple(sequence.events))
-    return trace, snapshots
+    columns = np.frombuffer(records).reshape(-1, 4).T.copy()
+    return DetectorTrace(*columns, annotations=tuple(sequence.events)), snapshots
 
 
 def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:

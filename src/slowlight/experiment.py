@@ -93,6 +93,9 @@ class PulseSequence:
     # metadata used by grid-resolution checks and peak extraction
     probe_duration_us: float = 0.0
     writing_omega_c: float = 0.0
+    # the time from which released light is looked for: the coupling's
+    # return (memory), the backward coupling's end (stationary) or the
+    # probe start (slow light, where nothing is held)
     release_time_us: float = 0.0
 
     def __post_init__(self) -> None:
@@ -181,38 +184,33 @@ def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
     if p.storage_t_us < 0.0 or p.a_duration_us < 0.0 or p.p_a_delay_us < 0.0:
         raise ValueError("delays and durations must be >= 0")
 
-    events = [_probe_event(p)]
-    release = 0.0
+    # opens: the start of the release_window_us recording window
     if kind == "slow_light":
-        t_end = p.t_end_us if p.t_end_us is not None else \
-            p.probe_end_us + p.release_window_us
-        events.append(PulseEvent("C", 0.0, t_end, p.omega_c))
-        release = p.probe_start_us
+        release, opens = p.probe_start_us, p.probe_end_us
     elif kind == "memory":
         c_off = p.c_off_us if p.c_off_us is not None else p.probe_end_us
         if c_off <= p.c_ramp_us:
             raise ValueError("c_off_us must leave room for the switching ramp")
-        t_on = c_off + p.storage_t_us
-        t_end = p.t_end_us if p.t_end_us is not None else \
-            t_on + p.release_window_us
-        events.append(PulseEvent("C", 0.0, c_off, p.omega_c,
-                                 "raised_cosine", p.c_ramp_us))
-        events.append(PulseEvent("C", t_on, t_end - t_on,
-                                 p.omega_c * p.retrieval_scale,
-                                 "raised_cosine", p.c_ramp_us))
-        release = t_on
+        release = opens = c_off + p.storage_t_us
     else:
         a_on = p.probe_start_us + p.p_a_delay_us
-        a_off = a_on + p.a_duration_us
-        t_end = p.t_end_us if p.t_end_us is not None else \
-            a_off + p.release_window_us
+        release = opens = a_on + p.a_duration_us
+    t_end = p.t_end_us if p.t_end_us is not None else opens + p.release_window_us
+
+    events = [_probe_event(p)]
+    if kind == "memory":
+        events.append(PulseEvent("C", 0.0, c_off, p.omega_c,
+                                 "raised_cosine", p.c_ramp_us))
+        events.append(PulseEvent("C", release, t_end - release,
+                                 p.omega_c * p.retrieval_scale,
+                                 "raised_cosine", p.c_ramp_us))
+    else:
         events.append(PulseEvent("C", 0.0, t_end, p.omega_c))
-        if p.a_duration_us > 0.0:
-            if a_on < p.probe_end_us:
-                warnings.warn("backward coupling turns on before the probe "
-                              "finishes injecting", stacklevel=2)
-            events.append(PulseEvent("A", a_on, p.a_duration_us, p.omega_a))
-        release = a_off
+    if kind == "stationary" and p.a_duration_us > 0.0:
+        if a_on < p.probe_end_us:
+            warnings.warn("backward coupling turns on before the probe "
+                          "finishes injecting", stacklevel=2)
+        events.append(PulseEvent("A", a_on, p.a_duration_us, p.omega_a))
     return PulseSequence(events=events, t_end_us=t_end,
                          sample_rate=p.sample_rate,
                          probe_duration_us=p.probe_duration_us,
@@ -277,23 +275,6 @@ def _branch_step(sequence: PulseSequence, trunk: PulseSequence, dt: float,
     return n_steps
 
 
-def _run_point(args):
-    """Integrate one point from its snapshot and splice it onto the trunk's
-    records before the snapshot: (trace, t_peak, peak)."""
-    sequence, m, grid, classes, start, trunk, guard = args
-    branch, _ = run_dynamics(sequence, m, grid, classes, initial_state=start,
-                             _check_probe=False)
-    cut = 0 if start is None else int(np.searchsorted(trunk.t, start.t))
-    trace = DetectorTrace(
-        *(np.concatenate([head[:cut], tail]) for head, tail in (
-            (trunk.t, branch.t), (trunk.fwd_intensity, branch.fwd_intensity),
-            (trunk.bwd_intensity, branch.bwd_intensity),
-            (trunk.spin_norm, branch.spin_norm))),
-        annotations=branch.annotations)
-    t_peak, peak = released_peak(trace, sequence.release_time_us + guard)
-    return trace, t_peak, peak
-
-
 def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
            m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
            keep_traces: bool, threads: int) -> SweepResult:
@@ -328,16 +309,29 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     trunk_trace, snapshots = run_dynamics(trunk, m, grid, classes,
                                           snapshot_steps=steps,
                                           _check_probe=False)
-    start = dict(zip(steps, snapshots))
-    guard = base.peak_guard_us
-    jobs = [(s, m, grid, classes, start.get(b), trunk_trace, guard)
-            for s, b in zip(sequences, branch)]
+    snapshot = dict(zip(steps, snapshots))
+
+    def run_point(sequence, b):
+        """Integrate one point from its snapshot and splice it onto the
+        trunk's records before the snapshot: (trace, t_peak, peak)."""
+        start = snapshot.get(b)
+        tail, _ = run_dynamics(sequence, m, grid, classes, initial_state=start,
+                               _check_probe=False)
+        cut = 0 if start is None else int(np.searchsorted(trunk_trace.t, start.t))
+        trace = DetectorTrace(
+            *(np.concatenate([getattr(trunk_trace, name)[:cut],
+                              getattr(tail, name)])
+              for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm")),
+            annotations=tail.annotations)
+        return (trace, *released_peak(trace, sequence.release_time_us
+                                      + base.peak_guard_us))
+
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_point, jobs))
+            results = list(pool.map(run_point, sequences, branch))
     else:
-        results = [_run_point(job) for job in jobs]
+        results = list(map(run_point, sequences, branch))
     return SweepResult(
         values=np.asarray(values, dtype=float),
         intensities=np.array([r[2] for r in results]),

@@ -77,6 +77,9 @@ class MediumParams:
         if self.g2n < 0.0 or not math.isfinite(self.g2n):
             raise ValueError(f"g2n must be finite and >= 0, got {self.g2n!r}")
         if self.gamma_opt > 0.0:
+            if self.gamma_opt * self.c == 0.0:
+                raise ValueError(f"gamma_opt * c underflows to 0 (gamma_opt = "
+                                 f"{self.gamma_opt!r}, c = {self.c!r})")
             d = self.optical_depth
             if not (math.isfinite(d) and d >= 0.0):
                 raise ValueError(f"optical depth must be finite and >= 0, got {d!r}")

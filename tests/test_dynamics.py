@@ -132,15 +132,19 @@ class TestStateLayout:
         assert np.array_equal(state.f, fields)
         assert np.array_equal(state.a, atoms)
         packed, _, _ = self._filled(via_blocks=False)
+        # atoms handed over in another memory order are held packed
+        strided = SimState(0.0, fields.copy(), np.asfortranarray(atoms),
+                           packed.grid, packed.deltas, packed.weights)
         f, a = state.f, state.a
         m = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
         drive = ControlDrive.constant(0.8, 0.3)
         dt = state.grid.dz / m.c
-        for s in (state, packed):
+        for s in (state, packed, strided):
             step(s, drive, m, dt, inject_plus=0.2)
         assert state.f is f and state.a is a  # advanced in place
-        assert np.array_equal(state.f, packed.f)
-        assert np.array_equal(state.a, packed.a)
+        for s in (packed, strided):
+            assert np.array_equal(state.f, s.f)
+            assert np.array_equal(state.a, s.a)
         assert not np.array_equal(state.a, atoms)
 
     def test_block_names_cannot_be_rebound(self):
@@ -430,6 +434,18 @@ class TestResume:
                                             initial_state=snaps[-1])
         assert part.t.tolist() == [full.t[-1]]
         assert np.array_equal(part_snaps[-1].a, snaps[-1].a)
+
+    def test_state_at_the_end_off_the_cadence_records_nothing(self):
+        m, grid, classes, seq = _resume_setup()
+        seq = replace(seq, sample_rate=80.0 / 3.0)  # every 3 steps; 800 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, snaps = run_dynamics(seq, m, grid, classes)
+            part, _ = run_dynamics(seq, m, grid, classes,
+                                   initial_state=snaps[-1])
+        for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
+            column = getattr(part, name)
+            assert column.shape == (0,) and column.dtype == float, name
 
     def test_rejects_state_off_the_run(self):
         m, grid, classes, seq = _resume_setup()

@@ -77,6 +77,19 @@ class TestStandardSequence:
         a_events = [e for e in seq.events if e.channel == "A"]
         assert len(a_events) == 1
         assert a_events[0].t_start == 5.0  # probe start + 3 us
+        # the release of each kind, and its end: release_window_us after
+        # the release (after the probe window for slow light), or t_end_us
+        p = replace(p, probe_duration_us=2.0, storage_t_us=1.5,
+                    release_window_us=5.0)  # probe window 2-8 us
+        expected = {"slow_light": (2.0, 13.0), "memory": (9.5, 14.5),
+                    "stationary": (9.0, 14.0)}
+        for kind, (release, end) in expected.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                seqs = [standard_sequence(kind, q)
+                        for q in (p, replace(p, t_end_us=50.0))]
+            assert [(q.release_time_us, q.t_end_us) for q in seqs] == \
+                [(release, end), (release, 50.0)], kind
 
     def test_stationary_warns_when_a_fires_during_injection(self):
         p = ProtocolParams(omega_c=1.0, omega_a=1.0,

@@ -302,6 +302,11 @@ class TestMediumParams:
         with pytest.raises(ValueError):
             MediumParams(**kwargs)
 
+    def test_underflowing_gamma_opt_times_c_rejected(self):
+        # both are positive, but the optical depth's denominator is 0
+        with pytest.raises(ValueError, match=r"gamma_opt \* c"):
+            MediumParams(gamma_opt=1e-200, c=1e-200, g2n=1.0)
+
     def test_frozen_and_validated_once(self):
         m = MediumParams(g2n=1.0)
         with pytest.raises(FrozenInstanceError):
