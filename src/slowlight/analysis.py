@@ -79,6 +79,8 @@ def fit_decay(points, model: str = "gaussian_sq") -> FitResult:
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (t, intensity) pairs")
+    if not np.isfinite(pts).all():
+        raise ValueError("times and intensities must be finite")
     t = pts[:, 0]
     y = pts[:, 1]
     if len(t) < 3:

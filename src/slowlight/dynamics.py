@@ -6,10 +6,14 @@ coherences and one spin coherence).  The scheme locks the time step to the
 grid, c*dt = dz, advects both fields by exactly one cell per step (no
 numerical dispersion) and advances the local field-atom system in each
 cell with a classical 4th-order Runge-Kutta update.  The drives are
-uniform in z, so that update is one linear map in every cell: it is built
-from the step's drive samples with per-class 3x3 algebra, kept while they
-repeat, and applied to the class-major (K, 3, M) atoms as a batched 3x3
-product plus a rank-10 coupling through the fields (see _Propagator).
+uniform in z, so that update is one linear map in every cell, applied to
+the class-major (K, 3, M) atoms as a batched 3x3 product plus a rank-10
+coupling through the fields.  The map depends on the step's six drive
+samples.  Both optical rates are the same for every class, so it is a
+polynomial of degree 4 in each class's spin rate: run_dynamics traces the
+RK4 stages on its coefficients for up to 16 consecutive steps whose
+samples change at once, evaluates each step's map from them, and keeps a
+map while the samples repeat (see _Propagator).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -32,6 +36,7 @@ from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
                      group_velocity)
 
 _FINITE_CHECK_EVERY = 64  # steps between NaN/Inf sweeps of the state
+_CHUNK_STEPS = 16  # most steps whose operators one build call traces
 
 
 class CFLViolation(ValueError):
@@ -101,7 +106,8 @@ class SimState:
     grid: Grid
     deltas: np.ndarray   # (K,) spin detunings
     weights: np.ndarray  # (K,) quadrature weights
-    # step()'s (inputs, _Propagator), reused while the inputs are equal
+    # step()'s (inputs, _Propagator, drive samples of its loaded operator),
+    # the propagator reused while the inputs are equal
     _kept: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -199,95 +205,133 @@ def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
 
 
 class _Propagator:
-    """One RK4 step of every cell's field-atom system as a cached operator.
+    """One RK4 step of every cell's field-atom system as a per-cell operator.
 
     The drives are uniform in z, so a step is the same linear map R in every
     cell, acting on the cell's vector y = (E+, E-, x) with x the K classes'
     (P+, P-, S).  Tracing the four RK4 stages gives R exactly as
 
-        x' = D_k x_k + A (V y),    (E+, E-)' = F (V y),
+        x' = D_k x_k + A_k (V y),    (E+, E-)' = F (V y),
 
     D_k the per-class 3x3 RK4 polynomial of the stage matrices, and
     V y = (E+, E-, W x) ten functionals: the two fields and, per stage, the
     weighted sums (i/2) sqrt(g2n) sum_k w_k D_s,k[:2] x_k that source the
     fields.  advance applies R with one batched 3x3 product and three BLAS
-    products; R is rebuilt, with O(K) batched 3x3 algebra, only when the
-    step's six drive samples differ from those of the operator held.
+    products.
+
+    R depends on the step's six drive samples.  The two optical rates are
+    the same for every class (the model has resonant drives only), so a
+    class enters the stage matrices only through its spin rate
+    u_k = -(gamma_spin/2 + i delta_k), linearly, and every entry of D_k,
+    A_k and W's rows is a polynomial of degree <= 4 in u_k, while F needs
+    only the moments (i/2) sqrt(g2n) sum_k w_k u_k^p.  build traces the
+    stages once for a run of steps, on coefficients over the powers of u,
+    and load evaluates one step's D, A and W from them with three small
+    products against the rows u_k^p.
     """
 
-    RANK = 10  # the two fields plus two field sources per RK4 stage
+    RANK = 10    # the two fields plus two field sources per RK4 stage
+    POWERS = 5   # u^0 .. u^4: each of the four stages is linear in u
 
     def __init__(self, m: MediumParams, state: SimState):
         self.dt = state.grid.dz / m.c
         k, _, cells = state.a.shape
         self.half_g = 0.5j * math.sqrt(m.g2n)
-        self.source = self.half_g * state.weights  # (K,) field source per class
-        # per-class decay and detuning of (P+, P-, S), classes last
-        self.decay = -_class_rates(m, state.deltas)[:, None, :]
-        # the operator, for the drive samples in self.drive
-        self.drive: tuple | None = None
+        # the P+ and P- rows of _class_rates, which no class changes
+        self.optical = -0.5 * m.gamma_opt
+        spin = -_class_rates(m, state.deltas)[2]
+        source = self.half_g * state.weights  # (K,) field source per class
+        # powers u_k^p (K, POWERS), plain and times each class's source
+        self._powers = np.ones((k, self.POWERS), dtype=complex)
+        for p in range(1, self.POWERS):
+            self._powers[:, p] = self._powers[:, p - 1] * spin
+        self._source_powers = source[:, None] * self._powers
+        self._moments = self._source_powers.sum(axis=0)
+        # the operator; W is held as a transposed class-major array, so that
+        # load writes it with one product
         self.d = np.empty((k, 3, 3), dtype=complex)
-        self.w = np.empty((self.RANK - 2, 3 * k), dtype=complex)
         self.a_op = np.empty((3 * k, self.RANK), dtype=complex)
+        self.w = np.empty((3 * k, self.RANK - 2), dtype=complex).T
         self.f_op = np.empty((2, self.RANK), dtype=complex)
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((self.RANK, cells), dtype=complex)
         self._dx = np.empty((k, 3, cells), dtype=complex)
 
-    def _build(self, omega_c, omega_a) -> None:
-        """Set (d, w, a_op, f_op) to the RK4 step at these drive samples.
+    def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
+        """The operators of n consecutive steps, as coefficients over u^p.
 
-        A linear map of y is carried as t = [D | A] (3, 3 + RANK, K), the
-        classes last, and f (2, RANK): its x-part is D_k x_k + A_k (V y),
-        its field part f (V y).  Each stage's slope L_s y_s of the stage
-        input y_s is again of that form, with the field sources of y_s as
-        two new functionals.
+        omega_c and omega_a hold the drives at the 2n + 1 half steps of the
+        n steps.  Returns (d, a, w, f) with one row per step: D
+        (n, POWERS, 3, 3), A (n, POWERS, 3, RANK), W's rows before the
+        classes' source (n, POWERS, 3, RANK - 2) and F (n, 2, RANK).  A
+        linear map of y is traced as t = [D | A] and f: its x-part is
+        D x_k + A (V y), its field part f (V y).  Each stage's slope L_s y_s
+        of the stage input y_s is again of that form, with the field sources
+        of y_s as two new functionals; its S row gains a power of u.  The
+        steps never mix, so a step's row does not depend on n or on its
+        place among the n.
         """
-        h, r, k = self.dt, self.RANK, len(self.source)
-        one_t = np.zeros((3, 3 + r, k), dtype=complex)
-        for i in range(3):
-            one_t[i, i] = 1.0
-        one_f = np.eye(2, r, dtype=complex)
+        n = len(omega_c) // 2
+        h, r, p = self.dt, self.RANK, self.POWERS
+        # while tracing, t is (row P+/P-/S, step, power, column): each row
+        # is one contiguous block, and the steps broadcast from 1 to n
+        one_t = np.zeros((3, 1, p, 3 + r), dtype=complex)
+        one_t[0, 0, 0, 0] = one_t[1, 0, 0, 1] = one_t[2, 0, 0, 2] = 1.0
+        one_f = np.eye(2, r, dtype=complex)[:, None]
         t, f = one_t, one_f
-        sum_t, sum_f = np.zeros_like(one_t), np.zeros_like(one_f)
-        stages = ((omega_c[0], omega_a[0], 0.5, 1.0), (omega_c[1], omega_a[1], 0.5, 2.0),
-                  (omega_c[1], omega_a[1], 1.0, 2.0), (omega_c[2], omega_a[2], 0.0, 1.0))
-        for s, (oc, oa, to_next, weight) in enumerate(stages):
-            cross = np.array([[0.0, 0.0, 0.5j * oc],
-                              [0.0, 0.0, 0.5j * oa],
-                              [0.5j * np.conj(oc), 0.5j * np.conj(oa), 0.0]])
+        sum_t = np.zeros((3, n, p, 3 + r), dtype=complex)
+        sum_f = np.zeros((2, n, r), dtype=complex)
+        slope = np.empty_like(sum_t)
+        w = np.empty((n, p, 3, r - 2), dtype=complex)
+        # the stage matrices' drive entries at each half step: (i/2) Omega
+        # into P+ and P-, and (i/2) Omega* from them into S
+        into_p = 0.5j * np.stack([omega_c, omega_a])[:, :, None, None]
+        into_s = -into_p.conj()
+        start, mid, end = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
+        stages = ((start, 0.5, 1.0), (mid, 0.5, 2.0), (mid, 1.0, 2.0), (end, 0.0, 1.0))
+        for s, (at, to_next, weight) in enumerate(stages):
             # slope: x-part B_s x_s + G e_s, field part the sources of x_s
-            slope_t = (cross @ t.reshape(3, -1)).reshape(t.shape)
-            slope_t += self.decay * t
-            slope_t[:2, 3:] += self.half_g * f[:, :, None]
-            sources = self.source * t[:2, :3]
-            self.w[2 * s:2 * s + 2] = sources.transpose(0, 2, 1).reshape(2, 3 * k)
-            slope_f = t[:2, 3:] @ self.source
-            slope_f[:, 2 * s + 2:2 * s + 4] += np.eye(2)
-            sum_t += weight * slope_t
+            np.multiply(self.optical, t[:2], out=slope[:2])
+            slope[:2] += into_p[:, at] * t[2]
+            np.multiply(into_s[0, at], t[0], out=slope[2])
+            slope[2] += into_s[1, at] * t[1]
+            slope[2, :, 1:] += t[2, :, :-1]  # u S
+            slope[:2, :, 0, 3:] += self.half_g * f
+            w[..., 2 * s:2 * s + 2] = t[:2, ..., :3].transpose(1, 2, 3, 0)
+            slope_f = self._moments @ t[:2, ..., 3:]
+            slope_f[..., 2 * s + 2:2 * s + 4] += one_f[..., :2]
+            sum_t += weight * slope
             sum_f += weight * slope_f
-            t = one_t + to_next * h * slope_t
-            f = one_f + to_next * h * slope_f
-        t = one_t + h / 6.0 * sum_t
-        self.d[:] = t[:, :3].transpose(2, 0, 1)
-        self.a_op[:] = t[:, 3:].transpose(2, 0, 1).reshape(3 * k, r)
-        self.f_op[:] = one_f + h / 6.0 * sum_f
-        self.drive = (*omega_c, *omega_a)
+            if to_next:
+                t = one_t + to_next * h * slope
+                f = one_f + to_next * h * slope_f
+        t = (one_t + h / 6.0 * sum_t).transpose(1, 2, 0, 3)
+        f = (one_f + h / 6.0 * sum_f).transpose(1, 0, 2)
+        return (np.ascontiguousarray(t[..., :3]),
+                np.ascontiguousarray(t[..., 3:]), w, f)
+
+    def load(self, table: tuple, row: int) -> None:
+        """Set (d, w, a_op, f_op) to the operator of step `row` of a build."""
+        d, a, w, f = table
+        k, p, r = len(self._powers), self.POWERS, self.RANK
+        np.matmul(self._powers, d[row].reshape(p, 9), out=self.d.reshape(k, 9))
+        np.matmul(self._powers, a[row].reshape(p, 3 * r),
+                  out=self.a_op.reshape(k, 3 * r))
+        np.matmul(self._source_powers, w[row].reshape(p, 3 * (r - 2)),
+                  out=self.w.T.reshape(k, 3 * (r - 2)))
+        self.f_op[:] = f[row]
 
     def advance(self, state: SimState, n: int, inject_plus: complex,
-                inject_minus: complex, omega_c, omega_a) -> None:
+                inject_minus: complex) -> None:
         """Advance the state in place by one step, to t = n dt.
 
         E+ shifts one cell toward +z and takes inject_plus at z = 0, E- one
         cell toward -z and takes inject_minus at z = 1.  Then every cell
         takes one classical RK4 step of its field-atom system over dt, the
         fields acting as local variables coupled to their cell's atoms, with
-        the drives omega_c / omega_a given at the step start, midpoint and
-        end.
+        the drives of the loaded operator.
         """
-        if (*omega_c, *omega_a) != self.drive:
-            self._build(omega_c, omega_a)
         f, a, phi = state.f, state.a, self._phi
         k, _, cells = a.shape
         # advect into the field functionals, then the sources W x
@@ -326,11 +370,14 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     inputs = (m, state.grid, state.deltas.tobytes(), state.weights.tobytes())
     if state._kept is None or state._kept[0] != inputs:
-        state._kept = (inputs, _Propagator(m, state))
-    prop = state._kept[1]
+        state._kept = (inputs, _Propagator(m, state), None)
+    _, prop, held = state._kept
     n = _step_index(state.t, prop.dt)
-    omega_c, omega_a = zip(*map(drive.sample, _half_step_times(prop.dt, n, n + 1)))
-    prop.advance(state, n + 1, inject_plus, inject_minus, omega_c, omega_a)
+    samples = tuple(zip(*map(drive.sample, _half_step_times(prop.dt, n, n + 1))))
+    if samples != held:
+        prop.load(prop.build(*map(np.array, samples)), 0)
+        state._kept = (inputs, prop, samples)
+    prop.advance(state, n + 1, inject_plus, inject_minus)
     state.check_finite()
     return state
 
@@ -405,12 +452,21 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     # steps on the multiples of `every` record, those of a resumed run too
     if n0 % every == 0:
         record()
+    # a step whose drive samples differ from its predecessor's loads its own
+    # operator, built with those of up to _CHUNK_STEPS - 1 such steps after it
+    rebuild = _drive_changes(omega_c, omega_a)
+    stop = 0  # end of the steps that `table` holds
     for i in range(n_steps):
         n = n0 + i + 1  # global index of the step being completed
-        # the step's three drive samples, as Python scalars (cheaper to unpack)
-        k = slice(2 * i, 2 * i + 3)
-        prop.advance(state, n, inject[i], 0.0j,
-                     omega_c[k].tolist(), omega_a[k].tolist())
+        if rebuild[i]:
+            if i >= stop:
+                first, stop = i, i + 1
+                while stop < min(i + _CHUNK_STEPS, n_steps) and rebuild[stop]:
+                    stop += 1
+                table = prop.build(omega_c[2 * i:2 * stop + 1],
+                                   omega_a[2 * i:2 * stop + 1])
+            prop.load(table, i - first)
+        prop.advance(state, n, inject[i], 0.0j)
         if n % every == 0:
             record()
         if n % _FINITE_CHECK_EVERY == 0:
@@ -422,6 +478,15 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
 
     columns = np.frombuffer(records).reshape(-1, 4).T.copy()
     return DetectorTrace(*columns, annotations=tuple(sequence.events)), snapshots
+
+
+def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
+    """Per step of the drive samples at 2n + 1 half steps: whether its six
+    samples differ from those of the step before (always, for the first)."""
+    moved = (omega_c[2:] != omega_c[:-2]) | (omega_a[2:] != omega_a[:-2])
+    changed = np.ones(len(omega_c) // 2, dtype=bool)
+    changed[1:] = moved[:-1:2] | moved[1::2] | moved[2::2]
+    return changed
 
 
 def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:

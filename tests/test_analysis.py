@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowlight.analysis import (FitResult, fit_decay, group_delay, phase_match,
-                                slow_light_delay)
+from slowlight.analysis import (MODELS, FitResult, fit_decay, group_delay,
+                                phase_match, slow_light_delay)
 from slowlight.dynamics import DetectorTrace, Grid, run_dynamics
 from slowlight.experiment import ProtocolParams, standard_sequence
 from slowlight.medium import MediumParams, group_velocity, make_spectral_classes
@@ -68,6 +68,15 @@ class TestFitDecay:
             fit_decay([(0.0, 1.0), (1.0, -0.5), (2.0, 0.2)], "exponential")
         with pytest.raises(ValueError):
             fit_decay([(1.0, 1.0), (1.0, 0.5), (1.0, 0.2)], "exponential")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_rejected(self, bad, column):
+        points = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25], [3.0, 0.125]]
+        points[2][column] = bad
+        for model in MODELS:
+            with pytest.raises(ValueError, match="finite"):
+                fit_decay(points, model)
 
     def test_zero_points_excluded_from_log_init_only(self):
         t = np.array([0.0, 4.0, 8.0, 12.0, 40.0])

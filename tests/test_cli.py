@@ -307,6 +307,17 @@ class TestCommands:
         assert body["fits"]["gaussian_sq"]["tau_us"] == pytest.approx(tau, rel=1e-6)
         assert 0.0 < body["wall_time_s"] < 60.0  # measured, not a placeholder
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_rejects_non_finite_intensity(self, cfg_file, tmp_path, bad):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n"
+                       f"8,{bad}\n12,0.2\n")
+        out = tmp_path / "fit"
+        code = main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "fit.json").exists()
+
     def test_sweep_json_reports_simulated_steps(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="probe pulse spans"):

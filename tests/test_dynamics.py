@@ -56,56 +56,62 @@ class TestModelRhs:
         assert abs(d_pp) <= 1e-15 and abs(d_pm) == 0.0 and abs(d_s) == 0.0
 
     def test_operator_step_matches_per_cell_rk4(self):
-        rng = np.random.default_rng(7)
-        classes = make_spectral_classes(40.0, 5, "lorentzian")
-        assert np.count_nonzero([c.delta_j for c in classes]) == 4
-        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
-        g_half = 0.5j * math.sqrt(m.g2n)
-        state = _state(grid_cells=4, classes=classes)
-        for arr in (state.f, state.a):
-            arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
-        dt = state.grid.dz / m.c
-        state.t = 3 * dt
-        # three distinct drive samples at the step start, midpoint and end
-        drive = ControlDrive(lambda t: (0.6 + 0.2j) * (1.0 + t * t),
-                             lambda t: (0.3 - 0.1j) * (2.0 - t))
+        for delta_s_khz in (40.0, 1600.0):
+            rng = np.random.default_rng(7)
+            classes = make_spectral_classes(delta_s_khz, 5, "lorentzian")
+            assert np.count_nonzero([c.delta_j for c in classes]) == 4
+            m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
+            g_half = 0.5j * math.sqrt(m.g2n)
+            state = _state(grid_cells=4, classes=classes)
+            for arr in (state.f, state.a):
+                arr[:] = (rng.normal(size=arr.shape)
+                          + 1j * rng.normal(size=arr.shape))
+            dt = state.grid.dz / m.c
+            if delta_s_khz > 1000.0:
+                # dt max|delta_j| = 3.4: the operator's polynomial in the spin
+                # rate has large u^4 terms
+                assert dt * np.abs(state.deltas).max() > 3.0
+            state.t = 3 * dt
+            # three distinct drive samples at the step start, midpoint and end
+            drive = ControlDrive(lambda t: (0.6 + 0.2j) * (1.0 + t * t),
+                                 lambda t: (0.3 - 0.1j) * (2.0 - t))
 
-        # reference: advect, then plain RK4 in each cell on model_rhs
-        ref = state.copy()
-        ref.f[0] = np.roll(ref.f[0], 1)
-        ref.f[0, 0] = 0.2
-        ref.f[1] = np.roll(ref.f[1], -1)
-        ref.f[1, -1] = -0.1j
+            # reference: advect, then plain RK4 in each cell on model_rhs
+            ref = state.copy()
+            ref.f[0] = np.roll(ref.f[0], 1)
+            ref.f[0, 0] = 0.2
+            ref.f[1] = np.roll(ref.f[1], -1)
+            ref.f[1, -1] = -0.1j
 
-        def slope(y, t):
-            y.t = t
-            kf = np.empty_like(y.f)
-            ka = np.empty_like(y.a)
-            for cell in range(4):
-                kf[:, cell] = g_half * (y.weights @ y.a[:, :2, cell])
-                for j in range(5):
-                    ka[j, :, cell] = model_rhs(y, drive, m, j=j, cell=cell)
-            return kf, ka
+            def slope(y, t):
+                y.t = t
+                kf = np.empty_like(y.f)
+                ka = np.empty_like(y.a)
+                for cell in range(4):
+                    kf[:, cell] = g_half * (y.weights @ y.a[:, :2, cell])
+                    for j in range(5):
+                        ka[j, :, cell] = model_rhs(y, drive, m, j=j, cell=cell)
+                return kf, ka
 
-        def shifted(c, k):
-            y = ref.copy()
-            y.f += c * k[0]
-            y.a += c * k[1]
-            return y
+            def shifted(c, k):
+                y = ref.copy()
+                y.f += c * k[0]
+                y.a += c * k[1]
+                return y
 
-        t0 = ref.t
-        k1 = slope(ref.copy(), t0)
-        k2 = slope(shifted(0.5 * dt, k1), t0 + 0.5 * dt)
-        k3 = slope(shifted(0.5 * dt, k2), t0 + 0.5 * dt)
-        k4 = slope(shifted(dt, k3), t0 + dt)
-        want_f = ref.f + dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        want_a = ref.a + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+            t0 = ref.t
+            k1 = slope(ref.copy(), t0)
+            k2 = slope(shifted(0.5 * dt, k1), t0 + 0.5 * dt)
+            k3 = slope(shifted(0.5 * dt, k2), t0 + 0.5 * dt)
+            k4 = slope(shifted(dt, k3), t0 + dt)
+            want_f = ref.f + dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+            want_a = ref.a + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
 
-        step(state, drive, m, dt, inject_plus=0.2, inject_minus=-0.1j)
-        scale = max(np.abs(want_f).max(), np.abs(want_a).max())
-        assert np.abs(state.f - want_f).max() <= 1e-12 * scale
-        assert np.abs(state.a - want_a).max() <= 1e-12 * scale
-        assert state.t == pytest.approx(t0 + dt, rel=1e-15)
+            step(state, drive, m, dt, inject_plus=0.2, inject_minus=-0.1j)
+            scale = max(np.abs(want_f).max(), np.abs(want_a).max())
+            assert np.abs(state.f - want_f).max() <= 1e-12 * scale
+            assert np.abs(state.a - want_a).max() <= 1e-12 * scale
+            assert state.t == pytest.approx(t0 + dt, rel=1e-15)
 
 
 class TestStateLayout:
@@ -194,17 +200,18 @@ class TestStep:
 
     def test_free_propagation_translates_exactly(self):
         m = MediumParams(g2n=0.0, c=5.0)
-        state = _state(grid_cells=16)
-        state.e_plus[3] = 0.8 - 0.4j
-        state.e_minus[10] = 0.2j
-        drive = ControlDrive.constant(0.5, 0.5)
-        dt = state.grid.dz / m.c
-        for _ in range(4):
-            step(state, drive, m, dt)
-        assert state.e_plus[7] == 0.8 - 0.4j
-        assert state.e_minus[6] == 0.2j
-        assert np.count_nonzero(state.e_plus) == 1
-        assert state.t == pytest.approx(4 * dt)
+        for classes in (SINGLE, []):  # no classes: a vacuum
+            state = _state(grid_cells=16, classes=classes)
+            state.e_plus[3] = 0.8 - 0.4j
+            state.e_minus[10] = 0.2j
+            drive = ControlDrive.constant(0.5, 0.5)
+            dt = state.grid.dz / m.c
+            for _ in range(4):
+                step(state, drive, m, dt)
+            assert state.e_plus[7] == 0.8 - 0.4j
+            assert state.e_minus[6] == 0.2j
+            assert np.count_nonzero(state.e_plus) == 1
+            assert state.t == pytest.approx(4 * dt)
 
     def test_cfl_and_exact_advection_enforced(self):
         m = MediumParams(g2n=1.0, c=5.0)
@@ -347,15 +354,15 @@ class TestRunDynamics:
         triples = np.stack([oc[0:-1:2], oc[1::2], oc[2::2],
                             oa[0:-1:2], oa[1::2], oa[2::2]], axis=1)
         changes = 1 + np.count_nonzero((triples[1:] != triples[:-1]).any(axis=1))
-        builds = []
-        build = _Propagator._build
-        monkeypatch.setattr(_Propagator, "_build",
-                            lambda self, *a: builds.append(1) or build(self, *a))
+        rows = _count_built_rows(monkeypatch)  # operators per build call
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_dynamics(seq, m, grid, classes)
-        assert len(builds) == changes
-        assert changes <= 8 if kind == "stationary" else changes > 100
+        assert sum(rows) == changes
+        if kind == "stationary":
+            assert changes <= 8
+        else:  # the ramps change the drives on every step, in chunks
+            assert changes > 100 and len(rows) < sum(rows)
 
     def test_grid_resolution_warning(self):
         m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
@@ -365,6 +372,48 @@ class TestRunDynamics:
         seq = standard_sequence("slow_light", p)
         with pytest.warns(UserWarning, match="cells"):
             run_dynamics(seq, m, grid, SINGLE)
+
+
+def _count_built_rows(monkeypatch) -> list[int]:
+    """Record the number of operators each _Propagator.build call makes."""
+    rows = []
+    build = _Propagator.build
+
+    def counted(self, omega_c, omega_a):
+        table = build(self, omega_c, omega_a)
+        rows.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(_Propagator, "build", counted)
+    return rows
+
+
+class TestPropagatorBuild:
+    def _propagator(self):
+        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
+        state = _state(grid_cells=4,
+                       classes=make_spectral_classes(1600.0, 5, "lorentzian"))
+        return _Propagator(m, state)
+
+    def _loaded(self, prop, table, row):
+        prop.load(table, row)
+        return [getattr(prop, name).copy() for name in ("d", "w", "a_op", "f_op")]
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_chunk_rows_equal_single_step_builds(self, n):
+        rng = np.random.default_rng(n)
+        omega_c, omega_a = rng.normal(size=(2, 2 * n + 5, 2)) @ [1.0, 1j]
+        prop = self._propagator()
+        for offset in (0, 2):  # where the chunk starts among the samples
+            table = prop.build(omega_c[2 * offset:2 * (offset + n) + 1],
+                               omega_a[2 * offset:2 * (offset + n) + 1])
+            assert len(table[0]) == n
+            for row in range(n):
+                k = slice(2 * (offset + row), 2 * (offset + row) + 3)
+                alone = prop.build(omega_c[k], omega_a[k])
+                for got, want in zip(self._loaded(prop, table, row),
+                                     self._loaded(prop, alone, 0)):
+                    assert np.array_equal(got, want)
 
 
 def _resume_setup():
@@ -672,30 +721,36 @@ class TestSymmetries:
         drift = abs(field_centroid(inside[-1]) - field_centroid(inside[0]))
         assert drift <= 0.02  # of the unit-length medium
 
-    def test_step_sequence_equals_run_dynamics(self):
+    def test_step_sequence_equals_run_dynamics(self, monkeypatch):
         # event edges deliberately off the step grid so both paths sample
-        # identical envelope values
+        # identical envelope values; raised-cosine ramps change the drives on
+        # every step for 2 us, so run_dynamics builds their operators in chunks
         from slowlight.experiment import PulseEvent, PulseSequence
 
         m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
         grid = Grid(cells=16)
         classes = make_spectral_classes(30.0, 5, "lorentzian")
-        seq = PulseSequence(
-            events=[PulseEvent("P", 0.013, 11.1, 1.0, "gaussian", 3.7),
-                    PulseEvent("C", 0.0, 13.99, 1.5)],
-            t_end_us=14.0, sample_rate=50.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, snaps = run_dynamics(seq, m, grid, classes)
-        state = SimState.zeros(grid, classes)
-        drive = ControlDrive(
-            lambda t: complex(seq.channel_envelope("C", np.asarray([t]))[0]),
-            lambda t: complex(seq.channel_envelope("A", np.asarray([t]))[0]))
-        dt = grid.dz / m.c
-        for _ in range(int(round(14.0 / dt))):
-            inject = complex(seq.probe_samples(np.asarray([state.t]))[0])
-            step(state, drive, m, dt, inject_plus=inject)
-        final = snaps[-1]
-        assert np.array_equal(state.f, final.f)
-        assert np.array_equal(state.a, final.a)
-        assert state.t == final.t
+        rows = _count_built_rows(monkeypatch)
+        for shape, ramp in (("rect", 0.0), ("raised_cosine", 2.0)):
+            seq = PulseSequence(
+                events=[PulseEvent("P", 0.013, 11.1, 1.0, "gaussian", 3.7),
+                        PulseEvent("C", 0.0, 13.99, 1.5, shape, ramp),
+                        PulseEvent("A", 5.003, 6.0, 0.7, shape, ramp)],
+                t_end_us=14.0, sample_rate=50.0)
+            rows.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, snaps = run_dynamics(seq, m, grid, classes)
+            assert (max(rows) == 16) == (shape == "raised_cosine")
+            state = SimState.zeros(grid, classes)
+            drive = ControlDrive(
+                lambda t: complex(seq.channel_envelope("C", np.asarray([t]))[0]),
+                lambda t: complex(seq.channel_envelope("A", np.asarray([t]))[0]))
+            dt = grid.dz / m.c
+            for _ in range(int(round(14.0 / dt))):
+                inject = complex(seq.probe_samples(np.asarray([state.t]))[0])
+                step(state, drive, m, dt, inject_plus=inject)
+            final = snaps[-1]
+            assert np.array_equal(state.f, final.f)
+            assert np.array_equal(state.a, final.a)
+            assert state.t == final.t
