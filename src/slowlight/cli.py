@@ -36,11 +36,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-OUTPUT_DIR_ENV = "SLOWLIGHT_OUTDIR"
-
-
-class _UsageError(Exception):
-    pass
+_SWEEP_COLUMNS = ["param_us", "peak_intensity"]
 
 
 def _fmt(x: float) -> str:
@@ -63,43 +59,46 @@ def _write_trace(path: Path, trace, config_sha: str) -> None:
 
 
 def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a sweep CSV: a _SWEEP_COLUMNS header, then two numbers
+    per row; anything else names the file and line."""
     values, peaks = [], []
     header_seen = False
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        parts = [part.strip() for part in line.split(",")]
         if not header_seen:
-            header_seen = True  # column header row
+            if parts != _SWEEP_COLUMNS:
+                raise ValueError(f"{path} line {lineno}: expected the header "
+                                 f"{','.join(_SWEEP_COLUMNS)}, got {line!r}")
+            header_seen = True
             continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise _UsageError(f"{path}: malformed CSV row at line {lineno}")
-        values.append(float(parts[0]))
-        peaks.append(float(parts[1]))
+        if len(parts) != 2:
+            raise ValueError(f"{path} line {lineno}: expected 2 fields, "
+                             f"got {len(parts)}")
+        try:
+            values.append(float(parts[0]))
+            peaks.append(float(parts[1]))
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: cannot parse "
+                             f"{line!r} as numbers") from None
     if len(values) < 3:
-        raise _UsageError(f"{path}: need at least 3 sweep points to fit")
+        raise ValueError(f"{path}: need at least 3 sweep points to fit")
     return np.asarray(values), np.asarray(peaks)
 
 
-def _load_config(path: str) -> tuple[Config, str, str]:
+def _load_config(path: str) -> tuple[Config, str]:
+    """The parsed configuration and the sha256 of its text."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config(text)
-    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return cfg, text, sha
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _out_dir(args, cfg: Config) -> Path:
-    if args.out:
-        base = args.out
-    elif cfg.output.dir:
-        base = cfg.output.dir
-    else:
-        base = os.environ.get(OUTPUT_DIR_ENV, ".")
-    path = Path(base)
+def _out_dir(args) -> Path:
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -140,7 +139,7 @@ def _fit_report(values: np.ndarray, intensities: np.ndarray) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    cfg, _text, sha = _load_config(args.config)
+    cfg, sha = _load_config(args.config)
     m = build_medium(cfg)
     classes = build_classes(cfg)
     omega_c = cfg.protocol.omega_c
@@ -148,7 +147,7 @@ def cmd_spectrum(args) -> int:
     detunings = np.linspace(-span, span, cfg.spectrum.points)
     t0 = time.perf_counter()
     chi = susceptibility(detunings, omega_c, m, classes)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     _write_csv(out / "spectrum.csv",
                ["detuning_rad_per_us", "chi_re", "chi_im"],
                [detunings, chi.real, chi.imag], sha)
@@ -159,7 +158,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, _text, sha = _load_config(args.config)
+    cfg, sha = _load_config(args.config)
+    if not cfg.protocol.kind:
+        raise ConfigError("run needs protocol.kind", "missing")
     m = build_medium(cfg)
     classes = build_classes(cfg)
     grid = Grid(cells=cfg.grid.cells)
@@ -168,11 +169,11 @@ def cmd_run(args) -> int:
     t0 = time.perf_counter()
     trace, snapshots = run_dynamics(sequence, m, grid, classes)
     wall = time.perf_counter() - t0
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     _write_trace(out / "trace.csv", trace, sha)
     markers = [{"channel": e.channel, "t_start_us": e.t_start,
                 "duration_us": e.duration, "peak": e.peak, "shape": e.shape}
-               for e in trace.annotations]
+               for e in sequence.events]
     report = {"events": markers,
               "checks": {"weak_probe_ok": snapshots[-1].weak_probe_ok},
               "optical_depth": m.optical_depth}
@@ -189,8 +190,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.threads < 0:
-        raise _UsageError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
-    cfg, _text, sha = _load_config(args.config)
+        raise ValueError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
+    cfg, sha = _load_config(args.config)
     if not cfg.sweep.parameter:
         raise ConfigError("sweep needs sweep.parameter", "missing")
     m = build_medium(cfg)
@@ -207,8 +208,8 @@ def cmd_sweep(args) -> int:
         result = sweep_duration(cfg.sweep.values, base, m, grid, classes,
                                 keep_traces=keep, threads=threads)
     wall = time.perf_counter() - t0
-    out = _out_dir(args, cfg)
-    _write_csv(out / "sweep.csv", ["param_us", "peak_intensity"],
+    out = _out_dir(args)
+    _write_csv(out / "sweep.csv", _SWEEP_COLUMNS,
                [result.values, result.intensities], sha)
     if keep and result.traces is not None:
         for i, trace in enumerate(result.traces):
@@ -225,14 +226,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, _text, sha = _load_config(args.config)
-    out = _out_dir(args, cfg)
-    sweep_path = Path(args.input) if args.input else out / "sweep.csv"
+    cfg, sha = _load_config(args.config)
+    sweep_path = Path(args.input) if args.input else Path(args.out) / "sweep.csv"
     t0 = time.perf_counter()
     values, intensities = _read_sweep_csv(sweep_path)
     report = _fit_report(values, intensities)
     body = _summary(cfg, sha, time.perf_counter() - t0,
                     {"input": str(sweep_path), "fits": report})
+    out = _out_dir(args)
     _write_json(out / "fit.json", body)
     print(f"wrote {out / 'fit.json'}")
     return EXIT_OK
@@ -249,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("sweep", cmd_sweep), ("fit", cmd_fit)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="configuration file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".",
+                       help="output directory (default: the working directory)")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
                            help="sweep-point parallelism; 0 = auto")
@@ -268,9 +270,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalAbort as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

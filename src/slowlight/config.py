@@ -37,16 +37,15 @@ def _nonneg(v: float) -> bool:
     return v >= 0.0 and math.isfinite(v)
 
 
-def _key(default, check=None, name: str | None = None, required: bool = False):
+def _key(default, check=None, name: str | None = None):
     """A config key declared on its section field.
 
-    `check` is a range predicate or a tuple of allowed choices, `name` the
-    key's spelling in the file where it differs from the attribute (keys
-    follow the capitalized channel and width symbols) and `required` marks
-    a key the file must set.  The parse kind follows from the annotation.
+    `check` is a range predicate or a tuple of allowed choices and `name`
+    the key's spelling in the file where it differs from the attribute
+    (keys follow the capitalized channel and width symbols).  The parse
+    kind follows from the annotation.
     """
-    return field(default=default,
-                 metadata={"check": check, "name": name, "required": required})
+    return field(default=default, metadata={"check": check, "name": name})
 
 
 @dataclass
@@ -69,7 +68,7 @@ class GridConfig:
 
 @dataclass
 class ProtocolConfig:
-    kind: str = _key("", ("slow_light", "memory", "stationary"), required=True)
+    kind: str = _key("", ("slow_light", "memory", "stationary"))  # "": not set
     probe_duration_us: float = _key(ProtocolParams.probe_duration_us, _positive)
     probe_amplitude: float = _key(ProtocolParams.probe_amplitude, _nonneg)
     probe_start_us: float = _key(ProtocolParams.probe_start_us, _nonneg)
@@ -101,7 +100,6 @@ class SpectrumConfig:
 
 @dataclass
 class OutputConfig:
-    dir: str = _key("")
     per_point_traces: bool = _key(False)
 
 
@@ -192,11 +190,6 @@ def parse_config(text: str) -> Config:
                               "range", lineno)
         setattr(getattr(cfg, current), f.name, value)
 
-    for section, section_keys in keys.items():
-        for key, f in section_keys.items():
-            if f.metadata["required"] and (section, key) not in seen:
-                raise ConfigError(f"missing required key {key!r} in "
-                                  f"section [{section}]", "missing")
     _cross_validate(cfg)
     return cfg
 
@@ -207,7 +200,7 @@ def _cross_validate(cfg: Config) -> None:
     if cfg.sweep.parameter and not cfg.sweep.values:
         raise ConfigError("sweep.values must be a non-empty list", "missing")
     kind = SWEEPABLE.get(cfg.sweep.parameter, cfg.protocol.kind)
-    if kind != cfg.protocol.kind:
+    if cfg.protocol.kind and kind != cfg.protocol.kind:
         raise ConfigError(f"sweep.parameter {cfg.sweep.parameter} sweeps the "
                           f"{kind} protocol, not protocol.kind = "
                           f"{cfg.protocol.kind}", "range")

@@ -175,7 +175,6 @@ class DetectorTrace:
     fwd_intensity: np.ndarray   # |E+(1, t)|^2
     bwd_intensity: np.ndarray   # |E-(0, t)|^2
     spin_norm: np.ndarray       # sum_z dz sum_j w_j |S|^2
-    annotations: tuple = ()     # the sequence's pulse events
 
 
 def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
@@ -477,7 +476,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     snapshots.append(state)
 
     columns = np.frombuffer(records).reshape(-1, 4).T.copy()
-    return DetectorTrace(*columns, annotations=tuple(sequence.events)), snapshots
+    return DetectorTrace(*columns), snapshots
 
 
 def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:

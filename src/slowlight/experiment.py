@@ -321,8 +321,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
         trace = DetectorTrace(
             *(np.concatenate([getattr(trunk_trace, name)[:cut],
                               getattr(tail, name)])
-              for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm")),
-            annotations=tail.annotations)
+              for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm")))
         return (trace, *released_peak(trace, sequence.release_time_us
                                       + base.peak_guard_us))
 

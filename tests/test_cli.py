@@ -95,7 +95,6 @@ EVERY_KEY = [
     ("sweep", "values", "0, 1.5 3", "values", (0.0, 1.5, 3.0)),
     ("spectrum", "span_rad_per_us", "2", "span_rad_per_us", 2.0),
     ("spectrum", "points", "11", "points", 11),
-    ("output", "dir", "runs/x", "dir", "runs/x"),
     ("output", "per_point_traces", "yes", "per_point_traces", True),
 ]
 # second spellings of the decay rates and Rabi frequencies, no longer keys
@@ -180,11 +179,6 @@ class TestParseConfig:
             parse_config("[protocol]\nkind = memory\nnot a key value\n")
         assert err.value.category == "syntax"
         assert err.value.line == 3
-
-    def test_missing_required_kind(self):
-        with pytest.raises(ConfigError, match="kind") as err:
-            parse_config("[medium]\nn_classes = 4\n")
-        assert err.value.category == "missing"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -318,6 +312,24 @@ class TestCommands:
         assert code == EXIT_CONFIG
         assert not (out / "fit.json").exists()
 
+    @pytest.mark.parametrize("text, line", [
+        # a run's trace: the header is not a sweep's
+        ("# slowlight\nt_us,fwd_intensity,bwd_intensity,spin_norm\n"
+         "0,0,0,0\n1,0.5,0,0.1\n2,1,0,0.2\n3,0.5,0,0.1\n", 2),
+        # a third field on one row
+        ("param_us,peak_intensity\n0,1.0\n4,0.6,0.1\n8,0.3\n", 3),
+    ], ids=["trace", "three_fields"])
+    def test_fit_rejects_csv_other_than_a_sweep(self, cfg_file, tmp_path,
+                                                capsys, text, line):
+        csv = tmp_path / "trace.csv"
+        csv.write_text(text)
+        out = tmp_path / "fit"
+        code = main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{csv} line {line}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_json_reports_simulated_steps(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="probe pulse spans"):
@@ -328,6 +340,33 @@ class TestCommands:
         # whole and the other two integrate only their 10 us release
         assert body["independent_steps"] == 2080 + 2320 + 2560
         assert body["simulated_steps"] == 2560 + 2 * 800
+
+    def test_each_command_requires_only_what_it_reads(self, cfg_file,
+                                                      tmp_path, capsys):
+        config = cfg_file("[medium]\nn_classes = 4\n")
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n8,0.3\n")
+        assert main(["spectrum", "--config", config, "--out",
+                     str(tmp_path)]) == EXIT_OK
+        assert main(["fit", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        assert "protocol.kind" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_sweep_takes_its_protocol_from_the_parameter(self, cfg_file,
+                                                         tmp_path):
+        no_kind = SMALL_SWEEP.replace("kind = memory\n", "")
+        assert "kind" not in no_kind
+        rows = []
+        for name, text in (("kind", SMALL_SWEEP), ("no_kind", no_kind)):
+            out = tmp_path / name
+            with pytest.warns(UserWarning, match="probe pulse spans"):
+                assert main(["sweep", "--config", cfg_file(text, f"{name}.cfg"),
+                             "--out", str(out)]) == EXIT_OK
+            rows.append((out / "sweep.csv").read_text().splitlines()[1:])
+        assert rows[0] == rows[1]
 
     def test_sweep_rejects_empty_values(self, cfg_file):
         text = SMALL_SWEEP.replace("values = 0, 3, 6", "values =")
@@ -399,11 +438,11 @@ class TestCommands:
         assert data.shape[0] == 801
         assert np.all(data[:, 2] >= -1e-12)  # passive medium
 
-    def test_output_dir_env_var(self, cfg_file, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv("SLOWLIGHT_OUTDIR", str(target))
+    def test_out_defaults_to_working_directory(self, cfg_file, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["spectrum", "--config", cfg_file(SMALL_RUN)]) == EXIT_OK
-        assert (target / "spectrum.csv").exists()
+        assert (tmp_path / "spectrum.csv").exists()
 
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == EXIT_CONFIG

@@ -3,13 +3,15 @@
 Each `configs/*.cfg` is the one statement of a paper workload: it must
 round-trip through render_config and be read by an acceptance criterion
 (tests/test_acceptance.py runs it), and the README's example configuration
-must parse.  Nothing is integrated here.
+and `slowlight` commands must parse.  Nothing is integrated here.
 """
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from slowlight.cli import build_parser
 from slowlight.config import parse_config, render_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +39,14 @@ def test_readme_example_config_parses():
     assert len(blocks) == 1
     cfg = parse_config(blocks[0])
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_readme_commands_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("slowlight ")]
+    parser = build_parser()
+    parsed = {parser.parse_args(argv).command for argv in commands}
+    assert parsed == {"spectrum", "run", "sweep", "fit"}

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import fields, replace
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from slowlight.analysis import fit_decay
+from slowlight.cli import main
+from slowlight.config import build_protocol, parse_config
 from slowlight.dynamics import Grid, run_dynamics
 from slowlight.experiment import (ProtocolParams, PulseEvent, PulseSequence,
                                   released_peak, standard_sequence,
@@ -213,17 +216,24 @@ class TestRunExperiment:
         assert np.array_equal(t_slow.bwd_intensity, t_frozen.bwd_intensity)
         assert np.array_equal(t_slow.spin_norm, t_frozen.spin_norm)
 
-    def test_marker_integrity(self):
-        m, grid, classes = _mini_setup()
-        p = ProtocolParams(omega_c=1.5, probe_duration_us=4.0,
-                           storage_t_us=3.0, c_off_us=13.0,
-                           release_window_us=10.0)
-        seq = standard_sequence("memory", p)
+    def test_marker_integrity(self, tmp_path):
+        # run.json lists the sequence's pulse events, each once, in order
+        text = ("[medium]\ngamma_opt = 1.0\nn_classes = 4\n"
+                "transit_time_us = 0.2\n[grid]\ncells = 24\n"
+                "[protocol]\nkind = memory\nomega_C = 1.5\n"
+                "probe_duration_us = 4\nstorage_T_us = 3\nc_off_us = 13\n"
+                "release_window_us = 10\n")
+        config = tmp_path / "memory.cfg"
+        config.write_text(text, encoding="utf-8")
+        seq = standard_sequence("memory", build_protocol(parse_config(text)))
         with pytest.warns(UserWarning, match="probe pulse spans"):
-            trace, _ = run_dynamics(seq, m, grid, classes)
-        assert len(trace.annotations) == len(seq.events)
-        for event in seq.events:
-            assert trace.annotations.count(event) == 1
+            assert main(["run", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        events = json.loads((tmp_path / "run.json").read_text())["events"]
+        assert events == [{"channel": e.channel, "t_start_us": e.t_start,
+                           "duration_us": e.duration, "peak": e.peak,
+                           "shape": e.shape} for e in seq.events]
+        assert len(events) == 3  # C write, P, C read
 
 
 class TestSweepDelay:
@@ -339,7 +349,6 @@ def _assert_same(result, reference):
     for trace, (ref, _, _) in zip(result.traces, reference):
         for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
             assert np.array_equal(getattr(trace, name), getattr(ref, name))
-        assert trace.annotations == ref.annotations
 
 
 def _probe_warnings(record):
