@@ -2,8 +2,10 @@
 
 Subcommands: `spectrum` (susceptibility tables), `run` (one protocol,
 detector trace; a slow-light run also reports its measured and predicted
-group delay), `sweep` (delay or duration sweeps) and `fit` (decay fits of
-a sweep CSV).  All CSV output is bit-stable: floats are serialized with
+group delay), `sweep` (delay or duration sweeps) and `fit` (the amplitude
+decay fit of a sweep CSV).  The first three read a configuration file;
+`fit` reads only the CSV and copies the configuration's sha256 from its
+first line.  All CSV output is bit-stable: floats are serialized with
 17 significant digits, files start with a comment naming the tool version
 and the sha256 of the configuration text, and identical configurations
 produce byte-identical files.
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -37,6 +40,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _SWEEP_COLUMNS = ["param_us", "peak_intensity"]
+_CSV_HEAD = re.compile(r"# slowlight \S+ config_sha256=([0-9a-f]{64})")
 
 
 def _fmt(x: float) -> str:
@@ -52,18 +56,15 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_trace(path: Path, trace, config_sha: str) -> None:
-    _write_csv(path, ["t_us", "fwd_intensity", "bwd_intensity", "spin_norm"],
-               [trace.t, trace.fwd_intensity, trace.bwd_intensity,
-                trace.spin_norm], config_sha)
-
-
-def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a sweep CSV: a _SWEEP_COLUMNS header, then two numbers
-    per row; anything else names the file and line."""
+def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The rows of a sweep CSV (a _SWEEP_COLUMNS header, then two numbers
+    per row; anything else names the file and line) and the config_sha256
+    of its first line, None if that line is not _write_csv's."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    head = _CSV_HEAD.fullmatch(lines[0]) if lines else None
     values, peaks = [], []
     header_seen = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -85,7 +86,7 @@ def _read_sweep_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
                              f"{line!r} as numbers") from None
     if len(values) < 3:
         raise ValueError(f"{path}: need at least 3 sweep points to fit")
-    return np.asarray(values), np.asarray(peaks)
+    return np.asarray(values), np.asarray(peaks), head and head.group(1)
 
 
 def _load_config(path: str) -> tuple[Config, str]:
@@ -103,14 +104,16 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _summary(cfg: Config, sha: str, wall: float, extra: dict) -> dict:
+def _summary(cfg: Config | None, sha: str | None, wall: float,
+             extra: dict) -> dict:
     body = {
         "tool": "slowlight",
         "version": __version__,
         "config_sha256": sha,
-        "config_echo": render_config(cfg),
         "wall_time_s": wall,
     }
+    if cfg is not None:
+        body["config_echo"] = render_config(cfg)
     body.update(extra)
     return body
 
@@ -118,24 +121,6 @@ def _summary(cfg: Config, sha: str, wall: float, extra: dict) -> dict:
 def _write_json(path: Path, body: dict) -> None:
     path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-
-
-def _fit_report(values: np.ndarray, intensities: np.ndarray) -> dict:
-    """Both intensity-domain models plus the exponential fit of the
-    amplitude (square root of intensity), i.e. the squared-exponential
-    intensity law used for coherence decay times."""
-    report = {}
-    for model in ("gaussian_sq", "exponential"):
-        fit = fit_decay(list(zip(values, intensities)), model)
-        report[model] = {"i0": fit.i0, "tau_us": fit.tau,
-                         "rms_residual": fit.rms_residual,
-                         "converged": fit.converged}
-    amp = np.sqrt(intensities)
-    fit = fit_decay(list(zip(values, amp)), "exponential")
-    report["exponential_amplitude"] = {
-        "i0": fit.i0 ** 2, "tau_us": fit.tau,
-        "rms_residual": fit.rms_residual, "converged": fit.converged}
-    return report
 
 
 def cmd_spectrum(args) -> int:
@@ -170,7 +155,10 @@ def cmd_run(args) -> int:
     trace, snapshots = run_dynamics(sequence, m, grid, classes)
     wall = time.perf_counter() - t0
     out = _out_dir(args)
-    _write_trace(out / "trace.csv", trace, sha)
+    _write_csv(out / "trace.csv",
+               ["t_us", "fwd_intensity", "bwd_intensity", "spin_norm"],
+               [trace.t, trace.fwd_intensity, trace.bwd_intensity,
+                trace.spin_norm], sha)
     markers = [{"channel": e.channel, "t_start_us": e.t_start,
                 "duration_us": e.duration, "peak": e.peak, "shape": e.shape}
                for e in sequence.events]
@@ -199,40 +187,43 @@ def cmd_sweep(args) -> int:
     grid = Grid(cells=cfg.grid.cells)
     base = build_protocol(cfg)
     threads = args.threads or os.cpu_count() or 1
-    keep = cfg.output.per_point_traces
+    sweep = sweep_delay if cfg.sweep.parameter == "storage_T_us" \
+        else sweep_duration
     t0 = time.perf_counter()
-    if cfg.sweep.parameter == "storage_T_us":
-        result = sweep_delay(cfg.sweep.values, base, m, grid, classes,
-                             keep_traces=keep, threads=threads)
-    else:
-        result = sweep_duration(cfg.sweep.values, base, m, grid, classes,
-                                keep_traces=keep, threads=threads)
+    result = sweep(cfg.sweep.values, base, m, grid, classes, threads=threads)
     wall = time.perf_counter() - t0
     out = _out_dir(args)
     _write_csv(out / "sweep.csv", _SWEEP_COLUMNS,
                [result.values, result.intensities], sha)
-    if keep and result.traces is not None:
-        for i, trace in enumerate(result.traces):
-            _write_trace(out / f"trace_{i:03d}.csv", trace, sha)
     _write_json(out / "sweep.json", _summary(cfg, sha, wall, {
         "parameter": cfg.sweep.parameter,
         "n_points": len(result.values),
         "peak_times_us": list(result.peak_times),
         "simulated_steps": result.simulated_steps,
         "independent_steps": result.independent_steps,
+        "peak_at_window_end": list(result.peak_at_window_end),
     }))
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    cfg, sha = _load_config(args.config)
+    """Fit the exponential model to the peak amplitudes (square roots of
+    the intensities), i.e. the squared-exponential intensity law of the
+    coherence decay times; a fit that did not converge is reported on
+    stderr and still written."""
     sweep_path = Path(args.input) if args.input else Path(args.out) / "sweep.csv"
     t0 = time.perf_counter()
-    values, intensities = _read_sweep_csv(sweep_path)
-    report = _fit_report(values, intensities)
-    body = _summary(cfg, sha, time.perf_counter() - t0,
-                    {"input": str(sweep_path), "fits": report})
+    values, intensities, sha = _read_sweep_csv(sweep_path)
+    fit = fit_decay(list(zip(values, np.sqrt(intensities))), "exponential")
+    if not fit.converged:
+        print(f"warning: the amplitude decay fit of {sweep_path} did not "
+              f"converge (tau_us = {fit.tau:.6g})", file=sys.stderr)
+    body = _summary(None, sha, time.perf_counter() - t0, {
+        "input": str(sweep_path),
+        "fits": {"exponential_amplitude": {
+            "i0": fit.i0 ** 2, "tau_us": fit.tau,
+            "rms_residual": fit.rms_residual, "converged": fit.converged}}})
     out = _out_dir(args)
     _write_json(out / "fit.json", body)
     print(f"wrote {out / 'fit.json'}")
@@ -249,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("spectrum", cmd_spectrum), ("run", cmd_run),
                      ("sweep", cmd_sweep), ("fit", cmd_fit)):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="configuration file")
+        if name != "fit":
+            p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=".",
                        help="output directory (default: the working directory)")
         if name == "sweep":

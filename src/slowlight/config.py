@@ -71,9 +71,6 @@ class ProtocolConfig:
     kind: str = _key("", ("slow_light", "memory", "stationary"))  # "": not set
     probe_duration_us: float = _key(ProtocolParams.probe_duration_us, _positive)
     probe_amplitude: float = _key(ProtocolParams.probe_amplitude, _nonneg)
-    probe_start_us: float = _key(ProtocolParams.probe_start_us, _nonneg)
-    probe_shape: str = _key(ProtocolParams.probe_shape,
-                            ("gaussian", "rect", "raised_cosine"))
     omega_c: float = _key(ProtocolParams.omega_c, _nonneg, "omega_C")
     omega_a: float = _key(ProtocolParams.omega_a, _nonneg, "omega_A")
     retrieval_scale: float = _key(ProtocolParams.retrieval_scale, _positive)
@@ -99,18 +96,12 @@ class SpectrumConfig:
 
 
 @dataclass
-class OutputConfig:
-    per_point_traces: bool = _key(False)
-
-
-@dataclass
 class Config:
     medium: MediumConfig = field(default_factory=MediumConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 def _keys(section) -> dict[str, Field]:
@@ -131,13 +122,6 @@ def _convert(raw: str, kind: str, line: int, key: str):
             if v != int(v):
                 raise ValueError
             return int(v)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError
         if kind == "float_list":
             if not raw.strip():
                 return ()
@@ -215,9 +199,7 @@ def render_config(cfg: Config) -> str:
             value = getattr(obj, f.name)
             if value is None or value == () or value == "":
                 continue
-            if isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
+            if isinstance(value, float):
                 rendered = format(value, ".17g")
             elif isinstance(value, tuple):
                 rendered = ", ".join(format(v, ".17g") for v in value)

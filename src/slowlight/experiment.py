@@ -139,10 +139,8 @@ class ProtocolParams:
     protocol itself is the `kind` argument of standard_sequence.  The
     config keys share these defaults, omega_c = 1 rad/us among them."""
 
-    probe_duration_us: float = 10.0     # gaussian FWHM (or rect duration)
+    probe_duration_us: float = 10.0     # FWHM of the gaussian probe
     probe_amplitude: float = 1.0
-    probe_start_us: float = 0.0
-    probe_shape: str = "gaussian"
     omega_c: float = 1.0
     omega_a: float = 0.0
     retrieval_scale: float = math.sqrt(2.0)  # doubled power at retrieval
@@ -157,24 +155,9 @@ class ProtocolParams:
     t_end_us: float | None = None
 
     @property
-    def probe_window_us(self) -> float:
-        """Support of the probe event (3 FWHM for gaussian pulses)."""
-        if self.probe_shape == "gaussian":
-            return 3.0 * self.probe_duration_us
-        return self.probe_duration_us
-
-    @property
     def probe_end_us(self) -> float:
-        return self.probe_start_us + self.probe_window_us
-
-
-def _probe_event(p: ProtocolParams) -> PulseEvent:
-    if p.probe_shape == "gaussian":
-        return PulseEvent("P", p.probe_start_us, p.probe_window_us,
-                          p.probe_amplitude, "gaussian", p.probe_duration_us)
-    return PulseEvent("P", p.probe_start_us, p.probe_duration_us,
-                      p.probe_amplitude, p.probe_shape,
-                      min(1.0, 0.5 * p.probe_duration_us))
+        """End of the probe event, which starts at t = 0 and spans 3 FWHM."""
+        return 3.0 * self.probe_duration_us
 
 
 def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
@@ -186,18 +169,19 @@ def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
 
     # opens: the start of the release_window_us recording window
     if kind == "slow_light":
-        release, opens = p.probe_start_us, p.probe_end_us
+        release, opens = 0.0, p.probe_end_us
     elif kind == "memory":
         c_off = p.c_off_us if p.c_off_us is not None else p.probe_end_us
         if c_off <= p.c_ramp_us:
             raise ValueError("c_off_us must leave room for the switching ramp")
         release = opens = c_off + p.storage_t_us
     else:
-        a_on = p.probe_start_us + p.p_a_delay_us
+        a_on = p.p_a_delay_us
         release = opens = a_on + p.a_duration_us
     t_end = p.t_end_us if p.t_end_us is not None else opens + p.release_window_us
 
-    events = [_probe_event(p)]
+    events = [PulseEvent("P", 0.0, p.probe_end_us, p.probe_amplitude,
+                         "gaussian", p.probe_duration_us)]
     if kind == "memory":
         events.append(PulseEvent("C", 0.0, c_off, p.omega_c,
                                  "raised_cosine", p.c_ramp_us))
@@ -235,7 +219,8 @@ class SweepResult:
 
     simulated_steps counts the steps the sweep integrated (trunk plus
     branches); independent_steps counts those that running every point
-    from t = 0 would take.
+    from t = 0 would take.  peak_at_window_end lists the values whose
+    released peak is their last record: their window cut the pulse off.
     """
 
     values: np.ndarray
@@ -244,6 +229,7 @@ class SweepResult:
     traces: list[DetectorTrace] | None = None
     simulated_steps: int = 0
     independent_steps: int = 0
+    peak_at_window_end: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.intensities):
@@ -337,7 +323,10 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
         peak_times=np.array([r[1] for r in results]),
         traces=[r[0] for r in results] if keep_traces else None,
         simulated_steps=max(ends) + sum(n - b for n, b in zip(ends, branch)),
-        independent_steps=sum(ends))
+        independent_steps=sum(ends),
+        peak_at_window_end=tuple(float(v) for v, (trace, t_peak, _)
+                                 in zip(values, results)
+                                 if t_peak == trace.t[-1]))
 
 
 def sweep_delay(t_values: Sequence[float], base: ProtocolParams,

@@ -62,6 +62,29 @@ parameter = storage_T_us
 values = 0, 3, 6
 """
 
+# a stationary hold sweep whose second point peaks 3.6 us after its release
+SHORT_HOLD_SWEEP = """
+[medium]
+gamma_opt = 1.0
+n_classes = 2
+optical_depth = 200
+transit_time_us = 0.2
+
+[grid]
+cells = 16
+sample_rate = 10
+
+[protocol]
+omega_C = 2
+omega_A = 2
+probe_duration_us = 4
+p_a_delay_us = 13
+
+[sweep]
+parameter = a_duration_us
+values = 0.5, 3.5
+"""
+
 
 # every key in its file spelling: (section, key, text, attribute, value),
 # each value valid and other than the default
@@ -79,8 +102,6 @@ EVERY_KEY = [
     ("protocol", "kind", "stationary", "kind", "stationary"),
     ("protocol", "probe_duration_us", "2", "probe_duration_us", 2.0),
     ("protocol", "probe_amplitude", "0.5", "probe_amplitude", 0.5),
-    ("protocol", "probe_start_us", "1", "probe_start_us", 1.0),
-    ("protocol", "probe_shape", "rect", "probe_shape", "rect"),
     ("protocol", "omega_C", "1.5", "omega_c", 1.5),
     ("protocol", "omega_A", "0.75", "omega_a", 0.75),
     ("protocol", "retrieval_scale", "1.25", "retrieval_scale", 1.25),
@@ -95,12 +116,15 @@ EVERY_KEY = [
     ("sweep", "values", "0, 1.5 3", "values", (0.0, 1.5, 3.0)),
     ("spectrum", "span_rad_per_us", "2", "span_rad_per_us", 2.0),
     ("spectrum", "points", "11", "points", 11),
-    ("output", "per_point_traces", "yes", "per_point_traces", True),
 ]
-# second spellings of the decay rates and Rabi frequencies, no longer keys
+# second spellings of the decay rates and Rabi frequencies, and the probe's
+# shape and start (always gaussian, from t = 0), no longer keys
 REMOVED_KEYS = [("medium", "t2_spin_us"), ("medium", "t1_opt_us"),
                 ("protocol", "power_C_mw"), ("protocol", "power_A_mw"),
-                ("protocol", "rabi_per_sqrt_mw"), ("spectrum", "omega_C")]
+                ("protocol", "rabi_per_sqrt_mw"), ("spectrum", "omega_C"),
+                ("protocol", "probe_shape"), ("protocol", "probe_start_us")]
+# sections that no longer exist: [output] kept traces nothing read
+REMOVED_SECTIONS = ["output"]
 
 
 def _built(cfg):
@@ -212,6 +236,14 @@ class TestParseConfig:
                      str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("section", REMOVED_SECTIONS)
+    def test_removed_section_is_unknown(self, section):
+        text = f"[protocol]\nkind = slow_light\n[{section}]\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\]") as err:
+            parse_config(text)
+        assert err.value.category == "unknown"
+        assert err.value.line == 3
+
     def test_round_trip(self):
         cfg = parse_config(SMALL_SWEEP)
         assert parse_config(render_config(cfg)) == cfg
@@ -287,28 +319,57 @@ class TestCommands:
             t_peaks[label] = rows[np.argmax(rows[:, 1]), 0]
         assert t_peaks["medium"] > t_peaks["empty"]
 
-    def test_fit_recovers_synthetic_gaussian_decay(self, cfg_file, tmp_path):
-        tau = 9.0
-        rows = "\n".join(f"{t},{math.exp(-((t / tau) ** 2))}"
+    def test_fit_recovers_synthetic_amplitude_decay(self, tmp_path):
+        # intensity exp(-2 t / tau) is amplitude exp(-t / tau)
+        tau, sha = 9.0, "0123456789abcdef" * 4
+        rows = "\n".join(f"{t},{0.8 * math.exp(-2.0 * t / tau)}"
                          for t in (0.0, 6.0, 12.0))
         csv = tmp_path / "sweep.csv"
-        csv.write_text("# header\nparam_us,peak_intensity\n" + rows + "\n")
+        csv.write_text(f"# slowlight 0.1.0 config_sha256={sha}\n"
+                       "param_us,peak_intensity\n" + rows + "\n")
         out = tmp_path / "fit"
-        code = main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
-                     "--out", str(out)])
+        code = main(["fit", "--input", str(csv), "--out", str(out)])
         assert code == EXIT_OK
         body = json.loads((out / "fit.json").read_text())
-        assert body["fits"]["gaussian_sq"]["tau_us"] == pytest.approx(tau, rel=1e-6)
+        assert list(body["fits"]) == ["exponential_amplitude"]
+        fit = body["fits"]["exponential_amplitude"]
+        assert fit["tau_us"] == pytest.approx(tau, rel=1e-6)
+        assert fit["i0"] == pytest.approx(0.8, rel=1e-6)
+        assert fit["converged"] is True
+        assert body["config_sha256"] == sha
+        assert "config_echo" not in body
         assert 0.0 < body["wall_time_s"] < 60.0  # measured, not a placeholder
 
+    def test_fit_without_comment_line_names_no_config(self, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n8,0.3\n")
+        assert main(["fit", "--input", str(csv), "--out", str(tmp_path)]) == EXIT_OK
+        body = json.loads((tmp_path / "fit.json").read_text())
+        assert body["config_sha256"] is None
+
+    def test_fit_reports_non_converged_fit(self, tmp_path, capsys):
+        csv = tmp_path / "flat.csv"
+        csv.write_text("param_us,peak_intensity\n0,0.5\n4,0.5\n8,0.5\n")
+        assert main(["fit", "--input", str(csv), "--out", str(tmp_path)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "warning:" in err and str(csv) in err
+        body = json.loads((tmp_path / "fit.json").read_text())
+        assert body["fits"]["exponential_amplitude"]["converged"] is False
+
+    def test_fit_takes_no_config(self, cfg_file, tmp_path):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n8,0.3\n")
+        assert main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "fit.json").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_fit_rejects_non_finite_intensity(self, cfg_file, tmp_path, bad):
+    def test_fit_rejects_non_finite_intensity(self, tmp_path, bad):
         csv = tmp_path / "sweep.csv"
         csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n"
                        f"8,{bad}\n12,0.2\n")
         out = tmp_path / "fit"
-        code = main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
-                     "--out", str(out)])
+        code = main(["fit", "--input", str(csv), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not (out / "fit.json").exists()
 
@@ -319,13 +380,12 @@ class TestCommands:
         # a third field on one row
         ("param_us,peak_intensity\n0,1.0\n4,0.6,0.1\n8,0.3\n", 3),
     ], ids=["trace", "three_fields"])
-    def test_fit_rejects_csv_other_than_a_sweep(self, cfg_file, tmp_path,
-                                                capsys, text, line):
+    def test_fit_rejects_csv_other_than_a_sweep(self, tmp_path, capsys, text,
+                                                line):
         csv = tmp_path / "trace.csv"
         csv.write_text(text)
         out = tmp_path / "fit"
-        code = main(["fit", "--config", cfg_file(MINIMAL), "--input", str(csv),
-                     "--out", str(out)])
+        code = main(["fit", "--input", str(csv), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert f"{csv} line {line}:" in capsys.readouterr().err
         assert not out.exists()
@@ -340,6 +400,24 @@ class TestCommands:
         # whole and the other two integrate only their 10 us release
         assert body["independent_steps"] == 2080 + 2320 + 2560
         assert body["simulated_steps"] == 2560 + 2 * 800
+        assert body["peak_at_window_end"] == []
+
+    def test_sweep_json_lists_windows_that_cut_the_pulse_off(self, cfg_file,
+                                                             tmp_path):
+        peaks = {}
+        for window, cut in (("3.5", [3.5]), ("8", [])):
+            text = SHORT_HOLD_SWEEP + f"[protocol]\nrelease_window_us = {window}\n"
+            out = tmp_path / window
+            with pytest.warns(UserWarning, match="probe pulse spans"):
+                assert main(["sweep", "--config", cfg_file(text, f"{window}.cfg"),
+                             "--out", str(out)]) == EXIT_OK
+            body = json.loads((out / "sweep.json").read_text())
+            assert body["peak_at_window_end"] == cut, window
+            rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=2)
+            peaks[window] = rows[:, 1]
+        # the cut window saw the pulse rise, not its peak
+        assert peaks["3.5"][0] == peaks["8"][0]
+        assert peaks["3.5"][1] < peaks["8"][1]
 
     def test_each_command_requires_only_what_it_reads(self, cfg_file,
                                                       tmp_path, capsys):
@@ -348,7 +426,7 @@ class TestCommands:
         csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n8,0.3\n")
         assert main(["spectrum", "--config", config, "--out",
                      str(tmp_path)]) == EXIT_OK
-        assert main(["fit", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["fit", "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
         assert main(["run", "--config", config, "--out",
                      str(tmp_path)]) == EXIT_CONFIG
@@ -454,8 +532,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["spectrum", "run", "fit"])
     def test_threads_only_on_sweep(self, command, cfg_file, tmp_path):
-        assert main([command, "--config", cfg_file(SMALL_RUN), "--out",
-                     str(tmp_path), "--threads", "2"]) == EXIT_CONFIG
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("param_us,peak_intensity\n0,1.0\n4,0.6\n8,0.3\n")
+        config = [] if command == "fit" else ["--config", cfg_file(SMALL_RUN)]
+        assert main([command, *config, "--out", str(tmp_path)]) == EXIT_OK
+        assert main([command, *config, "--out", str(tmp_path),
+                     "--threads", "2"]) == EXIT_CONFIG
 
 
 class TestDeterminism:

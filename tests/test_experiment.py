@@ -72,20 +72,19 @@ class TestPulseSequence:
 
 class TestStandardSequence:
     def test_stationary_backward_onset_delay(self):
-        p = ProtocolParams(omega_c=1.0, omega_a=1.0,
-                           probe_start_us=2.0, p_a_delay_us=3.0,
+        p = ProtocolParams(omega_c=1.0, omega_a=1.0, p_a_delay_us=3.0,
                            a_duration_us=4.0)
         with pytest.warns(UserWarning, match="before the probe"):
             seq = standard_sequence("stationary", p)
         a_events = [e for e in seq.events if e.channel == "A"]
         assert len(a_events) == 1
-        assert a_events[0].t_start == 5.0  # probe start + 3 us
+        assert a_events[0].t_start == 3.0  # probe start (t = 0) + 3 us
         # the release of each kind, and its end: release_window_us after
         # the release (after the probe window for slow light), or t_end_us
         p = replace(p, probe_duration_us=2.0, storage_t_us=1.5,
-                    release_window_us=5.0)  # probe window 2-8 us
-        expected = {"slow_light": (2.0, 13.0), "memory": (9.5, 14.5),
-                    "stationary": (9.0, 14.0)}
+                    release_window_us=5.0)  # probe window 0-6 us
+        expected = {"slow_light": (0.0, 11.0), "memory": (7.5, 12.5),
+                    "stationary": (7.0, 12.0)}
         for kind, (release, end) in expected.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -147,8 +146,7 @@ class TestStandardSequence:
 
     # each ProtocolParams field moved off its default, except peak_guard_us,
     # which only the sweeps read
-    MOVED = {"probe_duration_us": 4.0, "probe_amplitude": 0.5,
-             "probe_start_us": 1.0, "probe_shape": "rect", "omega_c": 0.5,
+    MOVED = {"probe_duration_us": 4.0, "probe_amplitude": 0.5, "omega_c": 0.5,
              "omega_a": 0.3, "retrieval_scale": 1.25, "p_a_delay_us": 2.0,
              "storage_t_us": 4.0, "a_duration_us": 5.0, "c_off_us": 6.0,
              "c_ramp_us": 0.25, "release_window_us": 40.0, "sample_rate": 7.0,
