@@ -37,7 +37,9 @@ class PulseEvent:
 
     peak is a Rabi frequency in rad/us for C/A and a probe amplitude for
     P.  shape_param is the ramp length for raised_cosine and the FWHM for
-    gaussian; it is ignored for rect.
+    gaussian; it is ignored for rect.  An open_end event does not close:
+    it holds past t_end with no closing ramp, so a coupling that runs to
+    the end of a run drives its last step throughout.
     """
 
     channel: str
@@ -46,6 +48,7 @@ class PulseEvent:
     peak: float
     shape: str = "rect"
     shape_param: float = 0.0
+    open_end: bool = False
 
     def __post_init__(self) -> None:
         if self.channel not in CHANNELS:
@@ -66,7 +69,9 @@ class PulseEvent:
     def envelope(self, t: np.ndarray) -> np.ndarray:
         """Evaluate the envelope on a time grid (zero outside the event)."""
         t = np.asarray(t, dtype=float)
-        inside = (t >= self.t_start) & (t < self.t_end)
+        inside = t >= self.t_start
+        if not self.open_end:
+            inside &= t < self.t_end
         if self.shape == "rect":
             return np.where(inside, self.peak, 0.0)
         if self.shape == "raised_cosine":
@@ -75,7 +80,8 @@ class PulseEvent:
                 return np.where(inside, self.peak, 0.0)
             rel = t - self.t_start
             up = np.clip(rel / ramp, 0.0, 1.0)
-            down = np.clip((self.duration - rel) / ramp, 0.0, 1.0)
+            down = 1.0 if self.open_end else np.clip(
+                (self.duration - rel) / ramp, 0.0, 1.0)
             prof = 0.5 * (1 - np.cos(math.pi * up)) * 0.5 * (1 - np.cos(math.pi * down))
             return np.where(inside, self.peak * prof, 0.0)
         mid = self.t_start + 0.5 * self.duration
@@ -187,9 +193,9 @@ def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
                                  "raised_cosine", p.c_ramp_us))
         events.append(PulseEvent("C", release, t_end - release,
                                  p.omega_c * p.retrieval_scale,
-                                 "raised_cosine", p.c_ramp_us))
+                                 "raised_cosine", p.c_ramp_us, open_end=True))
     else:
-        events.append(PulseEvent("C", 0.0, t_end, p.omega_c))
+        events.append(PulseEvent("C", 0.0, t_end, p.omega_c, open_end=True))
     if kind == "stationary" and p.a_duration_us > 0.0:
         if a_on < p.probe_end_us:
             warnings.warn("backward coupling turns on before the probe "

@@ -138,6 +138,19 @@ class TestStandardSequence:
         first, second = (e for e in seq.events if e.channel == "C")
         assert second.peak == pytest.approx(math.sqrt(2.0) * first.peak)
 
+    @pytest.mark.parametrize("kind", ["slow_light", "memory", "stationary"])
+    def test_coupling_holds_through_the_last_step(self, kind):
+        # the coupling that runs to the end has no closing ramp and still
+        # drives the sample at t_end, the last RK4 stage of a run
+        p = ProtocolParams(omega_c=1.0, omega_a=1.0, storage_t_us=5.0,
+                           c_off_us=31.0, c_ramp_us=2.0, a_duration_us=4.0,
+                           p_a_delay_us=31.0, release_window_us=10.0)
+        seq = standard_sequence(kind, p)
+        last = [e for e in seq.events if e.channel == "C"][-1]
+        t = np.linspace(seq.t_end_us - 5.0, seq.t_end_us + 1e-9, 101)
+        omega_c, _ = seq.drive_samples(t)
+        assert np.all(omega_c == last.peak)
+
     def test_rejects_unknown_kind_and_negative_delays(self):
         with pytest.raises(ValueError):
             standard_sequence("echo", ProtocolParams())
