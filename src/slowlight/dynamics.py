@@ -345,6 +345,29 @@ class _Propagator:
         np.matmul(self.f_op, phi, out=f)
         state.t = n * self.dt
 
+    def transpose(self, xi: SimState) -> None:
+        """Apply the transpose of advance's map to the covector xi in place.
+
+        With nothing injected, advance takes a state x to R x; this takes a
+        covector xi, held in the state's layout, to R^T xi, so that
+        xi . (R x) = (R^T xi) . x in the plain bilinear product (no complex
+        conjugate).  From the same four operators: psi = A^T xi_a + F^T xi_f,
+        then xi_a <- D_k^T xi_a + W^T psi[2:], and xi_f is psi[:2] moved
+        against the advection: the E+ row one cell toward z = 0, the E- row
+        one cell toward z = 1, the injection cells dropping out.  Uses
+        advance's work areas; xi.t is left as it is.
+        """
+        f, a, psi = xi.f, xi.a, self._phi
+        k, _, cells = a.shape
+        np.matmul(self.a_op.T, a.reshape(3 * k, cells), out=psi)
+        psi += self.f_op.T @ f
+        np.matmul(self.d.transpose(0, 2, 1), a, out=self._dx)
+        np.matmul(self.w.T, psi[2:], out=a.reshape(3 * k, cells))
+        np.add(a, self._dx, out=a)
+        f[0, :-1] = psi[0, 1:]
+        f[1, 1:] = psi[1, :-1]
+        f[0, -1] = f[1, 0] = 0.0
+
 
 def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
          inject_plus: complex = 0.0j, inject_minus: complex = 0.0j,
@@ -393,6 +416,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
                  classes: Sequence[SpectralClass], *,
                  initial_state: SimState | None = None,
                  snapshot_steps: Sequence[int] = (),
+                 until_step: int | None = None,
                  _check_probe: bool = True,
                  ) -> tuple[DetectorTrace, list[SimState]]:
     """Run a pulse sequence and record the exit intensities.
@@ -414,7 +438,8 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     detunings and weights), samples its drives at the same half steps and
     records and snapshots on the same step indices, so resuming from a
     snapshot reproduces the uninterrupted run bit for bit; a state
-    already at t_end_us runs no step.  _check_probe=False leaves the
+    already at t_end_us runs no step.  until_step stops the run after
+    that global step, short of t_end_us.  _check_probe=False leaves the
     probe-resolution warning to a sweep that raises it once for all its
     points.
     """
@@ -430,6 +455,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     if n_total < 1 or n_steps < 0:
         raise ValueError(f"t_end_us {sequence.t_end_us} is shorter than one "
                          f"step {dt} or ends before t = {state.t}")
+    if until_step is not None:
+        if not n0 <= until_step <= n_total:
+            raise ValueError(f"until_step {until_step} is outside the run's "
+                             f"steps {n0}..{n_total}")
+        n_total, n_steps = until_step, until_step - n0
 
     # Half-grid drive samples cover every RK4 stage time.
     t_half = _half_step_times(dt, n0, n_total)
@@ -438,7 +468,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     if _check_probe:
         _check_probe_resolution(sequence, m, grid)
 
-    every = max(1, int(round(1.0 / (sequence.sample_rate * dt))))
+    every = _record_every(sequence, dt)
     snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
     snapshots: list[SimState] = []
     prop = _Propagator(m, state)
@@ -479,6 +509,45 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     return DetectorTrace(*columns), snapshots
 
 
+def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
+                  held: tuple[np.ndarray, np.ndarray], m: MediumParams,
+                  every: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
+
+    State b sits at global step s_b and goes on for lengths[b] steps, each
+    with the drive samples `held` (omega_c and omega_a at a step's three
+    half steps) and nothing injected, so each step applies the one map R.
+    Its E+(1) after j of them is e . R^j x_b = g_j . x_b, with e picking
+    E+ in the last cell and g_j = (R^T)^j e.  So one backward recursion
+    serves every state: at each j, the states whose step s_b + j is a
+    record step of run_dynamics (a multiple of `every`) read
+    |g_j . x_b|^2.  Only the current g_j is held.
+    """
+    xi = starts[0].copy()
+    xi.f[:] = 0.0
+    xi.a[:] = 0.0
+    xi.f[0, -1] = 1.0
+    prop = _Propagator(m, xi)
+    prop.load(prop.build(*held), 0)
+    at = [_step_index(x.t, prop.dt) for x in starts]
+    # the states that record at the same j modulo `every`
+    phases: dict[int, list[int]] = {}
+    for b, s in enumerate(at):
+        phases.setdefault(-s % every, []).append(b)
+    steps: list[list[int]] = [[] for _ in starts]
+    values: list[list[complex]] = [[] for _ in starts]
+    for j in range(1, max(lengths, default=0) + 1):
+        prop.transpose(xi)
+        for b in phases.get(j % every, ()):
+            if j <= lengths[b]:
+                x = starts[b]
+                steps[b].append(at[b] + j)
+                values[b].append(x.f.ravel() @ xi.f.ravel()
+                                 + x.a.ravel() @ xi.a.ravel())
+    return [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
+            for n, v in zip(steps, values)]
+
+
 def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
     """Per step of the drive samples at 2n + 1 half steps: whether its six
     samples differ from those of the step before (always, for the first)."""
@@ -486,6 +555,12 @@ def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
     changed = np.ones(len(omega_c) // 2, dtype=bool)
     changed[1:] = moved[:-1:2] | moved[1::2] | moved[2::2]
     return changed
+
+
+def _record_every(sequence, dt: float) -> int:
+    """Steps between records: run_dynamics records the global steps that
+    are multiples of this."""
+    return max(1, int(round(1.0 / (sequence.sample_rate * dt))))
 
 
 def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (DetectorTrace, Grid, _check_probe_resolution,
-                       _half_step_times, balance_residual, run_dynamics)
+                       _half_step_times, _held_records, _record_every,
+                       balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A")
@@ -210,23 +211,28 @@ def standard_sequence(kind: str, p: ProtocolParams) -> PulseSequence:
 
 def released_peak(trace: DetectorTrace, t_min: float) -> tuple[float, float]:
     """Largest forward-intensity sample at or after t_min: (t_peak, peak)."""
-    mask = trace.t >= t_min
+    return _peak_after(trace.t, trace.fwd_intensity, t_min)
+
+
+def _peak_after(t: np.ndarray, intensity: np.ndarray,
+                t_min: float) -> tuple[float, float]:
+    """The first largest of the intensity records at or after t_min."""
+    mask = t >= t_min
     if not mask.any():
         raise ValueError(f"no samples at or after t = {t_min}")
-    idx = int(np.argmax(trace.fwd_intensity[mask]))
-    t_sel = trace.t[mask]
-    i_sel = trace.fwd_intensity[mask]
-    return float(t_sel[idx]), float(i_sel[idx])
+    idx = int(np.argmax(intensity[mask]))
+    return float(t[mask][idx]), float(intensity[mask][idx])
 
 
 @dataclass
 class SweepResult:
     """Peak released intensity versus a swept protocol parameter.
 
-    simulated_steps counts the steps the sweep integrated (trunk plus
-    branches); independent_steps counts those that running every point
-    from t = 0 would take.  peak_at_window_end lists the values whose
-    released peak is their last record: their window cut the pulse off.
+    simulated_steps counts the steps the sweep integrated: the trunk's, the
+    points' forward steps and the adjoint pass's; independent_steps counts
+    those that running every point from t = 0 would take.
+    peak_at_window_end lists the values whose released peak is their last
+    record: their window cut the pulse off.
     """
 
     values: np.ndarray
@@ -267,6 +273,28 @@ def _branch_step(sequence: PulseSequence, trunk: PulseSequence, dt: float,
     return n_steps
 
 
+def _held_start(sequence: PulseSequence, dt: float,
+                n_steps: int) -> tuple[int, tuple]:
+    """(s, held): the drive samples `held` of the last of a run's n_steps
+    steps (omega_c and omega_a at its three half steps), and the first
+    global step s after which every step reads them and injects no probe.
+
+    The search runs back from the end _BRANCH_CHUNK steps at a time, so it
+    samples little more than the held stretch itself.
+    """
+    held = sequence.drive_samples(_half_step_times(dt, n_steps - 1, n_steps))
+    for n1 in range(n_steps, 0, -_BRANCH_CHUNK):
+        n0 = max(0, n1 - _BRANCH_CHUNK)
+        t = _half_step_times(dt, n0, n1)
+        moved = sequence.probe_samples(t[:-1:2]) != 0.0
+        for samples, last in zip(sequence.drive_samples(t), held):
+            for k in range(3):
+                moved |= samples[k:k + 2 * (n1 - n0):2] != last[k]
+        if moved.any():
+            return n0 + int(np.flatnonzero(moved)[-1]) + 1, held
+    return 0, held
+
+
 def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
            m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
            keep_traces: bool, threads: int) -> SweepResult:
@@ -274,12 +302,17 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
 
     The longest point is the trunk: it runs once from t = 0 and leaves a
     snapshot at each point's branch step (see _branch_step), from which the
-    point runs to its own end, so every result equals an independent run
-    bit for bit.  Each point ends release_window_us after its release, so
-    a base that sets t_end_us is a ValueError.  threads > 1 runs the
-    branches in a thread pool.  Each distinct warning raised while
-    building the points' sequences or checking the probe resolution is
-    raised once, blamed on the caller of the public sweep.
+    point runs on.  With keep_traces every point runs to its own end, so
+    every result equals an independent run bit for bit.  Without, a point
+    whose held stretch (see _held_start) reads the trunk's held drive
+    samples stops where that stretch starts, and one adjoint pass of the
+    shared held map gives the records of all such stretches (see
+    _held_records); its peaks agree with the forward path to rounding.
+    Each point ends release_window_us after its release, so a base that
+    sets t_end_us is a ValueError.  threads > 1 runs the points' forward
+    steps in a thread pool.  Each distinct warning raised while building
+    the points' sequences or checking the probe resolution is raised once,
+    blamed on the caller of the public sweep.
     """
     if base.t_end_us is not None:
         raise ValueError("a sweep ends each point by release_window_us; "
@@ -295,44 +328,66 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
                       f"sweep)", category, stacklevel=3)
     dt = grid.dz / m.c
     ends = [int(round(s.t_end_us / dt)) for s in sequences]
-    trunk = sequences[int(np.argmax(ends))]
-    branch = [_branch_step(s, trunk, dt, n) for s, n in zip(sequences, ends)]
-    steps = sorted({b for b in branch if b > 0})
-    trunk_trace, snapshots = run_dynamics(trunk, m, grid, classes,
+    trunk = int(np.argmax(ends))
+    branch = [_branch_step(s, sequences[trunk], dt, n)
+              for s, n in zip(sequences, ends)]
+    stops = list(ends)
+    if not keep_traces:
+        held = [_held_start(s, dt, n) for s, n in zip(sequences, ends)]
+        shared = held[trunk][1]
+        stops = [s if all(map(np.array_equal, samples, shared)) else n
+                 for (s, samples), n in zip(held, ends)]
+    # a point that stops before its branch step is still on the trunk there
+    starts = [min(b, s) for b, s in zip(branch, stops)]
+    steps = sorted({s for s in starts if s > 0})
+    trunk_trace, snapshots = run_dynamics(sequences[trunk], m, grid, classes,
                                           snapshot_steps=steps,
+                                          until_step=max(starts),
                                           _check_probe=False)
     snapshot = dict(zip(steps, snapshots))
 
-    def run_point(sequence, b):
-        """Integrate one point from its snapshot and splice it onto the
-        trunk's records before the snapshot: (trace, t_peak, peak)."""
-        start = snapshot.get(b)
-        tail, _ = run_dynamics(sequence, m, grid, classes, initial_state=start,
-                               _check_probe=False)
-        cut = 0 if start is None else int(np.searchsorted(trunk_trace.t, start.t))
+    def run_point(sequence, start, stop):
+        """Integrate one point from its snapshot to `stop` and splice it
+        onto the trunk's records before the snapshot: (trace, last state)."""
+        state = snapshot.get(start)
+        tail, states = run_dynamics(sequence, m, grid, classes,
+                                    initial_state=state, until_step=stop,
+                                    _check_probe=False)
+        cut = 0 if state is None else int(np.searchsorted(trunk_trace.t, state.t))
         trace = DetectorTrace(
             *(np.concatenate([getattr(trunk_trace, name)[:cut],
                               getattr(tail, name)])
               for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm")))
-        return (trace, *released_peak(trace, sequence.release_time_us
-                                      + base.peak_guard_us))
+        return trace, states[-1]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, sequences, branch))
+            points = list(pool.map(run_point, sequences, starts, stops))
     else:
-        results = list(map(run_point, sequences, branch))
+        points = list(map(run_point, sequences, starts, stops))
+    records = [(trace.t, trace.fwd_intensity) for trace, _ in points]
+    held_points = [i for i, (s, n) in enumerate(zip(stops, ends)) if s < n]
+    if held_points:
+        extra = _held_records([points[i][1] for i in held_points],
+                              [ends[i] - stops[i] for i in held_points],
+                              shared, m, _record_every(sequences[trunk], dt))
+        for i, (t, intensity) in zip(held_points, extra):
+            records[i] = (np.concatenate([records[i][0], t]),
+                          np.concatenate([records[i][1], intensity]))
+    peaks = [_peak_after(t, intensity, seq.release_time_us + base.peak_guard_us)
+             for (t, intensity), seq in zip(records, sequences)]
     return SweepResult(
         values=np.asarray(values, dtype=float),
-        intensities=np.array([r[2] for r in results]),
-        peak_times=np.array([r[1] for r in results]),
-        traces=[r[0] for r in results] if keep_traces else None,
-        simulated_steps=max(ends) + sum(n - b for n, b in zip(ends, branch)),
+        intensities=np.array([peak for _, peak in peaks]),
+        peak_times=np.array([t_peak for t_peak, _ in peaks]),
+        traces=[trace for trace, _ in points] if keep_traces else None,
+        simulated_steps=(max(starts) + sum(s - b for s, b in zip(stops, starts))
+                         + max((n - s for n, s in zip(ends, stops)), default=0)),
         independent_steps=sum(ends),
-        peak_at_window_end=tuple(float(v) for v, (trace, t_peak, _)
-                                 in zip(values, results)
-                                 if t_peak == trace.t[-1]))
+        peak_at_window_end=tuple(float(v) for v, (t_peak, _), (t, _)
+                                 in zip(values, peaks, records)
+                                 if t_peak == t[-1]))
 
 
 def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
@@ -341,7 +396,7 @@ def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
     """Memory-protocol storage sweep: released peak intensity versus delay T.
 
     The points branch off one trunk run, the longest delay (see _sweep);
-    threads > 1 runs the branches in a thread pool.
+    threads > 1 runs the points' forward steps in a thread pool.
     """
     t_values = list(t_values)
     if not t_values:
@@ -359,7 +414,7 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
     """Stationary-protocol sweep: released peak versus backward-pulse duration.
 
     The points branch off one trunk run, the longest hold (see _sweep);
-    threads > 1 runs the branches in a thread pool.
+    threads > 1 runs the points' forward steps in a thread pool.
     """
     a_durations = list(a_durations)
     if not a_durations:

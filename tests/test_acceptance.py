@@ -37,11 +37,6 @@ T2_STAR = 1000.0 / (math.pi * 30.0)   # 10.61 us at 30 kHz width
 T2_SPIN = 500.0                       # homogeneous spin coherence time, us
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# points whose released peak is their last record; the other configs have
-# none.  In the imbalanced config the pulses of holds 8-38 us peak 39-44 us
-# after their release, past the 35 us window, and these three still rise
-# at its end (ROADMAP item 3).
-PEAK_AT_WINDOW_END = {"trapping_imbalanced.cfg": [8.0, 13.0, 18.0]}
 
 
 def _report(number: int, passed: bool, detail: str) -> None:
@@ -55,16 +50,16 @@ def _config(name: str):
 
 def _sweep_tau(name: str, tmp_path_factory) -> float:
     """fit.json's amplitude decay time of `slowlight sweep` and `slowlight
-    fit` on configs/<name>.  sweep.json's peak_at_window_end must list the
-    points of PEAK_AT_WINDOW_END, and fit.json must name the configuration
-    that produced the sweep."""
+    fit` on configs/<name>.  sweep.json's peak_at_window_end must be empty
+    (no release window cuts its pulse off), and fit.json must name the
+    configuration that produced the sweep."""
     out = tmp_path_factory.mktemp(name.removesuffix(".cfg"))
     text = (CONFIGS / name).read_text(encoding="utf-8")
     assert main(["sweep", "--config", str(CONFIGS / name),
                  "--out", str(out)]) == EXIT_OK
     assert main(["fit", "--out", str(out)]) == EXIT_OK
     sweep = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
-    assert sweep["peak_at_window_end"] == PEAK_AT_WINDOW_END.get(name, [])
+    assert sweep["peak_at_window_end"] == []
     fit = json.loads((out / "fit.json").read_text(encoding="utf-8"))
     assert fit["config_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
     return fit["fits"]["exponential_amplitude"]["tau_us"]

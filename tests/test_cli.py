@@ -396,10 +396,13 @@ class TestCommands:
             assert main(["sweep", "--config", cfg_file(SMALL_SWEEP),
                          "--out", str(out)]) == EXIT_OK
         body = json.loads((out / "sweep.json").read_text())
-        # runs of 26, 29 and 32 us at dt = 0.0125 us; the trunk (T = 6) runs
-        # whole and the other two integrate only their 10 us release
+        # runs of 26, 29 and 32 us at dt = 0.0125 us.  The trunk (T = 6)
+        # runs to 23 us, where its 1 us retrieval ramp ends; the other two
+        # step forward through their own ramps from their releases at 16
+        # and 19 us; one adjoint pass covers the 9 us held rest of every
+        # window
         assert body["independent_steps"] == 2080 + 2320 + 2560
-        assert body["simulated_steps"] == 2560 + 2 * 800
+        assert body["simulated_steps"] == 1840 + 2 * 80 + 720
         assert body["peak_at_window_end"] == []
 
     def test_sweep_json_lists_windows_that_cut_the_pulse_off(self, cfg_file,

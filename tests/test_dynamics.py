@@ -415,6 +415,38 @@ class TestPropagatorBuild:
                                      self._loaded(prop, alone, 0)):
                     assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("edge", [None, (0, 0), (0, -1), (1, 0), (1, -1)])
+    def test_transpose_is_the_bilinear_adjoint_of_advance(self, edge):
+        # xi . advance(x) == transpose(xi) . x for a ramp step's operator;
+        # the edge covectors pick one field at a boundary cell, where the
+        # advection's shift and injection rows act
+        rng = np.random.default_rng(7)
+        omega_c, omega_a = rng.normal(size=(2, 3, 2)) @ [1.0, 1j]
+        prop = self._propagator()
+        prop.load(prop.build(omega_c, omega_a), 0)
+
+        def random_state():
+            state = _state(grid_cells=4,
+                           classes=make_spectral_classes(1600.0, 5, "lorentzian"))
+            for arr in (state.f, state.a):
+                arr[:] = rng.normal(size=(*arr.shape, 2)) @ [1.0, 1j]
+            return state
+
+        def dot(u, v, part=lambda z: z):
+            return sum((part(p) * part(q)).sum() for p, q in ((u.f, v.f), (u.a, v.a)))
+
+        x, xi = random_state(), random_state()
+        if edge is not None:
+            xi.f[:] = 0.0
+            xi.a[:] = 0.0
+            xi.f[edge] = 1.0
+        moved, back = x.copy(), xi.copy()
+        prop.advance(moved, 1, 0.0j, 0.0j)
+        prop.transpose(back)
+        # the sums of the absolute terms bound each side's rounding
+        scale = dot(xi, moved, abs) + dot(back, x, abs)
+        assert abs(dot(xi, moved) - dot(back, x)) <= 1e-14 * scale
+
 
 def _resume_setup():
     """A gated memory run, its coupling off and on again between snapshots."""

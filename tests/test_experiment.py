@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -423,3 +424,59 @@ class TestBranchedSweeps:
             _assert_same(result, _independent(
                 "memory", "storage_t_us", [3.0], base, m, grid, classes))
         assert result.simulated_steps == result.independent_steps == 1920
+
+
+class TestAdjointPeaks:
+    """A peaks-only sweep takes each point's held release stretch from one
+    adjoint pass; its peaks, peak times and cut-off windows must agree with
+    the forward path that keep_traces takes."""
+
+    # relative peak bound; measured at most 1.3e-13 on these cases and
+    # 4.4e-14 on the three paper configs
+    BOUND = 1e-12
+
+    def _both(self, sweep, values, base, setup):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            forward = sweep(values, base, *setup, keep_traces=True)
+            peaks = sweep(values, base, *setup)
+        assert peaks.traces is None
+        assert np.all(np.abs(peaks.intensities - forward.intensities)
+                      <= self.BOUND * forward.intensities)
+        assert np.array_equal(peaks.peak_times, forward.peak_times)
+        assert peaks.peak_at_window_end == forward.peak_at_window_end
+        assert peaks.independent_steps == forward.independent_steps
+        return peaks, forward
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_delay_sweep(self, threads):
+        # TestBranchedSweeps' case: unsorted, duplicated, T = 0
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
+                              release_window_us=8.0, sample_rate=20.0)
+        peaks, forward = self._both(partial(sweep_delay, threads=threads),
+                                    TestBranchedSweeps.DELAYS, base, setup)
+        assert peaks.simulated_steps < 0.6 * forward.simulated_steps
+
+    @pytest.mark.parametrize("window, cut", [(8.0, ()), (3.5, (3.5,))])
+    def test_duration_sweep(self, window, cut):
+        setup = _mini_setup(optical_depth=200.0, n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, omega_a=2.0,
+                              probe_duration_us=4.0, p_a_delay_us=13.0,
+                              release_window_us=window, sample_rate=10.0)
+        peaks, _ = self._both(sweep_duration, [2.0, 0.5, 3.5, 2.0], base,
+                              setup)
+        assert peaks.peak_at_window_end == cut
+
+    def test_probe_in_the_window_falls_back_to_the_forward_path(self):
+        # the probe injects until 12 us, the end of T = 0's window: that
+        # point has no held stretch, runs forward and equals the forward
+        # path bit for bit; T = 6's held stretch starts when its ramp ends
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=5.0, release_window_us=7.0,
+                              sample_rate=20.0)
+        peaks, forward = self._both(sweep_delay, [0.0, 6.0], base, setup)
+        assert peaks.intensities[0] == forward.intensities[0]
+        assert peaks.intensities[1] != forward.intensities[1]
