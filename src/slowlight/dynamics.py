@@ -509,45 +509,6 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     return DetectorTrace(*columns), snapshots
 
 
-def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
-                  held: tuple[np.ndarray, np.ndarray], m: MediumParams,
-                  every: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
-
-    State b sits at global step s_b and goes on for lengths[b] steps, each
-    with the drive samples `held` (omega_c and omega_a at a step's three
-    half steps) and nothing injected, so each step applies the one map R.
-    Its E+(1) after j of them is e . R^j x_b = g_j . x_b, with e picking
-    E+ in the last cell and g_j = (R^T)^j e.  So one backward recursion
-    serves every state: at each j, the states whose step s_b + j is a
-    record step of run_dynamics (a multiple of `every`) read
-    |g_j . x_b|^2.  Only the current g_j is held.
-    """
-    xi = starts[0].copy()
-    xi.f[:] = 0.0
-    xi.a[:] = 0.0
-    xi.f[0, -1] = 1.0
-    prop = _Propagator(m, xi)
-    prop.load(prop.build(*held), 0)
-    at = [_step_index(x.t, prop.dt) for x in starts]
-    # the states that record at the same j modulo `every`
-    phases: dict[int, list[int]] = {}
-    for b, s in enumerate(at):
-        phases.setdefault(-s % every, []).append(b)
-    steps: list[list[int]] = [[] for _ in starts]
-    values: list[list[complex]] = [[] for _ in starts]
-    for j in range(1, max(lengths, default=0) + 1):
-        prop.transpose(xi)
-        for b in phases.get(j % every, ()):
-            if j <= lengths[b]:
-                x = starts[b]
-                steps[b].append(at[b] + j)
-                values[b].append(x.f.ravel() @ xi.f.ravel()
-                                 + x.a.ravel() @ xi.a.ravel())
-    return [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
-            for n, v in zip(steps, values)]
-
-
 def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
     """Per step of the drive samples at 2n + 1 half steps: whether its six
     samples differ from those of the step before (always, for the first)."""

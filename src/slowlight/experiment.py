@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (DetectorTrace, Grid, _check_probe_resolution,
-                       _half_step_times, _held_records, _record_every,
-                       balance_residual, run_dynamics)
+from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
+                       _check_probe_resolution, _half_step_times, _Propagator,
+                       _record_every, _step_index, balance_residual,
+                       run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A")
@@ -58,8 +59,9 @@ class PulseEvent:
             raise ValueError(f"unknown shape {self.shape!r}")
         if not (self.duration > 0.0):
             raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.shape == "raised_cosine" and self.shape_param > 0.5 * self.duration:
-            raise ValueError("ramp must be <= duration/2")
+        closing = 0.0 if self.open_end else self.shape_param
+        if self.shape == "raised_cosine" and self.shape_param + closing > self.duration:
+            raise ValueError("the ramps must fit in the duration")
         if self.shape == "gaussian" and not (self.shape_param > 0.0):
             raise ValueError("gaussian shape needs a positive fwhm")
 
@@ -293,6 +295,52 @@ def _held_start(sequence: PulseSequence, dt: float,
         if moved.any():
             return n0 + int(np.flatnonzero(moved)[-1]) + 1, held
     return 0, held
+
+
+def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
+                  held: tuple[np.ndarray, np.ndarray], m: MediumParams,
+                  every: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
+
+    State b sits at global step s_b and goes on for lengths[b] steps, each
+    with the drive samples `held` (omega_c and omega_a at a step's three
+    half steps) and nothing injected, so each step applies the one map R.
+    Its E+(1) after j of them is e . R^j x_b = g_j . x_b, with e picking
+    E+ in the last cell and g_j = (R^T)^j e.  So one backward recursion
+    serves every state: at each j, the states whose step s_b + j is a
+    record step of run_dynamics (a multiple of `every`) read
+    |g_j . x_b|^2.  Only the current g_j is held.  A non-finite record
+    raises NumericalAbort, as the forward run would.
+    """
+    xi = starts[0].copy()
+    xi.f[:] = 0.0
+    xi.a[:] = 0.0
+    xi.f[0, -1] = 1.0
+    prop = _Propagator(m, xi)
+    prop.load(prop.build(*held), 0)
+    at = [_step_index(x.t, prop.dt) for x in starts]
+    # the states that record at the same j modulo `every`
+    phases: dict[int, list[int]] = {}
+    for b, s in enumerate(at):
+        phases.setdefault(-s % every, []).append(b)
+    steps: list[list[int]] = [[] for _ in starts]
+    values: list[list[complex]] = [[] for _ in starts]
+    for j in range(1, max(lengths, default=0) + 1):
+        prop.transpose(xi)
+        for b in phases.get(j % every, ()):
+            if j <= lengths[b]:
+                x = starts[b]
+                steps[b].append(at[b] + j)
+                values[b].append(x.f.ravel() @ xi.f.ravel()
+                                 + x.a.ravel() @ xi.a.ravel())
+    records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
+               for n, v in zip(steps, values)]
+    for x, (t, intensity) in zip(starts, records):
+        bad = t[~np.isfinite(intensity)]
+        if len(bad):
+            raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
+                                 f"the held stretch from t={x.t:.6g} us")
+    return records
 
 
 def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,

@@ -10,10 +10,11 @@ import pytest
 from slowlight.analysis import fit_decay
 from slowlight.cli import main
 from slowlight.config import build_protocol, parse_config
-from slowlight.dynamics import Grid, run_dynamics
+from slowlight.dynamics import Grid, NumericalAbort, SimState, run_dynamics
 from slowlight.experiment import (ProtocolParams, PulseEvent, PulseSequence,
-                                  released_peak, standard_sequence,
-                                  sweep_delay, sweep_duration)
+                                  _held_records, released_peak,
+                                  standard_sequence, sweep_delay,
+                                  sweep_duration)
 from slowlight.medium import MediumParams, make_spectral_classes
 
 SINGLE = make_spectral_classes(0.0, 1, "single")
@@ -28,8 +29,12 @@ class TestPulseEvent:
             PulseEvent("P", 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             PulseEvent("P", 0.0, 1.0, 1.0, "sawtooth")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ramps must fit"):
             PulseEvent("C", 0.0, 2.0, 1.0, "raised_cosine", 1.5)  # ramp > dur/2
+        # an open end closes with no ramp: the opening ramp may fill it
+        PulseEvent("C", 0.0, 2.0, 1.0, "raised_cosine", 2.0, open_end=True)
+        with pytest.raises(ValueError, match="ramps must fit"):
+            PulseEvent("C", 0.0, 2.0, 1.0, "raised_cosine", 2.5, open_end=True)
         with pytest.raises(ValueError):
             PulseEvent("P", 0.0, 2.0, 1.0, "gaussian", 0.0)
 
@@ -480,3 +485,16 @@ class TestAdjointPeaks:
         peaks, forward = self._both(sweep_delay, [0.0, 6.0], base, setup)
         assert peaks.intensities[0] == forward.intensities[0]
         assert peaks.intensities[1] != forward.intensities[1]
+
+    def test_held_records_abort_when_the_held_map_blows_up(self):
+        # Omega_C dt = 1250 makes the RK4 map grow without bound; the
+        # adjoint pass raises as the forward run's finiteness check would
+        m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
+        state = SimState.zeros(Grid(cells=8),
+                               make_spectral_classes(30.0, 2, "lorentzian"))
+        state.a[:, 2] = 0.1
+        held = (np.full(3, 1e4 + 0j), np.zeros(3, complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
+                _held_records([state], [400], held, m, every=1)
