@@ -436,8 +436,8 @@ class TestAdjointPeaks:
     adjoint pass; its peaks, peak times and cut-off windows must agree with
     the forward path that keep_traces takes."""
 
-    # relative peak bound; measured at most 1.3e-13 on these cases and
-    # 4.4e-14 on the three paper configs
+    # relative peak bound; measured at most 1.5e-13 on these cases and
+    # 3.5e-14 on the three paper configs
     BOUND = 1e-12
 
     def _both(self, sweep, values, base, setup):
