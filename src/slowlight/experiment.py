@@ -275,16 +275,15 @@ def _branch_step(sequence: PulseSequence, trunk: PulseSequence, dt: float,
     return n_steps
 
 
-def _held_start(sequence: PulseSequence, dt: float,
-                n_steps: int) -> tuple[int, tuple]:
-    """(s, held): the drive samples `held` of the last of a run's n_steps
-    steps (omega_c and omega_a at its three half steps), and the first
-    global step s after which every step reads them and injects no probe.
+def _held_start(sequence: PulseSequence, dt: float, n_steps: int,
+                held: tuple[np.ndarray, np.ndarray]) -> int:
+    """The first global step s after which each of a run's n_steps steps
+    reads the drive samples `held` (omega_c and omega_a at a step's three
+    half steps) and injects no probe; n_steps when its last step does not.
 
     The search runs back from the end _BRANCH_CHUNK steps at a time, so it
     samples little more than the held stretch itself.
     """
-    held = sequence.drive_samples(_half_step_times(dt, n_steps - 1, n_steps))
     for n1 in range(n_steps, 0, -_BRANCH_CHUNK):
         n0 = max(0, n1 - _BRANCH_CHUNK)
         t = _half_step_times(dt, n0, n1)
@@ -293,8 +292,8 @@ def _held_start(sequence: PulseSequence, dt: float,
             for k in range(3):
                 moved |= samples[k:k + 2 * (n1 - n0):2] != last[k]
         if moved.any():
-            return n0 + int(np.flatnonzero(moved)[-1]) + 1, held
-    return 0, held
+            return n0 + int(np.flatnonzero(moved)[-1]) + 1
+    return 0
 
 
 def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
@@ -319,20 +318,17 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     prop = _Propagator(m, xi)
     prop.load(prop.build(*held), 0)
     at = [_step_index(x.t, prop.dt) for x in starts]
-    # the states that record at the same j modulo `every`
-    phases: dict[int, list[int]] = {}
-    for b, s in enumerate(at):
-        phases.setdefault(-s % every, []).append(b)
     steps: list[list[int]] = [[] for _ in starts]
     values: list[list[complex]] = [[] for _ in starts]
     for j in range(1, max(lengths, default=0) + 1):
         prop.transpose(xi)
-        for b in phases.get(j % every, ()):
-            if j <= lengths[b]:
-                x = starts[b]
+        for b, x in enumerate(starts):
+            if j <= lengths[b] and (at[b] + j) % every == 0:
                 steps[b].append(at[b] + j)
-                values[b].append(x.f.ravel() @ xi.f.ravel()
-                                 + x.a.ravel() @ xi.a.ravel())
+                # einsum sums in its own loop: a BLAS dot would split the
+                # sum by thread count and change the last digits with it
+                values[b].append(np.einsum("ij,ij", x.f, xi.f)
+                                 + np.einsum("kij,kij", x.a, xi.a))
     records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
                for n, v in zip(steps, values)]
     for x, (t, intensity) in zip(starts, records):
@@ -381,10 +377,10 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
               for s, n in zip(sequences, ends)]
     stops = list(ends)
     if not keep_traces:
-        held = [_held_start(s, dt, n) for s, n in zip(sequences, ends)]
-        shared = held[trunk][1]
-        stops = [s if all(map(np.array_equal, samples, shared)) else n
-                 for (s, samples), n in zip(held, ends)]
+        # the drive samples of the trunk's last step, which it holds
+        held = sequences[trunk].drive_samples(
+            _half_step_times(dt, ends[trunk] - 1, ends[trunk]))
+        stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
     # a point that stops before its branch step is still on the trunk there
     starts = [min(b, s) for b, s in zip(branch, stops)]
     steps = sorted({s for s in starts if s > 0})
@@ -419,7 +415,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     if held_points:
         extra = _held_records([points[i][1] for i in held_points],
                               [ends[i] - stops[i] for i in held_points],
-                              shared, m, _record_every(sequences[trunk], dt))
+                              held, m, _record_every(sequences[trunk], dt))
         for i, (t, intensity) in zip(held_points, extra):
             records[i] = (np.concatenate([records[i][0], t]),
                           np.concatenate([records[i][1], intensity]))
