@@ -437,7 +437,7 @@ class TestAdjointPeaks:
     the forward path that keep_traces takes."""
 
     # relative peak bound; measured at most 1.5e-13 on these cases and
-    # 3.5e-14 on the three paper configs
+    # 5.2e-14 on the three paper configs
     BOUND = 1e-12
 
     def _both(self, sweep, values, base, setup):
