@@ -6,9 +6,10 @@ coherences and one spin coherence).  The scheme locks the time step to the
 grid, c*dt = dz, advects both fields by exactly one cell per step (no
 numerical dispersion) and advances the local field-atom system in each
 cell with a classical 4th-order Runge-Kutta update.  The drives are
-uniform in z, so that update is one linear map in every cell, applied to
-the class-major (K, 3, M) atoms as a batched 3x3 product plus a rank-10
-coupling through the fields.  The map depends on the step's six drive
+uniform in z, so that update is one linear map in every cell, applied in
+real form to the float view of the cell-major (M, K, 3) atoms as a
+batched 6x6 product plus a rank-10 coupling through the fields, all
+float64 matrix products.  The map depends on the step's six drive
 samples.  Both optical rates are the same for every class, so it is a
 polynomial of degree 4 in each class's spin rate: run_dynamics traces the
 RK4 stages on its coefficients for up to 16 consecutive steps whose
@@ -90,19 +91,19 @@ class ControlDrive:
 class SimState:
     """Fields on the z grid plus atomic amplitudes per cell and class.
 
-    The state is held in the integrator's packed layout, which step() and
-    run_dynamics advance in place: fields f = (2, M) rows [E+, E-] and
-    atoms a = (K, 3, M), class-major, each class's rows [P+, P-, S], so the
-    per-class 3x3 block of a step is one batched product over a.  e_plus,
-    e_minus (M,) and p_plus, p_minus, s (M, K) are writable views into
-    these arrays, so a write such as ``state.s[:, j] = ...`` changes the
-    packed state.  step() keeps its propagator on the state between calls;
-    copy() does not carry it.
+    The state is held cell-major, the layout which step() and run_dynamics
+    advance in place: fields f = (M, 2), each cell's [E+, E-], and atoms
+    a = (M, K, 3), each cell's K classes' [P+, P-, S], both C-contiguous,
+    so that their float views are the rows the integrator's real-form
+    products act on.  e_plus, e_minus (M,) and p_plus, p_minus, s (M, K)
+    are writable views into these arrays, so a write such as
+    ``state.s[:, j] = ...`` changes the state.  step() keeps its
+    propagator on the state between calls; copy() does not carry it.
     """
 
     t: float
-    f: np.ndarray        # (2, M) complex
-    a: np.ndarray        # (K, 3, M) complex
+    f: np.ndarray        # (M, 2) complex
+    a: np.ndarray        # (M, K, 3) complex
     grid: Grid
     deltas: np.ndarray   # (K,) spin detunings
     weights: np.ndarray  # (K,) quadrature weights
@@ -112,15 +113,16 @@ class SimState:
                                 compare=False)
 
     def __post_init__(self) -> None:
-        # a step writes the atoms through a (3K, M) view of this array
+        # a step reads and writes both through their float views
+        self.f = np.ascontiguousarray(self.f)
         self.a = np.ascontiguousarray(self.a)
 
     @classmethod
     def zeros(cls, grid: Grid, classes: Sequence[SpectralClass]) -> "SimState":
         deltas, weights = class_arrays(classes)
         m, k = grid.cells, len(deltas)
-        return cls(t=0.0, f=np.zeros((2, m), dtype=complex),
-                   a=np.zeros((k, 3, m), dtype=complex), grid=grid,
+        return cls(t=0.0, f=np.zeros((m, 2), dtype=complex),
+                   a=np.zeros((m, k, 3), dtype=complex), grid=grid,
                    deltas=deltas, weights=weights)
 
     def copy(self) -> "SimState":
@@ -129,23 +131,23 @@ class SimState:
 
     @property
     def e_plus(self) -> np.ndarray:
-        return self.f[0]
+        return self.f[:, 0]
 
     @property
     def e_minus(self) -> np.ndarray:
-        return self.f[1]
+        return self.f[:, 1]
 
     @property
     def p_plus(self) -> np.ndarray:
-        return self.a[:, 0].T
+        return self.a[..., 0]
 
     @property
     def p_minus(self) -> np.ndarray:
-        return self.a[:, 1].T
+        return self.a[..., 1]
 
     @property
     def s(self) -> np.ndarray:
-        return self.a[:, 2].T
+        return self.a[..., 2]
 
     @property
     def weak_probe_ok(self) -> bool:
@@ -154,15 +156,14 @@ class SimState:
 
     def spin_norm(self) -> float:
         """sum_z dz sum_j w_j |S|^2, the stored spin-coherence norm."""
-        return float((self.weights @ (np.abs(self.a[:, 2]) ** 2)).sum()
-                     * self.grid.dz)
+        return float((np.abs(self.s) ** 2 @ self.weights).sum() * self.grid.dz)
 
     def check_finite(self) -> None:
         """Raise NumericalAbort naming the first non-finite value's cell."""
         for name, arr in (("fields", self.f), ("atoms", self.a)):
             finite = np.isfinite(arr)
             if not finite.all():
-                cell = int(np.argwhere(~finite)[0][-1])
+                cell = int(np.argwhere(~finite)[0][0])
                 raise NumericalAbort(f"non-finite value in {name} at "
                                      f"t={self.t:.6g} us, cell {cell}")
 
@@ -215,18 +216,20 @@ class _Propagator:
     D_k the per-class 3x3 RK4 polynomial of the stage matrices, and
     V y = (E+, E-, W x) ten functionals: the two fields and, per stage, the
     weighted sums (i/2) sqrt(g2n) sum_k w_k D_s,k[:2] x_k that source the
-    fields.  advance applies R with one batched 3x3 product and three BLAS
-    products.
+    fields.  Each operator is held transposed in real form, each complex
+    entry c a block [[Re c, -Im c], [Im c, Re c]] in interleaved order, so
+    that advance runs on the float view of the cell-major state, one row
+    per cell: W x, A (V y) and F (V y) as BLAS products and D x as one
+    batched (K, M, 6) @ (K, 6, 6) product.
 
-    R depends on the step's six drive samples.  The two optical rates are
-    the same for every class (the model has resonant drives only), so a
-    class enters the stage matrices only through its spin rate
-    u_k = -(gamma_spin/2 + i delta_k), linearly, and every entry of D_k,
-    A_k and W's rows is a polynomial of degree <= 4 in u_k, while F needs
-    only the moments (i/2) sqrt(g2n) sum_k w_k u_k^p.  build traces the
-    stages once for a run of steps, on coefficients over the powers of u,
-    and load evaluates one step's D, A and W from them with three small
-    products against the rows u_k^p.
+    R depends on the step's six drive samples.  Both optical rates are the
+    same for every class (the drives are resonant), so a class enters the
+    stage matrices only through its spin rate u_k = -(gamma_spin/2 +
+    i delta_k), linearly: every entry of D_k, A_k and W's rows is a
+    polynomial of degree <= 4 in u_k, and F needs only the moments
+    (i/2) sqrt(g2n) sum_k w_k u_k^p.  build traces the stages for a run of
+    steps on coefficients over u^p, and load evaluates a step's operator
+    from them with two float products (see _table).
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -234,41 +237,43 @@ class _Propagator:
 
     def __init__(self, m: MediumParams, state: SimState):
         self.dt = state.grid.dz / m.c
-        k, _, cells = state.a.shape
+        cells, k, _ = state.a.shape
         self.half_g = 0.5j * math.sqrt(m.g2n)
         # the P+ and P- rows of _class_rates, which no class changes
         self.optical = -0.5 * m.gamma_opt
         spin = -_class_rates(m, state.deltas)[2]
-        source = self.half_g * state.weights  # (K,) field source per class
-        # powers u_k^p (K, POWERS), plain and times each class's source
-        self._powers = np.ones((k, self.POWERS), dtype=complex)
+        powers = np.ones((k, self.POWERS), dtype=complex)  # u_k^p
         for p in range(1, self.POWERS):
-            self._powers[:, p] = self._powers[:, p - 1] * spin
-        self._source_powers = source[:, None] * self._powers
-        self._moments = self._source_powers.sum(axis=0)
-        # the operator; W is held as a transposed class-major array, so that
-        # load writes it with one product
-        self.d = np.empty((k, 3, 3), dtype=complex)
-        self.a_op = np.empty((3 * k, self.RANK), dtype=complex)
-        self.w = np.empty((3 * k, self.RANK - 2), dtype=complex).T
-        self.f_op = np.empty((2, self.RANK), dtype=complex)
+            powers[:, p] = powers[:, p - 1] * spin
+        # Re and Im of u_k^p (K, 2 POWERS), plain and times the field source
+        self._powers = np.hstack([powers.real, powers.imag])
+        powers *= self.half_g * state.weights[:, None]
+        self._moments = powers.sum(axis=0)
+        self._source_powers = np.hstack([powers.real, powers.imag])
+        # the operator: D_k^T (K, 6, 6) and A^T (2 RANK, 6K), from one load
+        # product, W^T (6K, 2 RANK - 4) and F^T (2 RANK, 4)
+        self._da = np.empty((6 + 2 * self.RANK, k, 6))
+        self.d = self._da[:6].swapaxes(0, 1)
+        self.a_op = self._da[6:].reshape(2 * self.RANK, 6 * k)
+        self.w = np.empty((6 * k, 2 * self.RANK - 4))
+        self.f_op = np.empty((2 * self.RANK, 4))
+        self._adjoint = None  # transpose's operators, made after each load
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
-        self._phi = np.empty((self.RANK, cells), dtype=complex)
-        self._dx = np.empty((k, 3, cells), dtype=complex)
+        self._phi = np.empty((cells, self.RANK), dtype=complex)
+        self._dx = np.empty((cells, k, 6))
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
         """The operators of n consecutive steps, as coefficients over u^p.
 
         omega_c and omega_a hold the drives at the 2n + 1 half steps of the
-        n steps.  Returns (d, a, w, f) with one row per step: D
-        (n, POWERS, 3, 3), A (n, POWERS, 3, RANK), W's rows before the
-        classes' source (n, POWERS, 3, RANK - 2) and F (n, 2, RANK).  A
-        linear map of y is traced as t = [D | A] and f: its x-part is
-        D x_k + A (V y), its field part f (V y).  Each stage's slope L_s y_s
-        of the stage input y_s is again of that form, with the field sources
-        of y_s as two new functionals; its S row gains a power of u.  The
-        steps never mix, so a step's row does not depend on n or on its
+        n steps.  Returns (da, w, f), one row per step: the _tables of
+        [D | A] and of W's rows before the classes' source, and F^T in real
+        form.  A linear map of y is traced as t = [D | A] and f: its x-part
+        is D x_k + A (V y), its field part f (V y).  Each stage's slope
+        L_s y_s of the stage input y_s is again of that form, with the field
+        sources of y_s as two new functionals; its S row gains a power of u.
+        The steps never mix, so a step's row does not depend on n or on its
         place among the n.
         """
         n = len(omega_c) // 2
@@ -282,7 +287,7 @@ class _Propagator:
         sum_t = np.zeros((3, n, p, 3 + r), dtype=complex)
         sum_f = np.zeros((2, n, r), dtype=complex)
         slope = np.empty_like(sum_t)
-        w = np.empty((n, p, 3, r - 2), dtype=complex)
+        w = np.empty((n, p, 3, r - 2), dtype=complex)  # W^T
         # the stage matrices' drive entries at each half step: (i/2) Omega
         # into P+ and P-, and (i/2) Omega* from them into S
         into_p = 0.5j * np.stack([omega_c, omega_a])[:, :, None, None]
@@ -305,21 +310,22 @@ class _Propagator:
             if to_next:
                 t = one_t + to_next * h * slope
                 f = one_f + to_next * h * slope_f
-        t = (one_t + h / 6.0 * sum_t).transpose(1, 2, 0, 3)
-        f = (one_f + h / 6.0 * sum_f).transpose(1, 0, 2)
-        return (np.ascontiguousarray(t[..., :3]),
-                np.ascontiguousarray(t[..., 3:]), w, f)
+        # [D | A]^T (n, column, power, row), and F^T's pair [F^T, i F^T]
+        t = np.ascontiguousarray((one_t + h / 6.0 * sum_t).transpose(1, 3, 2, 0))
+        f = (one_f + h / 6.0 * sum_f).transpose(1, 2, 0)
+        f = np.ascontiguousarray(np.stack([f, 1j * f], axis=2))
+        return (_table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6),
+                _table(w, 4, 1).reshape(n, 1, 2 * p, -1),
+                f.view(float).reshape(n, 2 * r, 4))
 
     def load(self, table: tuple, row: int) -> None:
         """Set (d, w, a_op, f_op) to the operator of step `row` of a build."""
-        d, a, w, f = table
-        k, p, r = len(self._powers), self.POWERS, self.RANK
-        np.matmul(self._powers, d[row].reshape(p, 9), out=self.d.reshape(k, 9))
-        np.matmul(self._powers, a[row].reshape(p, 3 * r),
-                  out=self.a_op.reshape(k, 3 * r))
-        np.matmul(self._source_powers, w[row].reshape(p, 3 * (r - 2)),
-                  out=self.w.T.reshape(k, 3 * (r - 2)))
+        da, w, f = table
+        np.matmul(self._powers, da[row], out=self._da)
+        np.matmul(self._source_powers, w[row],
+                  out=self.w.reshape(1, -1, w.shape[-1]))
         self.f_op[:] = f[row]
+        self._adjoint = None
 
     def advance(self, state: SimState, n: int, inject_plus: complex,
                 inject_minus: complex) -> None:
@@ -331,18 +337,20 @@ class _Propagator:
         fields acting as local variables coupled to their cell's atoms, with
         the drives of the loaded operator.
         """
-        f, a, phi = state.f, state.a, self._phi
-        k, _, cells = a.shape
+        f, phi, dx = state.f, self._phi, self._dx
+        cells, k, _ = dx.shape
+        x, y = state.a.view(float).reshape(cells, 6 * k), phi.view(float)
         # advect into the field functionals, then the sources W x
-        phi[0, 1:] = f[0, :-1]
+        phi[1:, 0] = f[:-1, 0]
         phi[0, 0] = inject_plus
-        phi[1, :-1] = f[1, 1:]
-        phi[1, -1] = inject_minus
-        np.matmul(self.w, a.reshape(3 * k, cells), out=phi[2:])
-        np.matmul(self.d, a, out=self._dx)
-        np.matmul(self.a_op, phi, out=a.reshape(3 * k, cells))
-        np.add(a, self._dx, out=a)
-        np.matmul(self.f_op, phi, out=f)
+        phi[:-1, 1] = f[1:, 1]
+        phi[-1, 1] = inject_minus
+        np.matmul(x, self.w, out=y[:, 4:])
+        np.matmul(x.reshape(cells, k, 6).swapaxes(0, 1), self.d,
+                  out=dx.swapaxes(0, 1))
+        np.matmul(y, self.a_op, out=x)
+        np.add(x, dx.reshape(cells, 6 * k), out=x)
+        np.matmul(y, self.f_op, out=f.view(float))
         state.t = n * self.dt
 
     def transpose(self, xi: SimState) -> None:
@@ -354,19 +362,48 @@ class _Propagator:
         conjugate).  From the same four operators: psi = A^T xi_a + F^T xi_f,
         then xi_a <- D_k^T xi_a + W^T psi[2:], and xi_f is psi[:2] moved
         against the advection: the E+ row one cell toward z = 0, the E- row
-        one cell toward z = 1, the injection cells dropping out.  Uses
-        advance's work areas; xi.t is left as it is.
+        one cell toward z = 1, the injection cells dropping out.  A real
+        form's transpose is that of the conjugate transpose, so each
+        operator is transposed with its blocks' imaginary parts negated.
+        Uses advance's work areas; xi.t is left as it is.
         """
-        f, a, psi = xi.f, xi.a, self._phi
-        k, _, cells = a.shape
-        np.matmul(self.a_op.T, a.reshape(3 * k, cells), out=psi)
-        psi += self.f_op.T @ f
-        np.matmul(self.d.transpose(0, 2, 1), a, out=self._dx)
-        np.matmul(self.w.T, psi[2:], out=a.reshape(3 * k, cells))
-        np.add(a, self._dx, out=a)
-        f[0, :-1] = psi[0, 1:]
-        f[1, 1:] = psi[1, :-1]
-        f[0, -1] = f[1, 0] = 0.0
+        if self._adjoint is None:
+            self._adjoint = [op.swapaxes(-1, -2).copy()
+                             for op in (self.d, self.w, self.a_op, self.f_op)]
+            for op in self._adjoint:
+                op[..., 0::2, 1::2] *= -1.0
+                op[..., 1::2, 0::2] *= -1.0
+        d, w, a_op, f_op = self._adjoint
+        f, psi, dx = xi.f, self._phi, self._dx
+        cells, k, _ = dx.shape
+        x, y = xi.a.view(float).reshape(cells, 6 * k), psi.view(float)
+        np.matmul(x, a_op, out=y)
+        y += f.view(float) @ f_op
+        np.matmul(x.reshape(cells, k, 6).swapaxes(0, 1), d, out=dx.swapaxes(0, 1))
+        np.matmul(y[:, 4:], w, out=x)
+        np.add(x, dx.reshape(cells, 6 * k), out=x)
+        f[:-1, 0] = psi[1:, 0]
+        f[1:, 1] = psi[:-1, 1]
+        f[-1, 0] = f[0, 1] = 0.0
+
+
+def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:
+    """Float load table from c, the coefficients of u^p in matrices C^T.
+
+    C's real form, transposed, is the float view of [C^T, i C^T], and
+    u^p c = Re(u^p) c + Im(u^p) i c, so the table holds c, i c, i c and -c:
+    one float product of a class's row of Re u^p and Im u^p with it writes
+    the real form.  The pair's axis goes to pair_at, Re/Im's to re_im_at.
+    """
+    shape = list(c.shape)
+    for at in sorted((pair_at, re_im_at)):
+        shape.insert(at, 2)
+    table = np.empty(shape, dtype=complex)
+    both = np.moveaxis(table, (pair_at, re_im_at), (-2, -1))
+    both[..., 0, 0] = c
+    both[..., 1, 0] = both[..., 0, 1] = 1j * c
+    np.negative(c, out=both[..., 1, 1])
+    return table.view(float)
 
 
 def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
@@ -387,7 +424,7 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
     """
     _require_cfl(m, state.grid, dt)
     if boundary == "periodic":
-        inject_plus, inject_minus = state.f[0, -1], state.f[1, 0]
+        inject_plus, inject_minus = state.f[-1, 0], state.f[0, 1]
     elif boundary != "open":
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     inputs = (m, state.grid, state.deltas.tobytes(), state.weights.tobytes())
@@ -475,8 +512,8 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     records = array("d")  # (t, |E+(1)|^2, |E-(0)|^2, spin norm) per record
 
     def record() -> None:
-        records.extend((state.t, abs(state.f[0, -1]) ** 2,
-                        abs(state.f[1, 0]) ** 2, state.spin_norm()))
+        records.extend((state.t, abs(state.f[-1, 0]) ** 2,
+                        abs(state.f[0, 1]) ** 2, state.spin_norm()))
 
     # steps on the multiples of `every` record, those of a resumed run too
     if n0 % every == 0:
@@ -537,7 +574,7 @@ def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:
 def _check_initial_state(state: SimState, grid: Grid,
                          classes: Sequence[SpectralClass]) -> None:
     """Reject a starting state that is off the run's grid or classes."""
-    k, _, cells = state.a.shape
+    cells, k, _ = state.a.shape
     if state.grid != grid or cells != grid.cells or k != len(classes):
         raise ValueError(
             f"initial_state has {cells} cells on {state.grid} and {k} classes; "
@@ -591,8 +628,8 @@ def excitation_number(state: SimState, m: MediumParams) -> float:
     Conserved when all decay rates and detunings vanish and the boundaries
     are closed.
     """
-    fields = (np.abs(state.f) ** 2).sum(axis=0)
-    atoms = state.weights @ (np.abs(state.a) ** 2).sum(axis=1)
+    fields = (np.abs(state.f) ** 2).sum(axis=1)
+    atoms = (np.abs(state.a) ** 2).sum(axis=2) @ state.weights
     return float((fields + atoms).sum() * state.grid.dz)
 
 
@@ -602,7 +639,7 @@ def field_centroid(state: SimState, floor: float = 1e-12) -> float:
     Raises ValueError when the total field energy is at or below `floor`
     (the centroid is undefined for an empty grid).
     """
-    intensity = np.abs(state.e_plus) ** 2 + np.abs(state.e_minus) ** 2
+    intensity = (np.abs(state.f) ** 2).sum(axis=1)
     total = intensity.sum() * state.grid.dz
     if total <= floor:
         raise ValueError(f"field energy {total:.3g} below floor {floor:.3g}")

@@ -314,7 +314,7 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     xi = starts[0].copy()
     xi.f[:] = 0.0
     xi.a[:] = 0.0
-    xi.f[0, -1] = 1.0
+    xi.e_plus[-1] = 1.0
     prop = _Propagator(m, xi)
     prop.load(prop.build(*held), 0)
     at = [_step_index(x.t, prop.dt) for x in starts]
@@ -328,7 +328,7 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
                 # einsum sums in its own loop: a BLAS dot would split the
                 # sum by thread count and change the last digits with it
                 values[b].append(np.einsum("ij,ij", x.f, xi.f)
-                                 + np.einsum("kij,kij", x.a, xi.a))
+                                 + np.einsum("ijk,ijk", x.a, xi.a))
     records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
                for n, v in zip(steps, values)]
     for x, (t, intensity) in zip(starts, records):

@@ -78,25 +78,27 @@ class TestModelRhs:
 
             # reference: advect, then plain RK4 in each cell on model_rhs
             ref = state.copy()
-            ref.f[0] = np.roll(ref.f[0], 1)
-            ref.f[0, 0] = 0.2
-            ref.f[1] = np.roll(ref.f[1], -1)
-            ref.f[1, -1] = -0.1j
+            ref.e_plus[:] = np.roll(ref.e_plus, 1)
+            ref.e_plus[0] = 0.2
+            ref.e_minus[:] = np.roll(ref.e_minus, -1)
+            ref.e_minus[-1] = -0.1j
 
             def slope(y, t):
+                # the slope of every amplitude, held in a state's views
                 y.t = t
-                kf = np.empty_like(y.f)
-                ka = np.empty_like(y.a)
+                k = y.copy()
                 for cell in range(4):
-                    kf[:, cell] = g_half * (y.weights @ y.a[:, :2, cell])
+                    k.e_plus[cell] = g_half * (y.weights @ y.p_plus[cell])
+                    k.e_minus[cell] = g_half * (y.weights @ y.p_minus[cell])
                     for j in range(5):
-                        ka[j, :, cell] = model_rhs(y, drive, m, j=j, cell=cell)
-                return kf, ka
+                        (k.p_plus[cell, j], k.p_minus[cell, j],
+                         k.s[cell, j]) = model_rhs(y, drive, m, j=j, cell=cell)
+                return k
 
             def shifted(c, k):
                 y = ref.copy()
-                y.f += c * k[0]
-                y.a += c * k[1]
+                y.f += c * k.f
+                y.a += c * k.a
                 return y
 
             t0 = ref.t
@@ -104,8 +106,8 @@ class TestModelRhs:
             k2 = slope(shifted(0.5 * dt, k1), t0 + 0.5 * dt)
             k3 = slope(shifted(0.5 * dt, k2), t0 + 0.5 * dt)
             k4 = slope(shifted(dt, k3), t0 + dt)
-            want_f = ref.f + dt / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            want_a = ref.a + dt / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+            want_f = ref.f + dt / 6.0 * (k1.f + 2.0 * (k2.f + k3.f) + k4.f)
+            want_a = ref.a + dt / 6.0 * (k1.a + 2.0 * (k2.a + k3.a) + k4.a)
 
             step(state, drive, m, dt, inject_plus=0.2, inject_minus=-0.1j)
             scale = max(np.abs(want_f).max(), np.abs(want_a).max())
@@ -114,44 +116,59 @@ class TestModelRhs:
             assert state.t == pytest.approx(t0 + dt, rel=1e-15)
 
 
+def _views(state):
+    return state.e_plus, state.e_minus, state.p_plus, state.p_minus, state.s
+
+
 class TestStateLayout:
-    def _filled(self, via_blocks):
+    M = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
+    DRIVE = ControlDrive.constant(0.8, 0.3)
+
+    def _filled(self):
+        """A 6-cell, 3-class state written through its views, and the
+        values written: E+ and E- (2, 6), then P+, P- and S (3, 6, 3)."""
         rng = np.random.default_rng(3)
         classes = make_spectral_classes(30.0, 3, "lorentzian")
         state = _state(grid_cells=6, classes=classes)
         fields = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
-        atoms = rng.normal(size=(3, 3, 6)) + 1j * rng.normal(size=(3, 3, 6))
-        if via_blocks:
-            state.e_plus[:] = fields[0]
-            state.e_minus[:] = fields[1]
-            for j in range(3):
-                state.p_plus[:, j] = atoms[j, 0]
-                state.p_minus[:, j] = atoms[j, 1]
-                state.s[:, j] = atoms[j, 2]
-        else:
-            state.f[:] = fields
-            state.a[:] = atoms
-        return state, fields, atoms
+        atoms = rng.normal(size=(3, 6, 3)) + 1j * rng.normal(size=(3, 6, 3))
+        for view, value in zip(_views(state), [*fields, *atoms]):
+            view[:] = value
+        return state, [*fields, *atoms]
+
+    def _stepped(self, state):
+        step(state, self.DRIVE, self.M, state.grid.dz / self.M.c, inject_plus=0.2)
+        return state
 
     def test_block_writes_reach_packed_arrays_that_step_advances(self):
-        state, fields, atoms = self._filled(via_blocks=True)
-        assert np.array_equal(state.f, fields)
-        assert np.array_equal(state.a, atoms)
-        packed, _, _ = self._filled(via_blocks=False)
-        # atoms handed over in another memory order are held packed
-        strided = SimState(0.0, fields.copy(), np.asfortranarray(atoms),
-                           packed.grid, packed.deltas, packed.weights)
+        state, values = self._filled()
+        # the five views cover the state's arrays, each element once
+        held = np.concatenate([state.f.ravel(), state.a.ravel()])
+        assert np.array_equal(np.sort(held), np.sort(np.concatenate(values, axis=None)))
+        # atoms handed over in another memory order are held C-contiguous
+        strided = SimState(0.0, state.f.copy(), np.asfortranarray(state.a),
+                           state.grid, state.deltas, state.weights)
         f, a = state.f, state.a
-        m = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
-        drive = ControlDrive.constant(0.8, 0.3)
-        dt = state.grid.dz / m.c
-        for s in (state, packed, strided):
-            step(s, drive, m, dt, inject_plus=0.2)
+        for s in (state, strided):
+            self._stepped(s)
         assert state.f is f and state.a is a  # advanced in place
-        for s in (packed, strided):
-            assert np.array_equal(state.f, s.f)
-            assert np.array_equal(state.a, s.a)
-        assert not np.array_equal(state.a, atoms)
+        assert np.array_equal(state.f, strided.f)
+        assert np.array_equal(state.a, strided.a)
+        assert not np.array_equal(state.s, values[4])
+
+    def test_noncontiguous_fields_step_like_contiguous_ones(self):
+        # a step reads the fields through their float view, which needs
+        # them C-contiguous: a transposed array is held as a copy
+        state, _ = self._filled()
+        fields = np.ascontiguousarray(state.f.T).T
+        assert not fields.flags.c_contiguous
+        other = SimState(0.0, fields, state.a.copy(), state.grid,
+                         state.deltas, state.weights)
+        assert other.f.flags.c_contiguous and np.array_equal(other.f, state.f)
+        self._stepped(state)
+        self._stepped(other)
+        assert np.array_equal(state.f, other.f)
+        assert np.array_equal(state.a, other.a)
 
     def test_block_names_cannot_be_rebound(self):
         state = _state()
@@ -159,15 +176,15 @@ class TestStateLayout:
             state.s = np.zeros_like(state.s)
 
     def test_copy_is_independent(self):
-        state, fields, atoms = self._filled(via_blocks=False)
+        state, values = self._filled()
         clone = state.copy()
         clone.e_plus[:] = 0.0
         clone.s[:, 1] = 7.0
         m = MediumParams(g2n=1.0, c=5.0)
         step(clone, ControlDrive.constant(0.5, 0.0), m, clone.grid.dz / m.c)
         assert state.t == 0.0 and clone.t > 0.0
-        assert np.array_equal(state.f, fields)
-        assert np.array_equal(state.a, atoms)
+        for view, value in zip(_views(state), values):
+            assert np.array_equal(view, value)
         # the class arrays are copied too
         classes = (clone.deltas.copy(), clone.weights.copy())
         state.deltas[0] = 5.0
@@ -184,8 +201,8 @@ class TestStep:
         rng = np.random.default_rng(8)
         classes = make_spectral_classes(30.0, 4, "lorentzian")
         start = _state(grid_cells=8, classes=classes)
-        start.f[:] = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        start.a[:] = rng.normal(size=(4, 3, 8)) + 1j * rng.normal(size=(4, 3, 8))
+        for arr in (start.f, start.a):
+            arr[:] = rng.normal(size=arr.shape) + 1j * rng.normal(size=arr.shape)
         drive = ControlDrive.constant(0.8, 0.5)
 
         def stepped(m):
@@ -254,6 +271,12 @@ class TestStep:
         # advection carries the NaN one cell forward before the check
         with pytest.raises(NumericalAbort, match="fields .* cell 3$"):
             step(state, drive, m, state.grid.dz / m.c)
+
+    def test_nonfinite_atoms_abort_with_their_cell(self):
+        state = _state(classes=make_spectral_classes(30.0, 4, "lorentzian"))
+        state.s[5, 2] = np.nan  # class 2's S at cell 5, the fields finite
+        with pytest.raises(NumericalAbort, match="atoms .* cell 5$"):
+            state.check_finite()
 
     def test_kept_propagator_follows_changed_inputs(self):
         m = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
@@ -439,7 +462,7 @@ class TestPropagatorBuild:
         if edge is not None:
             xi.f[:] = 0.0
             xi.a[:] = 0.0
-            xi.f[edge] = 1.0
+            _views(xi)[edge[0]][edge[1]] = 1.0
         moved, back = x.copy(), xi.copy()
         prop.advance(moved, 1, 0.0j, 0.0j)
         prop.transpose(back)

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from slowlight import experiment
 from slowlight.analysis import fit_decay
 from slowlight.cli import main
 from slowlight.config import build_protocol, parse_config
@@ -474,17 +475,25 @@ class TestAdjointPeaks:
                               setup)
         assert peaks.peak_at_window_end == cut
 
-    def test_probe_in_the_window_falls_back_to_the_forward_path(self):
+    def test_probe_in_the_window_falls_back_to_the_forward_path(self, monkeypatch):
         # the probe injects until 12 us, the end of T = 0's window: that
         # point has no held stretch, runs forward and equals the forward
-        # path bit for bit; T = 6's held stretch starts when its ramp ends
+        # path bit for bit; T = 6's held stretch starts when its ramp ends,
+        # and the adjoint pass serves it alone
+        served = []  # the held stretches' lengths of each adjoint pass
+
+        def spy(starts, lengths, *args):
+            served.append(list(lengths))
+            return _held_records(starts, lengths, *args)
+
+        monkeypatch.setattr(experiment, "_held_records", spy)
         setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=5.0, release_window_us=7.0,
                               sample_rate=20.0)
         peaks, forward = self._both(sweep_delay, [0.0, 6.0], base, setup)
         assert peaks.intensities[0] == forward.intensities[0]
-        assert peaks.intensities[1] != forward.intensities[1]
+        assert len(served) == 1 and len(served[0]) == 1 and served[0][0] > 0
 
     def test_held_records_abort_when_the_held_map_blows_up(self):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
@@ -492,7 +501,7 @@ class TestAdjointPeaks:
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         state = SimState.zeros(Grid(cells=8),
                                make_spectral_classes(30.0, 2, "lorentzian"))
-        state.a[:, 2] = 0.1
+        state.s[:] = 0.1
         held = (np.full(3, 1e4 + 0j), np.zeros(3, complex))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
