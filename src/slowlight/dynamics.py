@@ -257,7 +257,7 @@ class _Propagator:
         self.a_op = self._da[6:].reshape(2 * self.RANK, 6 * k)
         self.w = np.empty((6 * k, 2 * self.RANK - 4))
         self.f_op = np.empty((2 * self.RANK, 4))
-        self._adjoint = None  # transpose's operators, made after each load
+        self._adjoint = None  # transpose's operators, remade after a load
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=complex)
@@ -312,8 +312,8 @@ class _Propagator:
                 f = one_f + to_next * h * slope_f
         # [D | A]^T (n, column, power, row), and F^T's pair [F^T, i F^T]
         t = np.ascontiguousarray((one_t + h / 6.0 * sum_t).transpose(1, 3, 2, 0))
-        f = (one_f + h / 6.0 * sum_f).transpose(1, 2, 0)
-        f = np.ascontiguousarray(np.stack([f, 1j * f], axis=2))
+        f = np.multiply((one_f + h / 6.0 * sum_f).transpose(1, 2, 0)[:, :, None],
+                        np.array([1.0, 1j])[:, None], order="C")
         return (_table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6),
                 _table(w, 4, 1).reshape(n, 1, 2 * p, -1),
                 f.view(float).reshape(n, 2 * r, 4))
@@ -357,12 +357,12 @@ class _Propagator:
         """Apply the transpose of advance's map to the covector xi in place.
 
         With nothing injected, advance takes a state x to R x; this takes a
-        covector xi, held in the state's layout, to R^T xi, so that
+        covector xi, held cell-major like a state, to R^T xi, so that
         xi . (R x) = (R^T xi) . x in the plain bilinear product (no complex
         conjugate).  From the same four operators: psi = A^T xi_a + F^T xi_f,
         then xi_a <- D_k^T xi_a + W^T psi[2:], and xi_f is psi[:2] moved
-        against the advection: the E+ row one cell toward z = 0, the E- row
-        one cell toward z = 1, the injection cells dropping out.  A real
+        against the advection: its E+ one cell toward z = 0, its E- one
+        cell toward z = 1, the injection cells dropping out.  A real
         form's transpose is that of the conjugate transpose, so each
         operator is transposed with its blocks' imaginary parts negated.
         Uses advance's work areas; xi.t is left as it is.
@@ -399,10 +399,11 @@ def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:
     for at in sorted((pair_at, re_im_at)):
         shape.insert(at, 2)
     table = np.empty(shape, dtype=complex)
-    both = np.moveaxis(table, (pair_at, re_im_at), (-2, -1))
-    both[..., 0, 0] = c
-    both[..., 1, 0] = both[..., 0, 1] = 1j * c
-    np.negative(c, out=both[..., 1, 1])
+    index = [slice(None)] * len(shape)
+    ic = 1j * c
+    for i, j, part in ((0, 0, c), (0, 1, ic), (1, 0, ic), (1, 1, -c)):
+        index[pair_at], index[re_im_at] = i, j
+        table[tuple(index)] = part
     return table.view(float)
 
 
