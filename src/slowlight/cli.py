@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -177,8 +176,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 0:
-        raise ValueError(f"--threads must be >= 0 (0 = auto), got {args.threads}")
     cfg, sha = _load_config(args.config)
     if not cfg.sweep.parameter:
         raise ConfigError("sweep needs sweep.parameter", "missing")
@@ -186,11 +183,10 @@ def cmd_sweep(args) -> int:
     classes = build_classes(cfg)
     grid = Grid(cells=cfg.grid.cells)
     base = build_protocol(cfg)
-    threads = args.threads or os.cpu_count() or 1
     sweep = sweep_delay if cfg.sweep.parameter == "storage_T_us" \
         else sweep_duration
     t0 = time.perf_counter()
-    result = sweep(cfg.sweep.values, base, m, grid, classes, threads=threads)
+    result = sweep(cfg.sweep.values, base, m, grid, classes)
     wall = time.perf_counter() - t0
     out = _out_dir(args)
     _write_csv(out / "sweep.csv", _SWEEP_COLUMNS,
@@ -244,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=".",
                        help="output directory (default: the working directory)")
-        if name == "sweep":
-            p.add_argument("--threads", type=int, default=1,
-                           help="sweep-point parallelism; 0 = auto")
         if name == "fit":
             p.add_argument("--input", default=None,
                            help="sweep CSV to fit (default: <out>/sweep.csv)")

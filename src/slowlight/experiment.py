@@ -240,7 +240,6 @@ class SweepResult:
     values: np.ndarray
     intensities: np.ndarray
     peak_times: np.ndarray
-    traces: list[DetectorTrace] | None = None
     simulated_steps: int = 0
     independent_steps: int = 0
     peak_at_window_end: tuple[float, ...] = ()
@@ -341,17 +340,16 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
 
 def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
            m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
-           keep_traces: bool, threads: int) -> SweepResult:
+           threads: int) -> SweepResult:
     """Run protocol `kind` at each value of `field`, sharing the prefix.
 
     The longest point is the trunk: it runs once from t = 0 and leaves a
     snapshot at each point's branch step (see _branch_step), from which the
-    point runs on.  With keep_traces every point runs to its own end, so
-    every result equals an independent run bit for bit.  Without, a point
-    whose held stretch (see _held_start) reads the trunk's held drive
-    samples stops where that stretch starts, and one adjoint pass of the
-    shared held map gives the records of all such stretches (see
-    _held_records); its peaks agree with the forward path to rounding.
+    point runs on.  A point whose held stretch (see _held_start) reads the
+    trunk's held drive samples stops where that stretch starts, and one
+    adjoint pass of the shared held map gives the records of all such
+    stretches (see _held_records); a point with no held stretch runs to
+    its end.  Peaks agree with independent runs of each point to rounding.
     Each point ends release_window_us after its release, so a base that
     sets t_end_us is a ValueError.  threads > 1 runs the points' forward
     steps in a thread pool.  Each distinct warning raised while building
@@ -375,12 +373,10 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     trunk = int(np.argmax(ends))
     branch = [_branch_step(s, sequences[trunk], dt, n)
               for s, n in zip(sequences, ends)]
-    stops = list(ends)
-    if not keep_traces:
-        # the drive samples of the trunk's last step, which it holds
-        held = sequences[trunk].drive_samples(
-            _half_step_times(dt, ends[trunk] - 1, ends[trunk]))
-        stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
+    # the drive samples of the trunk's last step, which it holds
+    held = sequences[trunk].drive_samples(
+        _half_step_times(dt, ends[trunk] - 1, ends[trunk]))
+    stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
     # a point that stops before its branch step is still on the trunk there
     starts = [min(b, s) for b, s in zip(branch, stops)]
     steps = sorted({s for s in starts if s > 0})
@@ -391,26 +387,26 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     snapshot = dict(zip(steps, snapshots))
 
     def run_point(sequence, start, stop):
-        """Integrate one point from its snapshot to `stop` and splice it
-        onto the trunk's records before the snapshot: (trace, last state)."""
+        """Integrate one point from its snapshot to `stop`: its records
+        (t, |E+(1)|^2), the trunk's before the snapshot first, and its last
+        state."""
         state = snapshot.get(start)
         tail, states = run_dynamics(sequence, m, grid, classes,
                                     initial_state=state, until_step=stop,
                                     _check_probe=False)
         cut = 0 if state is None else int(np.searchsorted(trunk_trace.t, state.t))
-        trace = DetectorTrace(
-            *(np.concatenate([getattr(trunk_trace, name)[:cut],
-                              getattr(tail, name)])
-              for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm")))
-        return trace, states[-1]
+        return ((np.concatenate([trunk_trace.t[:cut], tail.t]),
+                 np.concatenate([trunk_trace.fwd_intensity[:cut],
+                                 tail.fwd_intensity])), states[-1])
 
+    # the pool no longer pays; it stays while perfbench passes threads=1
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             points = list(pool.map(run_point, sequences, starts, stops))
     else:
         points = list(map(run_point, sequences, starts, stops))
-    records = [(trace.t, trace.fwd_intensity) for trace, _ in points]
+    records = [record for record, _ in points]
     held_points = [i for i, (s, n) in enumerate(zip(stops, ends)) if s < n]
     if held_points:
         extra = _held_records([points[i][1] for i in held_points],
@@ -425,7 +421,6 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
         values=np.asarray(values, dtype=float),
         intensities=np.array([peak for _, peak in peaks]),
         peak_times=np.array([t_peak for t_peak, _ in peaks]),
-        traces=[trace for trace, _ in points] if keep_traces else None,
         simulated_steps=(max(starts) + sum(s - b for s, b in zip(stops, starts))
                          + max((n - s for n, s in zip(ends, stops)), default=0)),
         independent_steps=sum(ends),
@@ -436,7 +431,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
 
 def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
                 m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
-                *, keep_traces: bool = False, threads: int = 1) -> SweepResult:
+                *, threads: int = 1) -> SweepResult:
     """Memory-protocol storage sweep: released peak intensity versus delay T.
 
     The points branch off one trunk run, the longest delay (see _sweep);
@@ -448,13 +443,13 @@ def sweep_delay(t_values: Sequence[float], base: ProtocolParams,
     if any(t < 0.0 for t in t_values):
         raise ValueError("delays must be >= 0")
     return _sweep("memory", "storage_t_us", t_values, base, m, grid, classes,
-                  keep_traces, threads)
+                  threads)
 
 
 def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
                    m: MediumParams, grid: Grid,
                    classes: Sequence[SpectralClass], *,
-                   keep_traces: bool = False, threads: int = 1) -> SweepResult:
+                   threads: int = 1) -> SweepResult:
     """Stationary-protocol sweep: released peak versus backward-pulse duration.
 
     The points branch off one trunk run, the longest hold (see _sweep);
@@ -468,4 +463,4 @@ def sweep_duration(a_durations: Sequence[float], base: ProtocolParams,
     # rejects negative or all-zero couplings
     balance_residual(base.omega_c, base.omega_a)
     return _sweep("stationary", "a_duration_us", a_durations, base, m, grid,
-                  classes, keep_traces, threads)
+                  classes, threads)

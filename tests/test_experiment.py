@@ -2,7 +2,6 @@ import json
 import math
 import warnings
 from dataclasses import fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +10,11 @@ from slowlight import experiment
 from slowlight.analysis import fit_decay
 from slowlight.cli import main
 from slowlight.config import build_protocol, parse_config
-from slowlight.dynamics import Grid, NumericalAbort, SimState, run_dynamics
-from slowlight.experiment import (ProtocolParams, PulseEvent, PulseSequence,
-                                  _held_records, released_peak,
+from slowlight.dynamics import (Grid, NumericalAbort, SimState,
+                                _half_step_times, run_dynamics)
+from slowlight.experiment import (_BRANCH_CHUNK, ProtocolParams, PulseEvent,
+                                  PulseSequence, _branch_step, _held_records,
+                                  _held_start, released_peak,
                                   standard_sequence, sweep_delay,
                                   sweep_duration)
 from slowlight.medium import MediumParams, make_spectral_classes
@@ -361,109 +362,48 @@ def _independent(kind, field, values, base, m, grid, classes):
     return out
 
 
-def _assert_same(result, reference):
-    assert np.array_equal(result.intensities, [r[2] for r in reference])
-    assert np.array_equal(result.peak_times, [r[1] for r in reference])
-    for trace, (ref, _, _) in zip(result.traces, reference):
-        for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
-            assert np.array_equal(getattr(trace, name), getattr(ref, name))
-
-
-def _probe_warnings(record):
-    return [w for w in record if "probe pulse spans" in str(w.message)]
-
-
-class TestBranchedSweeps:
-    """Sweeps integrate one trunk and branch each point off a snapshot of
-    it; every result must equal an independent run bit for bit."""
-
-    DELAYS = [4.0, 0.0, 2.5, 4.0, 1.3]  # unsorted, duplicated, T = 0
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_delay_sweep_matches_independent_runs(self, threads):
-        m, grid, classes = _mini_setup(n_classes=2, cells=16)
-        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
-                              c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
-                              release_window_us=8.0, sample_rate=20.0)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = sweep_delay(self.DELAYS, base, m, grid, classes,
-                                 keep_traces=True, threads=threads)
-        probe = _probe_warnings(record)
-        assert len(probe) == 1 and probe[0].filename == __file__
-        assert "storage_t_us sweep" in str(probe[0].message)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _assert_same(result, _independent(
-                "memory", "storage_t_us", self.DELAYS, base, m, grid, classes))
-        assert result.simulated_steps < 0.6 * result.independent_steps
-
-    def test_duration_sweep_matches_independent_runs(self):
-        m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=2,
-                                       cells=16)
-        base = ProtocolParams(omega_c=2.0, omega_a=2.0,
-                              probe_duration_us=4.0, p_a_delay_us=13.0,
-                              release_window_us=8.0, sample_rate=10.0)
-        durations = [2.0, 0.5, 3.5, 2.0]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = sweep_duration(durations, base, m, grid, classes,
-                                    keep_traces=True, threads=3)
-        probe = _probe_warnings(record)
-        assert len(probe) == 1 and probe[0].filename == __file__
-        assert "a_duration_us sweep" in str(probe[0].message)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _assert_same(result, _independent(
-                "stationary", "a_duration_us", durations, base, m, grid,
-                classes))
-        assert result.simulated_steps < result.independent_steps
-
-    def test_single_point_is_its_own_trunk(self):
-        m, grid, classes = _mini_setup(n_classes=2, cells=16)
-        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
-                              c_off_us=13.0, release_window_us=8.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = sweep_delay([3.0], base, m, grid, classes,
-                                 keep_traces=True)
-            _assert_same(result, _independent(
-                "memory", "storage_t_us", [3.0], base, m, grid, classes))
-        assert result.simulated_steps == result.independent_steps == 1920
-
-
 class TestAdjointPeaks:
-    """A peaks-only sweep takes each point's held release stretch from one
-    adjoint pass; its peaks, peak times and cut-off windows must agree with
-    the forward path that keep_traces takes."""
+    """A sweep integrates one trunk, branches each point off a snapshot of
+    it and takes each point's held release stretch from one adjoint pass;
+    its peaks, peak times and cut-off windows must agree with independent
+    runs of each point."""
 
     # relative peak bound; measured at most 1.5e-13 on these cases and
-    # 5.2e-14 on the three paper configs
+    # 3.1e-14 on the three paper configs
     BOUND = 1e-12
+    DELAYS = [4.0, 0.0, 2.5, 4.0, 1.3]  # unsorted, duplicated, T = 0
 
-    def _both(self, sweep, values, base, setup):
+    def _check(self, kind, values, base, setup, threads=1):
+        """Sweep `values` and run them independently; check that they agree
+        and that the probe warning is raised once, blamed on this file.
+        Returns (sweep result, independent (trace, t_peak, peak) list)."""
+        field = "storage_t_us" if kind == "memory" else "a_duration_us"
+        sweep = sweep_delay if kind == "memory" else sweep_duration
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = sweep(values, base, *setup, threads=threads)
+        probe = [w for w in record if "probe pulse spans" in str(w.message)]
+        assert len(probe) == 1 and probe[0].filename == __file__
+        assert f"{field} sweep" in str(probe[0].message)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            forward = sweep(values, base, *setup, keep_traces=True)
-            peaks = sweep(values, base, *setup)
-        assert peaks.traces is None
-        assert np.all(np.abs(peaks.intensities - forward.intensities)
-                      <= self.BOUND * forward.intensities)
-        assert np.array_equal(peaks.peak_times, forward.peak_times)
-        assert peaks.peak_at_window_end == forward.peak_at_window_end
-        assert peaks.independent_steps == forward.independent_steps
-        return peaks, forward
+            reference = _independent(kind, field, values, base, *setup)
+        peaks = np.array([peak for _, _, peak in reference])
+        assert np.all(np.abs(result.intensities - peaks) <= self.BOUND * peaks)
+        assert np.array_equal(result.peak_times, [t for _, t, _ in reference])
+        assert result.peak_at_window_end == tuple(
+            v for v, (trace, t_peak, _) in zip(values, reference)
+            if t_peak == trace.t[-1])
+        return result, reference
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_delay_sweep(self, threads):
-        # TestBranchedSweeps' case: unsorted, duplicated, T = 0
         setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
                               release_window_us=8.0, sample_rate=20.0)
-        peaks, forward = self._both(partial(sweep_delay, threads=threads),
-                                    TestBranchedSweeps.DELAYS, base, setup)
-        assert peaks.simulated_steps < 0.6 * forward.simulated_steps
+        result, _ = self._check("memory", self.DELAYS, base, setup, threads)
+        assert result.simulated_steps < 0.6 * result.independent_steps
 
     @pytest.mark.parametrize("window, cut", [(8.0, ()), (3.5, (3.5,))])
     def test_duration_sweep(self, window, cut):
@@ -471,15 +411,23 @@ class TestAdjointPeaks:
         base = ProtocolParams(omega_c=2.0, omega_a=2.0,
                               probe_duration_us=4.0, p_a_delay_us=13.0,
                               release_window_us=window, sample_rate=10.0)
-        peaks, _ = self._both(sweep_duration, [2.0, 0.5, 3.5, 2.0], base,
-                              setup)
-        assert peaks.peak_at_window_end == cut
+        result, _ = self._check("stationary", [2.0, 0.5, 3.5, 2.0], base,
+                                setup, threads=3)
+        assert result.peak_at_window_end == cut
+        assert result.simulated_steps < result.independent_steps
+
+    def test_single_point_is_its_own_trunk(self):
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, release_window_us=8.0)
+        result, _ = self._check("memory", [3.0], base, setup)
+        assert result.simulated_steps == result.independent_steps == 1920
 
     def test_probe_in_the_window_falls_back_to_the_forward_path(self, monkeypatch):
         # the probe injects until 12 us, the end of T = 0's window: that
-        # point has no held stretch, runs forward and equals the forward
-        # path bit for bit; T = 6's held stretch starts when its ramp ends,
-        # and the adjoint pass serves it alone
+        # point has no held stretch, runs forward to its end and equals its
+        # independent run bit for bit; T = 6's held stretch starts when its
+        # ramp ends, and the adjoint pass serves it alone
         served = []  # the held stretches' lengths of each adjoint pass
 
         def spy(starts, lengths, *args):
@@ -491,8 +439,8 @@ class TestAdjointPeaks:
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=5.0, release_window_us=7.0,
                               sample_rate=20.0)
-        peaks, forward = self._both(sweep_delay, [0.0, 6.0], base, setup)
-        assert peaks.intensities[0] == forward.intensities[0]
+        result, reference = self._check("memory", [0.0, 6.0], base, setup)
+        assert result.intensities[0] == reference[0][2]
         assert len(served) == 1 and len(served[0]) == 1 and served[0][0] > 0
 
     def test_held_records_abort_when_the_held_map_blows_up(self):
@@ -507,3 +455,84 @@ class TestAdjointPeaks:
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
                 _held_records([state], [400], held, m, every=1)
+
+
+def _scanned_searches(sequence, trunk, dt):
+    """(branch step, held start) of `sequence` against `trunk`, from a scan
+    of every step's three half-step samples over both whole runs."""
+    n_steps, n_trunk = (int(round(s.t_end_us / dt)) for s in (sequence, trunk))
+    t = _half_step_times(dt, 0, max(n_steps, n_trunk))
+    k = 2 * np.arange(n_steps)[:, None] + np.arange(3)  # (step, its samples)
+    own = [*sequence.drive_samples(t), sequence.probe_samples(t)]
+    ref = [*trunk.drive_samples(t), trunk.probe_samples(t)]
+    differ = np.any([(a[k] != b[k]).any(axis=1) for a, b in zip(own, ref)],
+                    axis=0)
+    branch = int(np.argmax(differ)) if differ.any() else n_steps
+    # a held step reads the trunk's last step's drive samples, no probe
+    last = 2 * (n_trunk - 1) + np.arange(3)
+    held = own[2][k[:, 0]] == 0.0
+    for samples, trunk_samples in zip(own[:2], ref[:2]):
+        held &= (samples[k] == trunk_samples[last]).all(axis=1)
+    moved = np.flatnonzero(~held)
+    return branch, int(moved[-1]) + 1 if len(moved) else 0
+
+
+class TestBranchSearches:
+    """_branch_step and _held_start, which search _BRANCH_CHUNK steps at a
+    time, against a scan of the whole runs."""
+
+    DT = 1.0 / 64  # the sample times k / 128 are exact
+
+    def _searches(self, sequence, trunk):
+        n_steps, n_trunk = (int(round(s.t_end_us / self.DT))
+                            for s in (sequence, trunk))
+        held = trunk.drive_samples(_half_step_times(self.DT, n_trunk - 1,
+                                                    n_trunk))
+        found = (_branch_step(sequence, trunk, self.DT, n_steps),
+                 _held_start(sequence, self.DT, n_steps, held))
+        assert found == _scanned_searches(sequence, trunk, self.DT)
+        return found
+
+    @pytest.mark.parametrize("kind, field, values", [
+        ("memory", "storage_t_us", (2.0, 5.0)),
+        ("stationary", "a_duration_us", (2.0, 3.5))])
+    def test_standard_pairs(self, kind, field, values):
+        base = ProtocolParams(omega_c=2.0, omega_a=2.0, probe_duration_us=4.0,
+                              c_off_us=20.0, p_a_delay_us=20.0,
+                              release_window_us=8.0)
+        point, trunk = (standard_sequence(kind, replace(base, **{field: v}))
+                        for v in values)
+        branch, start = self._searches(point, trunk)
+        assert _BRANCH_CHUNK < branch < start < point.t_end_us / self.DT
+        # a sequence agrees with itself throughout: it branches at its end
+        assert self._searches(trunk, trunk)[0] == round(trunk.t_end_us / self.DT)
+
+    def test_trunk_ending_in_a_ramp(self):
+        # the trunk's last step reads three different samples of the
+        # retrieval ramp, which ends with the run, and no other step reads them
+        base = ProtocolParams(probe_duration_us=4.0, c_off_us=20.0,
+                              release_window_us=1.0)
+        trunk = standard_sequence("memory", base)
+        n = int(round(trunk.t_end_us / self.DT))
+        assert self._searches(trunk, trunk) == (n, n - 1)
+
+    @pytest.mark.parametrize("channel", ["A", "P"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
+    def test_differences_at_chunk_edges(self, shift, channel):
+        # the point differs from the trunk only by two one-sample blips on
+        # `channel`: at sample 2 * _BRANCH_CHUNK + shift, around the first
+        # forward chunk's last sample, and at 2 * (n - _BRANCH_CHUNK) +
+        # shift - 1, around the last backward chunk's first step
+        n = 3000
+        probe = PulseEvent("P", 0.0, 12.0, 1.0, "gaussian", 4.0)
+        coupling = PulseEvent("C", 0.0, n * self.DT, 2.0, open_end=True)
+        blips = [PulseEvent(channel, k / 128, 1 / 256, 2.0)
+                 for k in (2 * _BRANCH_CHUNK + shift,
+                           2 * (n - _BRANCH_CHUNK) + shift - 1)]
+        trunk = PulseSequence([probe, coupling], t_end_us=n * self.DT)
+        point = PulseSequence([probe, coupling, *blips], t_end_us=n * self.DT)
+        branch, start = self._searches(point, trunk)
+        assert branch == _BRANCH_CHUNK - 1 + (shift > 0)
+        # a step reads the probe only at its start, an even sample
+        if channel == "A" or shift % 2:
+            assert start == n - _BRANCH_CHUNK + (shift > 0)
