@@ -362,6 +362,65 @@ def _independent(kind, field, values, base, m, grid, classes):
     return out
 
 
+def _probe_warnings(record):
+    return [w for w in record if "probe pulse spans" in str(w.message)]
+
+
+class TestBranchedSweeps:
+    """Sweeps integrate one trunk and branch each point off a snapshot of
+    it.  With the held stretches switched off, every point runs forward to
+    its end, and its peak must equal an independent run's bit for bit."""
+
+    DELAYS = [4.0, 0.0, 2.5, 4.0, 1.3]  # unsorted, duplicated, T = 0
+
+    def _forward(self, monkeypatch, kind, values, base, setup, threads=1):
+        """Sweep `values` with no held stretch and run them independently;
+        check that they are equal and that the probe warning is raised
+        once, blamed on this file.  Returns the sweep result."""
+        monkeypatch.setattr(experiment, "_held_start",
+                            lambda sequence, dt, n_steps, held: n_steps)
+        field = "storage_t_us" if kind == "memory" else "a_duration_us"
+        sweep = sweep_delay if kind == "memory" else sweep_duration
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = sweep(values, base, *setup, threads=threads)
+        probe = _probe_warnings(record)
+        assert len(probe) == 1 and probe[0].filename == __file__
+        assert f"{field} sweep" in str(probe[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference = _independent(kind, field, values, base, *setup)
+        assert np.array_equal(result.intensities, [r[2] for r in reference])
+        assert np.array_equal(result.peak_times, [r[1] for r in reference])
+        return result
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_delay_sweep_matches_independent_runs(self, monkeypatch, threads):
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
+                              release_window_us=8.0, sample_rate=20.0)
+        result = self._forward(monkeypatch, "memory", self.DELAYS, base,
+                               setup, threads)
+        assert result.simulated_steps < 0.6 * result.independent_steps
+
+    def test_duration_sweep_matches_independent_runs(self, monkeypatch):
+        setup = _mini_setup(optical_depth=200.0, n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, omega_a=2.0,
+                              probe_duration_us=4.0, p_a_delay_us=13.0,
+                              release_window_us=8.0, sample_rate=10.0)
+        result = self._forward(monkeypatch, "stationary", [2.0, 0.5, 3.5, 2.0],
+                               base, setup, threads=3)
+        assert result.simulated_steps < result.independent_steps
+
+    def test_single_point_is_its_own_trunk(self, monkeypatch):
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, release_window_us=8.0)
+        result = self._forward(monkeypatch, "memory", [3.0], base, setup)
+        assert result.simulated_steps == result.independent_steps == 1920
+
+
 class TestAdjointPeaks:
     """A sweep integrates one trunk, branches each point off a snapshot of
     it and takes each point's held release stretch from one adjoint pass;
@@ -371,7 +430,6 @@ class TestAdjointPeaks:
     # relative peak bound; measured at most 1.5e-13 on these cases and
     # 3.1e-14 on the three paper configs
     BOUND = 1e-12
-    DELAYS = [4.0, 0.0, 2.5, 4.0, 1.3]  # unsorted, duplicated, T = 0
 
     def _check(self, kind, values, base, setup, threads=1):
         """Sweep `values` and run them independently; check that they agree
@@ -382,7 +440,7 @@ class TestAdjointPeaks:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep(values, base, *setup, threads=threads)
-        probe = [w for w in record if "probe pulse spans" in str(w.message)]
+        probe = _probe_warnings(record)
         assert len(probe) == 1 and probe[0].filename == __file__
         assert f"{field} sweep" in str(probe[0].message)
         with warnings.catch_warnings():
@@ -402,7 +460,8 @@ class TestAdjointPeaks:
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
                               release_window_us=8.0, sample_rate=20.0)
-        result, _ = self._check("memory", self.DELAYS, base, setup, threads)
+        result, _ = self._check("memory", TestBranchedSweeps.DELAYS, base,
+                                setup, threads)
         assert result.simulated_steps < 0.6 * result.independent_steps
 
     @pytest.mark.parametrize("window, cut", [(8.0, ()), (3.5, (3.5,))])
@@ -415,13 +474,6 @@ class TestAdjointPeaks:
                                 setup, threads=3)
         assert result.peak_at_window_end == cut
         assert result.simulated_steps < result.independent_steps
-
-    def test_single_point_is_its_own_trunk(self):
-        setup = _mini_setup(n_classes=2, cells=16)
-        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
-                              c_off_us=13.0, release_window_us=8.0)
-        result, _ = self._check("memory", [3.0], base, setup)
-        assert result.simulated_steps == result.independent_steps == 1920
 
     def test_probe_in_the_window_falls_back_to_the_forward_path(self, monkeypatch):
         # the probe injects until 12 us, the end of T = 0's window: that
