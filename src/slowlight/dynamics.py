@@ -6,15 +6,10 @@ coherences and one spin coherence).  The scheme locks the time step to the
 grid, c*dt = dz, advects both fields by exactly one cell per step (no
 numerical dispersion) and advances the local field-atom system in each
 cell with a classical 4th-order Runge-Kutta update.  The drives are
-uniform in z, so that update is one linear map in every cell, applied in
-real form to the float view of the cell-major (M, K, 3) atoms as a
-batched 6x6 product plus a rank-10 coupling through the fields, all
-float64 matrix products.  The map depends on the step's six drive
-samples.  Both optical rates are the same for every class, so it is a
-polynomial of degree 4 in each class's spin rate: run_dynamics traces the
-RK4 stages on its coefficients for up to 16 consecutive steps whose
-samples change at once, evaluates each step's map from them, and keeps a
-map while the samples repeat (see _Propagator).
+uniform in z, so that update is one linear map in every cell, applied as
+float64 matrix products to the cell-major state's float views (see
+_Propagator), built for up to 16 changing steps at once and kept while
+the drive samples repeat.
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -70,11 +65,8 @@ class Grid:
 
 @dataclass
 class ControlDrive:
-    """Spatially uniform control drives.
-
-    omega_c / omega_a map a time in us to a complex Rabi frequency in
-    rad/us.  Both Raman channels are resonant.
-    """
+    """Spatially uniform control drives: omega_c / omega_a map a time in us
+    to a complex Rabi frequency in rad/us.  Both Raman channels are resonant."""
 
     omega_c: Callable[[float], complex]
     omega_a: Callable[[float], complex]
@@ -98,7 +90,8 @@ class SimState:
     products act on.  e_plus, e_minus (M,) and p_plus, p_minus, s (M, K)
     are writable views into these arrays, so a write such as
     ``state.s[:, j] = ...`` changes the state.  step() keeps its
-    propagator on the state between calls; copy() does not carry it.
+    propagator, which holds the float views of f and a, on the state
+    between calls; copy() does not carry it.
     """
 
     t: float
@@ -160,12 +153,14 @@ class SimState:
 
     def check_finite(self) -> None:
         """Raise NumericalAbort naming the first non-finite value's cell."""
+        if (np.isfinite(self.f.view(float)).all()
+                and np.isfinite(self.a.view(float)).all()):
+            return
         for name, arr in (("fields", self.f), ("atoms", self.a)):
-            finite = np.isfinite(arr)
-            if not finite.all():
-                cell = int(np.argwhere(~finite)[0][0])
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
                 raise NumericalAbort(f"non-finite value in {name} at "
-                                     f"t={self.t:.6g} us, cell {cell}")
+                                     f"t={self.t:.6g} us, cell {bad[0][0]}")
 
 
 @dataclass
@@ -191,15 +186,11 @@ def model_rhs(state: SimState, drive: ControlDrive, m: MediumParams,
     """
     omega_c, omega_a = drive.sample(state.t)
     g = math.sqrt(m.g2n)
-    dj = state.deltas[j]
-    pp = state.p_plus[cell, j]
-    pm = state.p_minus[cell, j]
-    s = state.s[cell, j]
-    ep = state.e_plus[cell]
-    em = state.e_minus[cell]
+    pp, pm, s = state.a[cell, j]
+    ep, em = state.f[cell]
     d_pp = -0.5 * m.gamma_opt * pp + 0.5j * (g * ep + omega_c * s)
     d_pm = -0.5 * m.gamma_opt * pm + 0.5j * (g * em + omega_a * s)
-    d_s = -(0.5 * m.gamma_spin + 1j * dj) * s \
+    d_s = -(0.5 * m.gamma_spin + 1j * state.deltas[j]) * s \
         + 0.5j * (omega_c.conjugate() * pp + omega_a.conjugate() * pm)
     return d_pp, d_pm, d_s
 
@@ -237,7 +228,7 @@ class _Propagator:
 
     def __init__(self, m: MediumParams, state: SimState):
         self.dt = state.grid.dz / m.c
-        cells, k, _ = state.a.shape
+        cells, k = state.grid.cells, len(state.deltas)
         self.half_g = 0.5j * math.sqrt(m.g2n)
         # the P+ and P- rows of _class_rates, which no class changes
         self.optical = -0.5 * m.gamma_opt
@@ -262,6 +253,7 @@ class _Propagator:
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=complex)
         self._dx = np.empty((cells, k, 6))
+        self._bound = (None, None)  # the state's f and a, then _views
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
         """The operators of n consecutive steps, as coefficients over u^p.
@@ -327,6 +319,26 @@ class _Propagator:
         self.f_op[:] = f[row]
         self._adjoint = None
 
+    def _views(self, state: SimState) -> tuple:
+        """The float views of state.f (M, 4), state.a's rows (M, 6K) and batch
+        (K, M, 6), y, y[:, 4:] and D x's rows and batch, made again only when
+        state.f or state.a is another array: one that is not C-contiguous
+        complex of the grid's and classes' shape is a ValueError."""
+        if self._bound[0] is not state.f or self._bound[1] is not state.a:
+            cells, k, _ = self._dx.shape
+            for name, shape in (("f", (cells, 2)), ("a", (cells, k, 3))):
+                arr = getattr(state, name)
+                c_order = arr.flags.c_contiguous
+                if (arr.shape, arr.dtype, c_order) != (shape, complex, True):
+                    order = "C" if c_order else "F" if np.isfortran(arr) else "no"
+                    raise ValueError(f"state.{name} is {arr.dtype} {arr.shape} in "
+                                     f"{order} order, not C-contiguous complex {shape}")
+            x, y = state.a.view(float).reshape(cells, 6 * k), self._phi.view(float)
+            self._bound = (state.f, state.a, state.f.view(float), x,
+                           x.reshape(cells, k, 6).swapaxes(0, 1), y, y[:, 4:],
+                           self._dx.reshape(cells, 6 * k), self._dx.swapaxes(0, 1))
+        return self._bound[2:]
+
     def advance(self, state: SimState, n: int, inject_plus: complex,
                 inject_minus: complex) -> None:
         """Advance the state in place by one step, to t = n dt.
@@ -337,20 +349,18 @@ class _Propagator:
         fields acting as local variables coupled to their cell's atoms, with
         the drives of the loaded operator.
         """
-        f, phi, dx = state.f, self._phi, self._dx
-        cells, k, _ = dx.shape
-        x, y = state.a.view(float).reshape(cells, 6 * k), phi.view(float)
+        f_float, x, x_batch, y, sources, dx_rows, dx_batch = self._views(state)
+        f, phi = state.f, self._phi
         # advect into the field functionals, then the sources W x
         phi[1:, 0] = f[:-1, 0]
         phi[0, 0] = inject_plus
         phi[:-1, 1] = f[1:, 1]
         phi[-1, 1] = inject_minus
-        np.matmul(x, self.w, out=y[:, 4:])
-        np.matmul(x.reshape(cells, k, 6).swapaxes(0, 1), self.d,
-                  out=dx.swapaxes(0, 1))
+        np.matmul(x, self.w, out=sources)
+        np.matmul(x_batch, self.d, out=dx_batch)
         np.matmul(y, self.a_op, out=x)
-        np.add(x, dx.reshape(cells, 6 * k), out=x)
-        np.matmul(y, self.f_op, out=f.view(float))
+        np.add(x, dx_rows, out=x)
+        np.matmul(y, self.f_op, out=f_float)
         state.t = n * self.dt
 
     def transpose(self, xi: SimState) -> None:
@@ -374,17 +384,15 @@ class _Propagator:
                 op[..., 0::2, 1::2] *= -1.0
                 op[..., 1::2, 0::2] *= -1.0
         d, w, a_op, f_op = self._adjoint
-        f, psi, dx = xi.f, self._phi, self._dx
-        cells, k, _ = dx.shape
-        x, y = xi.a.view(float).reshape(cells, 6 * k), psi.view(float)
+        f_float, x, x_batch, y, sources, dx_rows, dx_batch = self._views(xi)
         np.matmul(x, a_op, out=y)
-        y += f.view(float) @ f_op
-        np.matmul(x.reshape(cells, k, 6).swapaxes(0, 1), d, out=dx.swapaxes(0, 1))
-        np.matmul(y[:, 4:], w, out=x)
-        np.add(x, dx.reshape(cells, 6 * k), out=x)
-        f[:-1, 0] = psi[1:, 0]
-        f[1:, 1] = psi[:-1, 1]
-        f[-1, 0] = f[0, 1] = 0.0
+        y += f_float @ f_op
+        np.matmul(x_batch, d, out=dx_batch)
+        np.matmul(sources, w, out=x)
+        np.add(x, dx_rows, out=x)
+        f_float[:-1, :2] = y[1:, :2]
+        f_float[1:, 2:] = y[:-1, 2:4]
+        f_float[-1, :2] = f_float[0, 2:] = 0.0
 
 
 def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:
@@ -420,10 +428,13 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
     boundary "periodic" each field's exit value re-enters at its entry
     cell and the injections are ignored; "open" injects them.  Mutates
     and returns `state`.  Raises CFLViolation unless c*dt == dz to within
-    1e-9 relative, ValueError for another boundary or an off-grid t, and
-    NumericalAbort if the state stops being finite.
+    1e-9 relative, ValueError for another boundary, an off-grid t or an f
+    or a of another shape or order, NumericalAbort if it stops being finite.
     """
-    _require_cfl(m, state.grid, dt)
+    dz = state.grid.dz
+    if not abs(m.c * dt - dz) <= 1e-9 * dz:  # also false for a NaN dt
+        raise CFLViolation(f"exact one-cell advection requires c*dt == dz; got "
+                           f"c*dt = {m.c * dt:.6g}, dz = {dz:.6g}")
     if boundary == "periodic":
         inject_plus, inject_minus = state.f[-1, 0], state.f[0, 1]
     elif boundary != "open":
@@ -433,21 +444,15 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
         state._kept = (inputs, _Propagator(m, state), None)
     _, prop, held = state._kept
     n = _step_index(state.t, prop.dt)
-    samples = tuple(zip(*map(drive.sample, _half_step_times(prop.dt, n, n + 1))))
+    h, k = 0.5 * prop.dt, 2 * n  # the times of _half_step_times(prop.dt, n, n + 1)
+    samples = (drive.sample(h * k) + drive.sample(h * (k + 1))
+               + drive.sample(h * (k + 2)))  # (C, A) at each of the three
     if samples != held:
-        prop.load(prop.build(*map(np.array, samples)), 0)
+        prop.load(prop.build(np.array(samples[0::2]), np.array(samples[1::2])), 0)
         state._kept = (inputs, prop, samples)
     prop.advance(state, n + 1, inject_plus, inject_minus)
     state.check_finite()
     return state
-
-
-def _require_cfl(m: MediumParams, grid: Grid, dt: float) -> None:
-    dz = grid.dz
-    if not abs(m.c * dt - dz) <= 1e-9 * dz:  # also false for a NaN dt
-        raise CFLViolation(
-            f"exact one-cell advection requires c*dt == dz; got c*dt = "
-            f"{m.c * dt:.6g}, dz = {dz:.6g}")
 
 
 def run_dynamics(sequence, m: MediumParams, grid: Grid,
@@ -461,14 +466,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
 
     `sequence` provides events, t_end_us, sample_rate, probe_duration_us,
     writing_omega_c, probe_samples(t) and drive_samples(t) (see
-    experiment.PulseSequence); the run ends at its t_end_us, which
-    standard_sequence sets release_window_us after the recording window
-    opens (the release, or the probe window's end for slow light) unless
-    t_end_us is given.  Returns the detector trace |E+(1,t)|^2,
-    |E-(0,t)|^2 and the spin-coherence norm, plus state snapshots: one
-    after each global step index in snapshot_steps that the run completes,
-    and always the final state.  E+ is injected at z=0 from the probe
-    channel; nothing is injected into E-.
+    experiment.PulseSequence); the run ends at its t_end_us.  Returns the
+    detector trace |E+(1,t)|^2, |E-(0,t)|^2 and the spin-coherence norm,
+    plus state snapshots: one after each global step index in
+    snapshot_steps that the run completes, and always the final state.
+    E+ is injected at z=0 from the probe channel; nothing into E-.
 
     Steps lie on the global grid t = n dt (dt = dz/c), and the state's t
     is set to n dt after step n.  A run resumed from `initial_state`,
@@ -498,8 +500,6 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
             raise ValueError(f"until_step {until_step} is outside the run's "
                              f"steps {n0}..{n_total}")
         n_total, n_steps = until_step, until_step - n0
-
-    # Half-grid drive samples cover every RK4 stage time.
     t_half = _half_step_times(dt, n0, n_total)
     omega_c, omega_a = sequence.drive_samples(t_half)
     inject = sequence.probe_samples(t_half[0::2][:n_steps])

@@ -30,7 +30,7 @@ CHANNELS = ("P", "C", "A")
 SHAPES = ("rect", "raised_cosine", "gaussian")
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
-_BRANCH_CHUNK = 1024  # steps per drive comparison in _branch_step
+_BRANCH_CHUNK = 1024  # steps per drive comparison in _branch_steps
 
 
 @dataclass(frozen=True)
@@ -251,27 +251,35 @@ class SweepResult:
             raise ValueError("intensities must be >= 0")
 
 
-def _branch_step(sequence: PulseSequence, trunk: PulseSequence, dt: float,
-                 n_steps: int) -> int:
-    """Global step from which `sequence` can resume a snapshot of `trunk`.
+def _branch_steps(sequences: Sequence[PulseSequence], trunk: PulseSequence,
+                  dt: float, ends: Sequence[int]) -> list[int]:
+    """Global steps from which each sequence can resume a snapshot of `trunk`.
 
-    Both are sampled on the global half-step grid 0.5*dt*k, k <= 2*n_steps.
-    With k* the first sample where their C, A or probe envelopes differ,
-    steps before (k* - 1) // 2 read only samples k < k*, so the trunk's
-    state after them is this sequence's state too.  A sequence that agrees
-    with the trunk throughout branches at its own end, n_steps.  The
-    samples are taken _BRANCH_CHUNK steps at a time, so the search holds
-    little memory and stops at the first difference.
+    Sequence i runs ends[i] steps, on the global half-step grid 0.5*dt*k.
+    With k* the first sample where its C, A or probe envelopes differ from
+    the trunk's, steps before (k* - 1) // 2 read only samples k < k*, so the
+    trunk's state after them is this sequence's state too.  A sequence that
+    agrees with the trunk throughout, the trunk itself among them, branches
+    at its own end.  The search walks _BRANCH_CHUNK steps at a time,
+    samples the trunk once per chunk for every sequence still searching,
+    and stops when none is, so it holds little memory.
     """
-    for n in range(0, n_steps, _BRANCH_CHUNK):
-        t = _half_step_times(dt, n, min(n + _BRANCH_CHUNK, n_steps))
-        omega_c, omega_a = sequence.drive_samples(t)
-        t_omega_c, t_omega_a = trunk.drive_samples(t)
-        differ = (omega_c != t_omega_c) | (omega_a != t_omega_a)
-        differ |= sequence.probe_samples(t) != trunk.probe_samples(t)
-        if differ.any():
-            return max(0, (2 * n + int(np.argmax(differ)) - 1) // 2)
-    return n_steps
+    branch = list(ends)
+    searching = [i for i, s in enumerate(sequences) if s is not trunk]
+    for n in range(0, max(ends, default=0), _BRANCH_CHUNK):
+        # those that have neither differed nor ended
+        searching = [i for i in searching if ends[i] > n and branch[i] == ends[i]]
+        if not searching:
+            break
+        t = _half_step_times(dt, n, min(n + _BRANCH_CHUNK, max(ends)))
+        theirs = (*trunk.drive_samples(t), trunk.probe_samples(t))
+        for i in searching:
+            own = t[:2 * (min(n + _BRANCH_CHUNK, ends[i]) - n) + 1]
+            ours = (*sequences[i].drive_samples(own), sequences[i].probe_samples(own))
+            differ = np.any([a != b[:len(own)] for a, b in zip(ours, theirs)], axis=0)
+            if differ.any():
+                branch[i] = max(0, (2 * n + int(np.argmax(differ)) - 1) // 2)
+    return branch
 
 
 def _held_start(sequence: PulseSequence, dt: float, n_steps: int,
@@ -344,7 +352,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     """Run protocol `kind` at each value of `field`, sharing the prefix.
 
     The longest point is the trunk: it runs once from t = 0 and leaves a
-    snapshot at each point's branch step (see _branch_step), from which the
+    snapshot at each point's branch step (see _branch_steps), from which the
     point runs on.  A point whose held stretch (see _held_start) reads the
     trunk's held drive samples stops where that stretch starts, and one
     adjoint pass of the shared held map gives the records of all such
@@ -371,8 +379,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     dt = grid.dz / m.c
     ends = [int(round(s.t_end_us / dt)) for s in sequences]
     trunk = int(np.argmax(ends))
-    branch = [_branch_step(s, sequences[trunk], dt, n)
-              for s, n in zip(sequences, ends)]
+    branch = _branch_steps(sequences, sequences[trunk], dt, ends)
     # the drive samples of the trunk's last step, which it holds
     held = sequences[trunk].drive_samples(
         _half_step_times(dt, ends[trunk] - 1, ends[trunk]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields as dc_fields, replace
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowlight.dynamics import (CFLViolation, ControlDrive, Grid,
-                                NumericalAbort, SimState, _Propagator,
-                                balance_residual, excitation_number,
+                                NumericalAbort, SimState, _half_step_times,
+                                _Propagator, balance_residual, excitation_number,
                                 field_centroid, model_rhs, run_dynamics, step)
 from slowlight.experiment import (ProtocolParams, released_peak,
                                   standard_sequence)
@@ -170,6 +171,40 @@ class TestStateLayout:
         assert np.array_equal(state.f, other.f)
         assert np.array_equal(state.a, other.a)
 
+    def test_rebound_arrays_must_fit_the_kept_views(self):
+        # the kept propagator makes its float views again for an f or a
+        # rebound between steps, and rejects one that does not fit
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        state = self._stepped(_state(grid_cells=8, classes=classes))
+        for name, bad, message in (
+                ("a", np.zeros((4, 8, 3), dtype=complex), r"\(4, 8, 3\) in C order"),
+                ("a", np.asfortranarray(state.a), r"\(8, 4, 3\) in F order"),
+                ("f", np.asfortranarray(state.f), r"\(8, 2\) in F order")):
+            good, t = getattr(state, name), state.t
+            setattr(state, name, bad)
+            with pytest.raises(ValueError,
+                               match=rf"state\.{name} is complex128 {message}"):
+                self._stepped(state)
+            assert state.t == t
+            setattr(state, name, good)
+        self._stepped(state)
+
+    def test_rebound_copies_step_like_an_untouched_twin(self):
+        state, _ = self._filled()
+        twin = state.copy()
+        for s in (state, twin):
+            self._stepped(s)
+        old_f, old_a = state.f, state.a
+        state.f, state.a = state.f.copy(), state.a.copy()
+        kept = old_f.copy(), old_a.copy()
+        for _ in range(3):
+            for s in (state, twin):
+                self._stepped(s)
+        assert np.array_equal(state.f, twin.f) and np.array_equal(state.a, twin.a)
+        # the arrays the views were made of are written no more
+        assert np.array_equal(old_f, kept[0]) and np.array_equal(old_a, kept[1])
+        assert not np.array_equal(state.a, old_a)
+
     def test_block_names_cannot_be_rebound(self):
         state = _state()
         with pytest.raises(AttributeError):
@@ -265,18 +300,41 @@ class TestStep:
 
     def test_nonfinite_state_aborts_with_location(self):
         m = MediumParams(g2n=1.0, c=5.0)
-        state = _state()
-        state.e_plus[2] = np.nan
         drive = ControlDrive.constant(0.1, 0.0)
-        # advection carries the NaN one cell forward before the check
-        with pytest.raises(NumericalAbort, match="fields .* cell 3$"):
-            step(state, drive, m, state.grid.dz / m.c)
+        for bad in (np.nan, np.inf, -np.inf):
+            state = _state()
+            state.e_plus[2] = bad
+            # advection carries the value one cell forward before the check;
+            # an infinity times a zero entry of the map is NaN
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(NumericalAbort, match="fields .* cell 3$"):
+                step(state, drive, m, state.grid.dz / m.c)
 
     def test_nonfinite_atoms_abort_with_their_cell(self):
-        state = _state(classes=make_spectral_classes(30.0, 4, "lorentzian"))
-        state.s[5, 2] = np.nan  # class 2's S at cell 5, the fields finite
-        with pytest.raises(NumericalAbort, match="atoms .* cell 5$"):
-            state.check_finite()
+        for bad in (np.nan, np.inf, -np.inf):
+            state = _state(classes=make_spectral_classes(30.0, 4, "lorentzian"))
+            state.s[5, 2] = bad  # class 2's S at cell 5, the fields finite
+            with pytest.raises(NumericalAbort, match="atoms .* cell 5$"):
+                state.check_finite()
+            state.s[5, 2] = 0.0
+            state.p_minus[7, 0] = bad * 1j  # an imaginary part alone
+            with pytest.raises(NumericalAbort, match="atoms .* cell 7$"):
+                state.check_finite()
+
+    def test_half_steps_sampled_as_run_dynamics_samples_them(self):
+        # on trap_point's grid (dt = 1/288 us) at its first and last step
+        m = MediumParams(g2n=1.0, c=4.0)
+        grid = Grid(cells=72)
+        dt = grid.dz / m.c
+        seen = []
+        drive = ControlDrive(lambda t: seen.append(t) or 0.3, lambda t: 0.1)
+        for n in (0, 27_647):
+            for t in (n * dt, n * dt + 1e-12 * dt):  # on the grid to rounding
+                state = SimState.zeros(grid, SINGLE)
+                state.t = t
+                seen.clear()
+                step(state, drive, m, dt)
+                assert seen == list(_half_step_times(dt, n, n + 1))
 
     def test_kept_propagator_follows_changed_inputs(self):
         m = MediumParams(gamma_opt=0.5, gamma_spin=0.1, g2n=2.0, c=5.0)
@@ -412,6 +470,28 @@ def _count_built_rows(monkeypatch) -> list[int]:
 
 
 class TestPropagatorBuild:
+    def test_steps_make_no_copy_of_the_state(self):
+        # 200 held steps each way at K = 64, M = 32, whose atoms take 98 KB,
+        # may hold at most 16 KB more at any time.  The first call is not
+        # traced: it makes the views, and transpose its operators
+        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
+        state = _state(grid_cells=32,
+                       classes=make_spectral_classes(30.0, 64, "lorentzian"))
+        state.a[:] = 1e-3
+        prop = _Propagator(m, state)
+        prop.load(prop.build(np.full(3, 0.5 + 0j), np.full(3, 0.2 + 0j)), 0)
+        for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
+                    lambda n: prop.transpose(state)):
+            run(1)
+            tracemalloc.start()
+            try:
+                for n in range(2, 202):
+                    run(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 1024
+
     def _propagator(self):
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=4,

@@ -13,7 +13,7 @@ from slowlight.config import build_protocol, parse_config
 from slowlight.dynamics import (Grid, NumericalAbort, SimState,
                                 _half_step_times, run_dynamics)
 from slowlight.experiment import (_BRANCH_CHUNK, ProtocolParams, PulseEvent,
-                                  PulseSequence, _branch_step, _held_records,
+                                  PulseSequence, _branch_steps, _held_records,
                                   _held_start, released_peak,
                                   standard_sequence, sweep_delay,
                                   sweep_duration)
@@ -530,7 +530,7 @@ def _scanned_searches(sequence, trunk, dt):
 
 
 class TestBranchSearches:
-    """_branch_step and _held_start, which search _BRANCH_CHUNK steps at a
+    """_branch_steps and _held_start, which search _BRANCH_CHUNK steps at a
     time, against a scan of the whole runs."""
 
     DT = 1.0 / 64  # the sample times k / 128 are exact
@@ -540,7 +540,7 @@ class TestBranchSearches:
                             for s in (sequence, trunk))
         held = trunk.drive_samples(_half_step_times(self.DT, n_trunk - 1,
                                                     n_trunk))
-        found = (_branch_step(sequence, trunk, self.DT, n_steps),
+        found = (_branch_steps([sequence], trunk, self.DT, [n_steps])[0],
                  _held_start(sequence, self.DT, n_steps, held))
         assert found == _scanned_searches(sequence, trunk, self.DT)
         return found
@@ -558,6 +558,24 @@ class TestBranchSearches:
         assert _BRANCH_CHUNK < branch < start < point.t_end_us / self.DT
         # a sequence agrees with itself throughout: it branches at its end
         assert self._searches(trunk, trunk)[0] == round(trunk.t_end_us / self.DT)
+
+    def test_points_searched_together_match_each_alone(self):
+        # one search samples the trunk once per chunk for all the points:
+        # unsorted, branching on both sides of the first chunk edge, two
+        # equal ones, the trunk, and one that differs from the first sample
+        base = ProtocolParams(probe_duration_us=2.0, c_off_us=10.0,
+                              release_window_us=8.0)
+        values = (12.0, 0.0, 3.0, 25.0, 12.0)
+        points = [standard_sequence("memory", replace(base, storage_t_us=v))
+                  for v in values]
+        points.append(PulseSequence([PulseEvent("P", 0.0, 4.0, 1.0, "gaussian", 1.0)],
+                                    t_end_us=5.0))
+        ends = [int(round(s.t_end_us / self.DT)) for s in points]
+        trunk = points[3]
+        found = _branch_steps(points, trunk, self.DT, ends)
+        assert found == [_scanned_searches(s, trunk, self.DT)[0] for s in points]
+        assert found[1] < found[2] < _BRANCH_CHUNK < found[0] == found[4] < ends[0]
+        assert found[3] == ends[3] and found[5] == 0
 
     def test_trunk_ending_in_a_ramp(self):
         # the trunk's last step reads three different samples of the
