@@ -153,8 +153,8 @@ class SimState:
 
     def check_finite(self) -> None:
         """Raise NumericalAbort naming the first non-finite value's cell."""
-        if (np.isfinite(self.f.view(float)).all()
-                and np.isfinite(self.a.view(float)).all()):
+        if (np.isfinite(self.f.ravel().view(float)).all()
+                and np.isfinite(self.a.ravel().view(float)).all()):
             return
         for name, arr in (("fields", self.f), ("atoms", self.a)):
             bad = np.argwhere(~np.isfinite(arr))

@@ -186,6 +186,7 @@ class TestStateLayout:
                                match=rf"state\.{name} is complex128 {message}"):
                 self._stepped(state)
             assert state.t == t
+            state.check_finite()  # reads an array in any memory order
             setattr(state, name, good)
         self._stepped(state)
 
