@@ -253,7 +253,7 @@ class _Propagator:
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=complex)
         self._dx = np.empty((cells, k, 6))
-        self._bound = (None, None)  # the state's f and a, then _views
+        self._bound = (None, None)  # state.f, state.a, then the views of _views
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
         """The operators of n consecutive steps, as coefficients over u^p.
