@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
                      group_velocity)
@@ -253,22 +254,23 @@ class _Propagator:
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=complex)
         self._dx = np.empty((cells, k, 6))
+        self._fy = np.empty((cells, 2 * self.RANK))  # transpose's F^T xi_f
         self._bound = (None, None)  # state.f, state.a, then the views of _views
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
-        """The operators of n consecutive steps, as coefficients over u^p.
+        """The operators of n steps, as coefficients over u^p.
 
-        omega_c and omega_a hold the drives at the 2n + 1 half steps of the
-        n steps.  Returns (da, w, f), one row per step: the _tables of
-        [D | A] and of W's rows before the classes' source, and F^T in real
-        form.  A linear map of y is traced as t = [D | A] and f: its x-part
-        is D x_k + A (V y), its field part f (V y).  Each stage's slope
-        L_s y_s of the stage input y_s is again of that form, with the field
-        sources of y_s as two new functionals; its S row gains a power of u.
-        The steps never mix, so a step's row does not depend on n or on its
-        place among the n.
+        omega_c and omega_a are (n, 3): each row holds a step's drive at its
+        three half steps (see _step_reads).  Returns (da, w, f), one row per
+        step: the _tables of [D | A] and of W's rows before the classes'
+        source, and F^T in real form.  A linear map of y is traced as
+        t = [D | A] and f: its x-part is D x_k + A (V y), its field part
+        f (V y).  Each stage's slope L_s y_s of the stage input y_s is again
+        of that form, with the field sources of y_s as two new functionals;
+        its S row gains a power of u.  The steps never mix, so a step's row
+        does not depend on the other rows or on its place among them.
         """
-        n = len(omega_c) // 2
+        n = len(omega_c)
         h, r, p = self.dt, self.RANK, self.POWERS
         # while tracing, t is (row P+/P-/S, step, power, column): each row
         # is one contiguous block, and the steps broadcast from 1 to n
@@ -282,16 +284,15 @@ class _Propagator:
         w = np.empty((n, p, 3, r - 2), dtype=complex)  # W^T
         # the stage matrices' drive entries at each half step: (i/2) Omega
         # into P+ and P-, and (i/2) Omega* from them into S
-        into_p = 0.5j * np.stack([omega_c, omega_a])[:, :, None, None]
+        into_p = 0.5j * np.stack([omega_c, omega_a])[..., None, None]
         into_s = -into_p.conj()
-        start, mid, end = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
-        stages = ((start, 0.5, 1.0), (mid, 0.5, 2.0), (mid, 1.0, 2.0), (end, 0.0, 1.0))
+        stages = ((0, 0.5, 1.0), (1, 0.5, 2.0), (1, 1.0, 2.0), (2, 0.0, 1.0))
         for s, (at, to_next, weight) in enumerate(stages):
             # slope: x-part B_s x_s + G e_s, field part the sources of x_s
             np.multiply(self.optical, t[:2], out=slope[:2])
-            slope[:2] += into_p[:, at] * t[2]
-            np.multiply(into_s[0, at], t[0], out=slope[2])
-            slope[2] += into_s[1, at] * t[1]
+            slope[:2] += into_p[:, :, at] * t[2]
+            np.multiply(into_s[0, :, at], t[0], out=slope[2])
+            slope[2] += into_s[1, :, at] * t[1]
             slope[2, :, 1:] += t[2, :, :-1]  # u S
             slope[:2, :, 0, 3:] += self.half_g * f
             w[..., 2 * s:2 * s + 2] = t[:2, ..., :3].transpose(1, 2, 3, 0)
@@ -386,7 +387,7 @@ class _Propagator:
         d, w, a_op, f_op = self._adjoint
         f_float, x, x_batch, y, sources, dx_rows, dx_batch = self._views(xi)
         np.matmul(x, a_op, out=y)
-        y += f_float @ f_op
+        y += np.matmul(f_float, f_op, out=self._fy)
         np.matmul(x_batch, d, out=dx_batch)
         np.matmul(sources, w, out=x)
         np.add(x, dx_rows, out=x)
@@ -444,11 +445,11 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
         state._kept = (inputs, _Propagator(m, state), None)
     _, prop, held = state._kept
     n = _step_index(state.t, prop.dt)
-    h, k = 0.5 * prop.dt, 2 * n  # the times of _half_step_times(prop.dt, n, n + 1)
+    h, k = 0.5 * prop.dt, 2 * n  # the times that _step_reads samples for step n
     samples = (drive.sample(h * k) + drive.sample(h * (k + 1))
                + drive.sample(h * (k + 2)))  # (C, A) at each of the three
     if samples != held:
-        prop.load(prop.build(np.array(samples[0::2]), np.array(samples[1::2])), 0)
+        prop.load(prop.build(np.array([samples[0::2]]), np.array([samples[1::2]])), 0)
         state._kept = (inputs, prop, samples)
     prop.advance(state, n + 1, inject_plus, inject_minus)
     state.check_finite()
@@ -500,9 +501,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
             raise ValueError(f"until_step {until_step} is outside the run's "
                              f"steps {n0}..{n_total}")
         n_total, n_steps = until_step, until_step - n0
-    t_half = _half_step_times(dt, n0, n_total)
-    omega_c, omega_a = sequence.drive_samples(t_half)
-    inject = sequence.probe_samples(t_half[0::2][:n_steps])
+    omega_c, omega_a, inject = _step_reads(sequence, dt, n0, n_total)
     if _check_probe:
         _check_probe_resolution(sequence, m, grid)
 
@@ -519,20 +518,19 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     # steps on the multiples of `every` record, those of a resumed run too
     if n0 % every == 0:
         record()
-    # a step whose drive samples differ from its predecessor's loads its own
-    # operator, built with those of up to _CHUNK_STEPS - 1 such steps after it
+    # a step whose drive rows differ from its predecessor's loads its own
+    # operator, built with those of the next _CHUNK_STEPS - 1 such steps
     rebuild = _drive_changes(omega_c, omega_a)
-    stop = 0  # end of the steps that `table` holds
+    changed = np.flatnonzero(rebuild)
+    built = 0  # changed steps whose operators have been loaded
     for i in range(n_steps):
         n = n0 + i + 1  # global index of the step being completed
         if rebuild[i]:
-            if i >= stop:
-                first, stop = i, i + 1
-                while stop < min(i + _CHUNK_STEPS, n_steps) and rebuild[stop]:
-                    stop += 1
-                table = prop.build(omega_c[2 * i:2 * stop + 1],
-                                   omega_a[2 * i:2 * stop + 1])
-            prop.load(table, i - first)
+            if built % _CHUNK_STEPS == 0:
+                chunk = changed[built:built + _CHUNK_STEPS]
+                table = prop.build(omega_c[chunk], omega_a[chunk])
+            prop.load(table, built % _CHUNK_STEPS)
+            built += 1
         prop.advance(state, n, inject[i], 0.0j)
         if n % every == 0:
             record()
@@ -547,12 +545,24 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     return DetectorTrace(*columns), snapshots
 
 
+def _step_reads(sequence, dt: float, n0: int, n1: int) -> tuple:
+    """What global steps n0..n1-1 of `sequence` read: C and A as (n, 3)
+    read-only rows, step n's drives at the half steps 2n, 2n+1 and 2n+2
+    that its RK4 stages read, and the probe it injects, at 2n.  Half step k
+    is at 0.5*dt*k, which depends on k alone, so a resumed run and a
+    branch-point search read the very values an uninterrupted run reads."""
+    t = 0.5 * dt * np.arange(2 * n0, 2 * n1 + 1)
+    rows = [as_strided(s, (n1 - n0, 3), (2 * s.strides[0], s.strides[0]),
+                       writeable=False) for s in sequence.drive_samples(t)]
+    return (*rows, sequence.probe_samples(t[:-1:2]))
+
+
 def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
-    """Per step of the drive samples at 2n + 1 half steps: whether its six
-    samples differ from those of the step before (always, for the first)."""
-    moved = (omega_c[2:] != omega_c[:-2]) | (omega_a[2:] != omega_a[:-2])
-    changed = np.ones(len(omega_c) // 2, dtype=bool)
-    changed[1:] = moved[:-1:2] | moved[1::2] | moved[2::2]
+    """Per step of the drive rows: whether they differ from those of the
+    step before (always, for the first), compared column by column."""
+    changed = np.ones(len(omega_c), dtype=bool)
+    changed[1:] = np.any([rows[1:, k] != rows[:-1, k] for rows in (omega_c, omega_a)
+                          for k in range(3)], axis=0)
     return changed
 
 
@@ -560,16 +570,6 @@ def _record_every(sequence, dt: float) -> int:
     """Steps between records: run_dynamics records the global steps that
     are multiples of this."""
     return max(1, int(round(1.0 / (sequence.sample_rate * dt))))
-
-
-def _half_step_times(dt: float, n0: int, n1: int) -> np.ndarray:
-    """Drive sample times 0.5*dt*k, k = 2*n0 .. 2*n1, of global steps n0..n1-1.
-
-    Every RK4 stage of step n reads the samples k = 2n, 2n+1 and 2n+2.
-    Each time depends on k alone, so a resumed run and a branch-point
-    search read the very values an uninterrupted run reads.
-    """
-    return 0.5 * dt * np.arange(2 * n0, 2 * n1 + 1)
 
 
 def _check_initial_state(state: SimState, grid: Grid,

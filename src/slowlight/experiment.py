@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
-                       _check_probe_resolution, _half_step_times, _Propagator,
-                       _record_every, _step_index, balance_residual,
+                       _check_probe_resolution, _Propagator, _record_every,
+                       _step_index, _step_reads, balance_residual,
                        run_dynamics)
 from .medium import MediumParams, SpectralClass
 
@@ -30,7 +30,7 @@ CHANNELS = ("P", "C", "A")
 SHAPES = ("rect", "raised_cosine", "gaussian")
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
-_BRANCH_CHUNK = 1024  # steps per drive comparison in _branch_steps
+_BRANCH_CHUNK = 1024  # steps per comparison in _branch_steps and _held_start
 
 
 @dataclass(frozen=True)
@@ -251,19 +251,28 @@ class SweepResult:
             raise ValueError("intensities must be >= 0")
 
 
+def _differ(ours: tuple, theirs: tuple) -> np.ndarray:
+    """Per step of `ours`, whether its reads (see _step_reads) differ from
+    `theirs`: the reads of as many steps or more, or of one step, which
+    broadcasts.  Compared column by column, faster than by strided rows."""
+    differ = np.zeros(len(ours[0]), dtype=bool)
+    for a, b in zip(ours, theirs):
+        for x, y in zip(np.atleast_2d(a.T), np.atleast_2d(b.T)):
+            differ |= x != y[:len(x)]
+    return differ
+
+
 def _branch_steps(sequences: Sequence[PulseSequence], trunk: PulseSequence,
                   dt: float, ends: Sequence[int]) -> list[int]:
     """Global steps from which each sequence can resume a snapshot of `trunk`.
 
-    Sequence i runs ends[i] steps, on the global half-step grid 0.5*dt*k.
-    With k* the first sample where its C, A or probe envelopes differ from
-    the trunk's, steps before (k* - 1) // 2 read only samples k < k*, so the
-    trunk's state after them is this sequence's state too.  A sequence that
+    Sequence i runs ends[i] steps and branches at the first step whose
+    reads (see _step_reads) differ from the trunk's: the trunk's state after
+    the steps before it is this sequence's state too.  A sequence that
     agrees with the trunk throughout, the trunk itself among them, branches
-    at its own end.  The search walks _BRANCH_CHUNK steps at a time,
-    samples the trunk once per chunk for every sequence still searching,
-    and stops when none is, so it holds little memory.
-    """
+    at its own end.  The search walks _BRANCH_CHUNK steps at a time, reads
+    the trunk once per chunk for every sequence still searching, and stops
+    when none is, so it holds little memory."""
     branch = list(ends)
     searching = [i for i, s in enumerate(sequences) if s is not trunk]
     for n in range(0, max(ends, default=0), _BRANCH_CHUNK):
@@ -271,33 +280,24 @@ def _branch_steps(sequences: Sequence[PulseSequence], trunk: PulseSequence,
         searching = [i for i in searching if ends[i] > n and branch[i] == ends[i]]
         if not searching:
             break
-        t = _half_step_times(dt, n, min(n + _BRANCH_CHUNK, max(ends)))
-        theirs = (*trunk.drive_samples(t), trunk.probe_samples(t))
+        theirs = _step_reads(trunk, dt, n, min(n + _BRANCH_CHUNK, max(ends)))
         for i in searching:
-            own = t[:2 * (min(n + _BRANCH_CHUNK, ends[i]) - n) + 1]
-            ours = (*sequences[i].drive_samples(own), sequences[i].probe_samples(own))
-            differ = np.any([a != b[:len(own)] for a, b in zip(ours, theirs)], axis=0)
-            if differ.any():
-                branch[i] = max(0, (2 * n + int(np.argmax(differ)) - 1) // 2)
+            ours = _step_reads(sequences[i], dt, n, min(n + _BRANCH_CHUNK, ends[i]))
+            if (differ := _differ(ours, theirs)).any():
+                branch[i] = n + int(np.argmax(differ))
     return branch
 
 
 def _held_start(sequence: PulseSequence, dt: float, n_steps: int,
                 held: tuple[np.ndarray, np.ndarray]) -> int:
     """The first global step s after which each of a run's n_steps steps
-    reads the drive samples `held` (omega_c and omega_a at a step's three
-    half steps) and injects no probe; n_steps when its last step does not.
-
-    The search runs back from the end _BRANCH_CHUNK steps at a time, so it
-    samples little more than the held stretch itself.
-    """
+    reads the drive rows `held` (C and A of one step, see _step_reads) and
+    injects no probe; n_steps when its last step does not.  The search runs
+    back from the end _BRANCH_CHUNK steps at a time, so it samples little
+    more than the held stretch itself."""
     for n1 in range(n_steps, 0, -_BRANCH_CHUNK):
         n0 = max(0, n1 - _BRANCH_CHUNK)
-        t = _half_step_times(dt, n0, n1)
-        moved = sequence.probe_samples(t[:-1:2]) != 0.0
-        for samples, last in zip(sequence.drive_samples(t), held):
-            for k in range(3):
-                moved |= samples[k:k + 2 * (n1 - n0):2] != last[k]
+        moved = _differ(_step_reads(sequence, dt, n0, n1), (*held, np.zeros(1)))
         if moved.any():
             return n0 + int(np.flatnonzero(moved)[-1]) + 1
     return 0
@@ -309,8 +309,8 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
 
     State b sits at global step s_b and goes on for lengths[b] steps, each
-    with the drive samples `held` (omega_c and omega_a at a step's three
-    half steps) and nothing injected, so each step applies the one map R.
+    with the drive rows `held` (C and A of one step, see _step_reads) and
+    nothing injected, so each step applies the one map R.
     Its E+(1) after j of them is e . R^j x_b = g_j . x_b, with e picking
     E+ in the last cell and g_j = (R^T)^j e.  So one backward recursion
     serves every state: at each j, the states whose step s_b + j is a
@@ -354,15 +354,15 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     The longest point is the trunk: it runs once from t = 0 and leaves a
     snapshot at each point's branch step (see _branch_steps), from which the
     point runs on.  A point whose held stretch (see _held_start) reads the
-    trunk's held drive samples stops where that stretch starts, and one
-    adjoint pass of the shared held map gives the records of all such
-    stretches (see _held_records); a point with no held stretch runs to
-    its end.  Peaks agree with independent runs of each point to rounding.
-    Each point ends release_window_us after its release, so a base that
-    sets t_end_us is a ValueError.  threads > 1 runs the points' forward
-    steps in a thread pool.  Each distinct warning raised while building
-    the points' sequences or checking the probe resolution is raised once,
-    blamed on the caller of the public sweep.
+    drive rows of the trunk's last step stops where that stretch starts, and
+    one adjoint pass of the shared held map gives the records of all such
+    stretches (see _held_records); a point with no held stretch runs to its
+    end.  Peaks agree with independent runs of each point to rounding.  Each
+    point ends release_window_us after its release, so a base that sets
+    t_end_us is a ValueError.  threads > 1 runs the points' forward steps in
+    a thread pool.  Each distinct warning raised while building the points'
+    sequences or checking the probe resolution is raised once, blamed on the
+    caller of the public sweep.
     """
     if base.t_end_us is not None:
         raise ValueError("a sweep ends each point by release_window_us; "
@@ -380,9 +380,8 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     ends = [int(round(s.t_end_us / dt)) for s in sequences]
     trunk = int(np.argmax(ends))
     branch = _branch_steps(sequences, sequences[trunk], dt, ends)
-    # the drive samples of the trunk's last step, which it holds
-    held = sequences[trunk].drive_samples(
-        _half_step_times(dt, ends[trunk] - 1, ends[trunk]))
+    # the drive rows of the trunk's last step, which it holds
+    held = _step_reads(sequences[trunk], dt, ends[trunk] - 1, ends[trunk])[:2]
     stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
     # a point that stops before its branch step is still on the trunk there
     starts = [min(b, s) for b, s in zip(branch, stops)]

@@ -10,8 +10,7 @@ from slowlight import experiment
 from slowlight.analysis import fit_decay
 from slowlight.cli import main
 from slowlight.config import build_protocol, parse_config
-from slowlight.dynamics import (Grid, NumericalAbort, SimState,
-                                _half_step_times, run_dynamics)
+from slowlight.dynamics import Grid, NumericalAbort, SimState, run_dynamics
 from slowlight.experiment import (_BRANCH_CHUNK, ProtocolParams, PulseEvent,
                                   PulseSequence, _branch_steps, _held_records,
                                   _held_start, released_peak,
@@ -413,6 +412,42 @@ class TestBranchedSweeps:
                                base, setup, threads=3)
         assert result.simulated_steps < result.independent_steps
 
+    def test_points_differing_only_in_the_probe(self, monkeypatch):
+        # three equal memory points, the last two with a probe blip in the
+        # dark: one at half step 2320, the start of step 1160, where that
+        # point branches, and one at 2321, which no step reads, so that
+        # point shares every step with the trunk, the first point
+        m, grid, classes = setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, release_window_us=8.0)
+        h = 0.5 * grid.dz / m.c
+
+        def blipped(samples):
+            def sequence(kind, p):
+                k = next(samples)
+                seq = standard_sequence(kind, p)
+                return seq if k is None else replace(seq, events=[
+                    *seq.events, PulseEvent("P", (k - 0.25) * h, 0.5 * h, 0.5)])
+            return sequence
+
+        monkeypatch.setattr(experiment, "_held_start",
+                            lambda sequence, dt, n_steps, held: n_steps)
+        monkeypatch.setattr(experiment, "standard_sequence",
+                            blipped(iter([None, 2320, 2321])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = sweep_delay([3.0] * 3, base, *setup)
+            own = blipped(iter([None, 2320, 2321]))
+            points = [own("memory", replace(base, storage_t_us=3.0)) for _ in range(3)]
+            reference = [released_peak(run_dynamics(seq, *setup)[0],
+                                       seq.release_time_us + base.peak_guard_us)
+                         for seq in points]
+        n = int(round(points[0].t_end_us / (2 * h)))
+        assert result.simulated_steps == n + n - 1160
+        assert np.array_equal(result.intensities, [peak for _, peak in reference])
+        assert np.array_equal(result.peak_times, [t for t, _ in reference])
+        assert reference[2] == reference[0] != reference[1]
+
     def test_single_point_is_its_own_trunk(self, monkeypatch):
         setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
@@ -502,7 +537,7 @@ class TestAdjointPeaks:
         state = SimState.zeros(Grid(cells=8),
                                make_spectral_classes(30.0, 2, "lorentzian"))
         state.s[:] = 0.1
-        held = (np.full(3, 1e4 + 0j), np.zeros(3, complex))
+        held = (np.full((1, 3), 1e4 + 0j), np.zeros((1, 3), complex))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
@@ -511,14 +546,16 @@ class TestAdjointPeaks:
 
 def _scanned_searches(sequence, trunk, dt):
     """(branch step, held start) of `sequence` against `trunk`, from a scan
-    of every step's three half-step samples over both whole runs."""
+    of what every step reads over both whole runs: C and A at its three half
+    steps, the probe at its start."""
     n_steps, n_trunk = (int(round(s.t_end_us / dt)) for s in (sequence, trunk))
-    t = _half_step_times(dt, 0, max(n_steps, n_trunk))
+    t = 0.5 * dt * np.arange(2 * max(n_steps, n_trunk) + 1)  # the half steps
     k = 2 * np.arange(n_steps)[:, None] + np.arange(3)  # (step, its samples)
     own = [*sequence.drive_samples(t), sequence.probe_samples(t)]
     ref = [*trunk.drive_samples(t), trunk.probe_samples(t)]
-    differ = np.any([(a[k] != b[k]).any(axis=1) for a, b in zip(own, ref)],
-                    axis=0)
+    differ = own[2][k[:, 0]] != ref[2][k[:, 0]]
+    for a, b in zip(own[:2], ref[:2]):
+        differ |= (a[k] != b[k]).any(axis=1)
     branch = int(np.argmax(differ)) if differ.any() else n_steps
     # a held step reads the trunk's last step's drive samples, no probe
     last = 2 * (n_trunk - 1) + np.arange(3)
@@ -538,8 +575,9 @@ class TestBranchSearches:
     def _searches(self, sequence, trunk):
         n_steps, n_trunk = (int(round(s.t_end_us / self.DT))
                             for s in (sequence, trunk))
-        held = trunk.drive_samples(_half_step_times(self.DT, n_trunk - 1,
-                                                    n_trunk))
+        # the drive rows of the trunk's last step, its half steps' samples
+        t = 0.5 * self.DT * np.arange(2 * n_trunk - 2, 2 * n_trunk + 1)
+        held = tuple(samples[None] for samples in trunk.drive_samples(t))
         found = (_branch_steps([sequence], trunk, self.DT, [n_steps])[0],
                  _held_start(sequence, self.DT, n_steps, held))
         assert found == _scanned_searches(sequence, trunk, self.DT)
@@ -594,15 +632,32 @@ class TestBranchSearches:
         # forward chunk's last sample, and at 2 * (n - _BRANCH_CHUNK) +
         # shift - 1, around the last backward chunk's first step
         n = 3000
+        samples = (2 * _BRANCH_CHUNK + shift, 2 * (n - _BRANCH_CHUNK) + shift - 1)
+        branch, start = self._searches(*self._blipped(n, channel, samples))
+        if channel == "A":
+            assert branch == _BRANCH_CHUNK - 1 + (shift > 0)
+            assert start == n - _BRANCH_CHUNK + (shift > 0)
+        else:  # a step reads the probe only at its start, an even sample
+            read = [k // 2 for k in samples if k % 2 == 0]
+            assert (branch, start) == (read[0], read[-1] + 1)
+
+    @pytest.mark.parametrize("samples, branch", [
+        ((2000,), 1000), ((2001,), None), ((2001, 2049, 5999), None)])
+    def test_probe_read_only_at_step_starts(self, samples, branch):
+        # the point's probe differs from the trunk's only at these half
+        # steps: at step s's start, sample 2s, it branches at step s; at odd
+        # samples, which no step reads, it shares every step with the trunk
+        n = 3000
+        point, trunk = self._blipped(n, "P", samples)
+        branch = n if branch is None else branch
+        assert _branch_steps([point, trunk], trunk, self.DT, [n, n]) == [branch, n]
+        assert self._searches(point, trunk)[0] == branch
+
+    def _blipped(self, n, channel, samples):
+        """(point, trunk) of n steps, the point with one-sample blips on
+        `channel` at the given half steps."""
         probe = PulseEvent("P", 0.0, 12.0, 1.0, "gaussian", 4.0)
         coupling = PulseEvent("C", 0.0, n * self.DT, 2.0, open_end=True)
-        blips = [PulseEvent(channel, k / 128, 1 / 256, 2.0)
-                 for k in (2 * _BRANCH_CHUNK + shift,
-                           2 * (n - _BRANCH_CHUNK) + shift - 1)]
-        trunk = PulseSequence([probe, coupling], t_end_us=n * self.DT)
-        point = PulseSequence([probe, coupling, *blips], t_end_us=n * self.DT)
-        branch, start = self._searches(point, trunk)
-        assert branch == _BRANCH_CHUNK - 1 + (shift > 0)
-        # a step reads the probe only at its start, an even sample
-        if channel == "A" or shift % 2:
-            assert start == n - _BRANCH_CHUNK + (shift > 0)
+        blips = [PulseEvent(channel, k / 128, 1 / 256, 2.0) for k in samples]
+        return (PulseSequence([probe, coupling, *blips], t_end_us=n * self.DT),
+                PulseSequence([probe, coupling], t_end_us=n * self.DT))
