@@ -219,7 +219,7 @@ class _Propagator:
     stage matrices only through its spin rate u_k = -(gamma_spin/2 +
     i delta_k), linearly: every entry of D_k, A_k and W's rows is a
     polynomial of degree <= 4 in u_k, and F needs only the moments
-    (i/2) sqrt(g2n) sum_k w_k u_k^p.  build traces the stages for a run of
+    (i/2) sqrt(g2n) sum_k w_k u_k^p.  build traces the stages for a set of
     steps on coefficients over u^p, and load evaluates a step's operator
     from them with two float products (see _table).
     """

@@ -417,10 +417,10 @@ class TestBranchedSweeps:
         # dark: one at half step 2320, the start of step 1160, where that
         # point branches, and one at 2321, which no step reads, so that
         # point shares every step with the trunk, the first point
-        m, grid, classes = setup = _mini_setup(n_classes=2, cells=16)
+        m, grid, _ = setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0)
-        h = 0.5 * grid.dz / m.c
+        h = 0.5 * grid.dz / m.c  # the half step
 
         def blipped(samples):
             def sequence(kind, p):
