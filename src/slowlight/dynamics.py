@@ -222,6 +222,14 @@ class _Propagator:
     (i/2) sqrt(g2n) sum_k w_k u_k^p.  build traces the stages for a set of
     steps on coefficients over u^p, and load evaluates a step's operator
     from them with two float products (see _table).
+
+    A half system (see _halve) has real fields and one class of each +/-
+    pair, weighted 2 w, so V y is real and its operators are slices of
+    the full ones: D_k of the kept classes, the Re-input rows of A
+    and F and the Re-output columns of W and F, about a third of the
+    flops.  Its F reads the moments of the whole class set.  build slices
+    its tables, so that load runs at half size; transpose serves full
+    systems only.
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -230,6 +238,10 @@ class _Propagator:
     def __init__(self, m: MediumParams, state: SimState):
         self.dt = state.grid.dz / m.c
         cells, k = state.grid.cells, len(state.deltas)
+        self.half = not np.iscomplexobj(state.f)  # a half system (see _halve)
+        # floats per cell of the fields and of V y: real fields in a half system
+        nf = 2 if self.half else 4
+        ny = self.RANK * nf // 2
         self.half_g = 0.5j * math.sqrt(m.g2n)
         # the P+ and P- rows of _class_rates, which no class changes
         self.optical = -0.5 * m.gamma_opt
@@ -239,22 +251,25 @@ class _Propagator:
             powers[:, p] = powers[:, p - 1] * spin
         # Re and Im of u_k^p (K, 2 POWERS), plain and times the field source
         self._powers = np.hstack([powers.real, powers.imag])
+        # F needs the whole class set's moments: a half system's pairs sum to
+        # the real part of its own terms, their weights 2 w holding the 2
+        moments = (powers * state.weights[:, None]).sum(axis=0).real
         powers *= self.half_g * state.weights[:, None]
-        self._moments = powers.sum(axis=0)
+        self._moments = self.half_g * moments if self.half else powers.sum(axis=0)
         self._source_powers = np.hstack([powers.real, powers.imag])
-        # the operator: D_k^T (K, 6, 6) and A^T (2 RANK, 6K), from one load
-        # product, W^T (6K, 2 RANK - 4) and F^T (2 RANK, 4)
-        self._da = np.empty((6 + 2 * self.RANK, k, 6))
+        # the operator: D_k^T (K, 6, 6) and A^T (ny, 6K), from one load
+        # product, W^T (6K, ny - nf) and F^T (ny, nf)
+        self._da = np.empty((6 + ny, k, 6))
         self.d = self._da[:6].swapaxes(0, 1)
-        self.a_op = self._da[6:].reshape(2 * self.RANK, 6 * k)
-        self.w = np.empty((6 * k, 2 * self.RANK - 4))
-        self.f_op = np.empty((2 * self.RANK, 4))
+        self.a_op = self._da[6:].reshape(ny, 6 * k)
+        self.w = np.empty((6 * k, ny - nf))
+        self.f_op = np.empty((ny, nf))
         self._adjoint = None  # transpose's operators, remade after a load
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
-        self._phi = np.empty((cells, self.RANK), dtype=complex)
+        self._phi = np.empty((cells, self.RANK), dtype=float if self.half else complex)
         self._dx = np.empty((cells, k, 6))
-        self._fy = np.empty((cells, 2 * self.RANK))  # transpose's F^T xi_f
+        self._fy = np.empty((cells, ny))  # transpose's F^T xi_f
         self._bound = (None, None)  # state.f, state.a, then the views of _views
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
@@ -307,9 +322,15 @@ class _Propagator:
         t = np.ascontiguousarray((one_t + h / 6.0 * sum_t).transpose(1, 3, 2, 0))
         f = np.multiply((one_f + h / 6.0 * sum_f).transpose(1, 2, 0)[:, :, None],
                         np.array([1.0, 1j])[:, None], order="C")
-        return (_table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6),
-                _table(w, 4, 1).reshape(n, 1, 2 * p, -1),
-                f.view(float).reshape(n, 2 * r, 4))
+        table = (_table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6),
+                 _table(w, 4, 1).reshape(n, 1, 2 * p, -1),
+                 f.view(float).reshape(n, 2 * r, 4))
+        if not self.half:
+            return table
+        # real fields: the Re-input rows of A and F, the Re-output columns
+        # of W and F (D acts on the atoms, which stay complex)
+        da, w, f = table
+        return da[:, np.r_[:6, 6:6 + 2 * r:2]], w[..., ::2].copy(), f[:, ::2, ::2]
 
     def load(self, table: tuple, row: int) -> None:
         """Set (d, w, a_op, f_op) to the operator of step `row` of a build."""
@@ -321,22 +342,26 @@ class _Propagator:
         self._adjoint = None
 
     def _views(self, state: SimState) -> tuple:
-        """The float views of state.f (M, 4), state.a's rows (M, 6K) and batch
-        (K, M, 6), y, y[:, 4:] and D x's rows and batch, made again only when
-        state.f or state.a is another array: one that is not C-contiguous
-        complex of the grid's and classes' shape is a ValueError."""
+        """The float views of state.f (M, 4; a half system's real f is its
+        own, (M, 2)), state.a's rows (M, 6K) and batch (K, M, 6), y, y's
+        sources and D x's rows and batch, made again only when state.f or
+        state.a is another array: one that is not C-contiguous, of the
+        grid's and classes' shape and of the propagator's dtype is a
+        ValueError."""
         if self._bound[0] is not state.f or self._bound[1] is not state.a:
             cells, k, _ = self._dx.shape
-            for name, shape in (("f", (cells, 2)), ("a", (cells, k, 3))):
+            for name, shape, dtype in (("f", (cells, 2), self._phi.dtype),
+                                       ("a", (cells, k, 3), np.dtype(complex))):
                 arr = getattr(state, name)
                 c_order = arr.flags.c_contiguous
-                if (arr.shape, arr.dtype, c_order) != (shape, complex, True):
+                if (arr.shape, arr.dtype, c_order) != (shape, dtype, True):
                     order = "C" if c_order else "F" if np.isfortran(arr) else "no"
                     raise ValueError(f"state.{name} is {arr.dtype} {arr.shape} in "
-                                     f"{order} order, not C-contiguous complex {shape}")
+                                     f"{order} order, not C-contiguous {dtype} {shape}")
             x, y = state.a.view(float).reshape(cells, 6 * k), self._phi.view(float)
-            self._bound = (state.f, state.a, state.f.view(float), x,
-                           x.reshape(cells, k, 6).swapaxes(0, 1), y, y[:, 4:],
+            f = state.f.view(float)
+            self._bound = (state.f, state.a, f, x,
+                           x.reshape(cells, k, 6).swapaxes(0, 1), y, y[:, f.shape[1]:],
                            self._dx.reshape(cells, 6 * k), self._dx.swapaxes(0, 1))
         return self._bound[2:]
 
@@ -431,6 +456,9 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
     and returns `state`.  Raises CFLViolation unless c*dt == dz to within
     1e-9 relative, ValueError for another boundary, an off-grid t or an f
     or a of another shape or order, NumericalAbort if it stops being finite.
+    step() always integrates the full system, so its calls equal a
+    run_dynamics run bit for bit where that run does too (see _halve), and
+    to rounding where it integrates the half system.
     """
     dz = state.grid.dz
     if not abs(m.c * dt - dz) <= 1e-9 * dz:  # also false for a NaN dt
@@ -483,6 +511,12 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     that global step, short of t_end_us.  _check_probe=False leaves the
     probe-resolution warning to a sweep that raises it once for all its
     points.
+
+    A conjugate-symmetric run (real drives and probe, +/- paired classes
+    and a mirrored starting state, see _halve) integrates its half system
+    and expands each snapshot and the final state to a full state, mirrored
+    exactly.  Resuming from one halves it back to the same half state, so
+    resumes are bitwise on either path.
     """
     dt = grid.dz / m.c
     if initial_state is None:
@@ -504,6 +538,9 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     omega_c, omega_a, inject = _step_reads(sequence, dt, n0, n_total)
     if _check_probe:
         _check_probe_resolution(sequence, m, grid)
+    full = state
+    if (half := _halve(state, omega_c, omega_a, inject)) is not None:
+        state, inject = half, inject.real
 
     every = _record_every(sequence, dt)
     snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
@@ -531,15 +568,15 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
                 table = prop.build(omega_c[chunk], omega_a[chunk])
             prop.load(table, built % _CHUNK_STEPS)
             built += 1
-        prop.advance(state, n, inject[i], 0.0j)
+        prop.advance(state, n, inject[i], 0.0)
         if n % every == 0:
             record()
         if n % _FINITE_CHECK_EVERY == 0:
             state.check_finite()
         if n in snap_steps:
-            snapshots.append(state.copy())
+            snapshots.append(_expand(state, full))
     state.check_finite()
-    snapshots.append(state)
+    snapshots.append(state if half is None else _expand(state, full))
 
     columns = np.frombuffer(records).reshape(-1, 4).T.copy()
     return DetectorTrace(*columns), snapshots
@@ -555,6 +592,38 @@ def _step_reads(sequence, dt: float, n0: int, n1: int) -> tuple:
     rows = [as_strided(s, (n1 - n0, 3), (2 * s.strides[0], s.strides[0]),
                        writeable=False) for s in sequence.drive_samples(t)]
     return (*rows, sequence.probe_samples(t[:-1:2]))
+
+
+_MIRROR = np.array([-1.0, -1.0, 1.0])  # class -delta's (P+, P-, S) from class delta's
+
+
+def _halve(state: SimState, *reads: np.ndarray) -> SimState | None:
+    """The half system of a conjugate-symmetric run, or None.
+
+    With real drives and probe (`reads`, see _step_reads), a class set of
+    +/- pairs (K even, deltas == -deltas[::-1], weights == weights[::-1])
+    and a state of real fields whose class -delta holds (-P+*, -P-*, S*) of
+    class delta, every step keeps the fields real and the pairs mirrored.
+    The half system is such a state's real fields with the first K/2
+    classes, weighted 2 w; _expand expands it back."""
+    d, w, a, k = state.deltas, state.weights, state.a, len(state.deltas) // 2
+    if (len(d) % 2 or not np.array_equal(d, -d[::-1])
+            or not np.array_equal(w, w[::-1])
+            or any(x.imag.any() for x in (state.f, *reads))
+            or not np.array_equal(a[:, k:], a[:, :k][:, ::-1].conj() * _MIRROR)):
+        return None
+    return SimState(state.t, state.f.real.copy(), a[:, :k].copy(), state.grid,
+                    d[:k].copy(), 2.0 * w[:k])
+
+
+def _expand(state: SimState, full: SimState) -> SimState:
+    """A copy of `state` on the classes of `full`: a half system (see
+    _halve) with the mirror of its classes appended."""
+    if np.iscomplexobj(state.f):
+        return state.copy()
+    a = np.concatenate([state.a, state.a[:, ::-1].conj() * _MIRROR], axis=1)
+    return SimState(state.t, state.f.astype(complex), a, state.grid,
+                    full.deltas.copy(), full.weights.copy())
 
 
 def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
