@@ -224,12 +224,11 @@ class _Propagator:
     from them with two float products (see _table).
 
     A half system (see _halve) has real fields and one class of each +/-
-    pair, weighted 2 w, so V y is real and its operators are slices of
-    the full ones: D_k of the kept classes, the Re-input rows of A
-    and F and the Re-output columns of W and F, about a third of the
-    flops.  Its F reads the moments of the whole class set.  build slices
-    its tables, so that load runs at half size; transpose serves full
-    systems only.
+    pair, weighted 2 w, so V y is real and its operators are slices of the
+    full ones: D_k of the kept classes, the Re-input rows of A and F and
+    the Re-output columns of W and F, 0.29 of the flops.  Its F reads the
+    moments of the whole class set.  build slices its tables, so that load
+    runs at half size; transpose serves full systems only.
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -456,9 +455,9 @@ def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,
     and returns `state`.  Raises CFLViolation unless c*dt == dz to within
     1e-9 relative, ValueError for another boundary, an off-grid t or an f
     or a of another shape or order, NumericalAbort if it stops being finite.
-    step() always integrates the full system, so its calls equal a
-    run_dynamics run bit for bit where that run does too (see _halve), and
-    to rounding where it integrates the half system.
+    step() always integrates the full system: its calls equal a
+    run_dynamics run bit for bit where that run does too, and agree to
+    rounding where it integrates the half system (see _halve).
     """
     dz = state.grid.dz
     if not abs(m.c * dt - dz) <= 1e-9 * dz:  # also false for a NaN dt
@@ -538,9 +537,9 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     omega_c, omega_a, inject = _step_reads(sequence, dt, n0, n_total)
     if _check_probe:
         _check_probe_resolution(sequence, m, grid)
-    full = state
     if (half := _halve(state, omega_c, omega_a, inject)) is not None:
         state, inject = half, inject.real
+    full_copy = SimState.copy if half is None else _expand
 
     every = _record_every(sequence, dt)
     snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
@@ -574,9 +573,9 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
         if n % _FINITE_CHECK_EVERY == 0:
             state.check_finite()
         if n in snap_steps:
-            snapshots.append(_expand(state, full))
+            snapshots.append(full_copy(state))
     state.check_finite()
-    snapshots.append(state if half is None else _expand(state, full))
+    snapshots.append(state if half is None else _expand(state))
 
     columns = np.frombuffer(records).reshape(-1, 4).T.copy()
     return DetectorTrace(*columns), snapshots
@@ -616,14 +615,14 @@ def _halve(state: SimState, *reads: np.ndarray) -> SimState | None:
                     d[:k].copy(), 2.0 * w[:k])
 
 
-def _expand(state: SimState, full: SimState) -> SimState:
-    """A copy of `state` on the classes of `full`: a half system (see
-    _halve) with the mirror of its classes appended."""
-    if np.iscomplexobj(state.f):
-        return state.copy()
-    a = np.concatenate([state.a, state.a[:, ::-1].conj() * _MIRROR], axis=1)
-    return SimState(state.t, state.f.astype(complex), a, state.grid,
-                    full.deltas.copy(), full.weights.copy())
+def _expand(half: SimState) -> SimState:
+    """The full state of a half system (see _halve): its classes, then
+    their mirrors, each of weight w, exactly as the full state had them."""
+    d, w, a = half.deltas, 0.5 * half.weights, half.a
+    return SimState(half.t, half.f.astype(complex),
+                    np.concatenate([a, a[:, ::-1].conj() * _MIRROR], axis=1),
+                    half.grid, np.concatenate([d, -d[::-1]]),
+                    np.concatenate([w, w[::-1]]))
 
 
 def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:

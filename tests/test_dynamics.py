@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slowlight import dynamics
 from slowlight.dynamics import (_CHUNK_STEPS, CFLViolation, ControlDrive, Grid,
                                 NumericalAbort, SimState, _Propagator,
-                                balance_residual, excitation_number,
-                                field_centroid, model_rhs, run_dynamics, step)
-from slowlight.experiment import (ProtocolParams, released_peak,
-                                  standard_sequence)
-from slowlight.medium import MediumParams, group_velocity, make_spectral_classes
+                                _record_every, balance_residual,
+                                excitation_number, field_centroid, model_rhs,
+                                run_dynamics, step)
+from slowlight.experiment import (PulseEvent, PulseSequence, ProtocolParams,
+                                  released_peak, standard_sequence)
+from slowlight.medium import (MediumParams, SpectralClass, group_velocity,
+                              make_spectral_classes, susceptibility)
 
 SINGLE = make_spectral_classes(0.0, 1, "single")
 
@@ -473,20 +476,65 @@ def _count_built_rows(monkeypatch) -> list[int]:
     return rows
 
 
+def _spy_paths(monkeypatch) -> list[bool]:
+    """Record, per run_dynamics call, whether it integrates the half system."""
+    paths = []
+    halve = dynamics._halve
+
+    def spied(state, *reads):
+        half = halve(state, *reads)
+        paths.append(half is not None)
+        return half
+
+    monkeypatch.setattr(dynamics, "_halve", spied)
+    return paths
+
+
+def _drive_of(sequence) -> ControlDrive:
+    """The drives of `sequence`, sampled one time at a time."""
+    def sample(t, channel):
+        return complex(sequence.drive_samples(np.asarray([t]))[channel][0])
+    return ControlDrive(lambda t: sample(t, 0), lambda t: sample(t, 1))
+
+
+def _step_loop(sequence, m, grid, classes, state=None):
+    """`sequence` run by step() calls, which integrate the full system, from
+    `state` (a copy) or zero: the columns of run_dynamics' trace, recorded
+    on its cadence, and the last state."""
+    state = SimState.zeros(grid, classes) if state is None else state.copy()
+    drive, dt = _drive_of(sequence), grid.dz / m.c
+    every = _record_every(sequence, dt)
+    n0 = round(state.t / dt)
+    rows = []
+    for n in range(n0, round(sequence.t_end_us / dt) + 1):
+        if n > n0:
+            probe = complex(sequence.probe_samples(np.asarray([state.t]))[0])
+            step(state, drive, m, dt, inject_plus=probe)
+        if n % every == 0:
+            rows.append((state.t, abs(state.f[-1, 0]) ** 2,
+                         abs(state.f[0, 1]) ** 2, state.spin_norm()))
+    return np.array(rows).reshape(-1, 4).T, state
+
+
 class TestPropagatorBuild:
     def test_steps_make_no_copy_of_the_state(self):
         # 200 held steps each way at K = 64, M = 32, whose atoms take 98 KB,
-        # may hold at most 2 KB more at any time (measured: 560 bytes for
-        # advance, 616 for transpose).  The first call is not traced: it
-        # makes the views, and transpose its operators
+        # and 200 of the half system, may hold at most 2 KB more at any time
+        # (measured: 560 bytes for advance, 616 for transpose, 560 for the
+        # half system's advance).  The first call is not traced: it makes
+        # the views, and transpose its operators
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=32,
                        classes=make_spectral_classes(30.0, 64, "lorentzian"))
-        state.a[:] = 1e-3
-        prop = _Propagator(m, state)
-        prop.load(prop.build(np.full((1, 3), 0.5 + 0j), np.full((1, 3), 0.2 + 0j)), 0)
+        half = dynamics._halve(state)
+        state.a[:] = half.a[:] = 1e-3
+        prop, half_prop = _Propagator(m, state), _Propagator(m, half)
+        for p in (prop, half_prop):
+            p.load(p.build(np.full((1, 3), 0.5 + 0j), np.full((1, 3), 0.2 + 0j)), 0)
+        assert half_prop.half and half.f.dtype == float
         for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
-                    lambda n: prop.transpose(state)):
+                    lambda n: prop.transpose(state),
+                    lambda n: half_prop.advance(half, n, 0.0, 0.0)):
             run(1)
             tracemalloc.start()
             try:
@@ -556,13 +604,11 @@ class TestPropagatorBuild:
         assert abs(dot(xi, moved) - dot(back, x)) <= 1e-14 * scale
 
 
-def _resume_setup():
+def _resume_setup(n_classes=3):
     """A gated memory run, its coupling off and on again between snapshots."""
-    from slowlight.experiment import PulseEvent, PulseSequence
-
     m = MediumParams.from_optical_depth(30.0, gamma_opt=1.0, c=5.0)
     grid = Grid(cells=16)
-    classes = make_spectral_classes(30.0, 3, "lorentzian")
+    classes = make_spectral_classes(30.0, n_classes, "lorentzian")
     seq = PulseSequence(
         events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
                 PulseEvent("C", 0.0, 5.0, 1.5, "raised_cosine", 0.5),
@@ -572,8 +618,10 @@ def _resume_setup():
 
 
 class TestResume:
+    K = 3  # odd: the full path; TestResumeHalfPath takes the half path
+
     def test_resumed_runs_match_the_uninterrupted_run_bitwise(self):
-        m, grid, classes, seq = _resume_setup()
+        m, grid, classes, seq = _resume_setup(self.K)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             # snapshots at steps 80, 159, 238, 317, 396, ...: on and off
@@ -600,7 +648,7 @@ class TestResume:
                     assert np.array_equal(mine.a, theirs.a)
 
     def test_times_are_exact_step_multiples(self):
-        m, grid, classes, seq = _resume_setup()
+        m, grid, classes, seq = _resume_setup(self.K)
         dt = grid.dz / m.c
         steps = range(80, 800, 79)
         with warnings.catch_warnings():
@@ -615,7 +663,7 @@ class TestResume:
         assert [s.t for s in snaps] == [n * dt for n in [*steps, 800]]
 
     def test_state_at_the_end_runs_no_step(self):
-        m, grid, classes, seq = _resume_setup()
+        m, grid, classes, seq = _resume_setup(self.K)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             full, snaps = run_dynamics(seq, m, grid, classes)
@@ -625,7 +673,7 @@ class TestResume:
         assert np.array_equal(part_snaps[-1].a, snaps[-1].a)
 
     def test_state_at_the_end_off_the_cadence_records_nothing(self):
-        m, grid, classes, seq = _resume_setup()
+        m, grid, classes, seq = _resume_setup(self.K)
         seq = replace(seq, sample_rate=80.0 / 3.0)  # every 3 steps; 800 is not
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -637,11 +685,12 @@ class TestResume:
             assert column.shape == (0,) and column.dtype == float, name
 
     def test_rejects_state_off_the_run(self):
-        m, grid, classes, seq = _resume_setup()
+        m, grid, classes, seq = _resume_setup(self.K)
         dt = grid.dz / m.c
         bad = [SimState.zeros(Grid(cells=8), classes),
                SimState.zeros(grid, classes[:2]),
-               SimState.zeros(grid, make_spectral_classes(30.0, 3, "gaussian"))]
+               SimState.zeros(grid,
+                              make_spectral_classes(30.0, self.K, "gaussian"))]
         for state in bad:
             with pytest.raises(ValueError, match="initial_state has"):
                 run_dynamics(seq, m, grid, classes, initial_state=state)
@@ -653,6 +702,19 @@ class TestResume:
         late.t = 801 * dt
         with pytest.raises(ValueError, match="ends before"):
             run_dynamics(seq, m, grid, classes, initial_state=late)
+
+
+class TestResumeHalfPath(TestResume):
+    """TestResume's runs on a +/- paired class set: each run and each resume
+    integrates the half system, and resumes stay bitwise."""
+
+    K = 4
+
+    @pytest.fixture(autouse=True)
+    def _every_run_takes_the_half_path(self, monkeypatch):
+        paths = _spy_paths(monkeypatch)
+        yield
+        assert all(paths)
 
 
 class TestBalanceResidual:
@@ -861,12 +923,41 @@ class TestSymmetries:
         drift = abs(field_centroid(inside[-1]) - field_centroid(inside[0]))
         assert drift <= 0.02  # of the unit-length medium
 
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    def test_real_inputs_keep_fields_real_and_pairs_mirrored(self, shape):
+        # the premise of run_dynamics' half system, on the full path: with
+        # real drives and probe and +/- paired classes, step() keeps E real
+        # and class -delta at (-P+*, -P-*, S*) of class delta, to rounding.
+        # Measured over the run at K = 2, 6 and 8 of either line shape:
+        # |Im E| <= 4.1e-17 of max|E|, pair residual <= 1.4e-16 of max|a|
+        m = MediumParams.from_optical_depth(100.0, gamma_opt=1.0, c=4.0)
+        grid = Grid(cells=16)
+        classes = make_spectral_classes(30.0, 6, shape)
+        seq = PulseSequence(
+            events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
+                    PulseEvent("C", 0.0, 16.0, 2.0, "raised_cosine", 1.0),
+                    PulseEvent("A", 6.0, 5.0, 1.5, "raised_cosine", 1.0)],
+            t_end_us=16.0, sample_rate=20.0)
+        state = SimState.zeros(grid, classes)
+        drive, dt = _drive_of(seq), grid.dz / m.c
+        worst = np.zeros(4)  # max |Im E|, |E|, pair residual, |a|
+        for _ in range(round(seq.t_end_us / dt)):
+            probe = seq.probe_samples(np.asarray([state.t]))[0]
+            step(state, drive, m, dt, inject_plus=probe)
+            mirror = state.a.conj() * [-1.0, -1.0, 1.0]
+            worst = np.maximum(worst, [np.abs(state.f.imag).max(),
+                                       np.abs(state.f).max(),
+                                       np.abs(state.a[:, ::-1] - mirror).max(),
+                                       np.abs(state.a).max()])
+        assert worst[0] <= 1e-15 * worst[1]
+        assert worst[2] <= 1e-15 * worst[3]
+
     def test_step_sequence_equals_run_dynamics(self, monkeypatch):
         # event edges deliberately off the step grid so both paths sample
         # identical envelope values; raised-cosine ramps change the drives on
-        # every step for 2 us, so run_dynamics builds their operators in chunks
-        from slowlight.experiment import PulseEvent, PulseSequence
-
+        # every step for 2 us, so run_dynamics builds their operators in chunks.
+        # K = 5 is odd, so run_dynamics integrates the full system, as step()
+        # does: on the half path the two agree to rounding (TestHalfSystem)
         m = MediumParams.from_optical_depth(40.0, gamma_opt=1.0, c=5.0)
         grid = Grid(cells=16)
         classes = make_spectral_classes(30.0, 5, "lorentzian")
@@ -894,3 +985,133 @@ class TestSymmetries:
             assert np.array_equal(state.f, final.f)
             assert np.array_equal(state.a, final.a)
             assert state.t == final.t
+
+
+class _Phased:
+    """A sequence whose C drive or probe samples carry a complex phase."""
+
+    def __init__(self, sequence, drive=1.0, probe=1.0):
+        self.sequence, self.drive, self.probe = sequence, drive, probe
+
+    def __getattr__(self, name):
+        return getattr(self.sequence, name)
+
+    def drive_samples(self, t):
+        omega_c, omega_a = self.sequence.drive_samples(t)
+        return omega_c * self.drive, omega_a
+
+    def probe_samples(self, t):
+        return self.sequence.probe_samples(t) * self.probe
+
+
+class TestHalfSystem:
+    M = MediumParams.from_optical_depth(30.0, gamma_opt=1.0, c=4.0)
+    GRID = Grid(cells=16)
+    BASE = dict(probe_duration_us=2.0, release_window_us=8.0, sample_rate=20.0)
+    SEQUENCES = {
+        "memory": ("memory", dict(omega_c=2.0, c_off_us=6.0, c_ramp_us=1.0,
+                                  storage_t_us=3.0)),
+        "balanced": ("stationary", dict(omega_c=2.0, omega_a=2.0,
+                                        p_a_delay_us=7.0, a_duration_us=4.0)),
+        "imbalanced": ("stationary", dict(omega_c=2.0, omega_a=1.0,
+                                          p_a_delay_us=7.0, a_duration_us=4.0)),
+        "slow_light": ("slow_light", dict(omega_c=2.0)),
+    }
+
+    def _sequence(self, name):
+        kind, params = self.SEQUENCES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the probe spans 4 cells
+            return standard_sequence(kind, ProtocolParams(**params, **self.BASE))
+
+    def _run(self, sequence, classes, state=None, until_step=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace, snaps = run_dynamics(sequence, self.M, self.GRID, classes,
+                                        initial_state=state, until_step=until_step)
+        columns = (trace.t, trace.fwd_intensity, trace.bwd_intensity,
+                   trace.spin_norm)
+        return columns, snaps[-1]
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_half_path_agrees_with_step_calls(self, name, monkeypatch):
+        # measured at K = 4 and 6: records within 3.4e-15 of each column's
+        # maximum, the final fields and atoms within 1.4e-15 of theirs
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        sequence = self._sequence(name)
+        paths = _spy_paths(monkeypatch)
+        columns, final = self._run(sequence, classes)
+        assert paths == [True]
+        want, state = _step_loop(sequence, self.M, self.GRID, classes)
+        assert np.array_equal(columns[0], want[0])
+        for got, ref in zip(columns[1:], want[1:]):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        for got, ref in ((final.f, state.f), (final.a, state.a)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        mirror = final.a[:, ::-1].conj() * [-1.0, -1.0, 1.0]
+        assert not final.f.imag.any() and np.array_equal(final.a, mirror)
+
+    @pytest.mark.parametrize("broken", ["weight_ulp", "unpaired_delta",
+                                        "complex_drive", "complex_probe",
+                                        "complex_fields", "unmirrored_pair"])
+    def test_broken_symmetry_takes_the_full_path(self, broken, monkeypatch):
+        # the full path is step()'s, so it equals step() calls bit for bit
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        sequence = self._sequence("balanced")
+        state = None
+        first = classes[0]
+        if broken == "weight_ulp":
+            classes[0] = SpectralClass(first.delta_j,
+                                       float(np.nextafter(first.weight, 1.0)))
+        elif broken == "unpaired_delta":
+            classes[0] = SpectralClass(float(np.nextafter(first.delta_j, 0.0)),
+                                       first.weight)
+        elif broken == "complex_drive":
+            sequence = _Phased(sequence, drive=np.exp(0.3j))
+        elif broken == "complex_probe":
+            sequence = _Phased(sequence, probe=np.exp(0.3j))
+        else:  # the mirrored state of a half-path run at 9 us, then broken
+            _, state = self._run(sequence, classes, until_step=576)
+            if broken == "complex_fields":
+                state.f[3, 0] += 1e-3j
+            else:
+                state.a[3, 0, 2] += 1e-3
+        paths = _spy_paths(monkeypatch)
+        columns, final = self._run(sequence, classes, state)
+        assert paths == [False]
+        want, ref = _step_loop(sequence, self.M, self.GRID, classes, state)
+        for got, expected in zip(columns, want):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(final.f, ref.f) and np.array_equal(final.a, ref.a)
+
+
+class TestSpectralOracle:
+    def test_slow_light_run_matches_spectral_propagation(self, monkeypatch):
+        # The slow-light run is one time-invariant stretch from a zero state,
+        # so its output is the probe's spectrum times the medium's transfer
+        # function exp(i (d/2) chi(w) + i w / c), chi over the run's classes:
+        # an answer that owes nothing to the step code.  Measured at M = 32,
+        # K = 8: centroid delays 3.821954 against 3.821948 us (1.6e-6
+        # relative; 5.4e-6 at M = 16, 5.6e-7 at M = 64), and |E+(1)|^2
+        # within 4.4e-4 of its peak (1.8e-3 at M = 16)
+        m, grid, classes, seq = _slow_light_setup(10.0, cells=32, duration=4.0,
+                                                  n_classes=8, t_end=24.0)
+        paths = _spy_paths(monkeypatch)
+        trace, _ = run_dynamics(seq, m, grid, classes)
+        assert paths == [True]
+        # the probe and the output on 2^14 record intervals (819 us), so
+        # the periodic transform wraps nothing back into the window
+        dt = 1.0 / seq.sample_rate
+        w = 2.0 * np.pi * np.fft.fftfreq(2 ** 14, dt)
+        transfer = np.exp(0.5j * m.optical_depth * susceptibility(w, 1.7, m, classes)
+                          + 1j * w / m.c)
+        probe = seq.probe_samples(dt * np.arange(2 ** 14))
+        output = np.fft.fft(np.fft.ifft(probe) * transfer)
+        spectral = np.abs(output[np.rint(trace.t / dt).astype(int)]) ** 2
+        ran = trace.fwd_intensity
+        # centroid delays after the probe's peak, at 1.5 FWHM
+        delays = [(trace.t * i).sum() / i.sum() - 6.0 for i in (ran, spectral)]
+        assert abs(delays[0] - delays[1]) <= 5e-6 * delays[1]
+        assert np.abs(ran - spectral).max() <= 1e-3 * spectral.max()
+        # the paper's d / Omega_C^2 (3.46 us) misses it by 9%
+        assert abs(delays[1] - 10.0 / 1.7 ** 2) > 0.05 * delays[1]
