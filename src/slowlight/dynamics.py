@@ -321,15 +321,14 @@ class _Propagator:
         t = np.ascontiguousarray((one_t + h / 6.0 * sum_t).transpose(1, 3, 2, 0))
         f = np.multiply((one_f + h / 6.0 * sum_f).transpose(1, 2, 0)[:, :, None],
                         np.array([1.0, 1j])[:, None], order="C")
-        table = (_table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6),
-                 _table(w, 4, 1).reshape(n, 1, 2 * p, -1),
-                 f.view(float).reshape(n, 2 * r, 4))
-        if not self.half:
-            return table
-        # real fields: the Re-input rows of A and F, the Re-output columns
-        # of W and F (D acts on the atoms, which stay complex)
-        da, w, f = table
-        return da[:, np.r_[:6, 6:6 + 2 * r:2]], w[..., ::2].copy(), f[:, ::2, ::2]
+        da = _table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6)
+        w = _table(w, 4, 1).reshape(n, 1, 2 * p, -1)
+        f = f.view(float).reshape(n, 2 * r, 4)
+        if self.half:
+            # real fields: the Re-input rows of A and F and the Re-output
+            # columns of W and F; D acts on the atoms, still complex
+            return da[:, np.r_[:6, 6:6 + 2 * r:2]], w[..., ::2].copy(), f[:, ::2, ::2]
+        return da, w, f
 
     def load(self, table: tuple, row: int) -> None:
         """Set (d, w, a_op, f_op) to the operator of step `row` of a build."""

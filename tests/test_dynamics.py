@@ -1020,13 +1020,11 @@ class TestHalfSystem:
 
     def _sequence(self, name):
         kind, params = self.SEQUENCES[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the probe spans 4 cells
-            return standard_sequence(kind, ProtocolParams(**params, **self.BASE))
+        return standard_sequence(kind, ProtocolParams(**params, **self.BASE))
 
     def _run(self, sequence, classes, state=None, until_step=None):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore")  # the probe spans 4 cells
             trace, snaps = run_dynamics(sequence, self.M, self.GRID, classes,
                                         initial_state=state, until_step=until_step)
         columns = (trace.t, trace.fwd_intensity, trace.bwd_intensity,
