@@ -228,7 +228,8 @@ class _Propagator:
     full ones: D_k of the kept classes, the Re-input rows of A and F and
     the Re-output columns of W and F, 0.29 of the flops.  Its F reads the
     moments of the whole class set.  build slices its tables, so that load
-    runs at half size; transpose serves full systems only.
+    runs at half size.  transpose applies the transpose of the same float
+    products, on either system.
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -388,25 +389,22 @@ class _Propagator:
         state.t = n * self.dt
 
     def transpose(self, xi: SimState) -> None:
-        """Apply the transpose of advance's map to the covector xi in place.
+        """Apply the transpose of advance's float map to the covector xi in
+        place.
 
         With nothing injected, advance takes a state x to R x; this takes a
-        covector xi, held cell-major like a state, to R^T xi, so that
-        xi . (R x) = (R^T xi) . x in the plain bilinear product (no complex
-        conjugate).  From the same four operators: psi = A^T xi_a + F^T xi_f,
-        then xi_a <- D_k^T xi_a + W^T psi[2:], and xi_f is psi[:2] moved
-        against the advection: its E+ one cell toward z = 0, its E- one
-        cell toward z = 1, the injection cells dropping out.  A real
-        form's transpose is that of the conjugate transpose, so each
-        operator is transposed with its blocks' imaginary parts negated.
-        Uses advance's work areas; xi.t is left as it is.
+        covector xi, held like a state, to R^T xi in the float views, so
+        that xi . (R x) = (R^T xi) . x in their dot product: R^H xi on a
+        full system, whose dot product is Re sum conj(xi) x.  From the same
+        four operators, transposed: psi = A^T xi_a + F^T xi_f, then
+        xi_a <- D_k^T xi_a + W^T psi's sources, and xi_f is psi's fields
+        moved against the advection: its E+ one cell toward z = 0, its E-
+        one cell toward z = 1, the injection cells dropping out.  Uses
+        advance's work areas; xi.t is left as it is.
         """
         if self._adjoint is None:
             self._adjoint = [op.swapaxes(-1, -2).copy()
                              for op in (self.d, self.w, self.a_op, self.f_op)]
-            for op in self._adjoint:
-                op[..., 0::2, 1::2] *= -1.0
-                op[..., 1::2, 0::2] *= -1.0
         d, w, a_op, f_op = self._adjoint
         f_float, x, x_batch, y, sources, dx_rows, dx_batch = self._views(xi)
         np.matmul(x, a_op, out=y)
@@ -414,9 +412,10 @@ class _Propagator:
         np.matmul(x_batch, d, out=dx_batch)
         np.matmul(sources, w, out=x)
         np.add(x, dx_rows, out=x)
-        f_float[:-1, :2] = y[1:, :2]
-        f_float[1:, 2:] = y[:-1, 2:4]
-        f_float[-1, :2] = f_float[0, 2:] = 0.0
+        nf = f_float.shape[1] // 2  # floats per field
+        f_float[:-1, :nf] = y[1:, :nf]
+        f_float[1:, nf:] = y[:-1, nf:2 * nf]
+        f_float[-1, :nf] = f_float[0, nf:] = 0.0
 
 
 def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:

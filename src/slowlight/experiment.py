@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
-                       _check_probe_resolution, _Propagator, _record_every,
-                       _step_index, _step_reads, balance_residual,
-                       run_dynamics)
+                       _check_probe_resolution, _halve, _Propagator,
+                       _record_every, _step_index, _step_reads,
+                       balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A")
@@ -310,14 +310,21 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
 
     State b sits at global step s_b and goes on for lengths[b] steps, each
     with the drive rows `held` (C and A of one step, see _step_reads) and
-    nothing injected, so each step applies the one map R.
-    Its E+(1) after j of them is e . R^j x_b = g_j . x_b, with e picking
-    E+ in the last cell and g_j = (R^T)^j e.  So one backward recursion
-    serves every state: at each j, the states whose step s_b + j is a
-    record step of run_dynamics (a multiple of `every`) read
-    |g_j . x_b|^2.  Only the current g_j is held.  A non-finite record
-    raises NumericalAbort, as the forward run would.
+    nothing injected, so each step applies the one map R.  Its E+(1) after
+    j of them is e . R^j x_b, with e picking E+ in the last cell.  With
+    g_j = (R^T)^j e, R^T the transpose of the step's float map (see
+    _Propagator.transpose), sum g_j conj(x_b) is the complex conjugate of
+    that E+(1) on the full system, and its real part is E+(1) on the half
+    system, where E+ is real; the pass runs on the half system when every
+    state halves (see _halve).  So one backward recursion serves every
+    state: at each j, the states whose step s_b + j is a record step of
+    run_dynamics (a multiple of `every`) read |E+(1)|^2 from g_j.  Only
+    the current g_j is held.  A non-finite record raises NumericalAbort,
+    as the forward run would.
     """
+    halves = [_halve(x, *held) for x in starts]
+    if all(x is not None for x in halves):
+        starts = halves
     xi = starts[0].copy()
     xi.f[:] = 0.0
     xi.a[:] = 0.0
@@ -325,18 +332,20 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     prop = _Propagator(m, xi)
     prop.load(prop.build(*held), 0)
     at = [_step_index(x.t, prop.dt) for x in starts]
+    conj = [(x.f.conj(), x.a.conj()) for x in starts]
     steps: list[list[int]] = [[] for _ in starts]
     values: list[list[complex]] = [[] for _ in starts]
     for j in range(1, max(lengths, default=0) + 1):
         prop.transpose(xi)
-        for b, x in enumerate(starts):
+        for b, (f, a) in enumerate(conj):
             if j <= lengths[b] and (at[b] + j) % every == 0:
                 steps[b].append(at[b] + j)
                 # einsum sums in its own loop: a BLAS dot would split the
                 # sum by thread count and change the last digits with it
-                values[b].append(np.einsum("ij,ij", x.f, xi.f)
-                                 + np.einsum("ijk,ijk", x.a, xi.a))
-    records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
+                values[b].append(np.einsum("ij,ij", xi.f, f)
+                                 + np.einsum("ijk,ijk", xi.a, a))
+    records = [(np.array(n, dtype=float) * prop.dt,
+                np.abs(np.array(v).real if prop.half else np.array(v)) ** 2)
                for n, v in zip(steps, values)]
     for x, (t, intensity) in zip(starts, records):
         bad = t[~np.isfinite(intensity)]

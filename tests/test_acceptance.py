@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slowlight import experiment
 from slowlight.analysis import fit_decay, phase_match, slow_light_delay
 from slowlight.cli import EXIT_OK, main
 from slowlight.config import (build_classes, build_medium, build_protocol,
@@ -51,12 +52,18 @@ def _config(name: str):
 def _sweep_tau(name: str, tmp_path_factory) -> float:
     """fit.json's amplitude decay time of `slowlight sweep` and `slowlight
     fit` on configs/<name>.  sweep.json's peak_at_window_end must be empty
-    (no release window cuts its pulse off), and fit.json must name the
-    configuration that produced the sweep."""
+    (no release window cuts its pulse off), fit.json must name the
+    configuration that produced the sweep, and every state of the sweep's
+    adjoint pass must halve, so that the pass runs on the half system."""
     out = tmp_path_factory.mktemp(name.removesuffix(".cfg"))
     text = (CONFIGS / name).read_text(encoding="utf-8")
-    assert main(["sweep", "--config", str(CONFIGS / name),
-                 "--out", str(out)]) == EXIT_OK
+    halves, halve = [], experiment._halve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_halve", lambda state, *reads: halves.append(
+            halve(state, *reads)) or halves[-1])
+        assert main(["sweep", "--config", str(CONFIGS / name),
+                     "--out", str(out)]) == EXIT_OK
+    assert halves and all(half is not None for half in halves)
     assert main(["fit", "--out", str(out)]) == EXIT_OK
     sweep = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
     assert sweep["peak_at_window_end"] == []

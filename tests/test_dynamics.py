@@ -519,10 +519,10 @@ def _step_loop(sequence, m, grid, classes, state=None):
 class TestPropagatorBuild:
     def test_steps_make_no_copy_of_the_state(self):
         # 200 held steps each way at K = 64, M = 32, whose atoms take 98 KB,
-        # and 200 of the half system, may hold at most 2 KB more at any time
-        # (measured: 560 bytes for advance, 616 for transpose, 560 for the
-        # half system's advance).  The first call is not traced: it makes
-        # the views, and transpose its operators
+        # and 200 each way of the half system, may hold at most 2 KB more at
+        # any time (measured: 560 bytes for advance and 616 for transpose,
+        # on either system).  The first call is not traced: it makes the
+        # views, and transpose its operators
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=32,
                        classes=make_spectral_classes(30.0, 64, "lorentzian"))
@@ -534,7 +534,8 @@ class TestPropagatorBuild:
         assert half_prop.half and half.f.dtype == float
         for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
                     lambda n: prop.transpose(state),
-                    lambda n: half_prop.advance(half, n, 0.0, 0.0)):
+                    lambda n: half_prop.advance(half, n, 0.0, 0.0),
+                    lambda n: half_prop.transpose(half)):
             run(1)
             tracemalloc.start()
             try:
@@ -571,33 +572,43 @@ class TestPropagatorBuild:
                                      self._loaded(prop, alone, 0)):
                     assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("system", ["full", "half"])
     @pytest.mark.parametrize("edge", [None, (0, 0), (0, -1), (1, 0), (1, -1)])
-    def test_transpose_is_the_bilinear_adjoint_of_advance(self, edge):
-        # xi . advance(x) == transpose(xi) . x for a ramp step's operator;
-        # the edge covectors pick one field at a boundary cell, where the
-        # advection's shift and injection rows act
+    def test_transpose_is_the_adjoint_of_advance(self, edge, system):
+        # xi . advance(x) == transpose(xi) . x in the dot product of the
+        # float views, for a ramp step's operator on the full system (K = 5)
+        # and on a half system (K = 4, real drives); the edge covectors pick
+        # one field at a boundary cell, where the advection's shift and
+        # injection rows act, in both float columns of a complex field
         rng = np.random.default_rng(7)
-        omega_c, omega_a = rng.normal(size=(2, 1, 3, 2)) @ [1.0, 1j]
-        prop = self._propagator()
+        half = system == "half"
+        classes = make_spectral_classes(1600.0, 4 if half else 5, "lorentzian")
+        zero = _state(grid_cells=4, classes=classes)
+        if half:
+            zero = dynamics._halve(zero)
+        omega_c, omega_a = rng.normal(size=(2, 1, 3, 2)) @ [1.0, 0.0 if half else 1j]
+        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
+        prop = _Propagator(m, zero)
+        assert prop.half == half
         prop.load(prop.build(omega_c, omega_a), 0)
 
         def random_state():
-            state = _state(grid_cells=4,
-                           classes=make_spectral_classes(1600.0, 5, "lorentzian"))
+            state = zero.copy()
             for arr in (state.f, state.a):
-                arr[:] = rng.normal(size=(*arr.shape, 2)) @ [1.0, 1j]
+                arr.view(float)[:] = rng.normal(size=arr.view(float).shape)
             return state
 
         def dot(u, v, part=lambda z: z):
-            return sum((part(p) * part(q)).sum() for p, q in ((u.f, v.f), (u.a, v.a)))
+            return sum((part(p.view(float)) * part(q.view(float))).sum()
+                       for p, q in ((u.f, v.f), (u.a, v.a)))
 
         x, xi = random_state(), random_state()
         if edge is not None:
             xi.f[:] = 0.0
             xi.a[:] = 0.0
-            _views(xi)[edge[0]][edge[1]] = 1.0
+            _views(xi)[edge[0]][edge[1]] = 1.0 if half else 1.0 + 1.0j
         moved, back = x.copy(), xi.copy()
-        prop.advance(moved, 1, 0.0j, 0.0j)
+        prop.advance(moved, 1, 0.0, 0.0)
         prop.transpose(back)
         # the sums of the absolute terms bound each side's rounding
         scale = dot(xi, moved, abs) + dot(back, x, abs)

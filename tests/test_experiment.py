@@ -16,7 +16,7 @@ from slowlight.experiment import (_BRANCH_CHUNK, ProtocolParams, PulseEvent,
                                   _held_start, released_peak,
                                   standard_sequence, sweep_delay,
                                   sweep_duration)
-from slowlight.medium import MediumParams, make_spectral_classes
+from slowlight.medium import MediumParams, SpectralClass, make_spectral_classes
 
 SINGLE = make_spectral_classes(0.0, 1, "single")
 
@@ -361,6 +361,21 @@ def _independent(kind, field, values, base, m, grid, classes):
     return out
 
 
+def _spy_halves(monkeypatch) -> list[bool]:
+    """Record, per state that an adjoint pass tries to halve, whether it
+    halves (see dynamics._halve)."""
+    halves = []
+    halve = experiment._halve
+
+    def spied(state, *reads):
+        half = halve(state, *reads)
+        halves.append(half is not None)
+        return half
+
+    monkeypatch.setattr(experiment, "_halve", spied)
+    return halves
+
+
 def _probe_warnings(record):
     return [w for w in record if "probe pulse spans" in str(w.message)]
 
@@ -466,15 +481,20 @@ class TestAdjointPeaks:
     # 3.1e-14 on the three paper configs
     BOUND = 1e-12
 
-    def _check(self, kind, values, base, setup, threads=1):
-        """Sweep `values` and run them independently; check that they agree
-        and that the probe warning is raised once, blamed on this file.
-        Returns (sweep result, independent (trace, t_peak, peak) list)."""
+    def _check(self, monkeypatch, kind, values, base, setup, threads=1,
+               half=True):
+        """Sweep `values` and run them independently; check that they agree,
+        that the adjoint pass runs on the half system or not, as `half`
+        says, and that the probe warning is raised once, blamed on this
+        file.  Returns (sweep result, independent (trace, t_peak, peak)
+        list)."""
         field = "storage_t_us" if kind == "memory" else "a_duration_us"
         sweep = sweep_delay if kind == "memory" else sweep_duration
+        halves = _spy_halves(monkeypatch)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep(values, base, *setup, threads=threads)
+        assert halves and all(h == half for h in halves)
         probe = _probe_warnings(record)
         assert len(probe) == 1 and probe[0].filename == __file__
         assert f"{field} sweep" in str(probe[0].message)
@@ -490,23 +510,36 @@ class TestAdjointPeaks:
         return result, reference
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_delay_sweep(self, threads):
+    def test_delay_sweep(self, monkeypatch, threads):
         setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, p_a_delay_us=13.0, omega_a=2.0,
                               release_window_us=8.0, sample_rate=20.0)
-        result, _ = self._check("memory", TestBranchedSweeps.DELAYS, base,
-                                setup, threads)
+        result, _ = self._check(monkeypatch, "memory", TestBranchedSweeps.DELAYS,
+                                base, setup, threads)
         assert result.simulated_steps < 0.6 * result.independent_steps
 
+    def test_broken_symmetry_takes_the_full_path(self, monkeypatch):
+        # one weight 1 ulp off: no state halves, and the adjoint pass runs
+        # on the full system
+        m, grid, classes = _mini_setup(n_classes=4, cells=16)
+        first = classes[0]
+        classes[0] = SpectralClass(first.delta_j,
+                                   float(np.nextafter(first.weight, 1.0)))
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, release_window_us=8.0,
+                              sample_rate=20.0)
+        self._check(monkeypatch, "memory", [4.0, 0.0, 2.5], base,
+                    (m, grid, classes), half=False)
+
     @pytest.mark.parametrize("window, cut", [(8.0, ()), (3.5, (3.5,))])
-    def test_duration_sweep(self, window, cut):
+    def test_duration_sweep(self, monkeypatch, window, cut):
         setup = _mini_setup(optical_depth=200.0, n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, omega_a=2.0,
                               probe_duration_us=4.0, p_a_delay_us=13.0,
                               release_window_us=window, sample_rate=10.0)
-        result, _ = self._check("stationary", [2.0, 0.5, 3.5, 2.0], base,
-                                setup, threads=3)
+        result, _ = self._check(monkeypatch, "stationary", [2.0, 0.5, 3.5, 2.0],
+                                base, setup, threads=3)
         assert result.peak_at_window_end == cut
         assert result.simulated_steps < result.independent_steps
 
@@ -526,22 +559,30 @@ class TestAdjointPeaks:
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=5.0, release_window_us=7.0,
                               sample_rate=20.0)
-        result, reference = self._check("memory", [0.0, 6.0], base, setup)
+        result, reference = self._check(monkeypatch, "memory", [0.0, 6.0],
+                                        base, setup)
         assert result.intensities[0] == reference[0][2]
         assert len(served) == 1 and len(served[0]) == 1 and served[0][0] > 0
 
-    def test_held_records_abort_when_the_held_map_blows_up(self):
+    def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
-        # adjoint pass raises as the forward run's finiteness check would
+        # adjoint pass raises as the forward run's finiteness check would,
+        # on the half system and, with one weight 1 ulp off, on the full one
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
-        state = SimState.zeros(Grid(cells=8),
-                               make_spectral_classes(30.0, 2, "lorentzian"))
-        state.s[:] = 0.1
+        classes = make_spectral_classes(30.0, 2, "lorentzian")
         held = (np.full((1, 3), 1e4 + 0j), np.zeros((1, 3), complex))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
-                _held_records([state], [400], held, m, every=1)
+        halves = _spy_halves(monkeypatch)
+        for half in (True, False):
+            if not half:
+                classes[0] = SpectralClass(
+                    classes[0].delta_j, float(np.nextafter(classes[0].weight, 1.0)))
+            state = SimState.zeros(Grid(cells=8), classes)
+            state.s[:] = 0.1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
+                    _held_records([state], [400], held, m, every=1)
+        assert halves == [True, False]
 
 
 def _scanned_searches(sequence, trunk, dt):
