@@ -25,6 +25,7 @@ MODELS = ("gaussian_sq", "exponential")
 
 _MAX_ITER = 200
 _STEP_TOL = 1e-10
+_SMALL_STEP = 1e-6  # relative Gauss-Newton step taken without a line search
 _MAX_HALVINGS = 30
 
 
@@ -120,6 +121,10 @@ def fit_decay(points, model: str = "gaussian_sq") -> FitResult:
             delta = np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
             break
+        # near the minimum sse_new <= sse is decided by rounding, so a small
+        # full step is taken without it
+        small = max(abs(delta[0]) / max(abs(i0), 1e-300),
+                    abs(delta[1]) / tau) < _SMALL_STEP
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             i0_new = i0 - scale * delta[0]
@@ -128,7 +133,7 @@ def fit_decay(points, model: str = "gaussian_sq") -> FitResult:
                 scale *= 0.5
                 continue
             sse_new = float(np.sum((_model(t, i0_new, tau_new, model) - y) ** 2))
-            if sse_new <= sse:
+            if small or sse_new <= sse:
                 break
             scale *= 0.5
         else:
