@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import fields as dc_fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slowlight import dynamics
+from slowlight.analysis import slow_light_delay
+from slowlight.config import (build_classes, build_medium, build_protocol,
+                              parse_config)
 from slowlight.dynamics import (_CHUNK_STEPS, CFLViolation, ControlDrive, Grid,
                                 NumericalAbort, SimState, _Propagator,
                                 _record_every, balance_residual,
@@ -20,6 +24,7 @@ from slowlight.medium import (MediumParams, SpectralClass, group_velocity,
                               make_spectral_classes, susceptibility)
 
 SINGLE = make_spectral_classes(0.0, 1, "single")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _state(grid_cells=8, classes=SINGLE):
@@ -1094,29 +1099,36 @@ class TestHalfSystem:
         assert np.array_equal(final.f, ref.f) and np.array_equal(final.a, ref.a)
 
 
+def _spectral_output(seq, m, classes, times):
+    """|E+(1)|^2 at `times` (on the record grid) of a slow-light run, from
+    the probe's spectrum times the medium's transfer function
+    exp(i (d/2) chi(w) + i w / c), chi over the run's classes: an answer
+    that owes nothing to the step code.  The probe and the output sit on
+    2^14 record intervals (819 us at 20 records/us), so the periodic
+    transform wraps nothing back into the window."""
+    dt = 1.0 / seq.sample_rate
+    w = 2.0 * np.pi * np.fft.fftfreq(2 ** 14, dt)
+    chi = susceptibility(w, seq.writing_omega_c, m, classes)
+    transfer = np.exp(0.5j * m.optical_depth * chi + 1j * w / m.c)
+    probe = seq.probe_samples(dt * np.arange(2 ** 14))
+    output = np.fft.fft(np.fft.ifft(probe) * transfer)
+    return np.abs(output[np.rint(times / dt).astype(int)]) ** 2
+
+
 class TestSpectralOracle:
+    """The slow-light run is one time-invariant stretch from a zero state,
+    so its output is the spectral propagation of _spectral_output."""
+
     def test_slow_light_run_matches_spectral_propagation(self, monkeypatch):
-        # The slow-light run is one time-invariant stretch from a zero state,
-        # so its output is the probe's spectrum times the medium's transfer
-        # function exp(i (d/2) chi(w) + i w / c), chi over the run's classes:
-        # an answer that owes nothing to the step code.  Measured at M = 32,
-        # K = 8: centroid delays 3.821954 against 3.821948 us (1.6e-6
-        # relative; 5.4e-6 at M = 16, 5.6e-7 at M = 64), and |E+(1)|^2
-        # within 4.4e-4 of its peak (1.8e-3 at M = 16)
+        # Measured at M = 32, K = 8: centroid delays 3.821954 against
+        # 3.821948 us (1.6e-6 relative; 5.4e-6 at M = 16, 5.6e-7 at
+        # M = 64), and |E+(1)|^2 within 4.4e-4 of its peak (1.8e-3 at M = 16)
         m, grid, classes, seq = _slow_light_setup(10.0, cells=32, duration=4.0,
                                                   n_classes=8, t_end=24.0)
         paths = _spy_paths(monkeypatch)
         trace, _ = run_dynamics(seq, m, grid, classes)
         assert paths == [True]
-        # the probe and the output on 2^14 record intervals (819 us), so
-        # the periodic transform wraps nothing back into the window
-        dt = 1.0 / seq.sample_rate
-        w = 2.0 * np.pi * np.fft.fftfreq(2 ** 14, dt)
-        transfer = np.exp(0.5j * m.optical_depth * susceptibility(w, 1.7, m, classes)
-                          + 1j * w / m.c)
-        probe = seq.probe_samples(dt * np.arange(2 ** 14))
-        output = np.fft.fft(np.fft.ifft(probe) * transfer)
-        spectral = np.abs(output[np.rint(trace.t / dt).astype(int)]) ** 2
+        spectral = _spectral_output(seq, m, classes, trace.t)
         ran = trace.fwd_intensity
         # centroid delays after the probe's peak, at 1.5 FWHM
         delays = [(trace.t * i).sum() / i.sum() - 6.0 for i in (ran, spectral)]
@@ -1124,3 +1136,31 @@ class TestSpectralOracle:
         assert np.abs(ran - spectral).max() <= 1e-3 * spectral.max()
         # the paper's d / Omega_C^2 (3.46 us) misses it by 9%
         assert abs(delays[1] - 10.0 / 1.7 ** 2) > 0.05 * delays[1]
+
+    @pytest.mark.parametrize("depth, delay_bound, peak_bound",
+                             [(10.0, 3e-6, 1e-5), (30.0, 1.5e-5, 2e-4)],
+                             ids=["d10", "d30"])
+    def test_slow_light_cfg_matches_spectral_propagation(
+            self, depth, delay_bound, peak_bound, monkeypatch):
+        # configs/slow_light.cfg at criterion 5's depths (M = 64, K = 32).
+        # Measured: slow_light_delay 3.3847304 against 3.3847360 us at
+        # d = 10 (1.7e-6 relative) and 10.141891 against 10.141980 us at
+        # d = 30 (8.8e-6), the spectral value moving by < 1e-13 over
+        # 2^14..2^16 points; |E+(1)|^2 within 5.6e-6 and 1.2e-4 of its peak
+        cfg = parse_config(CONFIGS.joinpath("slow_light.cfg").read_text("utf-8"))
+        m = build_medium(replace(cfg, medium=replace(cfg.medium,
+                                                     optical_depth=depth)))
+        grid, classes = Grid(cells=cfg.grid.cells), build_classes(cfg)
+        seq = standard_sequence(cfg.protocol.kind, build_protocol(cfg))
+        paths = _spy_paths(monkeypatch)
+        trace, _ = run_dynamics(seq, m, grid, classes)
+        assert paths == [True]
+        spectral = replace(trace, fwd_intensity=_spectral_output(
+            seq, m, classes, trace.t))
+        (ran, predicted), (oracle, _) = (slow_light_delay(tr, seq, m)
+                                         for tr in (trace, spectral))
+        assert abs(ran - oracle) <= delay_bound * oracle
+        assert (np.abs(trace.fwd_intensity - spectral.fwd_intensity).max()
+                <= peak_bound * spectral.fwd_intensity.max())
+        # the paper's 1/v_g - 1/c misses it by 2.2-2.4%
+        assert abs(predicted - oracle) > 0.02 * oracle
