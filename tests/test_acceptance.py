@@ -53,17 +53,22 @@ def _sweep_tau(name: str, tmp_path_factory) -> float:
     """fit.json's amplitude decay time of `slowlight sweep` and `slowlight
     fit` on configs/<name>.  sweep.json's peak_at_window_end must be empty
     (no release window cuts its pulse off), fit.json must name the
-    configuration that produced the sweep, and every state of the sweep's
-    adjoint pass must halve, so that the pass runs on the half system."""
+    configuration that produced the sweep, and the sweep's adjoint pass must
+    run on the half system."""
     out = tmp_path_factory.mktemp(name.removesuffix(".cfg"))
     text = (CONFIGS / name).read_text(encoding="utf-8")
-    halves, halve = [], experiment._halve
+    passes = []  # per adjoint pass, whether it runs on the half system
+
+    class Spied(experiment._Propagator):
+        def __init__(self, m, state):
+            super().__init__(m, state)
+            passes.append(self.half)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiment, "_halve", lambda state, *reads: halves.append(
-            halve(state, *reads)) or halves[-1])
+        patch.setattr(experiment, "_Propagator", Spied)
         assert main(["sweep", "--config", str(CONFIGS / name),
                      "--out", str(out)]) == EXIT_OK
-    assert halves and all(half is not None for half in halves)
+    assert passes == [True]
     assert main(["fit", "--out", str(out)]) == EXIT_OK
     sweep = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
     assert sweep["peak_at_window_end"] == []

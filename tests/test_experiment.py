@@ -361,19 +361,17 @@ def _independent(kind, field, values, base, m, grid, classes):
     return out
 
 
-def _spy_halves(monkeypatch) -> list[bool]:
-    """Record, per state that an adjoint pass tries to halve, whether it
-    halves (see dynamics._halve)."""
-    halves = []
-    halve = experiment._halve
+def _spy_adjoint(monkeypatch) -> list[bool]:
+    """Record, per adjoint pass, whether it runs on the half system."""
+    passes = []
 
-    def spied(state, *reads):
-        half = halve(state, *reads)
-        halves.append(half is not None)
-        return half
+    class Spied(experiment._Propagator):
+        def __init__(self, m, state):
+            super().__init__(m, state)
+            passes.append(self.half)
 
-    monkeypatch.setattr(experiment, "_halve", spied)
-    return halves
+    monkeypatch.setattr(experiment, "_Propagator", Spied)
+    return passes
 
 
 def _probe_warnings(record):
@@ -477,24 +475,24 @@ class TestAdjointPeaks:
     its peaks, peak times and cut-off windows must agree with independent
     runs of each point."""
 
-    # relative peak bound; measured at most 1.5e-13 on these cases and
-    # 3.1e-14 on the three paper configs
+    # relative peak bound; measured at most 2.4e-13 on these cases and
+    # 2.2e-14 on the three paper configs
     BOUND = 1e-12
 
     def _check(self, monkeypatch, kind, values, base, setup, threads=1,
                half=True):
         """Sweep `values` and run them independently; check that they agree,
-        that the adjoint pass runs on the half system or not, as `half`
-        says, and that the probe warning is raised once, blamed on this
-        file.  Returns (sweep result, independent (trace, t_peak, peak)
-        list)."""
+        that its one adjoint pass runs on the half system or not, as
+        `half` says, and that the probe warning is raised once, blamed on
+        this file.  Returns (sweep result, independent (trace, t_peak,
+        peak) list)."""
         field = "storage_t_us" if kind == "memory" else "a_duration_us"
         sweep = sweep_delay if kind == "memory" else sweep_duration
-        halves = _spy_halves(monkeypatch)
+        passes = _spy_adjoint(monkeypatch)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep(values, base, *setup, threads=threads)
-        assert halves and all(h == half for h in halves)
+        assert passes == [half]
         probe = _probe_warnings(record)
         assert len(probe) == 1 and probe[0].filename == __file__
         assert f"{field} sweep" in str(probe[0].message)
@@ -520,8 +518,8 @@ class TestAdjointPeaks:
         assert result.simulated_steps < 0.6 * result.independent_steps
 
     def test_broken_symmetry_takes_the_full_path(self, monkeypatch):
-        # one weight 1 ulp off: no state halves, and the adjoint pass runs
-        # on the full system
+        # one weight 1 ulp off: no held state halves, and the adjoint pass
+        # runs on the full system
         m, grid, classes = _mini_setup(n_classes=4, cells=16)
         first = classes[0]
         classes[0] = SpectralClass(first.delta_j,
@@ -571,7 +569,7 @@ class TestAdjointPeaks:
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
         held = (np.full((1, 3), 1e4 + 0j), np.zeros((1, 3), complex))
-        halves = _spy_halves(monkeypatch)
+        passes = _spy_adjoint(monkeypatch)
         for half in (True, False):
             if not half:
                 classes[0] = SpectralClass(
@@ -582,7 +580,7 @@ class TestAdjointPeaks:
                 warnings.simplefilter("ignore")
                 with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
                     _held_records([state], [400], held, m, every=1)
-        assert halves == [True, False]
+        assert passes == [True, False]
 
 
 def _scanned_searches(sequence, trunk, dt):
