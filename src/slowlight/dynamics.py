@@ -9,7 +9,10 @@ cell with a classical 4th-order Runge-Kutta update.  The drives are
 uniform in z, so that update is one linear map in every cell, applied as
 float64 matrix products to the cell-major state's float views (see
 _Propagator), built for up to 16 changing steps at once and kept while
-the drive samples repeat.
+the drive samples repeat.  On a half system (see _halve) run_dynamics
+steps each stretch of one map between two block starts (see _block_starts)
+as one block, from the atoms' response to the stretch's fields (see
+_Propagator.advance_block).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -34,6 +37,8 @@ from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
 
 _FINITE_CHECK_EVERY = 64  # steps between NaN/Inf sweeps of the state
 _CHUNK_STEPS = 16  # most steps whose operators one build call traces
+_BLOCK_STEPS = 32  # most steps in one block (see _block_starts)
+_SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
 
 
 class CFLViolation(ValueError):
@@ -153,9 +158,13 @@ class SimState:
         return float((np.abs(self.s) ** 2 @ self.weights).sum() * self.grid.dz)
 
     def check_finite(self) -> None:
-        """Raise NumericalAbort naming the first non-finite value's cell."""
-        if (np.isfinite(self.f.ravel().view(float)).all()
-                and np.isfinite(self.a.ravel().view(float)).all()):
+        """Raise NumericalAbort naming the first non-finite value's cell.
+
+        A NaN or infinity makes the sum of the float views non-finite; a
+        finite sum that overflows falls through to the search, which then
+        finds nothing."""
+        if math.isfinite(np.add.reduce(self.f.ravel().view(float))
+                         + np.add.reduce(self.a.ravel().view(float))):
             return
         for name, arr in (("fields", self.f), ("atoms", self.a)):
             bad = np.argwhere(~np.isfinite(arr))
@@ -229,7 +238,8 @@ class _Propagator:
     the Re-output columns of W and F, 0.29 of the flops.  Its F reads the
     moments of the whole class set.  build slices its tables, so that load
     runs at half size.  transpose applies the transpose of the same float
-    products, on either system.
+    products, on either system.  On a half system, advance_block applies
+    the loaded operator over a stretch of steps at once.
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -265,6 +275,8 @@ class _Propagator:
         self.w = np.empty((6 * k, ny - nf))
         self.f_op = np.empty((ny, nf))
         self._adjoint = None  # transpose's operators, remade after a load
+        self._block = None  # advance_block's operators and work areas
+        self._block_steps = 0  # steps its operators cover, 0 after a load
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=float if self.half else complex)
@@ -339,6 +351,7 @@ class _Propagator:
                   out=self.w.reshape(1, -1, w.shape[-1]))
         self.f_op[:] = f[row]
         self._adjoint = None
+        self._block_steps = 0
 
     def _views(self, state: SimState) -> tuple:
         """The float views of state.f (M, 4; a half system's real f is its
@@ -387,6 +400,94 @@ class _Propagator:
         np.add(x, dx_rows, out=x)
         np.matmul(y, self.f_op, out=f_float)
         state.t = n * self.dt
+
+    def advance_block(self, state: SimState, n: int, inject: np.ndarray) -> None:
+        """Advance a half system in place by q = len(inject) steps of the
+        loaded operator, to t = n dt: what q advance calls with inject_plus
+        = inject[i] and no inject_minus do, to rounding.
+
+        Over such a stretch every step maps the atoms x and the field
+        functionals y = (advected fields, sources s = x W) as x' = x D +
+        y A and f' = y F, so from the stretch's start x_0
+
+            s_i = x_0 D^i W + sum_{l<i} y_l G_{i-1-l},   G_j = A D^j W,
+            x_q = x_0 D^q + sum_{l<q} y_l A D^{q-1-l}.
+
+        The sources of all q steps take one product of x_0 with
+        [W, D W, ...]; each step then runs the fields alone: one product of
+        the history (y_0 .. y_{i-1}, y_i's fields, x_0 D^i W) with the stacked
+        [G_{i-1} .. G_0] gives y_i's sources and f_{i+1} = y_i F together, and
+        the atoms take one update at the end.  The same map with the sums
+        regrouped, so the rounding differs from advance's.
+        """
+        q = len(inject)
+        if self._block_steps < q:
+            self._extend_block(q)
+        f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(state)
+        history, stacks, powers, sources, slots, out, fields = self._block
+        r = self.RANK
+        cells = len(history)
+        s0 = sources[:cells * 8 * q].reshape(cells, 8 * q)  # the x_0 D^i W
+        np.matmul(x, stacks[0][:, :8 * q], out=s0)
+        history.reshape(cells, -1, r)[:, :q, 2:] = s0.reshape(cells, q, 8)
+        history[1:, 0] = f_float[:-1, 0]
+        history[:-1, 1] = f_float[1:, 1]
+        history[0, 0:r * q:r] = inject  # E+ enters each step at z = 0
+        for y_to_i, g, s_to, plus_to, minus_to in slots[:q]:
+            np.matmul(y_to_i, g, out=out)
+            s_to[...] = fields[0]
+            plus_to[...] = fields[1]
+            minus_to[...] = fields[2]
+        f_float[:] = out[:, 8:]
+        np.matmul(x_batch, powers[q - 1], out=dx_batch)
+        np.matmul(history[:, :r * q], stacks[2][-r * q:], out=x)
+        np.add(x, dx_rows, out=x)
+        state.t = n * self.dt
+
+    def _extend_block(self, q: int) -> None:
+        """Extend advance_block's operators of the loaded operator to
+        stretches of q steps, from per-class products of the D_k.  With
+        Q = _BLOCK_STEPS they are [W, D W, .., D^(Q-1) W] (6K, 8Q); the
+        history's stack g, the rows [G_j, G_j F_s] of j = Q-1 .. 0, then
+        [0, F_f] for y_i's fields and [1, F_s] for x_0 D^i W (F_f and F_s
+        F's rows of the fields and of the sources); [A D^(Q-1); ..; A]
+        (10Q, 6K); and D^1 .. D^Q.  Each part depends on the loaded operator
+        alone, whatever q it was extended to."""
+        k, r, nq = len(self._powers), self.RANK, _BLOCK_STEPS
+        if self._block is None:
+            cells = len(self._phi)
+            # y_0 .. y_(Q-1) and the fields of y_Q, each y_i (E+, E-, s_i)
+            history = np.zeros((cells, r * (nq + 1)))
+            g = np.zeros((r * nq + r, r))
+            out = np.empty((cells, r))
+            self._block = (
+                history, (np.empty((6 * k, 8 * nq)), g, np.empty((r * nq, 6 * k))),
+                np.empty((nq, k, 6, 6)), np.empty(cells * 8 * nq),
+                # per step i: its history, its rows of g, and where its
+                # sources and the next step's advected E+ and E- go
+                [(history[:, :r * i + r], g[r * (nq - i):],
+                  history[:, r * i + 2:r * i + r], history[1:, r * i + r],
+                  history[:-1, r * i + r + 1]) for i in range(nq)],
+                out, (out[:, :8], out[:-1, 8], out[1:, 9]))
+        _, (dw_rows, g, ad), powers, *_ = self._block
+        dw = dw_rows.reshape(k, 6, nq, 8)
+        ad = ad.reshape(nq, r, k, 6).transpose(0, 2, 1, 3)  # (Q, K, 10, 6)
+        if self._block_steps == 0:
+            dw[:, :, 0] = self.w.reshape(k, 6, 8)
+            ad[-1] = self.a_op.reshape(r, k, 6).swapaxes(0, 1)
+            powers[0] = self.d
+            g[-r:-8, 8:] = self.f_op[:2]
+            g[-8:, :8] = np.eye(8)
+            g[-8:, 8:] = self.f_op[2:]
+        for j in range(max(1, self._block_steps), q):
+            np.matmul(self.d, dw[:, :, j - 1], out=dw[:, :, j])
+            np.matmul(ad[nq - j], self.d, out=ad[nq - 1 - j])
+            np.matmul(powers[j - 1], self.d, out=powers[j])
+        for j in range(self._block_steps, q):
+            rows = g[r * (nq - 1 - j):r * (nq - j)]
+            np.matmul(self.a_op, dw_rows[:, 8 * j:8 * j + 8], out=rows[:, :8])
+            np.matmul(rows[:, :8], self.f_op[2:], out=rows[:, 8:])
+        self._block_steps = q
 
     def transpose(self, xi: SimState) -> None:
         """Apply the transpose of advance's float map to the covector xi in
@@ -512,7 +613,10 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     A conjugate-symmetric run (real drives and probe, +/- paired classes
     and a mirrored starting state, see _halve) integrates its half system
     and expands each snapshot and the final state to a full state, mirrored
-    exactly.  Resuming from one halves it back to the same half state, so
+    exactly.  Resuming from one halves it back to the same half state.  The
+    half system steps from each block start (see _block_starts) to the next
+    as one block (see _Propagator.advance_block), or as single steps when
+    they are fewer than _SHORTEST_BLOCK; a snapshot step starts a block, so
     resumes are bitwise on either path.
     """
     dt = grid.dz / m.c
@@ -557,15 +661,23 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     rebuild = _drive_changes(omega_c, omega_a)
     changed = np.flatnonzero(rebuild)
     built = 0  # changed steps whose operators have been loaded
-    for i in range(n_steps):
-        n = n0 + i + 1  # global index of the step being completed
+    # the half system steps from one block start to the next at once; the
+    # full path takes every step on its own
+    starts = (np.flatnonzero(_block_starts(n0, rebuild, every, snap_steps)).tolist()
+              if half is not None else list(range(n_steps)))
+    for i, end in zip(starts, starts[1:] + [n_steps]):
         if rebuild[i]:
             if built % _CHUNK_STEPS == 0:
                 chunk = changed[built:built + _CHUNK_STEPS]
                 table = prop.build(omega_c[chunk], omega_a[chunk])
             prop.load(table, built % _CHUNK_STEPS)
             built += 1
-        prop.advance(state, n, inject[i], 0.0)
+        n = n0 + end  # global index of the step that ends the block
+        if end - i >= _SHORTEST_BLOCK:
+            prop.advance_block(state, n, inject[i:end])
+        else:
+            for j in range(i, end):
+                prop.advance(state, n0 + j + 1, inject[j], 0.0)
         if n % every == 0:
             record()
         if n % _FINITE_CHECK_EVERY == 0:
@@ -630,6 +742,20 @@ def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
     changed[1:] = np.any([rows[1:, k] != rows[:-1, k] for rows in (omega_c, omega_a)
                           for k in range(3)], axis=0)
     return changed
+
+
+def _block_starts(n0: int, changed: np.ndarray, every: int,
+                  snaps=()) -> np.ndarray:
+    """Per step n0 + i of a half-system run, whether a block starts there:
+    at a step whose drive rows change (changed, see _drive_changes; always
+    the run's first), and after each record step (a multiple of every),
+    each multiple of _FINITE_CHECK_EVERY and _BLOCK_STEPS and each step in
+    snaps, whose states the run reads.  The rule reads global step indices
+    and the rows alone, so a run resumed at a block start makes the blocks
+    of the uninterrupted run."""
+    n = np.arange(n0, n0 + len(changed))
+    return (changed | (n % every == 0) | (n % _FINITE_CHECK_EVERY == 0)
+            | (n % _BLOCK_STEPS == 0) | np.isin(n, list(snaps)))
 
 
 def _record_every(sequence, dt: float) -> int:

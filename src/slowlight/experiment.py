@@ -20,10 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
-                       _check_probe_resolution, _halve, _Propagator,
-                       _record_every, _step_index, _step_reads,
-                       balance_residual, run_dynamics)
+from .dynamics import (_BLOCK_STEPS, DetectorTrace, Grid, NumericalAbort,
+                       SimState, _block_starts, _check_probe_resolution,
+                       _drive_changes, _halve, _Propagator, _record_every,
+                       _step_index, _step_reads, balance_residual,
+                       run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A")
@@ -288,6 +289,22 @@ def _branch_steps(sequences: Sequence[PulseSequence], trunk: PulseSequence,
     return branch
 
 
+def _shared_block_start(sequence: PulseSequence, trunk: PulseSequence,
+                        dt: float, start: int, every: int) -> int:
+    """The last global step at or before `start` at which a block starts
+    (see dynamics._block_starts) both in the trunk's run and in
+    `sequence`'s, which read alike before `start`: there the trunk's state
+    is the one `sequence`'s own run has, bit for bit.  A multiple of
+    _BLOCK_STEPS starts a block in every run, so the search reads back to
+    the last one."""
+    lo = start - start % _BLOCK_STEPS
+    shared = np.ones(start - lo + 1, dtype=bool)
+    for s in (sequence, trunk):
+        omega_c, omega_a, _ = _step_reads(s, dt, lo, start + 1)
+        shared &= _block_starts(lo, _drive_changes(omega_c, omega_a), every)
+    return lo + int(np.flatnonzero(shared)[-1])
+
+
 def _held_start(sequence: PulseSequence, dt: float, n_steps: int,
                 held: tuple[np.ndarray, np.ndarray]) -> int:
     """The first global step s after which each of a run's n_steps steps
@@ -314,38 +331,52 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     j of them is e . R^j x_b, with e picking E+ in the last cell.  With
     g_j = (R^T)^j e, R^T the transpose of the step's float map (see
     _Propagator.transpose), sum g_j conj(x_b) is the complex conjugate of
-    that E+(1) on the full system, and its real part is E+(1) on the half
-    system, where E+ is real; the pass runs on the half system when every
-    state halves (see _halve).  So one backward recursion serves every
-    state: at each j, the states whose step s_b + j is a record step of
-    run_dynamics (a multiple of `every`) read |E+(1)|^2 from g_j.  Only
-    the current g_j is held.  A non-finite record raises NumericalAbort,
-    as the forward run would.
+    that E+(1) on the full system, and its real part, the dot product of
+    the float views, is E+(1) on the half system, where E+ is real; the
+    pass runs on the half system when every state halves (see _halve).  So
+    one backward recursion serves every state: at each j, the states whose
+    step s_b + j is a record step of run_dynamics (a multiple of `every`)
+    read |E+(1)|^2 from g_j, all in one product.  Only the current g_j is
+    held.  A non-finite record raises NumericalAbort, as the forward run
+    would.
     """
     halves = [_halve(x, *held) for x in starts]
     if all(x is not None for x in halves):
         starts = halves
-    xi = starts[0].copy()
-    xi.f[:] = 0.0
-    xi.a[:] = 0.0
+    x = starts[0]
+    # xi's fields and atoms are views of one vector, whose dtype the fields
+    # have: float on the half system, where the atoms' Re and Im pairs
+    # follow; each start's row is the same vector of it, conjugated
+    flat = np.zeros(x.f.size + x.a.size * 16 // x.f.itemsize, dtype=x.f.dtype)
+    xi = SimState(x.t, flat[:x.f.size].reshape(x.f.shape),
+                  flat[x.f.size:].view(complex).reshape(x.a.shape), x.grid,
+                  x.deltas, x.weights)
     xi.e_plus[-1] = 1.0
     prop = _Propagator(m, xi)
     prop.load(prop.build(*held), 0)
     at = [_step_index(x.t, prop.dt) for x in starts]
-    conj = [(x.f.conj(), x.a.conj()) for x in starts]
+    # the states due at one j share at[b] % every; each such group is held
+    # longest stretch first, so those still in their stretch lead it
+    groups: dict[int, list[int]] = {}
+    for b in sorted(range(len(starts)), key=lambda b: -lengths[b]):
+        groups.setdefault(at[b] % every, []).append(b)
+    rows = {r: np.stack([np.concatenate([starts[b].f.ravel(),
+                                         starts[b].a.ravel().view(flat.dtype)])
+                         for b in group]).conj()
+            for r, group in groups.items()}
     steps: list[list[int]] = [[] for _ in starts]
     values: list[list[complex]] = [[] for _ in starts]
     for j in range(1, max(lengths, default=0) + 1):
         prop.transpose(xi)
-        for b, (f, a) in enumerate(conj):
-            if j <= lengths[b] and (at[b] + j) % every == 0:
+        group = groups.get(-j % every, ())
+        due = sum(lengths[b] >= j for b in group)
+        if due:
+            # einsum sums in its own loop: a BLAS dot would split the sum
+            # by thread count and change the last digits with it
+            for b, v in zip(group, np.einsum("bi,i->b", rows[-j % every][:due], flat)):
                 steps[b].append(at[b] + j)
-                # einsum sums in its own loop: a BLAS dot would split the
-                # sum by thread count and change the last digits with it
-                values[b].append(np.einsum("ij,ij", xi.f, f)
-                                 + np.einsum("ijk,ijk", xi.a, a))
-    records = [(np.array(n, dtype=float) * prop.dt,
-                np.abs(np.array(v).real if prop.half else np.array(v)) ** 2)
+                values[b].append(v)
+    records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
                for n, v in zip(steps, values)]
     for x, (t, intensity) in zip(starts, records):
         bad = t[~np.isfinite(intensity)]
@@ -361,8 +392,10 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     """Run protocol `kind` at each value of `field`, sharing the prefix.
 
     The longest point is the trunk: it runs once from t = 0 and leaves a
-    snapshot at each point's branch step (see _branch_steps), from which the
-    point runs on.  A point whose held stretch (see _held_start) reads the
+    snapshot for each point at the last block start it shares with the
+    point at or before the point's branch step (see _branch_steps and
+    _shared_block_start), from which the point runs on.  A point whose held
+    stretch (see _held_start) reads the
     drive rows of the trunk's last step stops where that stretch starts, and
     one adjoint pass of the shared held map gives the records of all such
     stretches (see _held_records); a point with no held stretch runs to its
@@ -393,7 +426,9 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     held = _step_reads(sequences[trunk], dt, ends[trunk] - 1, ends[trunk])[:2]
     stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
     # a point that stops before its branch step is still on the trunk there
-    starts = [min(b, s) for b, s in zip(branch, stops)]
+    every = _record_every(sequences[trunk], dt)
+    starts = [_shared_block_start(s, sequences[trunk], dt, min(b, n), every)
+              for s, b, n in zip(sequences, branch, stops)]
     steps = sorted({s for s in starts if s > 0})
     trunk_trace, snapshots = run_dynamics(sequences[trunk], m, grid, classes,
                                           snapshot_steps=steps,
@@ -426,7 +461,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     if held_points:
         extra = _held_records([points[i][1] for i in held_points],
                               [ends[i] - stops[i] for i in held_points],
-                              held, m, _record_every(sequences[trunk], dt))
+                              held, m, every)
         for i, (t, intensity) in zip(held_points, extra):
             records[i] = (np.concatenate([records[i][0], t]),
                           np.concatenate([records[i][1], intensity]))

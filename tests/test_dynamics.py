@@ -330,6 +330,21 @@ class TestStep:
             with pytest.raises(NumericalAbort, match="atoms .* cell 7$"):
                 state.check_finite()
 
+    def test_finite_sum_that_overflows_does_not_abort(self):
+        # the fast pass sums the float views, which overflows to inf here;
+        # the search behind it finds every value finite
+        state = _state(classes=make_spectral_classes(30.0, 4, "lorentzian"))
+        for arr in (state.f, state.a):
+            arr.ravel().view(float)[:2] = 1e308
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # overflow
+                state.check_finite()
+            arr[...] = 0.0
+        state.e_plus[0] = state.s[3, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state.check_finite()
+
     def test_half_steps_sampled_as_run_dynamics_samples_them(self):
         # on trap_point's grid (dt = 1/288 us) at its first and last step
         m = MediumParams(g2n=1.0, c=4.0)
@@ -1097,6 +1112,134 @@ class TestHalfSystem:
         for got, expected in zip(columns, want):
             assert np.array_equal(got, expected)
         assert np.array_equal(final.f, ref.f) and np.array_equal(final.a, ref.a)
+
+
+def _spy_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (global step it ends at, steps) of each advance_block call."""
+    blocks = []
+    advance_block = _Propagator.advance_block
+
+    def spied(self, state, n, inject):
+        blocks.append((n, len(inject)))
+        return advance_block(self, state, n, inject)
+
+    monkeypatch.setattr(_Propagator, "advance_block", spied)
+    return blocks
+
+
+class TestBlocks:
+    """On the half system run_dynamics steps each stretch of one operator
+    between two block starts (dynamics._block_starts) as one block.  Blocks
+    regroup the sums of single steps, so they agree with them to rounding;
+    the full path and step() never take one."""
+
+    def _both(self, sequence, m, grid, classes, monkeypatch):
+        """Records and final state of `sequence` run in blocks, then with
+        every block taken as single steps; checks that the first run took
+        blocks and the second none."""
+        runs = []
+        for shortest in (dynamics._SHORTEST_BLOCK, math.inf):
+            monkeypatch.setattr(dynamics, "_SHORTEST_BLOCK", shortest)
+            blocks = _spy_blocks(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the probe spans few cells
+                trace, snaps = run_dynamics(sequence, m, grid, classes)
+            assert bool(blocks) == (shortest != math.inf)
+            runs.append(([trace.fwd_intensity, trace.bwd_intensity,
+                          trace.spin_norm], snaps[-1]))
+        return runs
+
+    def _check(self, runs, bound):
+        (blocked, final), (single, ref) = runs
+        for got, want in zip(blocked, single):
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
+        for got, want in ((final.f, ref.f), (final.a, ref.a)):
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", list(TestHalfSystem.SEQUENCES))
+    def test_blocks_agree_with_single_steps(self, name, monkeypatch):
+        # TestHalfSystem's sequences, recording every 16 steps so that the
+        # blocks run up to 16 steps.  Measured at K = 4, 6 and 8, with
+        # blocks of up to 16 and 32 steps: records within 9.3e-15 of each
+        # column's maximum, the final fields and atoms within 7.9e-15
+        half = TestHalfSystem()
+        sequence = replace(half._sequence(name), sample_rate=4.0)
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        self._check(self._both(sequence, half.M, half.GRID, classes,
+                               monkeypatch), 2e-14)
+
+    def test_stationary_run_at_64_classes(self, monkeypatch):
+        # a reduced criterion-3 run: 64 classes, 24 cells, OD 200, both
+        # couplings 4 rad/us.  Measured: records within 3.6e-15 of each
+        # column's maximum, the final state within 3.4e-15
+        m = MediumParams.from_optical_depth(200.0, gamma_opt=1.0, c=4.0)
+        sequence = standard_sequence("stationary", ProtocolParams(
+            omega_c=4.0, omega_a=4.0, probe_duration_us=3.0, p_a_delay_us=9.0,
+            a_duration_us=6.0, release_window_us=8.0, sample_rate=5.0))
+        classes = make_spectral_classes(30.0, 64, "lorentzian")
+        self._check(self._both(sequence, m, Grid(cells=24), classes,
+                               monkeypatch), 1e-14)
+
+    def test_blocks_start_where_the_rule_says(self, monkeypatch):
+        # the memory sequence of TestHalfSystem, recording every 8 steps,
+        # with a snapshot in each held stretch (the coupling on, dark and on
+        # again): every block ends at the next block start, a snapshot
+        # ends one, and the stretches too short for a block, such as every
+        # step of the ramps, took single steps
+        half = TestHalfSystem()
+        sequence = replace(half._sequence("memory"), sample_rate=8.0)
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        dt = half.GRID.dz / half.M.c
+        snaps = [101, 455, 1005]
+        blocks = _spy_blocks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_dynamics(sequence, half.M, half.GRID, classes,
+                         snapshot_steps=snaps)
+        n_steps = round(sequence.t_end_us / dt)
+        omega_c, omega_a, _ = dynamics._step_reads(sequence, dt, 0, n_steps)
+        changed = dynamics._drive_changes(omega_c, omega_a)
+        starts = [*np.flatnonzero(dynamics._block_starts(
+            0, changed, _record_every(sequence, dt), snaps)), n_steps]
+        want = [(end, end - start) for start, end in zip(starts, starts[1:])
+                if end - start >= dynamics._SHORTEST_BLOCK]
+        assert blocks == want
+        assert {(101, 5), (455, 7), (1005, 5)} <= set(blocks)
+        assert changed.sum() > 100  # the ramps change every step's rows
+
+    def test_full_path_and_step_take_no_block(self, monkeypatch):
+        blocks = _spy_blocks(monkeypatch)
+        half = TestHalfSystem()
+        sequence = replace(half._sequence("balanced"), sample_rate=4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_dynamics(sequence, half.M, half.GRID,
+                         make_spectral_classes(30.0, 5, "lorentzian"))
+            _step_loop(sequence, half.M, half.GRID,
+                       make_spectral_classes(30.0, 4, "lorentzian"))
+        assert blocks == []
+
+    def test_a_block_after_a_load_uses_the_loaded_operator(self):
+        # a block of one operator, then a load of another: the next block
+        # must apply the new one, from operators made again after the load
+        classes = make_spectral_classes(30.0, 4, "lorentzian")
+        m = MediumParams.from_optical_depth(30.0, gamma_opt=1.0, c=4.0)
+        state = dynamics._halve(_state(grid_cells=8, classes=classes))
+        rng = np.random.default_rng(3)
+        for arr in (state.f, state.a):
+            arr.view(float)[:] = rng.normal(size=arr.view(float).shape)
+        prop = _Propagator(m, state)
+        inject = rng.normal(size=12)
+        blocked, single = state.copy(), state.copy()
+        for drive in (1.5, 0.4):
+            prop.load(prop.build(np.full((1, 3), drive + 0j),
+                                 np.full((1, 3), 0.3 + 0j)), 0)
+            prop.advance_block(blocked, 12, inject)
+            for i, value in enumerate(inject):
+                prop.advance(single, i + 1, value, 0.0)
+        for got, want in ((blocked.f, single.f), (blocked.a, single.a)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert blocked.t == single.t == 12 * prop.dt
 
 
 def _spectral_output(seq, m, classes, times):

@@ -10,7 +10,8 @@ from slowlight import experiment
 from slowlight.analysis import fit_decay
 from slowlight.cli import main
 from slowlight.config import build_protocol, parse_config
-from slowlight.dynamics import Grid, NumericalAbort, SimState, run_dynamics
+from slowlight.dynamics import (Grid, NumericalAbort, SimState, _Propagator,
+                                run_dynamics)
 from slowlight.experiment import (_BRANCH_CHUNK, ProtocolParams, PulseEvent,
                                   PulseSequence, _branch_steps, _held_records,
                                   _held_start, released_peak,
@@ -425,6 +426,35 @@ class TestBranchedSweeps:
                                base, setup, threads=3)
         assert result.simulated_steps < result.independent_steps
 
+    def test_branch_steps_off_the_block_grid(self, monkeypatch):
+        # one record every 32 steps (dt = 1/80 us), so the half system runs
+        # blocks of up to 32 steps; the retrievals of T = 2.5 and 1.3 start
+        # at steps 1240 and 1144, 24 steps into a block of the dark trunk
+        # (T = 4), so their snapshots sit at that block's start
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0, release_window_us=8.0,
+                              sample_rate=2.5)
+        shared = []
+        search = experiment._shared_block_start
+
+        def spied(sequence, trunk, dt, start, every):
+            shared.append((start, search(sequence, trunk, dt, start, every)))
+            return shared[-1][1]
+
+        monkeypatch.setattr(experiment, "_shared_block_start", spied)
+        blocks = []
+        advance_block = _Propagator.advance_block
+
+        def counted(self, state, n, inject):
+            blocks.append(n)
+            advance_block(self, state, n, inject)
+
+        monkeypatch.setattr(_Propagator, "advance_block", counted)
+        self._forward(monkeypatch, "memory", [4.0, 2.5, 0.0, 1.3], base, setup)
+        assert (1240, 1216) in shared and (1144, 1120) in shared
+        assert blocks
+
     def test_points_differing_only_in_the_probe(self, monkeypatch):
         # three equal memory points, the last two with a probe blip in the
         # dark: one at half step 2320, the start of step 1160, where that
@@ -561,6 +591,34 @@ class TestAdjointPeaks:
                                         base, setup)
         assert result.intensities[0] == reference[0][2]
         assert len(served) == 1 and len(served[0]) == 1 and served[0][0] > 0
+
+    def test_held_records_match_forward_runs_of_each_stretch(self):
+        # four held stretches of one coupling, no probe: records every 4
+        # steps, the stretches starting at steps 640, 641, 645 and 650 (641
+        # and 645 read their records at the same j) and running 200, 37,
+        # 120 and 3 steps.  Each state's records, read together with those
+        # of the others, are its forward run's, to rounding (measured: at
+        # most 6.0e-15 of each stretch's largest record)
+        m, grid, classes = _mini_setup(n_classes=4, cells=16)
+        seq = PulseSequence(
+            events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
+                    PulseEvent("C", 0.0, 12.0, 2.0, open_end=True)],
+            t_end_us=12.0, sample_rate=20.0)
+        steps, lengths = [640, 641, 645, 650], [200, 37, 120, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, states = run_dynamics(seq, m, grid, classes, snapshot_steps=steps)
+            held = (np.full((1, 3), 2.0 + 0j), np.zeros((1, 3), complex))
+            records = _held_records(states[:4], lengths, held, m, every=4)
+            for state, n, length, (t, intensity) in zip(states, steps, lengths,
+                                                        records):
+                trace, _ = run_dynamics(seq, m, grid, classes,
+                                        initial_state=state,
+                                        until_step=n + length)
+                later = trace.t > state.t
+                assert np.array_equal(t, trace.t[later])
+                want = trace.fwd_intensity[later]
+                assert np.abs(intensity - want).max() <= 5e-14 * want.max()
 
     def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
