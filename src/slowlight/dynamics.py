@@ -401,10 +401,12 @@ class _Propagator:
         np.matmul(y, self.f_op, out=f_float)
         state.t = n * self.dt
 
-    def advance_block(self, state: SimState, n: int, inject: np.ndarray) -> None:
+    def advance_block(self, state: SimState, n: int, inject: np.ndarray,
+                      longest: int) -> None:
         """Advance a half system in place by q = len(inject) steps of the
         loaded operator, to t = n dt: what q advance calls with inject_plus
-        = inject[i] and no inject_minus do, to rounding.
+        = inject[i] and no inject_minus do, to rounding.  longest >= q, the
+        longest block of the run, sizes the operators and work areas.
 
         Over such a stretch every step maps the atoms x and the field
         functionals y = (advected fields, sources s = x W) as x' = x D +
@@ -421,6 +423,8 @@ class _Propagator:
         regrouped, so the rounding differs from advance's.
         """
         q = len(inject)
+        if self._block is None or len(self._block[4]) != longest:  # its slots
+            self._make_block(longest)
         if self._block_steps < q:
             self._extend_block(q)
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(state)
@@ -444,32 +448,37 @@ class _Propagator:
         np.add(x, dx_rows, out=x)
         state.t = n * self.dt
 
+    def _make_block(self, longest: int) -> None:
+        """Make advance_block's work areas and operator arrays for blocks of
+        up to Q = longest steps: the history, y_0 .. y_(Q-1) and the
+        fields of y_Q; [W, D W, .., D^(Q-1) W] (6K, 8Q); the history's stack
+        g, the rows [G_j, G_j F_s] of j = Q-1 .. 0, then [0, F_f] for y_i's
+        fields and [1, F_s] for x_0 D^i W (F_f and F_s F's rows of the
+        fields and of the sources); [A D^(Q-1); ..; A] (10Q, 6K); D^1 ..
+        D^Q; x_0 D^i W; and per step its views."""
+        k, r, nq = len(self._powers), self.RANK, longest
+        cells = len(self._phi)
+        history = np.zeros((cells, r * (nq + 1)))
+        g = np.zeros((r * nq + r, r))
+        out = np.empty((cells, r))
+        self._block = (
+            history, (np.empty((6 * k, 8 * nq)), g, np.empty((r * nq, 6 * k))),
+            np.empty((nq, k, 6, 6)), np.empty(cells * 8 * nq),
+            # per step i: its history, its rows of g, and where its sources
+            # and the next step's advected E+ and E- go
+            [(history[:, :r * i + r], g[r * (nq - i):],
+              history[:, r * i + 2:r * i + r], history[1:, r * i + r],
+              history[:-1, r * i + r + 1]) for i in range(nq)],
+            out, (out[:, :8], out[:-1, 8], out[1:, 9]))
+        self._block_steps = 0
+
     def _extend_block(self, q: int) -> None:
         """Extend advance_block's operators of the loaded operator to
-        stretches of q steps, from per-class products of the D_k.  With
-        Q = _BLOCK_STEPS they are [W, D W, .., D^(Q-1) W] (6K, 8Q); the
-        history's stack g, the rows [G_j, G_j F_s] of j = Q-1 .. 0, then
-        [0, F_f] for y_i's fields and [1, F_s] for x_0 D^i W (F_f and F_s
-        F's rows of the fields and of the sources); [A D^(Q-1); ..; A]
-        (10Q, 6K); and D^1 .. D^Q.  Each part depends on the loaded operator
-        alone, whatever q it was extended to."""
-        k, r, nq = len(self._powers), self.RANK, _BLOCK_STEPS
-        if self._block is None:
-            cells = len(self._phi)
-            # y_0 .. y_(Q-1) and the fields of y_Q, each y_i (E+, E-, s_i)
-            history = np.zeros((cells, r * (nq + 1)))
-            g = np.zeros((r * nq + r, r))
-            out = np.empty((cells, r))
-            self._block = (
-                history, (np.empty((6 * k, 8 * nq)), g, np.empty((r * nq, 6 * k))),
-                np.empty((nq, k, 6, 6)), np.empty(cells * 8 * nq),
-                # per step i: its history, its rows of g, and where its
-                # sources and the next step's advected E+ and E- go
-                [(history[:, :r * i + r], g[r * (nq - i):],
-                  history[:, r * i + 2:r * i + r], history[1:, r * i + r],
-                  history[:-1, r * i + r + 1]) for i in range(nq)],
-                out, (out[:, :8], out[:-1, 8], out[1:, 9]))
-        _, (dw_rows, g, ad), powers, *_ = self._block
+        stretches of q steps, from per-class products of the D_k (see
+        _make_block).  Each part depends on the loaded operator alone,
+        whatever q it was extended to."""
+        _, (dw_rows, g, ad), powers, _, slots, *_ = self._block
+        k, r, nq = len(self._powers), self.RANK, len(slots)
         dw = dw_rows.reshape(k, 6, nq, 8)
         ad = ad.reshape(nq, r, k, 6).transpose(0, 2, 1, 3)  # (Q, K, 10, 6)
         if self._block_steps == 0:
@@ -659,22 +668,25 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     # a step whose drive rows differ from its predecessor's loads its own
     # operator, built with those of the next _CHUNK_STEPS - 1 such steps
     rebuild = _drive_changes(omega_c, omega_a)
+    # only the changed steps' rows are read again; the others are let go
     changed = np.flatnonzero(rebuild)
+    omega_c, omega_a = omega_c[changed], omega_a[changed]
     built = 0  # changed steps whose operators have been loaded
     # the half system steps from one block start to the next at once; the
     # full path takes every step on its own
     starts = (np.flatnonzero(_block_starts(n0, rebuild, every, snap_steps)).tolist()
               if half is not None else list(range(n_steps)))
+    longest = min(every, _BLOCK_STEPS)  # each record step ends a block
     for i, end in zip(starts, starts[1:] + [n_steps]):
         if rebuild[i]:
             if built % _CHUNK_STEPS == 0:
-                chunk = changed[built:built + _CHUNK_STEPS]
+                chunk = slice(built, built + _CHUNK_STEPS)
                 table = prop.build(omega_c[chunk], omega_a[chunk])
             prop.load(table, built % _CHUNK_STEPS)
             built += 1
         n = n0 + end  # global index of the step that ends the block
         if end - i >= _SHORTEST_BLOCK:
-            prop.advance_block(state, n, inject[i:end])
+            prop.advance_block(state, n, inject[i:end], longest)
         else:
             for j in range(i, end):
                 prop.advance(state, n0 + j + 1, inject[j], 0.0)

@@ -1119,9 +1119,9 @@ def _spy_blocks(monkeypatch) -> list[tuple[int, int]]:
     blocks = []
     advance_block = _Propagator.advance_block
 
-    def spied(self, state, n, inject):
+    def spied(self, state, n, inject, longest):
         blocks.append((n, len(inject)))
-        return advance_block(self, state, n, inject)
+        return advance_block(self, state, n, inject, longest)
 
     monkeypatch.setattr(_Propagator, "advance_block", spied)
     return blocks
@@ -1234,7 +1234,7 @@ class TestBlocks:
         for drive in (1.5, 0.4):
             prop.load(prop.build(np.full((1, 3), drive + 0j),
                                  np.full((1, 3), 0.3 + 0j)), 0)
-            prop.advance_block(blocked, 12, inject)
+            prop.advance_block(blocked, 12, inject, 16)
             for i, value in enumerate(inject):
                 prop.advance(single, i + 1, value, 0.0)
         for got, want in ((blocked.f, single.f), (blocked.a, single.a)):

@@ -446,9 +446,9 @@ class TestBranchedSweeps:
         blocks = []
         advance_block = _Propagator.advance_block
 
-        def counted(self, state, n, inject):
+        def counted(self, state, n, inject, longest):
             blocks.append(n)
-            advance_block(self, state, n, inject)
+            advance_block(self, state, n, inject, longest)
 
         monkeypatch.setattr(_Propagator, "advance_block", counted)
         self._forward(monkeypatch, "memory", [4.0, 2.5, 0.0, 1.3], base, setup)
