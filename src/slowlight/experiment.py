@@ -369,11 +369,11 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     for j in range(1, max(lengths, default=0) + 1):
         prop.transpose(xi)
         group = groups.get(-j % every, ())
-        due = sum(lengths[b] >= j for b in group)
-        if due:
+        if due := sum(lengths[b] >= j for b in group):
             # einsum sums in its own loop: a BLAS dot would split the sum
             # by thread count and change the last digits with it
-            for b, v in zip(group, np.einsum("bi,i->b", rows[-j % every][:due], flat)):
+            read = np.einsum("bi,i->b", rows[-j % every][:due], flat)
+            for b, v in zip(group, read):
                 steps[b].append(at[b] + j)
                 values[b].append(v)
     records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
@@ -394,12 +394,11 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     The longest point is the trunk: it runs once from t = 0 and leaves a
     snapshot for each point at the last block start it shares with the
     point at or before the point's branch step (see _branch_steps and
-    _shared_block_start), from which the point runs on.  A point whose held
-    stretch (see _held_start) reads the
-    drive rows of the trunk's last step stops where that stretch starts, and
-    one adjoint pass of the shared held map gives the records of all such
-    stretches (see _held_records); a point with no held stretch runs to its
-    end.  Peaks agree with independent runs of each point to rounding.  Each
+    _shared_block_start), from which the point runs on.  A point whose
+    held stretch (see _held_start) reads the drive rows of the trunk's
+    last step stops where that stretch starts, and one adjoint pass of the
+    shared held map gives the records of all such stretches (see
+    _held_records); a point with no held stretch runs to its end.  Peaks agree with independent runs of each point to rounding.  Each
     point ends release_window_us after its release, so a base that sets
     t_end_us is a ValueError.  threads > 1 runs the points' forward steps in
     a thread pool.  Each distinct warning raised while building the points'
@@ -425,8 +424,8 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     # the drive rows of the trunk's last step, which it holds
     held = _step_reads(sequences[trunk], dt, ends[trunk] - 1, ends[trunk])[:2]
     stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
-    # a point that stops before its branch step is still on the trunk there
     every = _record_every(sequences[trunk], dt)
+    # a point that stops before its branch step is still on the trunk there
     starts = [_shared_block_start(s, sequences[trunk], dt, min(b, n), every)
               for s, b, n in zip(sequences, branch, stops)]
     steps = sorted({s for s in starts if s > 0})
