@@ -766,8 +766,10 @@ def _block_starts(n0: int, changed: np.ndarray, every: int,
     and the rows alone, so a run resumed at a block start makes the blocks
     of the uninterrupted run."""
     n = np.arange(n0, n0 + len(changed))
-    return (changed | (n % every == 0) | (n % _FINITE_CHECK_EVERY == 0)
-            | (n % _BLOCK_STEPS == 0) | np.isin(n, list(snaps)))
+    starts = (changed | (n % every == 0) | (n % _FINITE_CHECK_EVERY == 0)
+              | (n % _BLOCK_STEPS == 0))
+    starts[[s - n0 for s in snaps if n0 <= s < n0 + len(changed)]] = True
+    return starts
 
 
 def _record_every(sequence, dt: float) -> int:
