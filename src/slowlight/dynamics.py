@@ -9,10 +9,12 @@ cell with a classical 4th-order Runge-Kutta update.  The drives are
 uniform in z, so that update is one linear map in every cell, applied as
 float64 matrix products to the cell-major state's float views (see
 _Propagator), built for up to 16 changing steps at once and kept while
-the drive samples repeat.  On a half system (see _halve) run_dynamics
-steps each stretch of one map between two block starts (see _block_starts)
+the drive samples repeat.  run_dynamics walks the same block starts on
+either system (see _block_starts), and every run of one record cadence
+starts a block on one grid of steps (see _grid_start).  On a half system
+(see _halve) it steps each stretch of one map between two block starts
 as one block, from the atoms' response to the stretch's fields (see
-_Propagator.advance_block).
+_Propagator.advance_block); the full system takes single steps.
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -23,6 +25,7 @@ the lossless limit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from array import array
@@ -35,10 +38,19 @@ from numpy.lib.stride_tricks import as_strided
 from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
                      group_velocity)
 
-_FINITE_CHECK_EVERY = 64  # steps between NaN/Inf sweeps of the state
 _CHUNK_STEPS = 16  # most steps whose operators one build call traces
 _BLOCK_STEPS = 32  # most steps in one block (see _block_starts)
+_FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS  # steps between NaN/Inf sweeps, on the grid
 _SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
+
+
+@functools.lru_cache(maxsize=4)
+def _tiny(n: int) -> np.ndarray:
+    """n read-only weights 2^-64: a dot with them sums n floats scaled so
+    far down that finite ones cannot overflow (see SimState.check_finite)."""
+    tiny = np.full(n, 2.0 ** -64)
+    tiny.flags.writeable = False
+    return tiny
 
 
 class CFLViolation(ValueError):
@@ -160,11 +172,12 @@ class SimState:
     def check_finite(self) -> None:
         """Raise NumericalAbort naming the first non-finite value's cell.
 
-        A NaN or infinity makes the sum of the float views non-finite; a
-        finite sum that overflows falls through to the search, which then
-        finds nothing."""
-        if math.isfinite(np.add.reduce(self.f.ravel().view(float))
-                         + np.add.reduce(self.a.ravel().view(float))):
+        The fast pass dots each float view with weights 2^-64: a NaN or
+        infinity makes the dot non-finite (+inf and -inf in one view also
+        warn), and a finite view's dot cannot overflow."""
+        f, a = self.f.reshape(-1).view(float), self.a.reshape(-1).view(float)
+        if (math.isfinite(np.dot(f, _tiny(f.size)))
+                and math.isfinite(np.dot(a, _tiny(a.size)))):
             return
         for name, arr in (("fields", self.f), ("atoms", self.a)):
             bad = np.argwhere(~np.isfinite(arr))
@@ -276,7 +289,7 @@ class _Propagator:
         self.f_op = np.empty((ny, nf))
         self._adjoint = None  # transpose's operators, remade after a load
         self._block = None  # advance_block's operators and work areas
-        self._block_steps = 0  # steps its operators cover, 0 after a load
+        self._block_loaded = False  # whether its operators are the loaded one's
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=float if self.half else complex)
@@ -351,7 +364,7 @@ class _Propagator:
                   out=self.w.reshape(1, -1, w.shape[-1]))
         self.f_op[:] = f[row]
         self._adjoint = None
-        self._block_steps = 0
+        self._block_loaded = False
 
     def _views(self, state: SimState) -> tuple:
         """The float views of state.f (M, 4; a half system's real f is its
@@ -406,7 +419,8 @@ class _Propagator:
         """Advance a half system in place by q = len(inject) steps of the
         loaded operator, to t = n dt: what q advance calls with inject_plus
         = inject[i] and no inject_minus do, to rounding.  longest >= q, the
-        longest block of the run, sizes the operators and work areas.
+        longest block of the run, sizes the work areas and the operators,
+        which are made once per loaded operator.
 
         Over such a stretch every step maps the atoms x and the field
         functionals y = (advected fields, sources s = x W) as x' = x D +
@@ -425,8 +439,8 @@ class _Propagator:
         q = len(inject)
         if self._block is None or len(self._block[4]) != longest:  # its slots
             self._make_block(longest)
-        if self._block_steps < q:
-            self._extend_block(q)
+        if not self._block_loaded:
+            self._load_block()
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(state)
         history, stacks, powers, sources, slots, out, fields = self._block
         r = self.RANK
@@ -460,6 +474,7 @@ class _Propagator:
         cells = len(self._phi)
         history = np.zeros((cells, r * (nq + 1)))
         g = np.zeros((r * nq + r, r))
+        g[-8:, :8] = np.eye(8)
         out = np.empty((cells, r))
         self._block = (
             history, (np.empty((6 * k, 8 * nq)), g, np.empty((r * nq, 6 * k))),
@@ -470,33 +485,30 @@ class _Propagator:
               history[:, r * i + 2:r * i + r], history[1:, r * i + r],
               history[:-1, r * i + r + 1]) for i in range(nq)],
             out, (out[:, :8], out[:-1, 8], out[1:, 9]))
-        self._block_steps = 0
+        self._block_loaded = False
 
-    def _extend_block(self, q: int) -> None:
-        """Extend advance_block's operators of the loaded operator to
-        stretches of q steps, from per-class products of the D_k (see
-        _make_block).  Each part depends on the loaded operator alone,
-        whatever q it was extended to."""
+    def _load_block(self) -> None:
+        """Make advance_block's operators of the loaded operator, for blocks
+        of up to the Q steps of _make_block, in one pass of per-class
+        products of the D_k."""
         _, (dw_rows, g, ad), powers, _, slots, *_ = self._block
         k, r, nq = len(self._powers), self.RANK, len(slots)
         dw = dw_rows.reshape(k, 6, nq, 8)
         ad = ad.reshape(nq, r, k, 6).transpose(0, 2, 1, 3)  # (Q, K, 10, 6)
-        if self._block_steps == 0:
-            dw[:, :, 0] = self.w.reshape(k, 6, 8)
-            ad[-1] = self.a_op.reshape(r, k, 6).swapaxes(0, 1)
-            powers[0] = self.d
-            g[-r:-8, 8:] = self.f_op[:2]
-            g[-8:, :8] = np.eye(8)
-            g[-8:, 8:] = self.f_op[2:]
-        for j in range(max(1, self._block_steps), q):
-            np.matmul(self.d, dw[:, :, j - 1], out=dw[:, :, j])
-            np.matmul(ad[nq - j], self.d, out=ad[nq - 1 - j])
-            np.matmul(powers[j - 1], self.d, out=powers[j])
-        for j in range(self._block_steps, q):
+        dw[:, :, 0] = self.w.reshape(k, 6, 8)
+        ad[-1] = self.a_op.reshape(r, k, 6).swapaxes(0, 1)
+        powers[0] = self.d
+        g[-r:-8, 8:] = self.f_op[:2]
+        g[-8:, 8:] = self.f_op[2:]
+        for j in range(nq):
+            if j:
+                np.matmul(self.d, dw[:, :, j - 1], out=dw[:, :, j])
+                np.matmul(ad[nq - j], self.d, out=ad[nq - 1 - j])
+                np.matmul(powers[j - 1], self.d, out=powers[j])
             rows = g[r * (nq - 1 - j):r * (nq - j)]
             np.matmul(self.a_op, dw_rows[:, 8 * j:8 * j + 8], out=rows[:, :8])
             np.matmul(rows[:, :8], self.f_op[2:], out=rows[:, 8:])
-        self._block_steps = q
+        self._block_loaded = True
 
     def transpose(self, xi: SimState) -> None:
         """Apply the transpose of advance's float map to the covector xi in
@@ -622,11 +634,12 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     A conjugate-symmetric run (real drives and probe, +/- paired classes
     and a mirrored starting state, see _halve) integrates its half system
     and expands each snapshot and the final state to a full state, mirrored
-    exactly.  Resuming from one halves it back to the same half state.  The
-    half system steps from each block start (see _block_starts) to the next
-    as one block (see _Propagator.advance_block), or as single steps when
-    they are fewer than _SHORTEST_BLOCK; a snapshot step starts a block, so
-    resumes are bitwise on either path.
+    exactly.  Resuming from one halves it back to the same half state.
+    Either system walks the block starts of _block_starts.  The half system
+    steps from each to the next as one block (see
+    _Propagator.advance_block), or as single steps when they are fewer
+    than _SHORTEST_BLOCK; the full system always takes single steps.  A
+    snapshot step starts a block, so resumes are bitwise on either path.
     """
     dt = grid.dz / m.c
     if initial_state is None:
@@ -665,17 +678,16 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     # steps on the multiples of `every` record, those of a resumed run too
     if n0 % every == 0:
         record()
-    # a step whose drive rows differ from its predecessor's loads its own
-    # operator, built with those of the next _CHUNK_STEPS - 1 such steps
-    rebuild = _drive_changes(omega_c, omega_a)
+    # a step whose drive rows differ from its predecessor's (always the
+    # first) loads its own operator, built with those of the next
+    # _CHUNK_STEPS - 1 such steps
+    rebuild = np.ones(n_steps, dtype=bool)
+    rebuild[1:] = _differ((omega_c[1:], omega_a[1:]), (omega_c, omega_a))
     # only the changed steps' rows are read again; the others are let go
     changed = np.flatnonzero(rebuild)
     omega_c, omega_a = omega_c[changed], omega_a[changed]
     built = 0  # changed steps whose operators have been loaded
-    # the half system steps from one block start to the next at once; the
-    # full path takes every step on its own
-    starts = (np.flatnonzero(_block_starts(n0, rebuild, every, snap_steps)).tolist()
-              if half is not None else list(range(n_steps)))
+    starts = np.flatnonzero(_block_starts(n0, rebuild, every, snap_steps)).tolist()
     longest = min(every, _BLOCK_STEPS)  # each record step ends a block
     for i, end in zip(starts, starts[1:] + [n_steps]):
         if rebuild[i]:
@@ -685,7 +697,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
             prop.load(table, built % _CHUNK_STEPS)
             built += 1
         n = n0 + end  # global index of the step that ends the block
-        if end - i >= _SHORTEST_BLOCK:
+        if half is not None and end - i >= _SHORTEST_BLOCK:
             prop.advance_block(state, n, inject[i:end], longest)
         else:
             for j in range(i, end):
@@ -747,27 +759,37 @@ def _expand(half: SimState) -> SimState:
                     np.concatenate([w, w[::-1]]))
 
 
-def _drive_changes(omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
-    """Per step of the drive rows: whether they differ from those of the
-    step before (always, for the first), compared column by column."""
-    changed = np.ones(len(omega_c), dtype=bool)
-    changed[1:] = np.any([rows[1:, k] != rows[:-1, k] for rows in (omega_c, omega_a)
-                          for k in range(3)], axis=0)
-    return changed
+def _differ(ours: tuple, theirs: tuple) -> np.ndarray:
+    """Per step of `ours`, whether its reads (see _step_reads) differ from
+    `theirs`: the reads of as many steps or more, or of one step, which
+    broadcasts.  Compared column by column, faster than by strided rows."""
+    differ = np.zeros(len(ours[0]), dtype=bool)
+    for a, b in zip(ours, theirs):
+        for x, y in zip(np.atleast_2d(a.T), np.atleast_2d(b.T)):
+            differ |= x != y[:len(x)]
+    return differ
+
+
+def _grid_start(n, every: int):
+    """The last global step at or before n (an int or an array) on the block
+    grid: a multiple of the record cadence every or of _BLOCK_STEPS.  Every
+    run of that cadence starts a block on the grid (see _block_starts), so
+    two runs that read alike before a grid step hold the same state there,
+    bit for bit."""
+    return np.maximum(n - n % every, n - n % _BLOCK_STEPS)
 
 
 def _block_starts(n0: int, changed: np.ndarray, every: int,
                   snaps=()) -> np.ndarray:
-    """Per step n0 + i of a half-system run, whether a block starts there:
-    at a step whose drive rows change (changed, see _drive_changes; always
-    the run's first), and after each record step (a multiple of every),
-    each multiple of _FINITE_CHECK_EVERY and _BLOCK_STEPS and each step in
+    """Per step n0 + i of a run, whether a block starts there: at a step
+    whose drive rows change (changed; always the run's first), on the
+    block grid (see _grid_start), which holds the step after each record
+    step and each multiple of _FINITE_CHECK_EVERY, and at each step in
     snaps, whose states the run reads.  The rule reads global step indices
     and the rows alone, so a run resumed at a block start makes the blocks
     of the uninterrupted run."""
     n = np.arange(n0, n0 + len(changed))
-    starts = (changed | (n % every == 0) | (n % _FINITE_CHECK_EVERY == 0)
-              | (n % _BLOCK_STEPS == 0))
+    starts = changed | (_grid_start(n, every) == n)
     starts[[s - n0 for s in snaps if n0 <= s < n0 + len(changed)]] = True
     return starts
 

@@ -20,11 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (_BLOCK_STEPS, DetectorTrace, Grid, NumericalAbort,
-                       SimState, _block_starts, _check_probe_resolution,
-                       _drive_changes, _halve, _Propagator, _record_every,
-                       _step_index, _step_reads, balance_residual,
-                       run_dynamics)
+from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
+                       _check_probe_resolution, _differ, _grid_start, _halve,
+                       _Propagator, _record_every, _step_index, _step_reads,
+                       balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A")
@@ -252,17 +251,6 @@ class SweepResult:
             raise ValueError("intensities must be >= 0")
 
 
-def _differ(ours: tuple, theirs: tuple) -> np.ndarray:
-    """Per step of `ours`, whether its reads (see _step_reads) differ from
-    `theirs`: the reads of as many steps or more, or of one step, which
-    broadcasts.  Compared column by column, faster than by strided rows."""
-    differ = np.zeros(len(ours[0]), dtype=bool)
-    for a, b in zip(ours, theirs):
-        for x, y in zip(np.atleast_2d(a.T), np.atleast_2d(b.T)):
-            differ |= x != y[:len(x)]
-    return differ
-
-
 def _branch_steps(sequences: Sequence[PulseSequence], trunk: PulseSequence,
                   dt: float, ends: Sequence[int]) -> list[int]:
     """Global steps from which each sequence can resume a snapshot of `trunk`.
@@ -287,22 +275,6 @@ def _branch_steps(sequences: Sequence[PulseSequence], trunk: PulseSequence,
             if (differ := _differ(ours, theirs)).any():
                 branch[i] = n + int(np.argmax(differ))
     return branch
-
-
-def _shared_block_start(sequence: PulseSequence, trunk: PulseSequence,
-                        dt: float, start: int, every: int) -> int:
-    """The last global step at or before `start` at which a block starts
-    (see dynamics._block_starts) both in the trunk's run and in
-    `sequence`'s, which read alike before `start`: there the trunk's state
-    is the one `sequence`'s own run has, bit for bit.  A multiple of
-    _BLOCK_STEPS starts a block in every run, so the search reads back to
-    the last one."""
-    lo = start - start % _BLOCK_STEPS
-    shared = np.ones(start - lo + 1, dtype=bool)
-    for s in (sequence, trunk):
-        omega_c, omega_a, _ = _step_reads(s, dt, lo, start + 1)
-        shared &= _block_starts(lo, _drive_changes(omega_c, omega_a), every)
-    return lo + int(np.flatnonzero(shared)[-1])
 
 
 def _held_start(sequence: PulseSequence, dt: float, n_steps: int,
@@ -392,13 +364,15 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     """Run protocol `kind` at each value of `field`, sharing the prefix.
 
     The longest point is the trunk: it runs once from t = 0 and leaves a
-    snapshot for each point at the last block start it shares with the
-    point at or before the point's branch step (see _branch_steps and
-    _shared_block_start), from which the point runs on.  A point whose
+    snapshot for each point at the last step of the block grid at or
+    before the point's branch step (see _branch_steps and
+    dynamics._grid_start), from which the point runs on: every run starts
+    a block there, so the trunk's state is the point's own.  A point whose
     held stretch (see _held_start) reads the drive rows of the trunk's
     last step stops where that stretch starts, and one adjoint pass of the
     shared held map gives the records of all such stretches (see
-    _held_records); a point with no held stretch runs to its end.  Peaks agree with independent runs of each point to rounding.  Each
+    _held_records); a point with no held stretch runs to its end.  Peaks
+    agree with independent runs of each point to rounding.  Each
     point ends release_window_us after its release, so a base that sets
     t_end_us is a ValueError.  threads > 1 runs the points' forward steps in
     a thread pool.  Each distinct warning raised while building the points'
@@ -426,8 +400,7 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
     every = _record_every(sequences[trunk], dt)
     # a point that stops before its branch step is still on the trunk there
-    starts = [_shared_block_start(s, sequences[trunk], dt, min(b, n), every)
-              for s, b, n in zip(sequences, branch, stops)]
+    starts = [int(_grid_start(min(b, n), every)) for b, n in zip(branch, stops)]
     steps = sorted({s for s in starts if s > 0})
     trunk_trace, snapshots = run_dynamics(sequences[trunk], m, grid, classes,
                                           snapshot_steps=steps,

@@ -331,18 +331,18 @@ class TestStep:
                 state.check_finite()
 
     def test_finite_sum_that_overflows_does_not_abort(self):
-        # the fast pass sums the float views, which overflows to inf here;
-        # the search behind it finds every value finite
+        # a plain sum of the float views overflows to inf here; the check
+        # passes every finite state, and warns of no overflow
         state = _state(classes=make_spectral_classes(30.0, 4, "lorentzian"))
         for arr in (state.f, state.a):
             arr.ravel().view(float)[:2] = 1e308
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # overflow
+                warnings.simplefilter("error")
                 state.check_finite()
             arr[...] = 0.0
         state.e_plus[0] = state.s[3, 1] = 1e308
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             state.check_finite()
 
     def test_half_steps_sampled_as_run_dynamics_samples_them(self):
@@ -1198,7 +1198,8 @@ class TestBlocks:
                          snapshot_steps=snaps)
         n_steps = round(sequence.t_end_us / dt)
         omega_c, omega_a, _ = dynamics._step_reads(sequence, dt, 0, n_steps)
-        changed = dynamics._drive_changes(omega_c, omega_a)
+        changed = np.ones(n_steps, dtype=bool)  # rows unlike the step before's
+        changed[1:] = dynamics._differ((omega_c[1:], omega_a[1:]), (omega_c, omega_a))
         starts = [*np.flatnonzero(dynamics._block_starts(
             0, changed, _record_every(sequence, dt), snaps)), n_steps]
         want = [(end, end - start) for start, end in zip(starts, starts[1:])
@@ -1218,6 +1219,26 @@ class TestBlocks:
             _step_loop(sequence, half.M, half.GRID,
                        make_spectral_classes(30.0, 4, "lorentzian"))
         assert blocks == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(n0=st.integers(0, 10_000), every=st.integers(1, 100),
+           changed=st.lists(st.booleans(), min_size=1, max_size=300),
+           snaps=st.lists(st.integers(-10, 310), max_size=6))
+    def test_blocks_start_on_the_grid(self, n0, every, changed, snaps):
+        # every run of one record cadence starts a block at each step of
+        # the block grid, whatever its start, drive rows and snapshots, so
+        # a sweep's trunk and points hold the same state there
+        changed, snaps = np.array(changed), [n0 + s for s in snaps]
+        starts = dynamics._block_starts(n0, changed, every, snaps)
+        n = np.arange(n0, n0 + len(changed))
+        grid = dynamics._grid_start(n, every)
+        back = n - grid  # steps back to the grid
+        assert ((back >= 0) & (back < min(every, dynamics._BLOCK_STEPS))).all()
+        assert [dynamics._grid_start(int(s), every) for s in n[:3]] == list(grid[:3])
+        assert starts[grid[grid >= n0] - n0].all()
+        assert starts[n % dynamics._FINITE_CHECK_EVERY == 0].all()
+        snapped = np.isin(n, snaps)
+        assert np.array_equal(starts, changed | (back == 0) | snapped)
 
     def test_a_block_after_a_load_uses_the_loaded_operator(self):
         # a block of one operator, then a load of another: the next block

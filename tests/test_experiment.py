@@ -379,6 +379,22 @@ def _probe_warnings(record):
     return [w for w in record if "probe pulse spans" in str(w.message)]
 
 
+def _spy_sweep_runs(monkeypatch, dt):
+    """Record the sweep's run_dynamics calls: the trunk's snapshot steps,
+    then per point the global step it resumes from (0 from t = 0)."""
+    runs = []
+    run = experiment.run_dynamics
+
+    def spied(sequence, *args, initial_state=None, snapshot_steps=(), **kwargs):
+        runs.append(list(snapshot_steps) if not runs else
+                    0 if initial_state is None else round(initial_state.t / dt))
+        return run(sequence, *args, initial_state=initial_state,
+                   snapshot_steps=snapshot_steps, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_dynamics", spied)
+    return runs
+
+
 class TestBranchedSweeps:
     """Sweeps integrate one trunk and branch each point off a snapshot of
     it.  With the held stretches switched off, every point runs forward to
@@ -435,14 +451,15 @@ class TestBranchedSweeps:
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0,
                               sample_rate=2.5)
-        shared = []
-        search = experiment._shared_block_start
+        branches = []
+        branch_steps = experiment._branch_steps
 
-        def spied(sequence, trunk, dt, start, every):
-            shared.append((start, search(sequence, trunk, dt, start, every)))
-            return shared[-1][1]
+        def spied(*args):
+            branches.extend(branch_steps(*args))
+            return branches
 
-        monkeypatch.setattr(experiment, "_shared_block_start", spied)
+        monkeypatch.setattr(experiment, "_branch_steps", spied)
+        runs = _spy_sweep_runs(monkeypatch, 1 / 80)
         blocks = []
         advance_block = _Propagator.advance_block
 
@@ -452,8 +469,26 @@ class TestBranchedSweeps:
 
         monkeypatch.setattr(_Propagator, "advance_block", counted)
         self._forward(monkeypatch, "memory", [4.0, 2.5, 0.0, 1.3], base, setup)
+        shared = list(zip(branches, runs[1:]))
         assert (1240, 1216) in shared and (1144, 1120) in shared
+        assert {1216, 1120} <= set(runs[0])
         assert blocks
+
+    def test_snapshot_before_a_shared_block_start(self, monkeypatch):
+        # one record every 4 steps (dt = 1/80 us); the writing coupling's
+        # ramp ends at step 1041, where the trunk's (T = 4) drive rows
+        # change and T = 0's retrieval ramp starts, so both runs start a
+        # block there, but off the block grid: T = 0 resumes from the grid
+        # step 1040 before it
+        setup = _mini_setup(n_classes=2, cells=16)
+        base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
+                              c_off_us=13.0125, release_window_us=8.0)
+        runs = _spy_sweep_runs(monkeypatch, 1 / 80)
+        result = self._forward(monkeypatch, "memory", [4.0, 0.0, 2.5], base,
+                               setup)
+        assert runs == [[1040, 1240, 2000], 2000, 1040, 1240]
+        # the trunk to 2000, then each point from its snapshot to its end
+        assert result.simulated_steps == 2000 + 1 + 641 + 641 == 3283
 
     def test_points_differing_only_in_the_probe(self, monkeypatch):
         # three equal memory points, the last two with a probe blip in the
