@@ -9,12 +9,10 @@ cell with a classical 4th-order Runge-Kutta update.  The drives are
 uniform in z, so that update is one linear map in every cell, applied as
 float64 matrix products to the cell-major state's float views (see
 _Propagator), built for up to 16 changing steps at once and kept while
-the drive samples repeat.  run_dynamics walks the same block starts on
-either system (see _block_starts), and every run of one record cadence
-starts a block on one grid of steps (see _grid_start).  On a half system
-(see _halve) it steps each stretch of one map between two block starts
-as one block, from the atoms' response to the stretch's fields (see
-_Propagator.advance_block); the full system takes single steps.
+the drive samples repeat.  run_dynamics walks the block starts of
+_block_starts on either system; on a half system (see _halve) it steps
+each stretch of one map between two of them as one block, from the
+atoms' response to the stretch's fields (see _Propagator.advance_block).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -46,8 +44,7 @@ _SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
 
 @functools.lru_cache(maxsize=4)
 def _tiny(n: int) -> np.ndarray:
-    """n read-only weights 2^-64: a dot with them sums n floats scaled so
-    far down that finite ones cannot overflow (see SimState.check_finite)."""
+    """n read-only weights 2^-64 (see SimState.check_finite)."""
     tiny = np.full(n, 2.0 ** -64)
     tiny.flags.writeable = False
     return tiny
@@ -488,9 +485,9 @@ class _Propagator:
         self._block_loaded = False
 
     def _load_block(self) -> None:
-        """Make advance_block's operators of the loaded operator, for blocks
-        of up to the Q steps of _make_block, in one pass of per-class
-        products of the D_k."""
+        """Make advance_block's operators of the loaded operator for blocks
+        of up to Q steps (see _make_block) from per-class products of the
+        D_k."""
         _, (dw_rows, g, ad), powers, _, slots, *_ = self._block
         k, r, nq = len(self._powers), self.RANK, len(slots)
         dw = dw_rows.reshape(k, 6, nq, 8)
@@ -635,11 +632,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     and a mirrored starting state, see _halve) integrates its half system
     and expands each snapshot and the final state to a full state, mirrored
     exactly.  Resuming from one halves it back to the same half state.
-    Either system walks the block starts of _block_starts.  The half system
-    steps from each to the next as one block (see
-    _Propagator.advance_block), or as single steps when they are fewer
-    than _SHORTEST_BLOCK; the full system always takes single steps.  A
-    snapshot step starts a block, so resumes are bitwise on either path.
+    Either system walks the block starts of _block_starts, the full one in
+    single steps; the half one steps from each to the next as one block
+    (see _Propagator.advance_block), or as single steps when they are
+    fewer than _SHORTEST_BLOCK.  A snapshot step starts a block, so
+    resumes are bitwise on either path.
     """
     dt = grid.dz / m.c
     if initial_state is None:
@@ -772,10 +769,8 @@ def _differ(ours: tuple, theirs: tuple) -> np.ndarray:
 
 def _grid_start(n, every: int):
     """The last global step at or before n (an int or an array) on the block
-    grid: a multiple of the record cadence every or of _BLOCK_STEPS.  Every
-    run of that cadence starts a block on the grid (see _block_starts), so
-    two runs that read alike before a grid step hold the same state there,
-    bit for bit."""
+    grid, the multiples of every and of _BLOCK_STEPS, where every run of
+    record cadence every starts a block (see _block_starts)."""
     return np.maximum(n - n % every, n - n % _BLOCK_STEPS)
 
 
@@ -783,9 +778,9 @@ def _block_starts(n0: int, changed: np.ndarray, every: int,
                   snaps=()) -> np.ndarray:
     """Per step n0 + i of a run, whether a block starts there: at a step
     whose drive rows change (changed; always the run's first), on the
-    block grid (see _grid_start), which holds the step after each record
-    step and each multiple of _FINITE_CHECK_EVERY, and at each step in
-    snaps, whose states the run reads.  The rule reads global step indices
+    block grid (see _grid_start), so after each record step and at each
+    multiple of _FINITE_CHECK_EVERY, and at each step in snaps, whose
+    states the run reads.  The rule reads global step indices
     and the rows alone, so a run resumed at a block start makes the blocks
     of the uninterrupted run."""
     n = np.arange(n0, n0 + len(changed))
