@@ -11,7 +11,9 @@ and the sha256 of the configuration text, and identical configurations
 produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical
-failure, 4 I/O failure.
+failure, 4 I/O failure.  A run whose final state fails the weak-probe
+check, like a fit that did not converge, is still written and exits 0,
+with one warning line on stderr.
 """
 from __future__ import annotations
 
@@ -161,8 +163,12 @@ def cmd_run(args) -> int:
     markers = [{"channel": e.channel, "t_start_us": e.t_start,
                 "duration_us": e.duration, "peak": e.peak, "shape": e.shape}
                for e in sequence.events]
-    report = {"events": markers,
-              "checks": {"weak_probe_ok": snapshots[-1].weak_probe_ok},
+    weak_probe_ok = snapshots[-1].weak_probe_ok
+    if not weak_probe_ok:
+        print(f"warning: the run of {args.config} fails the weak-probe check: "
+              "an atomic amplitude of its final state exceeds 1",
+              file=sys.stderr)
+    report = {"events": markers, "checks": {"weak_probe_ok": weak_probe_ok},
               "optical_depth": m.optical_depth}
     if cfg.protocol.kind == "slow_light":
         try:

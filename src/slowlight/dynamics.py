@@ -38,7 +38,7 @@ from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
 
 _CHUNK_STEPS = 16  # most steps whose operators one build call traces
 _BLOCK_STEPS = 32  # most steps in one block (see _block_starts)
-_FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS  # steps between NaN/Inf sweeps, on the grid
+_FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS  # steps between NaN/Inf sweeps, at block starts
 _SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
 
 
@@ -767,24 +767,17 @@ def _differ(ours: tuple, theirs: tuple) -> np.ndarray:
     return differ
 
 
-def _grid_start(n, every: int):
-    """The last global step at or before n (an int or an array) on the block
-    grid, the multiples of every and of _BLOCK_STEPS, where every run of
-    record cadence every starts a block (see _block_starts)."""
-    return np.maximum(n - n % every, n - n % _BLOCK_STEPS)
-
-
 def _block_starts(n0: int, changed: np.ndarray, every: int,
                   snaps=()) -> np.ndarray:
     """Per step n0 + i of a run, whether a block starts there: at a step
-    whose drive rows change (changed; always the run's first), on the
-    block grid (see _grid_start), so after each record step and at each
-    multiple of _FINITE_CHECK_EVERY, and at each step in snaps, whose
-    states the run reads.  The rule reads global step indices
-    and the rows alone, so a run resumed at a block start makes the blocks
-    of the uninterrupted run."""
+    whose drive rows change (changed; always the run's first), at each
+    record step (a multiple of every) and each multiple of _BLOCK_STEPS,
+    so at each multiple of _FINITE_CHECK_EVERY, and at each step in snaps,
+    whose states the run reads.  The rule reads global step indices and
+    the rows alone, so a run resumed at a block start, such as a record
+    step, makes the blocks of the uninterrupted run."""
     n = np.arange(n0, n0 + len(changed))
-    starts = changed | (_grid_start(n, every) == n)
+    starts = changed | (n % every == 0) | (n % _BLOCK_STEPS == 0)
     starts[[s - n0 for s in snaps if n0 <= s < n0 + len(changed)]] = True
     return starts
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
-                       _check_probe_resolution, _differ, _grid_start, _halve,
+                       _check_probe_resolution, _differ, _halve,
                        _Propagator, _record_every, _step_index, _step_reads,
                        balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
@@ -231,8 +231,9 @@ class SweepResult:
     """Peak released intensity versus a swept protocol parameter.
 
     simulated_steps counts the steps the sweep integrated: the trunk's, the
-    points' forward steps and the adjoint pass's; independent_steps counts
-    those that running every point from t = 0 would take.
+    points' forward steps and the adjoint pass's, to its last read;
+    independent_steps counts those that running every point from t = 0
+    would take.
     peak_at_window_end lists the values whose released peak is their last
     record: their window cut the pulse off.
     """
@@ -297,20 +298,20 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
                   every: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
 
-    State b sits at global step s_b and goes on for lengths[b] steps, each
-    with the drive rows `held` (C and A of one step, see _step_reads) and
-    nothing injected, so each step applies the one map R.  Its E+(1) after
-    j of them is e . R^j x_b, with e picking E+ in the last cell.  With
-    g_j = (R^T)^j e, R^T the transpose of the step's float map (see
-    _Propagator.transpose), sum g_j conj(x_b) is the complex conjugate of
-    that E+(1) on the full system, and its real part, the dot product of
-    the float views, is E+(1) on the half system, where E+ is real; the
-    pass runs on the half system when every state halves (see _halve).  So
-    one backward recursion serves every state: at each j, the states whose
-    step s_b + j is a record step of run_dynamics (a multiple of `every`)
-    read |E+(1)|^2 from g_j, all in one product.  Only the current g_j is
-    held.  A non-finite record raises NumericalAbort, as the forward run
-    would.
+    State b sits at a record step s_b of run_dynamics (a multiple of
+    `every`) and goes on for lengths[b] steps, each with the drive rows
+    `held` (C and A of one step, see _step_reads) and nothing injected,
+    so each step applies the one map R.  Its E+(1) after j of them is
+    e . R^j x_b, with e picking E+ in the last cell.  With g_j = (R^T)^j e,
+    R^T the transpose of the step's float map (see _Propagator.transpose),
+    sum g_j conj(x_b) is the complex conjugate of that E+(1) on the full
+    system, and its real part, the dot product of the float views, is E+(1)
+    on the half system, where E+ is real; the pass runs on the half system
+    when every state halves (see _halve).  So one backward recursion serves
+    every state: at each j that is a multiple of `every`, every state whose
+    stretch is that long reads |E+(1)|^2 from g_j, all in one product.
+    Only the current g_j is held, and the pass ends at its last read.  A
+    non-finite record raises NumericalAbort, as the forward run would.
     """
     halves = [_halve(x, *held) for x in starts]
     if all(x is not None for x in halves):
@@ -326,35 +327,29 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     xi.e_plus[-1] = 1.0
     prop = _Propagator(m, xi)
     prop.load(prop.build(*held), 0)
-    at = [_step_index(x.t, prop.dt) for x in starts]
-    # the states due at one j share at[b] % every; each such group is held
-    # longest stretch first, so those still in their stretch lead it
-    groups: dict[int, list[int]] = {}
-    for b in sorted(range(len(starts)), key=lambda b: -lengths[b]):
-        groups.setdefault(at[b] % every, []).append(b)
-    rows = {r: np.stack([np.concatenate([starts[b].f.ravel(),
-                                         starts[b].a.ravel().view(flat.dtype)])
-                         for b in group]).conj()
-            for r, group in groups.items()}
-    steps: list[list[int]] = [[] for _ in starts]
-    values: list[list[complex]] = [[] for _ in starts]
-    for j in range(1, max(lengths, default=0) + 1):
-        prop.transpose(xi)
-        group = groups.get(-j % every, ())
-        if due := sum(lengths[b] >= j for b in group):
-            # einsum sums in its own loop: a BLAS dot would split the sum
-            # by thread count and change the last digits with it
-            read = np.einsum("bi,i->b", rows[-j % every][:due], flat)
-            for b, v in zip(group, read):
-                steps[b].append(at[b] + j)
-                values[b].append(v)
-    records = [(np.array(n, dtype=float) * prop.dt, np.abs(np.array(v)) ** 2)
-               for n, v in zip(steps, values)]
-    for x, (t, intensity) in zip(starts, records):
-        bad = t[~np.isfinite(intensity)]
-        if len(bad):
+    # the states in order of their reads, most first, so that those still
+    # in their stretch lead the rows
+    counts = [n // every for n in lengths]
+    order = sorted(range(len(starts)), key=lambda b: -counts[b])
+    rows = np.stack([np.concatenate([starts[b].f.ravel(),
+                                     starts[b].a.ravel().view(flat.dtype)])
+                     for b in order]).conj()
+    reads = np.zeros((counts[order[0]], len(starts)), dtype=flat.dtype)
+    for r, read in enumerate(reads):
+        for _ in range(every):
+            prop.transpose(xi)
+        due = sum(c > r for c in counts)
+        # einsum sums in its own loop: a BLAS dot would split the sum
+        # by thread count and change the last digits with it
+        np.einsum("bi,i->b", rows[:due], flat, out=read[:due])
+    records = []
+    for b, (x, count) in enumerate(zip(starts, counts)):
+        n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
+        t, intensity = n * prop.dt, np.abs(reads[:count, order.index(b)]) ** 2
+        if len(bad := t[~np.isfinite(intensity)]):
             raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
                                  f"the held stretch from t={x.t:.6g} us")
+        records.append((t, intensity))
     return records
 
 
@@ -363,21 +358,22 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
            threads: int) -> SweepResult:
     """Run protocol `kind` at each value of `field`, sharing the prefix.
 
-    The longest point is the trunk: it runs once from t = 0 and leaves a
-    snapshot for each point at the last step of the block grid at or
-    before the point's branch step (see _branch_steps and
-    dynamics._grid_start), from which the point runs on: every run starts
-    a block there, so the trunk's state is the point's own.  A point whose
-    held stretch (see _held_start) reads the drive rows of the trunk's
-    last step stops where that stretch starts, and one adjoint pass of the
-    shared held map gives the records of all such stretches (see
-    _held_records); a point with no held stretch runs to its end.  Peaks
-    agree with independent runs of each point to rounding.  Each
-    point ends release_window_us after its release, so a base that sets
-    t_end_us is a ValueError.  threads > 1 runs the points' forward steps in
-    a thread pool.  Each distinct warning raised while building the points'
-    sequences or checking the probe resolution is raised once, blamed on the
-    caller of the public sweep.
+    The sweep knows one grid, the record steps (multiples of the record
+    cadence), where every run records and starts a block.  The longest
+    point is the trunk: it runs once from t = 0 and leaves a snapshot for
+    each point at the last record step at or before the point's branch
+    step (see _branch_steps) and held start (see _held_start), from which
+    the point runs on: the trunk's state there is the point's own.  A
+    point whose held stretch reads the drive rows of the trunk's last step
+    runs on to the first record step at or after the stretch's start, and
+    one adjoint pass of the shared held map gives the records of all such
+    stretches from there (see _held_records); a point with no held stretch
+    runs to its end.  Peaks agree with independent runs of each point to
+    rounding.  Each point ends release_window_us after its release, so a
+    base that sets t_end_us is a ValueError.  threads > 1 runs the points'
+    forward steps in a thread pool.  Each distinct warning raised while
+    building the points' sequences or checking the probe resolution is
+    raised once, blamed on the caller of the public sweep.
     """
     if base.t_end_us is not None:
         raise ValueError("a sweep ends each point by release_window_us; "
@@ -397,10 +393,12 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     branch = _branch_steps(sequences, sequences[trunk], dt, ends)
     # the drive rows of the trunk's last step, which it holds
     held = _step_reads(sequences[trunk], dt, ends[trunk] - 1, ends[trunk])[:2]
-    stops = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
+    held_starts = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
     every = _record_every(sequences[trunk], dt)
-    # a point that stops before its branch step is still on the trunk there
-    starts = [int(_grid_start(min(b, n), every)) for b, n in zip(branch, stops)]
+    # a point whose stretch starts before its branch step is still on the
+    # trunk there
+    starts = [(min(b, h) // every) * every for b, h in zip(branch, held_starts)]
+    stops = [min(-(-h // every) * every, n) for h, n in zip(held_starts, ends)]
     steps = sorted({s for s in starts if s > 0})
     trunk_trace, snapshots = run_dynamics(sequences[trunk], m, grid, classes,
                                           snapshot_steps=steps,
@@ -444,7 +442,8 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
         intensities=np.array([peak for _, peak in peaks]),
         peak_times=np.array([t_peak for t_peak, _ in peaks]),
         simulated_steps=(max(starts) + sum(s - b for s, b in zip(stops, starts))
-                         + max((n - s for n, s in zip(ends, stops)), default=0)),
+                         + every * max((n - s) // every
+                                       for n, s in zip(ends, stops))),
         independent_steps=sum(ends),
         peak_at_window_end=tuple(float(v) for v, (t_peak, _), (t, _)
                                  in zip(values, peaks, records)

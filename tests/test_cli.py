@@ -272,11 +272,12 @@ def cfg_file(tmp_path):
 
 
 class TestCommands:
-    def test_run_writes_trace_and_summary(self, cfg_file, tmp_path):
+    def test_run_writes_trace_and_summary(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["run", "--config", cfg_file(SMALL_RUN),
                      "--out", str(out)])
         assert code == EXIT_OK
+        assert capsys.readouterr().err == ""  # a weak probe warns of nothing
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0].startswith("# slowlight 0.1.0 config_sha256=")
         assert lines[1] == "t_us,fwd_intensity,bwd_intensity,spin_norm"
@@ -285,6 +286,20 @@ class TestCommands:
         assert parse_config(summary["config_echo"]) == parse_config(SMALL_RUN)
         assert summary["group_delay_us"] == \
             pytest.approx(summary["predicted_delay_us"], rel=0.10)
+
+    def test_run_warns_when_the_weak_probe_check_fails(self, cfg_file,
+                                                      tmp_path, capsys):
+        # a probe of amplitude 30 leaves atomic amplitudes up to 1.4 in the
+        # final state: the run is still written and exits 0
+        path = cfg_file(SMALL_RUN.replace("omega_C = 1.5",
+                                          "omega_C = 1.5\nprobe_amplitude = 30"))
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning:") and path in err[0]
+        assert "weak-probe" in err[0]
+        body = json.loads((tmp_path / "run.json").read_text())
+        assert body["checks"] == {"weak_probe_ok": False}
+        assert (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("coupling", [
         "omega_C = 1.5\nprobe_amplitude = 0",  # no pulse to time

@@ -1225,20 +1225,21 @@ class TestBlocks:
            changed=st.lists(st.booleans(), min_size=1, max_size=300),
            snaps=st.lists(st.integers(-10, 310), max_size=6))
     def test_blocks_start_on_the_grid(self, n0, every, changed, snaps):
-        # every run of one record cadence starts a block at each step of
-        # the block grid, whatever its start, drive rows and snapshots, so
-        # a sweep's trunk and points hold the same state there
+        # every run of one record cadence starts a block at each record
+        # step and each multiple of _BLOCK_STEPS, whatever its start, drive
+        # rows and snapshots, so a sweep's trunk and points hold the same
+        # state at a record step; no block is longer than run_dynamics's
+        # longest, min(every, _BLOCK_STEPS)
         changed, snaps = np.array(changed), [n0 + s for s in snaps]
         starts = dynamics._block_starts(n0, changed, every, snaps)
         n = np.arange(n0, n0 + len(changed))
-        grid = dynamics._grid_start(n, every)
-        back = n - grid  # steps back to the grid
-        assert ((back >= 0) & (back < min(every, dynamics._BLOCK_STEPS))).all()
-        assert [dynamics._grid_start(int(s), every) for s in n[:3]] == list(grid[:3])
-        assert starts[grid[grid >= n0] - n0].all()
+        grid = (n % every == 0) | (n % dynamics._BLOCK_STEPS == 0)
+        assert starts[grid].all()
         assert starts[n % dynamics._FINITE_CHECK_EVERY == 0].all()
+        blocks = np.diff([*np.flatnonzero(starts), len(changed)])
+        assert (blocks <= min(every, dynamics._BLOCK_STEPS)).all()
         snapped = np.isin(n, snaps)
-        assert np.array_equal(starts, changed | (back == 0) | snapped)
+        assert np.array_equal(starts, changed | grid | snapped)
 
     def test_a_block_after_a_load_uses_the_loaded_operator(self):
         # a block of one operator, then a load of another: the next block

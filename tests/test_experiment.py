@@ -395,6 +395,35 @@ def _spy_sweep_runs(monkeypatch, dt):
     return runs
 
 
+def _spy_schedule(monkeypatch, dt):
+    """Record a sweep's schedule: its run_dynamics calls (see
+    _spy_sweep_runs), the global step at which each held stretch of the
+    adjoint pass starts, and the steps that each advance, advance_block
+    and transpose call integrates."""
+    runs, held, steps = _spy_sweep_runs(monkeypatch, dt), [], []
+    held_records = experiment._held_records
+
+    def spied_records(starts, *args):
+        held.extend(round(x.t / dt) for x in starts)
+        return held_records(starts, *args)
+
+    monkeypatch.setattr(experiment, "_held_records", spied_records)
+
+    def count(name, size):
+        method = getattr(_Propagator, name)
+
+        def counted(self, *args):
+            steps.append(size(*args))
+            return method(self, *args)
+
+        monkeypatch.setattr(_Propagator, name, counted)
+
+    count("advance", lambda *args: 1)
+    count("advance_block", lambda state, n, inject, longest: len(inject))
+    count("transpose", lambda xi: 1)
+    return runs, held, steps
+
+
 class TestBranchedSweeps:
     """Sweeps integrate one trunk and branch each point off a snapshot of
     it.  With the held stretches switched off, every point runs forward to
@@ -446,7 +475,7 @@ class TestBranchedSweeps:
         # one record every 32 steps (dt = 1/80 us), so the half system runs
         # blocks of up to 32 steps; the retrievals of T = 2.5 and 1.3 start
         # at steps 1240 and 1144, 24 steps into a block of the dark trunk
-        # (T = 4), so their snapshots sit at that block's start
+        # (T = 4), so their snapshots sit at the record step that starts it
         setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0,
@@ -478,8 +507,8 @@ class TestBranchedSweeps:
         # one record every 4 steps (dt = 1/80 us); the writing coupling's
         # ramp ends at step 1041, where the trunk's (T = 4) drive rows
         # change and T = 0's retrieval ramp starts, so both runs start a
-        # block there, but off the block grid: T = 0 resumes from the grid
-        # step 1040 before it
+        # block there, but off the record steps: T = 0 resumes from the
+        # record step 1040 before it
         setup = _mini_setup(n_classes=2, cells=16)
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0125, release_window_us=8.0)
@@ -540,24 +569,31 @@ class TestAdjointPeaks:
     its peaks, peak times and cut-off windows must agree with independent
     runs of each point."""
 
-    # relative peak bound; measured at most 2.4e-13 on these cases and
-    # 2.2e-14 on the three paper configs
+    # relative peak bound; measured at most 2.0e-13 on these cases and
+    # 2.1e-14 on the three paper configs
     BOUND = 1e-12
 
     def _check(self, monkeypatch, kind, values, base, setup, threads=1,
                half=True):
         """Sweep `values` and run them independently; check that they agree,
         that its one adjoint pass runs on the half system or not, as
-        `half` says, and that the probe warning is raised once, blamed on
+        `half` says, that its snapshots, resumes and held stretches start
+        on record steps, that simulated_steps counts the steps it
+        integrated, and that the probe warning is raised once, blamed on
         this file.  Returns (sweep result, independent (trace, t_peak,
         peak) list)."""
         field = "storage_t_us" if kind == "memory" else "a_duration_us"
         sweep = sweep_delay if kind == "memory" else sweep_duration
         passes = _spy_adjoint(monkeypatch)
+        dt = setup[1].dz / setup[0].c
+        runs, held, steps = _spy_schedule(monkeypatch, dt)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep(values, base, *setup, threads=threads)
         assert passes == [half]
+        every = round(1.0 / (base.sample_rate * dt))
+        assert held and all(n % every == 0 for n in [*runs[0], *runs[1:], *held])
+        assert result.simulated_steps == sum(steps)
         probe = _probe_warnings(record)
         assert len(probe) == 1 and probe[0].filename == __file__
         assert f"{field} sweep" in str(probe[0].message)
@@ -596,15 +632,24 @@ class TestAdjointPeaks:
                     (m, grid, classes), half=False)
 
     @pytest.mark.parametrize("window, cut", [(8.0, ()), (3.5, (3.5,))])
-    def test_duration_sweep(self, monkeypatch, window, cut):
+    def test_duration_sweep(self, window, cut):
+        # records every 8 steps (dt = 1/80 us), then every 29, the trapping
+        # configs' cadence, which does not divide _BLOCK_STEPS: the held
+        # stretches start at steps 1080, 1200 and 1320, off its record steps
         setup = _mini_setup(optical_depth=200.0, n_classes=2, cells=16)
-        base = ProtocolParams(omega_c=2.0, omega_a=2.0,
-                              probe_duration_us=4.0, p_a_delay_us=13.0,
-                              release_window_us=window, sample_rate=10.0)
-        result, _ = self._check(monkeypatch, "stationary", [2.0, 0.5, 3.5, 2.0],
-                                base, setup, threads=3)
-        assert result.peak_at_window_end == cut
-        assert result.simulated_steps < result.independent_steps
+        results = []
+        for rate in (10.0, 80.0 / 29.0):
+            base = ProtocolParams(omega_c=2.0, omega_a=2.0,
+                                  probe_duration_us=4.0, p_a_delay_us=13.0,
+                                  release_window_us=window, sample_rate=rate)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                result, _ = self._check(monkeypatch, "stationary",
+                                        [2.0, 0.5, 3.5, 2.0], base, setup,
+                                        threads=3)
+            assert result.simulated_steps < result.independent_steps
+            results.append(result)
+        # the sparser records of the 29-step cadence cut off no pulse
+        assert [r.peak_at_window_end for r in results] == [cut, ()]
 
     def test_probe_in_the_window_falls_back_to_the_forward_path(self, monkeypatch):
         # the probe injects until 12 us, the end of T = 0's window: that
@@ -628,23 +673,23 @@ class TestAdjointPeaks:
         assert len(served) == 1 and len(served[0]) == 1 and served[0][0] > 0
 
     def test_held_records_match_forward_runs_of_each_stretch(self):
-        # four held stretches of one coupling, no probe: records every 4
-        # steps, the stretches starting at steps 640, 641, 645 and 650 (641
-        # and 645 read their records at the same j) and running 200, 37,
-        # 120 and 3 steps.  Each state's records, read together with those
-        # of the others, are its forward run's, to rounding (measured: at
-        # most 6.0e-15 of each stretch's largest record)
+        # five held stretches of one coupling, no probe: records every 4
+        # steps, the stretches starting at the record steps 640, 644, 648,
+        # 652 and 656 and running 200, 37, 120, 6 and 3 steps, the last too
+        # short for a record.  Each state's records, read together with
+        # those of the others, are its forward run's, to rounding
+        # (measured: at most 1.0e-16 of each stretch's largest record)
         m, grid, classes = _mini_setup(n_classes=4, cells=16)
         seq = PulseSequence(
             events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
                     PulseEvent("C", 0.0, 12.0, 2.0, open_end=True)],
             t_end_us=12.0, sample_rate=20.0)
-        steps, lengths = [640, 641, 645, 650], [200, 37, 120, 3]
+        steps, lengths = [640, 644, 648, 652, 656], [200, 37, 120, 6, 3]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, states = run_dynamics(seq, m, grid, classes, snapshot_steps=steps)
             held = (np.full((1, 3), 2.0 + 0j), np.zeros((1, 3), complex))
-            records = _held_records(states[:4], lengths, held, m, every=4)
+            records = _held_records(states[:5], lengths, held, m, every=4)
             for state, n, length, (t, intensity) in zip(states, steps, lengths,
                                                         records):
                 trace, _ = run_dynamics(seq, m, grid, classes,
@@ -653,7 +698,9 @@ class TestAdjointPeaks:
                 later = trace.t > state.t
                 assert np.array_equal(t, trace.t[later])
                 want = trace.fwd_intensity[later]
-                assert np.abs(intensity - want).max() <= 5e-14 * want.max()
+                assert (np.abs(intensity - want).max(initial=0.0)
+                        <= 5e-14 * want.max(initial=0.0))
+        assert [len(t) for t, _ in records] == [50, 9, 30, 1, 0]
 
     def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
