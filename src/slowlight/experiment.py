@@ -334,7 +334,7 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     rows = np.stack([np.concatenate([starts[b].f.ravel(),
                                      starts[b].a.ravel().view(flat.dtype)])
                      for b in order]).conj()
-    reads = np.zeros((counts[order[0]], len(starts)), dtype=flat.dtype)
+    reads = np.zeros((max(counts), len(starts)), dtype=flat.dtype)
     for r, read in enumerate(reads):
         for _ in range(every):
             prop.transpose(xi)
