@@ -13,6 +13,8 @@ the drive samples repeat.  run_dynamics walks the block starts of
 _block_starts on either system; on a half system (see _halve) it steps
 each stretch of one map between two of them as one block, from the
 atoms' response to the stretch's fields (see _Propagator.advance_block).
+The transpose of a step, which a sweep's adjoint pass applies, takes
+blocks of one map on a half system too (see _Propagator.transpose_steps).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -249,7 +251,8 @@ class _Propagator:
     moments of the whole class set.  build slices its tables, so that load
     runs at half size.  transpose applies the transpose of the same float
     products, on either system.  On a half system, advance_block applies
-    the loaded operator over a stretch of steps at once.
+    the loaded operator over a stretch of steps at once, and
+    transpose_block its transpose, from the same block operators.
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -287,6 +290,7 @@ class _Propagator:
         self._adjoint = None  # transpose's operators, remade after a load
         self._block = None  # advance_block's operators and work areas
         self._block_loaded = False  # whether its operators are the loaded one's
+        self._back = None  # transpose_block's work areas
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=float if self.half else complex)
@@ -483,15 +487,16 @@ class _Propagator:
               history[:-1, r * i + r + 1]) for i in range(nq)],
             out, (out[:, :8], out[:-1, 8], out[1:, 9]))
         self._block_loaded = False
+        self._back = None
 
     def _load_block(self) -> None:
         """Make advance_block's operators of the loaded operator for blocks
         of up to Q steps (see _make_block) from per-class products of the
         D_k."""
-        _, (dw_rows, g, ad), powers, _, slots, *_ = self._block
+        _, (dw_rows, g, ad_rows), powers, _, slots, *_ = self._block
         k, r, nq = len(self._powers), self.RANK, len(slots)
         dw = dw_rows.reshape(k, 6, nq, 8)
-        ad = ad.reshape(nq, r, k, 6).transpose(0, 2, 1, 3)  # (Q, K, 10, 6)
+        ad = ad_rows.reshape(nq, r, k, 6).transpose(0, 2, 1, 3)  # (Q, K, 10, 6)
         dw[:, :, 0] = self.w.reshape(k, 6, 8)
         ad[-1] = self.a_op.reshape(r, k, 6).swapaxes(0, 1)
         powers[0] = self.d
@@ -505,7 +510,109 @@ class _Propagator:
             rows = g[r * (nq - 1 - j):r * (nq - j)]
             np.matmul(self.a_op, dw_rows[:, 8 * j:8 * j + 8], out=rows[:, :8])
             np.matmul(rows[:, :8], self.f_op[2:], out=rows[:, 8:])
+        if self._back is not None:  # and transpose_block's, transposed
+            ops = self._back[-1]
+            for op, made in zip(ops, (ad_rows.T, dw_rows.T, powers.swapaxes(2, 3))):
+                op[...] = made
+            g_t = ops[3].reshape(nq + 1, r, r)
+            g_t[:-1, 2:] = g[:-r].reshape(nq, r, r)[..., :8].swapaxes(1, 2)
+            g_t[-1, :2] = self.f_op.T
         self._block_loaded = True
+
+    def _make_back(self) -> None:
+        """Make transpose_block's work areas and operator arrays for the
+        blocks of _make_block, up to Q steps: the history; the xi_a
+        (A D^j)^T; per step its views; and the transposes of _load_block's
+        operators, which it writes while these exist: [A D^(Q-1); ..; A]^T,
+        [W, .., D^(Q-1) W]^T, the (D^j)^T, and the stack of the rows
+        [0, G_j^T] of j = Q-1 .. 0, then [F^T] for phi_(i+1) and [0, 1] for
+        the sources of xi_a (A D^(q-1-i))^T.  Drops the loaded block
+        operators, so that the next block writes both."""
+        _, _, _, _, slots, out, _ = self._block
+        k, r, nq = len(self._powers), self.RANK, len(slots)
+        cells = len(self._phi)
+        # zeros stay where no covector reaches: E+ in the last cell and E-
+        # in the first of every phi but xi_f
+        history = np.zeros((cells, r * (nq + 1)))
+        g_t = np.zeros((r * nq + r, r))
+        g_t[-8:, 2:] = np.eye(8)
+        self._back = (
+            history, np.empty(cells * r * nq),
+            # per step j from the last: its history, its rows of g_t, and
+            # where psi's sources go and where psi's fields add, moved
+            [(history[:, :r * j + r], g_t[r * (nq - j):],
+              history[:, r * j + 2:r * j + r], history[:-1, r * j + r],
+              history[1:, r * j + r + 1]) for j in range(nq)],
+            (out[:, 2:], out[1:, 0], out[:-1, 1]),
+            (np.empty((6 * k, r * nq)), np.empty((8 * nq, 6 * k)),
+             np.empty((nq, k, 6, 6)), g_t))
+        self._block_loaded = False
+
+    def transpose_block(self, xi: SimState, q: int, longest: int) -> None:
+        """Apply the transpose of advance_block's float map over q steps,
+        with nothing injected, to the covector xi of a half system in place:
+        what q transpose calls do, to rounding.  longest >= q sizes the work
+        areas and operators, as for advance_block, whose operators it takes
+        transposed (see _make_back).
+
+        It runs advance_block's sums in reverse.  With xi_a and xi_f the
+        covectors of x_q and f_q, psi_i that of y_i and phi_i that of the
+        fields f_i that y_i advects (phi_q = xi_f),
+
+            psi_i = xi_a (A D^(q-1-i))^T + phi_(i+1) F^T
+                    + sum_(j>i) psi_j's sources G_(j-1-i)^T,
+
+        so the steps run from the last back: one product of the history
+        (the sources of psi_(q-1) .. psi_(i+1), phi_(i+1) and those of
+        xi_a (A D^(q-1-i))^T) with the stacked [G_(q-2-i)^T .. G_0^T]
+        gives psi_i, whose fields, moved against the advection, give
+        phi_i.  The xi_a (A D^(q-1-i))^T of all q steps take one product
+        first.  At the end xi_f is phi_0, and xi_a is xi_a (D^q)^T plus one
+        product of the sources' psi with [W, D W, ...]^T.
+        """
+        if self._block is None or len(self._block[4]) != longest:
+            self._make_block(longest)
+        if self._back is None:
+            self._make_back()
+        if not self._block_loaded:
+            self._load_block()
+        sources, out = self._block[3], self._block[5]
+        history, c, slots, (psi_s, psi_plus, psi_minus), ops = self._back
+        ad_t, dw_t, powers_t, _ = ops
+        r, cells = self.RANK, len(history)
+        f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(xi)
+        by_step = history[:, :r * q + r].reshape(cells, q + 1, r)
+        c = c[:cells * r * q].reshape(cells, q, r)  # xi_a (A D^(q-1-i))^T
+        np.matmul(x, ad_t[:, -r * q:], out=c.reshape(cells, r * q))
+        np.matmul(x_batch, powers_t[q - 1], out=dx_batch)
+        by_step[:, :q, 2:] = c[:, ::-1, 2:]
+        by_step[:-1, 1:, 0] = c[1:, ::-1, 0]  # E+ one cell toward z = 0
+        by_step[1:, 1:, 1] = c[:-1, ::-1, 1]  # E- one cell toward z = 1
+        by_step[:, 0, :2] = f_float
+        for psi_to_i, g_t, s_to, plus_to, minus_to in slots[:q]:
+            np.matmul(psi_to_i, g_t, out=out)
+            s_to[...] = psi_s
+            plus_to += psi_plus
+            minus_to += psi_minus
+        s = sources[:cells * 8 * q].reshape(cells, q, 8)  # psi_0 .. psi_(q-1)
+        s[...] = by_step[:, q - 1::-1, 2:]
+        np.matmul(s.reshape(cells, 8 * q), dw_t[:8 * q], out=x)
+        np.add(x, dx_rows, out=x)
+        f_float[:] = by_step[:, q, :2]
+
+    def transpose_steps(self, xi: SimState, n: int) -> None:
+        """Apply the transpose of n steps of the loaded operator to xi in
+        place: on a half system in near-equal blocks of at most
+        _BLOCK_STEPS (see transpose_block), the longest sizing them all;
+        on the full system, or when n < _SHORTEST_BLOCK, as n single steps,
+        as run_dynamics steps them forward."""
+        if not self.half or n < _SHORTEST_BLOCK:
+            for _ in range(n):
+                self.transpose(xi)
+            return
+        parts = -(-n // _BLOCK_STEPS)
+        for i in range(parts):
+            self.transpose_block(xi, n // parts + (i < n % parts), -(-n // parts))
 
     def transpose(self, xi: SimState) -> None:
         """Apply the transpose of advance's float map to the covector xi in

@@ -310,8 +310,11 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     when every state halves (see _halve).  So one backward recursion serves
     every state: at each j that is a multiple of `every`, every state whose
     stretch is that long reads |E+(1)|^2 from g_j, all in one product.
-    Only the current g_j is held, and the pass ends at its last read.  A
-    non-finite record raises NumericalAbort, as the forward run would.
+    Between two reads the pass applies the `every` steps of R^T together,
+    on the half system in blocks that end at the read (see
+    _Propagator.transpose_steps).  Only the current g_j is held, and the
+    pass ends at its last read.  A non-finite record raises
+    NumericalAbort, as the forward run would.
     """
     halves = [_halve(x, *held) for x in starts]
     if all(x is not None for x in halves):
@@ -336,8 +339,7 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
                      for b in order]).conj()
     reads = np.zeros((max(counts), len(starts)), dtype=flat.dtype)
     for r, read in enumerate(reads):
-        for _ in range(every):
-            prop.transpose(xi)
+        prop.transpose_steps(xi, every)
         due = sum(c > r for c in counts)
         # einsum sums in its own loop: a BLAS dot would split the sum
         # by thread count and change the last digits with it

@@ -375,6 +375,19 @@ def _spy_adjoint(monkeypatch) -> list[bool]:
     return passes
 
 
+def _spy_transpose_blocks(monkeypatch) -> list[int]:
+    """Record the steps of each transpose_block call."""
+    blocks = []
+    transpose_block = _Propagator.transpose_block
+
+    def spied(self, xi, q, longest):
+        blocks.append(q)
+        return transpose_block(self, xi, q, longest)
+
+    monkeypatch.setattr(_Propagator, "transpose_block", spied)
+    return blocks
+
+
 def _probe_warnings(record):
     return [w for w in record if "probe pulse spans" in str(w.message)]
 
@@ -398,8 +411,8 @@ def _spy_sweep_runs(monkeypatch, dt):
 def _spy_schedule(monkeypatch, dt):
     """Record a sweep's schedule: its run_dynamics calls (see
     _spy_sweep_runs), the global step at which each held stretch of the
-    adjoint pass starts, and the steps that each advance, advance_block
-    and transpose call integrates."""
+    adjoint pass starts, and the steps that each advance, advance_block,
+    transpose and transpose_block call integrates."""
     runs, held, steps = _spy_sweep_runs(monkeypatch, dt), [], []
     held_records = experiment._held_records
 
@@ -421,6 +434,7 @@ def _spy_schedule(monkeypatch, dt):
     count("advance", lambda *args: 1)
     count("advance_block", lambda state, n, inject, longest: len(inject))
     count("transpose", lambda xi: 1)
+    count("transpose_block", lambda xi, q, longest: q)
     return runs, held, steps
 
 
@@ -672,24 +686,33 @@ class TestAdjointPeaks:
         assert result.intensities[0] == reference[0][2]
         assert len(served) == 1 and len(served[0]) == 1 and served[0][0] > 0
 
-    def test_held_records_match_forward_runs_of_each_stretch(self):
-        # five held stretches of one coupling, no probe: records every 4
-        # steps, the stretches starting at the record steps 640, 644, 648,
-        # 652 and 656 and running 200, 37, 120, 6 and 3 steps, the last too
-        # short for a record.  Each state's records, read together with
-        # those of the others, are its forward run's, to rounding
-        # (measured: at most 1.0e-16 of each stretch's largest record)
+    @pytest.mark.parametrize("every, steps, lengths, counts, blocks", [
+        (4, [640, 644, 648, 652, 656], [200, 37, 120, 6, 3],
+         [50, 9, 30, 1, 0], {4}),
+        (2, [640, 642, 644, 646, 648], [200, 37, 120, 6, 3],
+         [100, 18, 60, 3, 1], set()),
+        (40, [640, 680, 720, 760, 800], [400, 85, 120, 40, 39],
+         [10, 2, 3, 1, 0], {20})], ids=["4", "2", "40"])
+    def test_held_records_match_forward_runs_of_each_stretch(
+            self, monkeypatch, every, steps, lengths, counts, blocks):
+        # five held stretches of one coupling, no probe, starting at record
+        # steps of each cadence, the last too short for a record at 4 and
+        # 40.  The pass takes blocks of 4 steps at a cadence of 4, single
+        # steps at 2, and two blocks of 20 between the reads at 40.  Each
+        # state's records, read together with those of the others, are its
+        # forward run's, to rounding (measured: at most 3.3e-15 of each
+        # stretch's largest record at 4, 6.9e-15 at 2 and 2.3e-15 at 40)
+        taken = _spy_transpose_blocks(monkeypatch)
         m, grid, classes = _mini_setup(n_classes=4, cells=16)
         seq = PulseSequence(
             events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
                     PulseEvent("C", 0.0, 12.0, 2.0, open_end=True)],
-            t_end_us=12.0, sample_rate=20.0)
-        steps, lengths = [640, 644, 648, 652, 656], [200, 37, 120, 6, 3]
+            t_end_us=14.0, sample_rate=80.0 / every)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, states = run_dynamics(seq, m, grid, classes, snapshot_steps=steps)
             held = (np.full((1, 3), 2.0 + 0j), np.zeros((1, 3), complex))
-            records = _held_records(states[:5], lengths, held, m, every=4)
+            records = _held_records(states[:5], lengths, held, m, every)
             for state, n, length, (t, intensity) in zip(states, steps, lengths,
                                                         records):
                 trace, _ = run_dynamics(seq, m, grid, classes,
@@ -700,12 +723,17 @@ class TestAdjointPeaks:
                 want = trace.fwd_intensity[later]
                 assert (np.abs(intensity - want).max(initial=0.0)
                         <= 5e-14 * want.max(initial=0.0))
-        assert [len(t) for t, _ in records] == [50, 9, 30, 1, 0]
+        assert [len(t) for t, _ in records] == counts
+        assert set(taken) == blocks
 
-    def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch):
+    @pytest.mark.parametrize("every", [1, 8])
+    def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch,
+                                                           every):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
         # adjoint pass raises as the forward run's finiteness check would,
-        # on the half system and, with one weight 1 ulp off, on the full one
+        # on the half system and, with one weight 1 ulp off, on the full
+        # one; at a cadence of 8 the half system takes blocks
+        blocks = _spy_transpose_blocks(monkeypatch)
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
         held = (np.full((1, 3), 1e4 + 0j), np.zeros((1, 3), complex))
@@ -719,8 +747,9 @@ class TestAdjointPeaks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
-                    _held_records([state], [400], held, m, every=1)
+                    _held_records([state], [400], held, m, every)
         assert passes == [True, False]
+        assert bool(blocks) == (every == 8)
 
 
 def _scanned_searches(sequence, trunk, dt):
