@@ -13,8 +13,9 @@ the drive samples repeat.  run_dynamics walks the block starts of
 _block_starts on either system; on a half system (see _halve) it steps
 each stretch of one map between two of them as one block, from the
 atoms' response to the stretch's fields (see _Propagator.advance_block).
-The transpose of a step, which a sweep's adjoint pass applies, takes
-blocks of one map on a half system too (see _Propagator.transpose_steps).
+The transpose of the steps, which a sweep's adjoint pass applies, runs
+on a half system alone, always in blocks of one map (see
+_Propagator.transpose_steps).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -249,10 +250,10 @@ class _Propagator:
     full ones: D_k of the kept classes, the Re-input rows of A and F and
     the Re-output columns of W and F, 0.29 of the flops.  Its F reads the
     moments of the whole class set.  build slices its tables, so that load
-    runs at half size.  transpose applies the transpose of the same float
-    products, on either system.  On a half system, advance_block applies
-    the loaded operator over a stretch of steps at once, and
-    transpose_block its transpose, from the same block operators.
+    runs at half size.  On a half system, advance_block applies the loaded
+    operator over a stretch of steps at once, and transpose_block its
+    transpose, from the same block operators: the one transpose there is,
+    which a sweep's adjoint pass applies (see transpose_steps).
     """
 
     RANK = 10    # the two fields plus two field sources per RK4 stage
@@ -287,7 +288,6 @@ class _Propagator:
         self.a_op = self._da[6:].reshape(ny, 6 * k)
         self.w = np.empty((6 * k, ny - nf))
         self.f_op = np.empty((ny, nf))
-        self._adjoint = None  # transpose's operators, remade after a load
         self._block = None  # advance_block's operators and work areas
         self._block_loaded = False  # whether its operators are the loaded one's
         self._back = None  # transpose_block's work areas
@@ -295,7 +295,6 @@ class _Propagator:
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.RANK), dtype=float if self.half else complex)
         self._dx = np.empty((cells, k, 6))
-        self._fy = np.empty((cells, ny))  # transpose's F^T xi_f
         self._bound = (None, None)  # state.f, state.a, then the views of _views
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
@@ -364,7 +363,6 @@ class _Propagator:
         np.matmul(self._source_powers, w[row],
                   out=self.w.reshape(1, -1, w.shape[-1]))
         self.f_op[:] = f[row]
-        self._adjoint = None
         self._block_loaded = False
 
     def _views(self, state: SimState) -> tuple:
@@ -549,11 +547,12 @@ class _Propagator:
         self._block_loaded = False
 
     def transpose_block(self, xi: SimState, q: int, longest: int) -> None:
-        """Apply the transpose of advance_block's float map over q steps,
-        with nothing injected, to the covector xi of a half system in place:
-        what q transpose calls do, to rounding.  longest >= q sizes the work
-        areas and operators, as for advance_block, whose operators it takes
-        transposed (see _make_back).
+        """Apply the transpose R^T of advance_block's float map R over q
+        steps, with nothing injected, to the covector xi of a half system
+        in place, so that xi . (R x) = (R^T xi) . x in the dot product of
+        the float views; xi.t is left as it is.  longest >= q sizes the
+        work areas and operators, as for advance_block, whose operators it
+        takes transposed (see _make_back).
 
         It runs advance_block's sums in reverse.  With xi_a and xi_f the
         covectors of x_q and f_q, psi_i that of y_i and phi_i that of the
@@ -601,47 +600,14 @@ class _Propagator:
         f_float[:] = by_step[:, q, :2]
 
     def transpose_steps(self, xi: SimState, n: int) -> None:
-        """Apply the transpose of n steps of the loaded operator to xi in
-        place: on a half system in near-equal blocks of at most
-        _BLOCK_STEPS (see transpose_block), the longest sizing them all;
-        on the full system, or when n < _SHORTEST_BLOCK, as n single steps,
-        as run_dynamics steps them forward."""
-        if not self.half or n < _SHORTEST_BLOCK:
-            for _ in range(n):
-                self.transpose(xi)
-            return
+        """Apply the transpose of n steps of the loaded operator to the
+        covector xi of a half system in place, in near-equal blocks of at
+        most _BLOCK_STEPS (see transpose_block), the longest sizing them
+        all.  Unlike run_dynamics' forward steps, n < _SHORTEST_BLOCK
+        takes one block too."""
         parts = -(-n // _BLOCK_STEPS)
         for i in range(parts):
             self.transpose_block(xi, n // parts + (i < n % parts), -(-n // parts))
-
-    def transpose(self, xi: SimState) -> None:
-        """Apply the transpose of advance's float map to the covector xi in
-        place.
-
-        With nothing injected, advance takes a state x to R x; this takes a
-        covector xi, held like a state, to R^T xi in the float views, so
-        that xi . (R x) = (R^T xi) . x in their dot product: R^H xi on a
-        full system, whose dot product is Re sum conj(xi) x.  From the same
-        four operators, transposed: psi = A^T xi_a + F^T xi_f, then
-        xi_a <- D_k^T xi_a + W^T psi's sources, and xi_f is psi's fields
-        moved against the advection: its E+ one cell toward z = 0, its E-
-        one cell toward z = 1, the injection cells dropping out.  Uses
-        advance's work areas; xi.t is left as it is.
-        """
-        if self._adjoint is None:
-            self._adjoint = [op.swapaxes(-1, -2).copy()
-                             for op in (self.d, self.w, self.a_op, self.f_op)]
-        d, w, a_op, f_op = self._adjoint
-        f_float, x, x_batch, y, sources, dx_rows, dx_batch = self._views(xi)
-        np.matmul(x, a_op, out=y)
-        y += np.matmul(f_float, f_op, out=self._fy)
-        np.matmul(x_batch, d, out=dx_batch)
-        np.matmul(sources, w, out=x)
-        np.add(x, dx_rows, out=x)
-        nf = f_float.shape[1] // 2  # floats per field
-        f_float[:-1, :nf] = y[1:, :nf]
-        f_float[1:, nf:] = y[:-1, nf:2 * nf]
-        f_float[-1, :nf] = f_float[0, nf:] = 0.0
 
 
 def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:

@@ -298,32 +298,26 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
                   every: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
 
-    State b sits at a record step s_b of run_dynamics (a multiple of
-    `every`) and goes on for lengths[b] steps, each with the drive rows
-    `held` (C and A of one step, see _step_reads) and nothing injected,
-    so each step applies the one map R.  Its E+(1) after j of them is
-    e . R^j x_b, with e picking E+ in the last cell.  With g_j = (R^T)^j e,
-    R^T the transpose of the step's float map (see _Propagator.transpose),
-    sum g_j conj(x_b) is the complex conjugate of that E+(1) on the full
-    system, and its real part, the dot product of the float views, is E+(1)
-    on the half system, where E+ is real; the pass runs on the half system
-    when every state halves (see _halve).  So one backward recursion serves
-    every state: at each j that is a multiple of `every`, every state whose
-    stretch is that long reads |E+(1)|^2 from g_j, all in one product.
-    Between two reads the pass applies the `every` steps of R^T together,
-    on the half system in blocks that end at the read (see
-    _Propagator.transpose_steps).  Only the current g_j is held, and the
-    pass ends at its last read.  A non-finite record raises
+    State b, which halves (see _halve), sits at a record step s_b of
+    run_dynamics (a multiple of `every`) and goes on for lengths[b] steps,
+    each with the drive rows `held` (C and A of one step, see _step_reads)
+    and nothing injected, so each step applies the one map R to its half
+    system x_b.  Its E+(1) after j of them, real there, is e . R^j x_b in
+    the dot product of the float views, with e picking E+ in the last
+    cell.  With g_j = (R^T)^j e, R^T the transpose of the step's float map,
+    that is g_j . x_b, so one backward recursion serves every state: at
+    each j that is a multiple of `every`, every state whose stretch is
+    that long reads |E+(1)|^2 from g_j, all in one product.  Between two
+    reads the pass applies the `every` steps of R^T in blocks that end at
+    the read (see _Propagator.transpose_steps).  Only the current g_j is
+    held, and the pass ends at its last read.  A non-finite record raises
     NumericalAbort, as the forward run would.
     """
-    halves = [_halve(x, *held) for x in starts]
-    if all(x is not None for x in halves):
-        starts = halves
+    starts = [_halve(x, *held) for x in starts]
     x = starts[0]
-    # xi's fields and atoms are views of one vector, whose dtype the fields
-    # have: float on the half system, where the atoms' Re and Im pairs
-    # follow; each start's row is the same vector of it, conjugated
-    flat = np.zeros(x.f.size + x.a.size * 16 // x.f.itemsize, dtype=x.f.dtype)
+    # xi's real fields and its atoms' Re and Im pairs are views of one
+    # float vector; each start's row is the same vector of it
+    flat = np.zeros(x.f.size + 2 * x.a.size)
     xi = SimState(x.t, flat[:x.f.size].reshape(x.f.shape),
                   flat[x.f.size:].view(complex).reshape(x.a.shape), x.grid,
                   x.deltas, x.weights)
@@ -335,9 +329,9 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     counts = [n // every for n in lengths]
     order = sorted(range(len(starts)), key=lambda b: -counts[b])
     rows = np.stack([np.concatenate([starts[b].f.ravel(),
-                                     starts[b].a.ravel().view(flat.dtype)])
-                     for b in order]).conj()
-    reads = np.zeros((max(counts), len(starts)), dtype=flat.dtype)
+                                     starts[b].a.ravel().view(float)])
+                     for b in order])
+    reads = np.zeros((max(counts), len(starts)))
     for r, read in enumerate(reads):
         prop.transpose_steps(xi, every)
         due = sum(c > r for c in counts)
@@ -369,13 +363,15 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     point whose held stretch reads the drive rows of the trunk's last step
     runs on to the first record step at or after the stretch's start, and
     one adjoint pass of the shared held map gives the records of all such
-    stretches from there (see _held_records); a point with no held stretch
-    runs to its end.  Peaks agree with independent runs of each point to
-    rounding.  Each point ends release_window_us after its release, so a
-    base that sets t_end_us is a ValueError.  threads > 1 runs the points'
-    forward steps in a thread pool.  Each distinct warning raised while
-    building the points' sequences or checking the probe resolution is
-    raised once, blamed on the caller of the public sweep.
+    stretches from there (see _held_records).  A point with no held
+    stretch runs to its end, and so does every point of a sweep that does
+    not halve (see _halve).  Peaks agree with independent runs of each
+    point to rounding.  Each point ends release_window_us after its
+    release, so a base that sets t_end_us is a ValueError.  threads > 1
+    runs the points' forward steps in a thread pool.  Each distinct
+    warning raised while building the points' sequences or checking the
+    probe resolution is raised once, blamed on the caller of the public
+    sweep.
     """
     if base.t_end_us is not None:
         raise ValueError("a sweep ends each point by release_window_us; "
@@ -395,7 +391,11 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     branch = _branch_steps(sequences, sequences[trunk], dt, ends)
     # the drive rows of the trunk's last step, which it holds
     held = _step_reads(sequences[trunk], dt, ends[trunk] - 1, ends[trunk])[:2]
-    held_starts = [_held_start(s, dt, n, held) for s, n in zip(sequences, ends)]
+    if _halve(SimState.zeros(grid, classes), *held) is None:
+        held_starts = ends
+    else:
+        held_starts = [_held_start(s, dt, n, held)
+                       for s, n in zip(sequences, ends)]
     every = _record_every(sequences[trunk], dt)
     # a point whose stretch starts before its branch step is still on the
     # trunk there

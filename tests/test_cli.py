@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -557,14 +558,17 @@ class TestCommands:
 
 class TestDeterminism:
     def test_sweep_byte_identical_across_processes(self, cfg_file, tmp_path):
+        # the second process takes 2 BLAS threads: no sum the sweep writes
+        # may depend on how BLAS splits it
         config = cfg_file(SMALL_SWEEP)
         outputs = []
-        for name in ("a", "b"):
+        for name, threads in (("a", "1"), ("b", "2")):
             out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "slowlight.cli", "sweep",
                  "--config", config, "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]

@@ -538,11 +538,11 @@ def _step_loop(sequence, m, grid, classes, state=None):
 
 class TestPropagatorBuild:
     def test_steps_make_no_copy_of_the_state(self):
-        # 200 held steps each way at K = 64, M = 32, whose atoms take 98 KB,
-        # and 200 each way of the half system, then 200 blocks of 8 of its
+        # 200 held steps at K = 64, M = 32, whose atoms take 98 KB, and 200
+        # of the half system, then 200 blocks of 8 and 200 of 1 of its
         # transpose, may hold at most 2 KB more at any time (measured: 560
-        # bytes for advance and 616 for transpose, on either system, and
-        # 1,080 for transpose_block).  The first call is not traced: it
+        # bytes for advance on either system, and 1,080 for transpose_block
+        # in blocks of either length).  The first call is not traced: it
         # makes the views, and the transposes their operators and work areas
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=32,
@@ -554,10 +554,9 @@ class TestPropagatorBuild:
             p.load(p.build(np.full((1, 3), 0.5 + 0j), np.full((1, 3), 0.2 + 0j)), 0)
         assert half_prop.half and half.f.dtype == float
         for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
-                    lambda n: prop.transpose(state),
                     lambda n: half_prop.advance(half, n, 0.0, 0.0),
-                    lambda n: half_prop.transpose(half),
-                    lambda n: half_prop.transpose_block(half, 8, 8)):
+                    lambda n: half_prop.transpose_block(half, 8, 8),
+                    lambda n: half_prop.transpose_block(half, 1, 1)):
             run(1)
             tracemalloc.start()
             try:
@@ -594,58 +593,17 @@ class TestPropagatorBuild:
                                      self._loaded(prop, alone, 0)):
                     assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("system", ["full", "half"])
     @pytest.mark.parametrize("edge", [None, (0, 0), (0, -1), (1, 0), (1, -1)])
-    def test_transpose_is_the_adjoint_of_advance(self, edge, system):
-        # xi . advance(x) == transpose(xi) . x in the dot product of the
-        # float views, for a ramp step's operator on the full system (K = 5)
-        # and on a half system (K = 4, real drives); the edge covectors pick
-        # one field at a boundary cell, where the advection's shift and
-        # injection rows act, in both float columns of a complex field
-        rng = np.random.default_rng(7)
-        half = system == "half"
-        classes = make_spectral_classes(1600.0, 4 if half else 5, "lorentzian")
-        zero = _state(grid_cells=4, classes=classes)
-        if half:
-            zero = dynamics._halve(zero)
-        omega_c, omega_a = rng.normal(size=(2, 1, 3, 2)) @ [1.0, 0.0 if half else 1j]
-        m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
-        prop = _Propagator(m, zero)
-        assert prop.half == half
-        prop.load(prop.build(omega_c, omega_a), 0)
-
-        def random_state():
-            state = zero.copy()
-            for arr in (state.f, state.a):
-                arr.view(float)[:] = rng.normal(size=arr.view(float).shape)
-            return state
-
-        def dot(u, v, part=lambda z: z):
-            return sum((part(p.view(float)) * part(q.view(float))).sum()
-                       for p, q in ((u.f, v.f), (u.a, v.a)))
-
-        x, xi = random_state(), random_state()
-        if edge is not None:
-            xi.f[:] = 0.0
-            xi.a[:] = 0.0
-            _views(xi)[edge[0]][edge[1]] = 1.0 if half else 1.0 + 1.0j
-        moved, back = x.copy(), xi.copy()
-        prop.advance(moved, 1, 0.0, 0.0)
-        prop.transpose(back)
-        # the sums of the absolute terms bound each side's rounding
-        scale = dot(xi, moved, abs) + dot(back, x, abs)
-        assert abs(dot(xi, moved) - dot(back, x)) <= 1e-14 * scale
-
-    @pytest.mark.parametrize("edge", [None, (0, 0), (0, -1), (1, 0), (1, -1)])
-    @pytest.mark.parametrize("q", [4, 8, 29, 32])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 29, 32])
     def test_transpose_block_is_the_adjoint_of_advance_block(self, q, edge):
         # xi . advance_block(x) == transpose_block(xi) . x in the dot
         # product of the float views, for a block of q steps of a held
         # operator on a half system (K = 4, real drives), with nothing
-        # injected; the edge covectors pick one field at a boundary cell.
-        # Work areas sized for 32 steps and left over from a 32-step block
-        # each way.  Measured: at most 1.6e-16 of the sums of the absolute
-        # terms, and within 2.9e-15 of q transpose calls
+        # injected; the edge covectors pick one field at a boundary cell,
+        # where the advection's shift and injection rows act.  Work areas
+        # sized for 32 steps and left over from a 32-step block each way.
+        # Measured: at most 2.5e-16 of the sums of the absolute terms, and
+        # within 2.9e-15 of q one-step blocks
         rng = np.random.default_rng(q)
         classes = make_spectral_classes(1600.0, 4, "lorentzian")
         zero = dynamics._halve(_state(grid_cells=4, classes=classes))
@@ -676,7 +634,7 @@ class TestPropagatorBuild:
         scale = dot(xi, moved, abs) + dot(back, x, abs)
         assert abs(dot(xi, moved) - dot(back, x)) <= 1e-15 * scale
         for _ in range(q):
-            prop.transpose(single)
+            prop.transpose_block(single, 1, 32)
         for got, want in ((back.f, single.f), (back.a, single.a)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 

@@ -411,8 +411,8 @@ def _spy_sweep_runs(monkeypatch, dt):
 def _spy_schedule(monkeypatch, dt):
     """Record a sweep's schedule: its run_dynamics calls (see
     _spy_sweep_runs), the global step at which each held stretch of the
-    adjoint pass starts, and the steps that each advance, advance_block,
-    transpose and transpose_block call integrates."""
+    adjoint pass starts, and the steps that each advance, advance_block
+    and transpose_block call integrates."""
     runs, held, steps = _spy_sweep_runs(monkeypatch, dt), [], []
     held_records = experiment._held_records
 
@@ -433,7 +433,6 @@ def _spy_schedule(monkeypatch, dt):
 
     count("advance", lambda *args: 1)
     count("advance_block", lambda state, n, inject, longest: len(inject))
-    count("transpose", lambda xi: 1)
     count("transpose_block", lambda xi, q, longest: q)
     return runs, held, steps
 
@@ -588,11 +587,11 @@ class TestAdjointPeaks:
     BOUND = 1e-12
 
     def _check(self, monkeypatch, kind, values, base, setup, threads=1,
-               half=True):
+               adjoint=True):
         """Sweep `values` and run them independently; check that they agree,
-        that its one adjoint pass runs on the half system or not, as
-        `half` says, that its snapshots, resumes and held stretches start
-        on record steps, that simulated_steps counts the steps it
+        that the sweep makes one adjoint pass, on the half system, or none,
+        as `adjoint` says, that its snapshots, resumes and held stretches
+        start on record steps, that simulated_steps counts the steps it
         integrated, and that the probe warning is raised once, blamed on
         this file.  Returns (sweep result, independent (trace, t_peak,
         peak) list)."""
@@ -604,9 +603,10 @@ class TestAdjointPeaks:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep(values, base, *setup, threads=threads)
-        assert passes == [half]
+        assert passes == [True] * adjoint
         every = round(1.0 / (base.sample_rate * dt))
-        assert held and all(n % every == 0 for n in [*runs[0], *runs[1:], *held])
+        assert bool(held) == adjoint
+        assert all(n % every == 0 for n in [*runs[0], *runs[1:], *held])
         assert result.simulated_steps == sum(steps)
         probe = _probe_warnings(record)
         assert len(probe) == 1 and probe[0].filename == __file__
@@ -632,18 +632,25 @@ class TestAdjointPeaks:
                                 base, setup, threads)
         assert result.simulated_steps < 0.6 * result.independent_steps
 
-    def test_broken_symmetry_takes_the_full_path(self, monkeypatch):
-        # one weight 1 ulp off: no held state halves, and the adjoint pass
-        # runs on the full system
-        m, grid, classes = _mini_setup(n_classes=4, cells=16)
-        first = classes[0]
-        classes[0] = SpectralClass(first.delta_j,
-                                   float(np.nextafter(first.weight, 1.0)))
+    @pytest.mark.parametrize("broken", ["weight", "odd K"])
+    def test_broken_symmetry_runs_every_point_forward(self, monkeypatch,
+                                                      broken):
+        # one weight 1 ulp off, or K = 5: the sweep does not halve, makes
+        # no adjoint pass and runs every point forward to its end, so its
+        # peaks equal independent runs bit for bit
+        m, grid, classes = _mini_setup(n_classes=4 if broken == "weight" else 5,
+                                       cells=16)
+        if broken == "weight":
+            first = classes[0]
+            classes[0] = SpectralClass(first.delta_j,
+                                       float(np.nextafter(first.weight, 1.0)))
         base = ProtocolParams(omega_c=2.0, probe_duration_us=4.0,
                               c_off_us=13.0, release_window_us=8.0,
                               sample_rate=20.0)
-        self._check(monkeypatch, "memory", [4.0, 0.0, 2.5], base,
-                    (m, grid, classes), half=False)
+        result, reference = self._check(monkeypatch, "memory", [4.0, 0.0, 2.5],
+                                        base, (m, grid, classes), adjoint=False)
+        assert np.array_equal(result.intensities,
+                              [peak for _, _, peak in reference])
 
     @pytest.mark.parametrize("window, cut", [(8.0, ()), (3.5, (3.5,))])
     def test_duration_sweep(self, window, cut):
@@ -690,18 +697,18 @@ class TestAdjointPeaks:
         (4, [640, 644, 648, 652, 656], [200, 37, 120, 6, 3],
          [50, 9, 30, 1, 0], {4}),
         (2, [640, 642, 644, 646, 648], [200, 37, 120, 6, 3],
-         [100, 18, 60, 3, 1], set()),
+         [100, 18, 60, 3, 1], {2}),
         (40, [640, 680, 720, 760, 800], [400, 85, 120, 40, 39],
          [10, 2, 3, 1, 0], {20})], ids=["4", "2", "40"])
     def test_held_records_match_forward_runs_of_each_stretch(
             self, monkeypatch, every, steps, lengths, counts, blocks):
         # five held stretches of one coupling, no probe, starting at record
         # steps of each cadence, the last too short for a record at 4 and
-        # 40.  The pass takes blocks of 4 steps at a cadence of 4, single
-        # steps at 2, and two blocks of 20 between the reads at 40.  Each
-        # state's records, read together with those of the others, are its
-        # forward run's, to rounding (measured: at most 3.3e-15 of each
-        # stretch's largest record at 4, 6.9e-15 at 2 and 2.3e-15 at 40)
+        # 40.  The pass takes blocks of 4 steps at a cadence of 4, of 2 at
+        # 2, and two blocks of 20 between the reads at 40.  Each state's
+        # records, read together with those of the others, are its forward
+        # run's, to rounding (measured: at most 3.3e-15 of each stretch's
+        # largest record at 4, 8.1e-15 at 2 and 2.3e-15 at 40)
         taken = _spy_transpose_blocks(monkeypatch)
         m, grid, classes = _mini_setup(n_classes=4, cells=16)
         seq = PulseSequence(
@@ -731,25 +738,20 @@ class TestAdjointPeaks:
                                                            every):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
         # adjoint pass raises as the forward run's finiteness check would,
-        # on the half system and, with one weight 1 ulp off, on the full
-        # one; at a cadence of 8 the half system takes blocks
+        # taking blocks of `every` steps
         blocks = _spy_transpose_blocks(monkeypatch)
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
         held = (np.full((1, 3), 1e4 + 0j), np.zeros((1, 3), complex))
         passes = _spy_adjoint(monkeypatch)
-        for half in (True, False):
-            if not half:
-                classes[0] = SpectralClass(
-                    classes[0].delta_j, float(np.nextafter(classes[0].weight, 1.0)))
-            state = SimState.zeros(Grid(cells=8), classes)
-            state.s[:] = 0.1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
-                    _held_records([state], [400], held, m, every)
-        assert passes == [True, False]
-        assert bool(blocks) == (every == 8)
+        state = SimState.zeros(Grid(cells=8), classes)
+        state.s[:] = 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
+                _held_records([state], [400], held, m, every)
+        assert passes == [True]
+        assert blocks and set(blocks) == {every}
 
 
 def _scanned_searches(sequence, trunk, dt):
