@@ -13,9 +13,11 @@ the drive samples repeat.  run_dynamics walks the block starts of
 _block_starts on either system; on a half system (see _halve) it steps
 each stretch of one map between two of them as one block, from the
 atoms' response to the stretch's fields (see _Propagator.advance_block).
-The transpose of the steps, which a sweep's adjoint pass applies, runs
-on a half system alone, always in blocks of one map (see
-_Propagator.transpose_steps).
+While the backward coupling A is zero and E- and P- start at zero, that
+channel stays zero, and the half system drops it: it integrates E+ and
+each class's P+ and S alone (see _dark).  The transpose of the steps,
+which a sweep's adjoint pass applies, runs on a half system alone, always
+in blocks of one map (see _Propagator.transpose_steps).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -43,6 +45,9 @@ _CHUNK_STEPS = 16  # most steps whose operators one build call traces
 _BLOCK_STEPS = 32  # most steps in one block (see _block_starts)
 _FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS  # steps between NaN/Inf sweeps, at block starts
 _SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
+# the cells (to, from) of E+'s and E-'s move in one step, one cell toward
+# z = 1 and toward z = 0; the transpose moves their covectors back
+_ADVECT = ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -158,7 +163,7 @@ class SimState:
 
     @property
     def s(self) -> np.ndarray:
-        return self.a[..., 2]
+        return self.a[..., -1]  # also on a dark system (see _dark)
 
     @property
     def weak_probe_ok(self) -> bool:
@@ -234,7 +239,8 @@ class _Propagator:
     entry c a block [[Re c, -Im c], [Im c, Re c]] in interleaved order, so
     that advance runs on the float view of the cell-major state, one row
     per cell: W x, A (V y) and F (V y) as BLAS products and D x as one
-    batched (K, M, 6) @ (K, 6, 6) product.
+    batched (K, M, 6) @ (K, 6, 6) product.  The sizes follow the state:
+    rank is the count of functionals, channels that of the fields.
 
     R depends on the step's six drive samples.  Both optical rates are the
     same for every class (the drives are resonant), so a class enters the
@@ -254,18 +260,30 @@ class _Propagator:
     operator over a stretch of steps at once, and transpose_block its
     transpose, from the same block operators: the one transpose there is,
     which a sweep's adjoint pass applies (see transpose_steps).
+
+    A dark half system (see _dark) has no E- and no P-: y = (E+, x) with x
+    the kept classes' (P+, S), and V y = (E+, W x) five functionals, the
+    field and its source per stage.  build traces its rows P+ and S over
+    the columns they read (70 complex coefficients per step against 195),
+    and every method runs at that size: D x as (K, M, 4) @ (K, 4, 4), and
+    4 floats per class in the products, against 6.
     """
 
-    RANK = 10    # the two fields plus two field sources per RK4 stage
     POWERS = 5   # u^0 .. u^4: each of the four stages is linear in u
 
     def __init__(self, m: MediumParams, state: SimState):
         self.dt = state.grid.dz / m.c
-        cells, k = state.grid.cells, len(state.deltas)
+        cells, k, parts = state.a.shape  # parts: P+, P- and S, or P+ and S
         self.half = not np.iscomplexobj(state.f)  # a half system (see _halve)
-        # floats per cell of the fields and of V y: real fields in a half system
-        nf = 2 if self.half else 4
-        ny = self.RANK * nf // 2
+        # the field channels, E+ and E- or on a dark system E+ alone (see
+        # _dark), and the rank: the fields plus their sources per RK4 stage
+        self.channels = parts - 1
+        self.rank = 5 * self.channels
+        # floats per cell of the fields and of V y, real in a half system,
+        # and per class of the atoms
+        nf, ny = ((self.channels, self.rank) if self.half
+                  else (2 * self.channels, 2 * self.rank))
+        na = 2 * parts
         self.half_g = 0.5j * math.sqrt(m.g2n)
         # the P+ and P- rows of _class_rates, which no class changes
         self.optical = -0.5 * m.gamma_opt
@@ -281,27 +299,28 @@ class _Propagator:
         powers *= self.half_g * state.weights[:, None]
         self._moments = self.half_g * moments if self.half else powers.sum(axis=0)
         self._source_powers = np.hstack([powers.real, powers.imag])
-        # the operator: D_k^T (K, 6, 6) and A^T (ny, 6K), from one load
-        # product, W^T (6K, ny - nf) and F^T (ny, nf)
-        self._da = np.empty((6 + ny, k, 6))
-        self.d = self._da[:6].swapaxes(0, 1)
-        self.a_op = self._da[6:].reshape(ny, 6 * k)
-        self.w = np.empty((6 * k, ny - nf))
+        # the operator: D_k^T (K, na, na) and A^T (ny, na K), from one load
+        # product, W^T (na K, ny - nf) and F^T (ny, nf)
+        self._da = np.empty((na + ny, k, na))
+        self.d = self._da[:na].swapaxes(0, 1)
+        self.a_op = self._da[na:].reshape(ny, na * k)
+        self.w = np.empty((na * k, ny - nf))
         self.f_op = np.empty((ny, nf))
         self._block = None  # advance_block's operators and work areas
         self._block_loaded = False  # whether its operators are the loaded one's
         self._back = None  # transpose_block's work areas
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
-        self._phi = np.empty((cells, self.RANK), dtype=float if self.half else complex)
-        self._dx = np.empty((cells, k, 6))
+        self._phi = np.empty((cells, self.rank), dtype=float if self.half else complex)
+        self._dx = np.empty((cells, k, na))
         self._bound = (None, None)  # state.f, state.a, then the views of _views
 
     def build(self, omega_c: np.ndarray, omega_a: np.ndarray) -> tuple:
         """The operators of n steps, as coefficients over u^p.
 
         omega_c and omega_a are (n, 3): each row holds a step's drive at its
-        three half steps (see _step_reads).  Returns (da, w, f), one row per
+        three half steps (see _step_reads); a dark system reads omega_c
+        alone, its A being zero.  Returns (da, w, f), one row per
         step: the _tables of [D | A] and of W's rows before the classes'
         source, and F^T in real form.  A linear map of y is traced as
         t = [D | A] and f: its x-part is D x_k + A (V y), its field part
@@ -311,33 +330,35 @@ class _Propagator:
         does not depend on the other rows or on its place among them.
         """
         n = len(omega_c)
-        h, r, p = self.dt, self.RANK, self.POWERS
+        h, r, p, c = self.dt, self.rank, self.POWERS, self.channels
         # while tracing, t is (row P+/P-/S, step, power, column): each row
-        # is one contiguous block, and the steps broadcast from 1 to n
-        one_t = np.zeros((3, 1, p, 3 + r), dtype=complex)
-        one_t[0, 0, 0, 0] = one_t[1, 0, 0, 1] = one_t[2, 0, 0, 2] = 1.0
-        one_f = np.eye(2, r, dtype=complex)[:, None]
+        # is one contiguous block, and the steps broadcast from 1 to n; a
+        # dark system traces only its rows P+ and S and the columns they read
+        one_t = np.zeros((c + 1, 1, p, c + 1 + r), dtype=complex)
+        one_t[np.arange(c + 1), 0, 0, np.arange(c + 1)] = 1.0
+        one_f = np.eye(c, r, dtype=complex)[:, None]
         t, f = one_t, one_f
-        sum_t = np.zeros((3, n, p, 3 + r), dtype=complex)
-        sum_f = np.zeros((2, n, r), dtype=complex)
+        sum_t = np.zeros((c + 1, n, p, c + 1 + r), dtype=complex)
+        sum_f = np.zeros((c, n, r), dtype=complex)
         slope = np.empty_like(sum_t)
-        w = np.empty((n, p, 3, r - 2), dtype=complex)  # W^T
+        w = np.empty((n, p, c + 1, r - c), dtype=complex)  # W^T
         # the stage matrices' drive entries at each half step: (i/2) Omega
         # into P+ and P-, and (i/2) Omega* from them into S
-        into_p = 0.5j * np.stack([omega_c, omega_a])[..., None, None]
+        into_p = 0.5j * np.stack([omega_c, omega_a][:c])[..., None, None]
         into_s = -into_p.conj()
         stages = ((0, 0.5, 1.0), (1, 0.5, 2.0), (1, 1.0, 2.0), (2, 0.0, 1.0))
         for s, (at, to_next, weight) in enumerate(stages):
             # slope: x-part B_s x_s + G e_s, field part the sources of x_s
-            np.multiply(self.optical, t[:2], out=slope[:2])
-            slope[:2] += into_p[:, :, at] * t[2]
-            np.multiply(into_s[0, :, at], t[0], out=slope[2])
-            slope[2] += into_s[1, :, at] * t[1]
-            slope[2, :, 1:] += t[2, :, :-1]  # u S
-            slope[:2, :, 0, 3:] += self.half_g * f
-            w[..., 2 * s:2 * s + 2] = t[:2, ..., :3].transpose(1, 2, 3, 0)
-            slope_f = self._moments @ t[:2, ..., 3:]
-            slope_f[..., 2 * s + 2:2 * s + 4] += one_f[..., :2]
+            np.multiply(self.optical, t[:c], out=slope[:c])
+            slope[:c] += into_p[:, :, at] * t[c]
+            np.multiply(into_s[0, :, at], t[0], out=slope[c])
+            if c > 1:
+                slope[c] += into_s[1, :, at] * t[1]
+            slope[c, :, 1:] += t[c, :, :-1]  # u S
+            slope[:c, :, 0, c + 1:] += self.half_g * f
+            w[..., c * s:c * s + c] = t[:c, ..., :c + 1].transpose(1, 2, 3, 0)
+            slope_f = self._moments @ t[:c, ..., c + 1:]
+            slope_f[..., c * s + c:c * s + 2 * c] += one_f[..., :c]
             sum_t += weight * slope
             sum_f += weight * slope_f
             if to_next:
@@ -347,13 +368,14 @@ class _Propagator:
         t = np.ascontiguousarray((one_t + h / 6.0 * sum_t).transpose(1, 3, 2, 0))
         f = np.multiply((one_f + h / 6.0 * sum_f).transpose(1, 2, 0)[:, :, None],
                         np.array([1.0, 1j])[:, None], order="C")
-        da = _table(t, 2, 3).reshape(n, 2 * (3 + r), 2 * p, 6)
+        na = 2 * (c + 1)  # floats per class
+        da = _table(t, 2, 3).reshape(n, na + 2 * r, 2 * p, na)
         w = _table(w, 4, 1).reshape(n, 1, 2 * p, -1)
-        f = f.view(float).reshape(n, 2 * r, 4)
+        f = f.view(float).reshape(n, 2 * r, 2 * c)
         if self.half:
             # real fields: the Re-input rows of A and F and the Re-output
             # columns of W and F; D acts on the atoms, still complex
-            return da[:, np.r_[:6, 6:6 + 2 * r:2]], w[..., ::2].copy(), f[:, ::2, ::2]
+            return da[:, np.r_[:na, na:na + 2 * r:2]], w[..., ::2].copy(), f[:, ::2, ::2]
         return da, w, f
 
     def load(self, table: tuple, row: int) -> None:
@@ -367,26 +389,28 @@ class _Propagator:
 
     def _views(self, state: SimState) -> tuple:
         """The float views of state.f (M, 4; a half system's real f is its
-        own, (M, 2)), state.a's rows (M, 6K) and batch (K, M, 6), y, y's
+        own, (M, 2) or dark (M, 1)), state.a's rows (M, na K) and batch
+        (K, M, na), with na = 6, or 4 on a dark system, y, y's
         sources and D x's rows and batch, made again only when state.f or
         state.a is another array: one that is not C-contiguous, of the
         grid's and classes' shape and of the propagator's dtype is a
         ValueError."""
         if self._bound[0] is not state.f or self._bound[1] is not state.a:
-            cells, k, _ = self._dx.shape
-            for name, shape, dtype in (("f", (cells, 2), self._phi.dtype),
-                                       ("a", (cells, k, 3), np.dtype(complex))):
+            cells, k, na = self._dx.shape
+            c = self.channels
+            for name, shape, dtype in (("f", (cells, c), self._phi.dtype),
+                                       ("a", (cells, k, c + 1), np.dtype(complex))):
                 arr = getattr(state, name)
                 c_order = arr.flags.c_contiguous
                 if (arr.shape, arr.dtype, c_order) != (shape, dtype, True):
                     order = "C" if c_order else "F" if np.isfortran(arr) else "no"
                     raise ValueError(f"state.{name} is {arr.dtype} {arr.shape} in "
                                      f"{order} order, not C-contiguous {dtype} {shape}")
-            x, y = state.a.view(float).reshape(cells, 6 * k), self._phi.view(float)
+            x, y = state.a.view(float).reshape(cells, na * k), self._phi.view(float)
             f = state.f.view(float)
             self._bound = (state.f, state.a, f, x,
-                           x.reshape(cells, k, 6).swapaxes(0, 1), y, y[:, f.shape[1]:],
-                           self._dx.reshape(cells, 6 * k), self._dx.swapaxes(0, 1))
+                           x.reshape(cells, k, na).swapaxes(0, 1), y, y[:, f.shape[1]:],
+                           self._dx.reshape(cells, na * k), self._dx.swapaxes(0, 1))
         return self._bound[2:]
 
     def advance(self, state: SimState, n: int, inject_plus: complex,
@@ -404,8 +428,9 @@ class _Propagator:
         # advect into the field functionals, then the sources W x
         phi[1:, 0] = f[:-1, 0]
         phi[0, 0] = inject_plus
-        phi[:-1, 1] = f[1:, 1]
-        phi[-1, 1] = inject_minus
+        if self.channels > 1:  # a dark system has no E- (see _dark)
+            phi[:-1, 1] = f[1:, 1]
+            phi[-1, 1] = inject_minus
         np.matmul(x, self.w, out=sources)
         np.matmul(x_batch, self.d, out=dx_batch)
         np.matmul(y, self.a_op, out=x)
@@ -441,21 +466,21 @@ class _Propagator:
         if not self._block_loaded:
             self._load_block()
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(state)
-        history, stacks, powers, sources, slots, out, fields = self._block
-        r = self.RANK
-        cells = len(history)
-        s0 = sources[:cells * 8 * q].reshape(cells, 8 * q)  # the x_0 D^i W
-        np.matmul(x, stacks[0][:, :8 * q], out=s0)
-        history.reshape(cells, -1, r)[:, :q, 2:] = s0.reshape(cells, q, 8)
-        history[1:, 0] = f_float[:-1, 0]
-        history[:-1, 1] = f_float[1:, 1]
+        history, stacks, powers, sources, slots, out, sources_out = self._block
+        r, c = self.rank, self.channels
+        ns, cells = r - c, len(history)
+        s0 = sources[:cells * ns * q].reshape(cells, ns * q)  # the x_0 D^i W
+        np.matmul(x, stacks[0][:, :ns * q], out=s0)
+        history.reshape(cells, -1, r)[:, :q, c:] = s0.reshape(cells, q, ns)
+        for j, (to, fro) in enumerate(_ADVECT[:c]):
+            history[to, j] = f_float[fro, j]
         history[0, 0:r * q:r] = inject  # E+ enters each step at z = 0
-        for y_to_i, g, s_to, plus_to, minus_to in slots[:q]:
+        for y_to_i, g, s_to, moves in slots[:q]:
             np.matmul(y_to_i, g, out=out)
-            s_to[...] = fields[0]
-            plus_to[...] = fields[1]
-            minus_to[...] = fields[2]
-        f_float[:] = out[:, 8:]
+            s_to[...] = sources_out
+            for to, value in moves:
+                to[...] = value
+        f_float[:] = out[:, ns:]
         np.matmul(x_batch, powers[q - 1], out=dx_batch)
         np.matmul(history[:, :r * q], stacks[2][-r * q:], out=x)
         np.add(x, dx_rows, out=x)
@@ -463,27 +488,29 @@ class _Propagator:
 
     def _make_block(self, longest: int) -> None:
         """Make advance_block's work areas and operator arrays for blocks of
-        up to Q = longest steps: the history, y_0 .. y_(Q-1) and the
-        fields of y_Q; [W, D W, .., D^(Q-1) W] (6K, 8Q); the history's stack
-        g, the rows [G_j, G_j F_s] of j = Q-1 .. 0, then [0, F_f] for y_i's
-        fields and [1, F_s] for x_0 D^i W (F_f and F_s F's rows of the
-        fields and of the sources); [A D^(Q-1); ..; A] (10Q, 6K); D^1 ..
-        D^Q; x_0 D^i W; and per step its views."""
-        k, r, nq = len(self._powers), self.RANK, longest
-        cells = len(self._phi)
+        up to Q = longest steps, with r the rank, c of its functionals the
+        fields, ns = r - c the sources and na the floats per class: the
+        history, y_0 .. y_(Q-1) and the fields of y_Q; [W, D W, ..,
+        D^(Q-1) W] (na K, ns Q); the history's stack g, the rows [G_j,
+        G_j F_s] of j = Q-1 .. 0, then [0, F_f] for y_i's fields and [1, F_s]
+        for x_0 D^i W (F_f and F_s F's rows of the fields and of the
+        sources); [A D^(Q-1); ..; A] (r Q, na K); D^1 .. D^Q; x_0 D^i W;
+        and per step its views."""
+        k, r, c, nq = len(self._powers), self.rank, self.channels, longest
+        ns, na, cells = r - c, self._dx.shape[2], len(self._phi)
         history = np.zeros((cells, r * (nq + 1)))
         g = np.zeros((r * nq + r, r))
-        g[-8:, :8] = np.eye(8)
+        g[-ns:, :ns] = np.eye(ns)
         out = np.empty((cells, r))
         self._block = (
-            history, (np.empty((6 * k, 8 * nq)), g, np.empty((r * nq, 6 * k))),
-            np.empty((nq, k, 6, 6)), np.empty(cells * 8 * nq),
-            # per step i: its history, its rows of g, and where its sources
-            # and the next step's advected E+ and E- go
-            [(history[:, :r * i + r], g[r * (nq - i):],
-              history[:, r * i + 2:r * i + r], history[1:, r * i + r],
-              history[:-1, r * i + r + 1]) for i in range(nq)],
-            out, (out[:, :8], out[:-1, 8], out[1:, 9]))
+            history, (np.empty((na * k, ns * nq)), g, np.empty((r * nq, na * k))),
+            np.empty((nq, k, na, na)), np.empty(cells * ns * nq),
+            # per step i: its history, its rows of g, where its sources go,
+            # and where the next step's advected fields go, from out
+            [(history[:, :r * i + r], g[r * (nq - i):], history[:, r * i + c:r * i + r],
+              [(history[to, r * i + r + j], out[fro, ns + j])
+               for j, (to, fro) in enumerate(_ADVECT[:c])]) for i in range(nq)],
+            out, out[:, :ns])
         self._block_loaded = False
         self._back = None
 
@@ -492,29 +519,30 @@ class _Propagator:
         of up to Q steps (see _make_block) from per-class products of the
         D_k."""
         _, (dw_rows, g, ad_rows), powers, _, slots, *_ = self._block
-        k, r, nq = len(self._powers), self.RANK, len(slots)
-        dw = dw_rows.reshape(k, 6, nq, 8)
-        ad = ad_rows.reshape(nq, r, k, 6).transpose(0, 2, 1, 3)  # (Q, K, 10, 6)
-        dw[:, :, 0] = self.w.reshape(k, 6, 8)
-        ad[-1] = self.a_op.reshape(r, k, 6).swapaxes(0, 1)
+        k, r, c, nq = len(self._powers), self.rank, self.channels, len(slots)
+        ns, na = r - c, self._dx.shape[2]
+        dw = dw_rows.reshape(k, na, nq, ns)
+        ad = ad_rows.reshape(nq, r, k, na).transpose(0, 2, 1, 3)  # (Q, K, r, na)
+        dw[:, :, 0] = self.w.reshape(k, na, ns)
+        ad[-1] = self.a_op.reshape(r, k, na).swapaxes(0, 1)
         powers[0] = self.d
-        g[-r:-8, 8:] = self.f_op[:2]
-        g[-8:, 8:] = self.f_op[2:]
+        g[-r:-ns, ns:] = self.f_op[:c]
+        g[-ns:, ns:] = self.f_op[c:]
         for j in range(nq):
             if j:
                 np.matmul(self.d, dw[:, :, j - 1], out=dw[:, :, j])
                 np.matmul(ad[nq - j], self.d, out=ad[nq - 1 - j])
                 np.matmul(powers[j - 1], self.d, out=powers[j])
             rows = g[r * (nq - 1 - j):r * (nq - j)]
-            np.matmul(self.a_op, dw_rows[:, 8 * j:8 * j + 8], out=rows[:, :8])
-            np.matmul(rows[:, :8], self.f_op[2:], out=rows[:, 8:])
+            np.matmul(self.a_op, dw_rows[:, ns * j:ns * j + ns], out=rows[:, :ns])
+            np.matmul(rows[:, :ns], self.f_op[c:], out=rows[:, ns:])
         if self._back is not None:  # and transpose_block's, transposed
             ops = self._back[-1]
             for op, made in zip(ops, (ad_rows.T, dw_rows.T, powers.swapaxes(2, 3))):
                 op[...] = made
             g_t = ops[3].reshape(nq + 1, r, r)
-            g_t[:-1, 2:] = g[:-r].reshape(nq, r, r)[..., :8].swapaxes(1, 2)
-            g_t[-1, :2] = self.f_op.T
+            g_t[:-1, c:] = g[:-r].reshape(nq, r, r)[..., :ns].swapaxes(1, 2)
+            g_t[-1, :c] = self.f_op.T
         self._block_loaded = True
 
     def _make_back(self) -> None:
@@ -527,23 +555,23 @@ class _Propagator:
         the sources of xi_a (A D^(q-1-i))^T.  Drops the loaded block
         operators, so that the next block writes both."""
         _, _, _, _, slots, out, _ = self._block
-        k, r, nq = len(self._powers), self.RANK, len(slots)
-        cells = len(self._phi)
+        k, r, c, nq = len(self._powers), self.rank, self.channels, len(slots)
+        ns, na, cells = r - c, self._dx.shape[2], len(self._phi)
         # zeros stay where no covector reaches: E+ in the last cell and E-
         # in the first of every phi but xi_f
         history = np.zeros((cells, r * (nq + 1)))
         g_t = np.zeros((r * nq + r, r))
-        g_t[-8:, 2:] = np.eye(8)
+        g_t[-ns:, c:] = np.eye(ns)
         self._back = (
             history, np.empty(cells * r * nq),
-            # per step j from the last: its history, its rows of g_t, and
-            # where psi's sources go and where psi's fields add, moved
-            [(history[:, :r * j + r], g_t[r * (nq - j):],
-              history[:, r * j + 2:r * j + r], history[:-1, r * j + r],
-              history[1:, r * j + r + 1]) for j in range(nq)],
-            (out[:, 2:], out[1:, 0], out[:-1, 1]),
-            (np.empty((6 * k, r * nq)), np.empty((8 * nq, 6 * k)),
-             np.empty((nq, k, 6, 6)), g_t))
+            # per step j from the last: its history, its rows of g_t, where
+            # psi's sources go, and where psi's fields add, moved from out
+            [(history[:, :r * j + r], g_t[r * (nq - j):], history[:, r * j + c:r * j + r],
+              [(history[fro, r * j + r + i], out[to, i])
+               for i, (to, fro) in enumerate(_ADVECT[:c])]) for j in range(nq)],
+            out[:, c:],
+            (np.empty((na * k, r * nq)), np.empty((ns * nq, na * k)),
+             np.empty((nq, k, na, na)), g_t))
         self._block_loaded = False
 
     def transpose_block(self, xi: SimState, q: int, longest: int) -> None:
@@ -576,28 +604,29 @@ class _Propagator:
         if not self._block_loaded:
             self._load_block()
         sources, out = self._block[3], self._block[5]
-        history, c, slots, (psi_s, psi_plus, psi_minus), ops = self._back
+        history, a_psi, slots, psi_s, ops = self._back
         ad_t, dw_t, powers_t, _ = ops
-        r, cells = self.RANK, len(history)
+        r, c = self.rank, self.channels
+        ns, cells = r - c, len(history)
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(xi)
         by_step = history[:, :r * q + r].reshape(cells, q + 1, r)
-        c = c[:cells * r * q].reshape(cells, q, r)  # xi_a (A D^(q-1-i))^T
-        np.matmul(x, ad_t[:, -r * q:], out=c.reshape(cells, r * q))
+        a_psi = a_psi[:cells * r * q].reshape(cells, q, r)  # xi_a (A D^(q-1-i))^T
+        np.matmul(x, ad_t[:, -r * q:], out=a_psi.reshape(cells, r * q))
         np.matmul(x_batch, powers_t[q - 1], out=dx_batch)
-        by_step[:, :q, 2:] = c[:, ::-1, 2:]
-        by_step[:-1, 1:, 0] = c[1:, ::-1, 0]  # E+ one cell toward z = 0
-        by_step[1:, 1:, 1] = c[:-1, ::-1, 1]  # E- one cell toward z = 1
-        by_step[:, 0, :2] = f_float
-        for psi_to_i, g_t, s_to, plus_to, minus_to in slots[:q]:
+        by_step[:, :q, c:] = a_psi[:, ::-1, c:]
+        for j, (to, fro) in enumerate(_ADVECT[:c]):  # fields moved back a cell
+            by_step[fro, 1:, j] = a_psi[to, ::-1, j]
+        by_step[:, 0, :c] = f_float
+        for psi_to_i, g_t, s_to, moves in slots[:q]:
             np.matmul(psi_to_i, g_t, out=out)
             s_to[...] = psi_s
-            plus_to += psi_plus
-            minus_to += psi_minus
-        s = sources[:cells * 8 * q].reshape(cells, q, 8)  # psi_0 .. psi_(q-1)
-        s[...] = by_step[:, q - 1::-1, 2:]
-        np.matmul(s.reshape(cells, 8 * q), dw_t[:8 * q], out=x)
+            for to, value in moves:
+                to += value
+        s = sources[:cells * ns * q].reshape(cells, q, ns)  # psi_0 .. psi_(q-1)
+        s[...] = by_step[:, q - 1::-1, c:]
+        np.matmul(s.reshape(cells, ns * q), dw_t[:ns * q], out=x)
         np.add(x, dx_rows, out=x)
-        f_float[:] = by_step[:, q, :2]
+        f_float[:] = by_step[:, q, :c]
 
     def transpose_steps(self, xi: SimState, n: int) -> None:
         """Apply the transpose of n steps of the loaded operator to the
@@ -704,7 +733,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     A conjugate-symmetric run (real drives and probe, +/- paired classes
     and a mirrored starting state, see _halve) integrates its half system
     and expands each snapshot and the final state to a full state, mirrored
-    exactly.  Resuming from one halves it back to the same half state.
+    exactly.  Resuming from one halves it back to the same half state.  A
+    run that reads no A from a start with no E- or P- integrates the dark
+    system (see _dark), and its states have E- and P- exactly 0; a resumed
+    run that reads no more A while E- and P- are still exactly 0 is dark
+    where the uninterrupted run was not, so they agree to rounding.
     Either system walks the block starts of _block_starts, the full one in
     single steps; the half one steps from each to the next as one block
     (see _Propagator.advance_block), or as single steps when they are
@@ -742,8 +775,10 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     records = array("d")  # (t, |E+(1)|^2, |E-(0)|^2, spin norm) per record
 
     def record() -> None:
-        records.extend((state.t, abs(state.f[-1, 0]) ** 2,
-                        abs(state.f[0, 1]) ** 2, state.spin_norm()))
+        f = state.f  # a dark system's E- is 0 (see _halve)
+        records.extend((state.t, abs(f[-1, 0]) ** 2,
+                        abs(f[0, 1]) ** 2 if f.shape[1] > 1 else 0.0,
+                        state.spin_norm()))
 
     # steps on the multiples of `every` record, those of a resumed run too
     if n0 % every == 0:
@@ -803,28 +838,48 @@ _MIRROR = np.array([-1.0, -1.0, 1.0])  # class -delta's (P+, P-, S) from class d
 def _halve(state: SimState, *reads: np.ndarray) -> SimState | None:
     """The half system of a conjugate-symmetric run, or None.
 
-    With real drives and probe (`reads`, see _step_reads), a class set of
-    +/- pairs (K even, deltas == -deltas[::-1], weights == weights[::-1])
-    and a state of real fields whose class -delta holds (-P+*, -P-*, S*) of
-    class delta, every step keeps the fields real and the pairs mirrored.
-    The half system is such a state's real fields with the first K/2
-    classes, weighted 2 w; _expand expands it back."""
+    With real drives and probe (`reads`: C, A and the probe, or the first
+    of them, see _step_reads), a class set of +/- pairs (K even, deltas ==
+    -deltas[::-1], weights == weights[::-1]) and a state of real fields
+    whose class -delta holds (-P+*, -P-*, S*) of class delta, every step
+    keeps the fields real and the pairs mirrored.  The half system is such
+    a state's real fields with the first K/2 classes, weighted 2 w; _expand
+    expands it back.  It is dark (see _dark) when the reads include A, A
+    is zero throughout and so are the state's E- and P-: they then stay 0."""
     d, w, a, k = state.deltas, state.weights, state.a, len(state.deltas) // 2
     if (len(d) % 2 or not np.array_equal(d, -d[::-1])
             or not np.array_equal(w, w[::-1])
             or any(x.imag.any() for x in (state.f, *reads))
             or not np.array_equal(a[:, k:], a[:, :k][:, ::-1].conj() * _MIRROR)):
         return None
-    return SimState(state.t, state.f.real.copy(), a[:, :k].copy(), state.grid,
+    half = SimState(state.t, state.f.real.copy(), a[:, :k].copy(), state.grid,
                     d[:k].copy(), 2.0 * w[:k])
+    dark = (len(reads) > 1 and not reads[1].any()
+            and not (state.e_minus.any() or state.p_minus.any()))
+    return _dark(half) if dark else half
+
+
+def _dark(half: SimState) -> SimState:
+    """The dark system of a half system: its E+, (M, 1), and each class's
+    P+ and S, (M, K/2, 2).  With A zero, E- and P- neither feed nor are fed
+    by them, so a run from zero E- and P- integrates these alone, at rank 5
+    (see _Propagator).  Also the dark system of a dark system."""
+    return SimState(half.t, half.f[:, :1].copy(), half.a[..., [0, -1]],
+                    half.grid, half.deltas, half.weights)
 
 
 def _expand(half: SimState) -> SimState:
     """The full state of a half system (see _halve): its classes, then
-    their mirrors, each of weight w, exactly as the full state had them."""
+    their mirrors, each of weight w, exactly as the full state had them; a
+    dark system's E- and P- are 0."""
     d, w, a = half.deltas, 0.5 * half.weights, half.a
-    return SimState(half.t, half.f.astype(complex),
-                    np.concatenate([a, a[:, ::-1].conj() * _MIRROR], axis=1),
+    cells, k, parts = a.shape
+    f = np.zeros((cells, 2), dtype=complex)
+    f[:, :parts - 1] = half.f
+    full = np.zeros((cells, k, 3), dtype=complex)
+    full[..., ::4 - parts] = a  # (P+, P-, S), or a dark system's (P+, S)
+    return SimState(half.t, f,
+                    np.concatenate([full, full[:, ::-1].conj() * _MIRROR], axis=1),
                     half.grid, np.concatenate([d, -d[::-1]]),
                     np.concatenate([w, w[::-1]]))
 

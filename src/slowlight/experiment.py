@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
-                       _check_probe_resolution, _differ, _halve,
+                       _check_probe_resolution, _dark, _differ, _halve,
                        _Propagator, _record_every, _step_index, _step_reads,
                        balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
@@ -310,10 +310,15 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     that long reads |E+(1)|^2 from g_j, all in one product.  Between two
     reads the pass applies the `every` steps of R^T in blocks that end at
     the read (see _Propagator.transpose_steps).  Only the current g_j is
-    held, and the pass ends at its last read.  A non-finite record raises
+    held, and the pass ends at its last read.  With A zero in `held`, R
+    maps E- and P- into themselves alone, so g_j never reaches them: the
+    pass runs on the dark system and reads each start's E+, P+ and S,
+    whatever its E- and P- (see _dark).  A non-finite record raises
     NumericalAbort, as the forward run would.
     """
     starts = [_halve(x, *held) for x in starts]
+    if not held[1].any():
+        starts = [_dark(x) for x in starts]
     x = starts[0]
     # xi's real fields and its atoms' Re and Im pairs are views of one
     # float vector; each start's row is the same vector of it

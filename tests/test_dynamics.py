@@ -496,14 +496,16 @@ def _count_built_rows(monkeypatch) -> list[int]:
     return rows
 
 
-def _spy_paths(monkeypatch) -> list[bool]:
-    """Record, per run_dynamics call, whether it integrates the half system."""
+def _spy_paths(monkeypatch) -> list[str]:
+    """Record, per run_dynamics call, the system it integrates: "full",
+    "half", or "dark", the half system without E- and P- (see _halve)."""
     paths = []
     halve = dynamics._halve
 
     def spied(state, *reads):
         half = halve(state, *reads)
-        paths.append(half is not None)
+        paths.append("full" if half is None else
+                     "dark" if half.f.shape[1] == 1 else "half")
         return half
 
     monkeypatch.setattr(dynamics, "_halve", spied)
@@ -539,24 +541,31 @@ def _step_loop(sequence, m, grid, classes, state=None):
 class TestPropagatorBuild:
     def test_steps_make_no_copy_of_the_state(self):
         # 200 held steps at K = 64, M = 32, whose atoms take 98 KB, and 200
-        # of the half system, then 200 blocks of 8 and 200 of 1 of its
-        # transpose, may hold at most 2 KB more at any time (measured: 560
-        # bytes for advance on either system, and 1,080 for transpose_block
-        # in blocks of either length).  The first call is not traced: it
-        # makes the views, and the transposes their operators and work areas
+        # of the half system and of its dark system, then 200 blocks of 8
+        # and 200 of 1 of their transposes, may hold at most 2 KB more at
+        # any time (measured: 560 bytes for advance on any system, and
+        # 1,080 for transpose_block in blocks of either length, on either
+        # half system).  The first call is not traced: it makes the views,
+        # and the transposes their operators and work areas
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=32,
                        classes=make_spectral_classes(30.0, 64, "lorentzian"))
         half = dynamics._halve(state)
-        state.a[:] = half.a[:] = 1e-3
-        prop, half_prop = _Propagator(m, state), _Propagator(m, half)
-        for p in (prop, half_prop):
-            p.load(p.build(np.full((1, 3), 0.5 + 0j), np.full((1, 3), 0.2 + 0j)), 0)
+        dark = dynamics._dark(half)
+        state.a[:] = half.a[:] = dark.a[:] = 1e-3
+        props = [_Propagator(m, x) for x in (state, half, dark)]
+        for p, omega_a in zip(props, (0.2, 0.2, 0.0)):
+            p.load(p.build(np.full((1, 3), 0.5 + 0j), np.full((1, 3), omega_a + 0j)), 0)
+        prop, half_prop, dark_prop = props
         assert half_prop.half and half.f.dtype == float
+        assert dark_prop.half and dark.f.shape == (32, 1) and dark.a.shape == (32, 32, 2)
         for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
                     lambda n: half_prop.advance(half, n, 0.0, 0.0),
+                    lambda n: dark_prop.advance(dark, n, 0.0, 0.0),
                     lambda n: half_prop.transpose_block(half, 8, 8),
-                    lambda n: half_prop.transpose_block(half, 1, 1)):
+                    lambda n: half_prop.transpose_block(half, 1, 1),
+                    lambda n: dark_prop.transpose_block(dark, 8, 8),
+                    lambda n: dark_prop.transpose_block(dark, 1, 1)):
             run(1)
             tracemalloc.start()
             try:
@@ -593,23 +602,32 @@ class TestPropagatorBuild:
                                      self._loaded(prop, alone, 0)):
                     assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("edge", [None, (0, 0), (0, -1), (1, 0), (1, -1)])
+    @pytest.mark.parametrize("system, edge", [
+        (system, edge) for system in ("half", "dark")
+        for edge in (None, (0, 0), (0, -1), (1, 0), (1, -1))
+        if system == "half" or edge is None or edge[0] == 0])
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 29, 32])
-    def test_transpose_block_is_the_adjoint_of_advance_block(self, q, edge):
+    def test_transpose_block_is_the_adjoint_of_advance_block(self, q, system,
+                                                             edge):
         # xi . advance_block(x) == transpose_block(xi) . x in the dot
         # product of the float views, for a block of q steps of a held
-        # operator on a half system (K = 4, real drives), with nothing
-        # injected; the edge covectors pick one field at a boundary cell,
-        # where the advection's shift and injection rows act.  Work areas
-        # sized for 32 steps and left over from a 32-step block each way.
-        # Measured: at most 2.5e-16 of the sums of the absolute terms, and
-        # within 2.9e-15 of q one-step blocks
+        # operator on a half system (K = 4, real drives) and on its dark
+        # system (A = 0, no E- or P-), with nothing injected; the edge
+        # covectors pick one field at a boundary cell, where the
+        # advection's shift and injection rows act.  Work areas sized for
+        # 32 steps and left over from a 32-step block each way.  Measured:
+        # at most 2.5e-16 of the sums of the absolute terms, and within
+        # 2.9e-15 of q one-step blocks (dark: 2.6e-16 and 3.1e-15)
         rng = np.random.default_rng(q)
         classes = make_spectral_classes(1600.0, 4, "lorentzian")
         zero = dynamics._halve(_state(grid_cells=4, classes=classes))
+        omega_c, omega_a = rng.normal(size=(2, 1, 3)) + 0j
+        if system == "dark":
+            zero, omega_a = dynamics._dark(zero), 0.0 * omega_a
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         prop = _Propagator(m, zero)
-        prop.load(prop.build(*rng.normal(size=(2, 1, 3)) + 0j), 0)
+        assert prop.rank == (10 if system == "half" else 5)
+        prop.load(prop.build(omega_c, omega_a), 0)
 
         def random_state():
             state = zero.copy()
@@ -639,24 +657,27 @@ class TestPropagatorBuild:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def _resume_setup(n_classes=3):
-    """A gated memory run, its coupling off and on again between snapshots."""
+def _resume_setup(n_classes=3, omega_a=0.0):
+    """A gated memory run, its coupling off and on again between snapshots,
+    with a backward coupling omega_a in the dark gap when it is not 0."""
     m = MediumParams.from_optical_depth(30.0, gamma_opt=1.0, c=5.0)
     grid = Grid(cells=16)
     classes = make_spectral_classes(30.0, n_classes, "lorentzian")
+    backward = [PulseEvent("A", 5.5, 1.0, omega_a)] if omega_a else []
     seq = PulseSequence(
         events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
                 PulseEvent("C", 0.0, 5.0, 1.5, "raised_cosine", 0.5),
-                PulseEvent("C", 7.0, 3.0, 2.0, "raised_cosine", 0.5)],
+                PulseEvent("C", 7.0, 3.0, 2.0, "raised_cosine", 0.5), *backward],
         t_end_us=10.0, sample_rate=20.0)
     return m, grid, classes, seq
 
 
 class TestResume:
     K = 3  # odd: the full path; TestResumeHalfPath takes the half path
+    A = 0.0  # the backward coupling in the dark gap
 
     def test_resumed_runs_match_the_uninterrupted_run_bitwise(self):
-        m, grid, classes, seq = _resume_setup(self.K)
+        m, grid, classes, seq = _resume_setup(self.K, self.A)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             # snapshots at steps 80, 159, 238, 317, 396, ...: on and off
@@ -683,7 +704,7 @@ class TestResume:
                     assert np.array_equal(mine.a, theirs.a)
 
     def test_times_are_exact_step_multiples(self):
-        m, grid, classes, seq = _resume_setup(self.K)
+        m, grid, classes, seq = _resume_setup(self.K, self.A)
         dt = grid.dz / m.c
         steps = range(80, 800, 79)
         with warnings.catch_warnings():
@@ -698,7 +719,7 @@ class TestResume:
         assert [s.t for s in snaps] == [n * dt for n in [*steps, 800]]
 
     def test_state_at_the_end_runs_no_step(self):
-        m, grid, classes, seq = _resume_setup(self.K)
+        m, grid, classes, seq = _resume_setup(self.K, self.A)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             full, snaps = run_dynamics(seq, m, grid, classes)
@@ -708,7 +729,7 @@ class TestResume:
         assert np.array_equal(part_snaps[-1].a, snaps[-1].a)
 
     def test_state_at_the_end_off_the_cadence_records_nothing(self):
-        m, grid, classes, seq = _resume_setup(self.K)
+        m, grid, classes, seq = _resume_setup(self.K, self.A)
         seq = replace(seq, sample_rate=80.0 / 3.0)  # every 3 steps; 800 is not
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -720,7 +741,7 @@ class TestResume:
             assert column.shape == (0,) and column.dtype == float, name
 
     def test_rejects_state_off_the_run(self):
-        m, grid, classes, seq = _resume_setup(self.K)
+        m, grid, classes, seq = _resume_setup(self.K, self.A)
         dt = grid.dz / m.c
         bad = [SimState.zeros(Grid(cells=8), classes),
                SimState.zeros(grid, classes[:2]),
@@ -740,16 +761,19 @@ class TestResume:
 
 
 class TestResumeHalfPath(TestResume):
-    """TestResume's runs on a +/- paired class set: each run and each resume
-    integrates the half system, and resumes stay bitwise."""
+    """TestResume's runs on a +/- paired class set, with a backward
+    coupling in the dark gap: each run and each resume integrates the half
+    system, and resumes stay bitwise.  (TestDarkSystem resumes the dark
+    system.)"""
 
     K = 4
+    A = 0.5
 
     @pytest.fixture(autouse=True)
     def _every_run_takes_the_half_path(self, monkeypatch):
         paths = _spy_paths(monkeypatch)
         yield
-        assert all(paths)
+        assert set(paths) <= {"half"}
 
 
 class TestBalanceResidual:
@@ -1069,12 +1093,13 @@ class TestHalfSystem:
     @pytest.mark.parametrize("name", list(SEQUENCES))
     def test_half_path_agrees_with_step_calls(self, name, monkeypatch):
         # measured at K = 4 and 6: records within 3.4e-15 of each column's
-        # maximum, the final fields and atoms within 1.4e-15 of theirs
+        # maximum, the final fields and atoms within 1.4e-15 of theirs; the
+        # sequences without A take the dark system (see TestDarkSystem)
         classes = make_spectral_classes(30.0, 4, "lorentzian")
         sequence = self._sequence(name)
         paths = _spy_paths(monkeypatch)
         columns, final = self._run(sequence, classes)
-        assert paths == [True]
+        assert paths == ["half" if name in ("balanced", "imbalanced") else "dark"]
         want, state = _step_loop(sequence, self.M, self.GRID, classes)
         assert np.array_equal(columns[0], want[0])
         for got, ref in zip(columns[1:], want[1:]):
@@ -1111,11 +1136,111 @@ class TestHalfSystem:
                 state.a[3, 0, 2] += 1e-3
         paths = _spy_paths(monkeypatch)
         columns, final = self._run(sequence, classes, state)
-        assert paths == [False]
+        assert paths == ["full"]
         want, ref = _step_loop(sequence, self.M, self.GRID, classes, state)
         for got, expected in zip(columns, want):
             assert np.array_equal(got, expected)
         assert np.array_equal(final.f, ref.f) and np.array_equal(final.a, ref.a)
+
+
+class TestDarkSystem:
+    """With A zero in every step a run reads and a start whose E- and P-
+    are 0, a half-path run drops that dark channel (see dynamics._halve):
+    it integrates E+ and each kept class's (P+, S) alone, and every state
+    it returns has E- and P- exactly 0.  Anything that feeds the channel
+    keeps the half path."""
+
+    HALF = TestHalfSystem()
+    CLASSES = make_spectral_classes(30.0, 4, "lorentzian")
+
+    def _agrees_with_step_calls(self, sequence, state=None):
+        """Run `sequence` from `state` and check it against step() calls:
+        times equal, records within 1e-14 of each column's maximum, the
+        final fields and atoms within 1e-14 of theirs.  Returns the final
+        state."""
+        columns, final = self.HALF._run(sequence, self.CLASSES, state)
+        want, ref = _step_loop(sequence, self.HALF.M, self.HALF.GRID,
+                               self.CLASSES, state)
+        assert np.array_equal(columns[0], want[0])
+        for got, expected in zip(columns[1:], want[1:]):
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        for got, expected in ((final.f, ref.f), (final.a, ref.a)):
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        return final
+
+    @pytest.mark.parametrize("name", ["memory", "slow_light"])
+    def test_dark_path_agrees_with_step_calls(self, name, monkeypatch):
+        # measured at K = 4: records within 1.8e-15 of each column's
+        # maximum, the final fields and atoms within 1.0e-15 of theirs;
+        # the backward intensity is 0 on both
+        paths = _spy_paths(monkeypatch)
+        final = self._agrees_with_step_calls(self.HALF._sequence(name))
+        assert paths == ["dark"]
+        assert not (final.e_minus.any() or final.p_minus.any())
+
+    def test_snapshots_are_dark_and_resume_bitwise(self, monkeypatch):
+        # snapshots through the write, the dark gap and the read, on and
+        # off the record cadence of 3 steps: E- and P- are exactly 0 in
+        # each and in the final state, and a run resumed from each is dark
+        # too and equals the uninterrupted run bit for bit
+        sequence, steps = self.HALF._sequence("memory"), range(100, 1000, 149)
+        paths = _spy_paths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the probe spans 4 cells
+            whole, snaps = run_dynamics(sequence, self.HALF.M, self.HALF.GRID,
+                                        self.CLASSES, snapshot_steps=steps)
+            assert len(snaps) == len(steps) + 1
+            for state in snaps:
+                assert not (state.e_minus.any() or state.p_minus.any())
+                assert not state.f.imag.any()
+            for start in snaps[:-1]:
+                part, later = run_dynamics(sequence, self.HALF.M, self.HALF.GRID,
+                                           self.CLASSES, snapshot_steps=steps,
+                                           initial_state=start)
+                tail = whole.t >= start.t
+                for name in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
+                    assert np.array_equal(getattr(part, name),
+                                          getattr(whole, name)[tail])
+                theirs = [s for s in snaps if s.t > start.t]
+                assert len(later) == len(theirs)
+                for mine, ref in zip(later, theirs):
+                    assert np.array_equal(mine.f, ref.f)
+                    assert np.array_equal(mine.a, ref.a)
+        assert set(paths) == {"dark"} and len(paths) == len(steps) + 1
+
+    @pytest.mark.parametrize("fed", ["a_first_step", "a_last_step", "p_minus",
+                                     "e_minus", "balanced"])
+    def test_a_fed_channel_keeps_the_half_path(self, fed, monkeypatch):
+        # the memory sequence with A nonzero at one half step, its first or
+        # its last, or from a dark state at 9 us with one pair's P- or one
+        # E- of 1e-3; and the balanced sequence.  Measured: records within
+        # 2.6e-15 of each column's maximum, the final state within 1.0e-15
+        sequence, state = self.HALF._sequence("memory"), None
+        dt = self.HALF.GRID.dz / self.HALF.M.c
+        if fed == "a_first_step":
+            sequence = replace(sequence, events=[
+                *sequence.events, PulseEvent("A", 0.0, 0.25 * dt, 0.5)])
+        elif fed == "a_last_step":
+            t_end = sequence.t_end_us
+            sequence = replace(sequence, events=[
+                *sequence.events,
+                PulseEvent("A", t_end - 0.25 * dt, 0.25 * dt, 0.5, open_end=True)])
+        elif fed == "balanced":
+            sequence = self.HALF._sequence("balanced")
+        else:
+            _, state = self.HALF._run(sequence, self.CLASSES, until_step=576)
+            assert not (state.e_minus.any() or state.p_minus.any())
+            if fed == "p_minus":
+                # mirrored, -P-* of 1e-3j: the pair's E- sources add up
+                state.p_minus[3, 0], state.p_minus[3, -1] = 1e-3j, 1e-3j
+            else:
+                state.e_minus[3] = 1e-3
+        omega_a = sequence.drive_samples(
+            0.5 * dt * np.arange(2 * round(sequence.t_end_us / dt) + 1))[1]
+        assert omega_a.any() == (state is None)
+        paths = _spy_paths(monkeypatch)
+        self._agrees_with_step_calls(sequence, state)
+        assert paths == ["half"]
 
 
 def _spy_blocks(monkeypatch) -> list[tuple[int, int]]:
@@ -1296,7 +1421,7 @@ class TestSpectralOracle:
                                                   n_classes=8, t_end=24.0)
         paths = _spy_paths(monkeypatch)
         trace, _ = run_dynamics(seq, m, grid, classes)
-        assert paths == [True]
+        assert paths == ["dark"]
         spectral = _spectral_output(seq, m, classes, trace.t)
         ran = trace.fwd_intensity
         # centroid delays after the probe's peak, at 1.5 FWHM
@@ -1323,7 +1448,7 @@ class TestSpectralOracle:
         seq = standard_sequence(cfg.protocol.kind, build_protocol(cfg))
         paths = _spy_paths(monkeypatch)
         trace, _ = run_dynamics(seq, m, grid, classes)
-        assert paths == [True]
+        assert paths == ["dark"]
         spectral = replace(trace, fwd_intensity=_spectral_output(
             seq, m, classes, trace.t))
         (ran, predicted), (oracle, _) = (slow_light_delay(tr, seq, m)

@@ -362,14 +362,16 @@ def _independent(kind, field, values, base, m, grid, classes):
     return out
 
 
-def _spy_adjoint(monkeypatch) -> list[bool]:
-    """Record, per adjoint pass, whether it runs on the half system."""
+def _spy_adjoint(monkeypatch) -> list[str]:
+    """Record, per adjoint pass, the system it runs on: "full", "half", or
+    "dark", the half system without E- and P- (see dynamics._halve)."""
     passes = []
 
     class Spied(experiment._Propagator):
         def __init__(self, m, state):
             super().__init__(m, state)
-            passes.append(self.half)
+            passes.append("dark" if self.channels == 1 else
+                          "half" if self.half else "full")
 
     monkeypatch.setattr(experiment, "_Propagator", Spied)
     return passes
@@ -589,8 +591,8 @@ class TestAdjointPeaks:
     def _check(self, monkeypatch, kind, values, base, setup, threads=1,
                adjoint=True):
         """Sweep `values` and run them independently; check that they agree,
-        that the sweep makes one adjoint pass, on the half system, or none,
-        as `adjoint` says, that its snapshots, resumes and held stretches
+        that the sweep makes one adjoint pass, on the dark system (the
+        trunk's last step reads no A), or none, as `adjoint` says, that its snapshots, resumes and held stretches
         start on record steps, that simulated_steps counts the steps it
         integrated, and that the probe warning is raised once, blamed on
         this file.  Returns (sweep result, independent (trace, t_peak,
@@ -603,7 +605,7 @@ class TestAdjointPeaks:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = sweep(values, base, *setup, threads=threads)
-        assert passes == [True] * adjoint
+        assert passes == ["dark"] * adjoint
         every = round(1.0 / (base.sample_rate * dt))
         assert bool(held) == adjoint
         assert all(n % every == 0 for n in [*runs[0], *runs[1:], *held])
@@ -733,6 +735,42 @@ class TestAdjointPeaks:
         assert [len(t) for t, _ in records] == counts
         assert set(taken) == blocks
 
+    def test_held_records_of_starts_with_a_backward_field(self, monkeypatch):
+        # a stationary run's states after A turns off, at record steps
+        # 880 .. 1000 (11 .. 12.5 us), hold E- and P-; the held map, C
+        # alone, never carries E+(1)'s covector into them, so the pass
+        # reads the dark system's part of each start and matches forward
+        # runs, which take the half path, within BOUND (measured: 6.9e-14
+        # of each stretch's largest record; 9.0e-14 with the pass on the
+        # half system)
+        passes = _spy_adjoint(monkeypatch)
+        m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=4, cells=16)
+        seq = PulseSequence(
+            events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
+                    PulseEvent("C", 0.0, 16.0, 2.0, open_end=True),
+                    PulseEvent("A", 5.0, 6.0, 2.0)],
+            t_end_us=16.0, sample_rate=10.0)
+        steps, lengths = [880, 920, 1000], [400, 128, 280]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, states = run_dynamics(seq, m, grid, classes, snapshot_steps=steps)
+            for state in states[:3]:
+                assert np.abs(state.e_minus).max() > 1e-3 * np.abs(state.e_plus).max()
+                assert state.p_minus.any()
+            held = (np.full((1, 3), 2.0 + 0j), np.zeros((1, 3), complex))
+            records = _held_records(states[:3], lengths, held, m, 8)
+            for state, n, length, (t, intensity) in zip(states, steps, lengths,
+                                                        records):
+                trace, _ = run_dynamics(seq, m, grid, classes,
+                                        initial_state=state,
+                                        until_step=n + length)
+                later = trace.t > state.t
+                assert np.array_equal(t, trace.t[later]) and len(t) == length // 8
+                want = trace.fwd_intensity[later]
+                assert (np.abs(intensity - want).max()
+                        <= self.BOUND * want.max())
+        assert passes == ["dark"]
+
     @pytest.mark.parametrize("every", [1, 8])
     def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch,
                                                            every):
@@ -750,7 +788,7 @@ class TestAdjointPeaks:
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
                 _held_records([state], [400], held, m, every)
-        assert passes == [True]
+        assert passes == ["dark"]
         assert blocks and set(blocks) == {every}
 
 
