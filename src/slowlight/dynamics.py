@@ -775,7 +775,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     records = array("d")  # (t, |E+(1)|^2, |E-(0)|^2, spin norm) per record
 
     def record() -> None:
-        f = state.f  # a dark system's E- is 0 (see _halve)
+        f = state.f  # a dark system has no E- (see _dark)
         records.extend((state.t, abs(f[-1, 0]) ** 2,
                         abs(f[0, 1]) ** 2 if f.shape[1] > 1 else 0.0,
                         state.spin_norm()))

@@ -1209,12 +1209,13 @@ class TestDarkSystem:
         assert set(paths) == {"dark"} and len(paths) == len(steps) + 1
 
     @pytest.mark.parametrize("fed", ["a_first_step", "a_last_step", "p_minus",
-                                     "e_minus", "balanced"])
+                                     "e_minus"])
     def test_a_fed_channel_keeps_the_half_path(self, fed, monkeypatch):
         # the memory sequence with A nonzero at one half step, its first or
         # its last, or from a dark state at 9 us with one pair's P- or one
-        # E- of 1e-3; and the balanced sequence.  Measured: records within
-        # 2.6e-15 of each column's maximum, the final state within 1.0e-15
+        # E- of 1e-3 (the stationary sequences keep it in TestHalfSystem).
+        # Measured: records within 1.8e-15 of each column's maximum, the
+        # final state within 9.7e-16
         sequence, state = self.HALF._sequence("memory"), None
         dt = self.HALF.GRID.dz / self.HALF.M.c
         if fed == "a_first_step":
@@ -1225,8 +1226,6 @@ class TestDarkSystem:
             sequence = replace(sequence, events=[
                 *sequence.events,
                 PulseEvent("A", t_end - 0.25 * dt, 0.25 * dt, 0.5, open_end=True)])
-        elif fed == "balanced":
-            sequence = self.HALF._sequence("balanced")
         else:
             _, state = self.HALF._run(sequence, self.CLASSES, until_step=576)
             assert not (state.e_minus.any() or state.p_minus.any())
