@@ -15,9 +15,10 @@ each stretch of one map between two of them as one block, from the
 atoms' response to the stretch's fields (see _Propagator.advance_block).
 While the backward coupling A is zero and E- and P- start at zero, that
 channel stays zero, and the half system drops it: it integrates E+ and
-each class's P+ and S alone (see _dark).  The transpose of the steps,
-which a sweep's adjoint pass applies, runs on a half system alone, always
-in blocks of one map (see _Propagator.transpose_steps).
+each class's P+ and S alone (see _dark).  A sweep's held stretches of
+one map take their records from one adjoint pass of that map's
+transpose, which runs on a half system alone, in blocks (see
+_held_records).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -259,7 +260,7 @@ class _Propagator:
     runs at half size.  On a half system, advance_block applies the loaded
     operator over a stretch of steps at once, and transpose_block its
     transpose, from the same block operators: the one transpose there is,
-    which a sweep's adjoint pass applies (see transpose_steps).
+    which a sweep's adjoint pass applies (see _held_records).
 
     A dark half system (see _dark) has no E- and no P-: y = (E+, x) with x
     the kept classes' (P+, S), and V y = (E+, W x) five functionals, the
@@ -308,7 +309,7 @@ class _Propagator:
         self.f_op = np.empty((ny, nf))
         self._block = None  # advance_block's operators and work areas
         self._block_loaded = False  # whether its operators are the loaded one's
-        self._back = None  # transpose_block's work areas
+        self._back = None  # transpose_block's work areas and operators
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.rank), dtype=float if self.half else complex)
@@ -512,7 +513,6 @@ class _Propagator:
                for j, (to, fro) in enumerate(_ADVECT[:c])]) for i in range(nq)],
             out, out[:, :ns])
         self._block_loaded = False
-        self._back = None
 
     def _load_block(self) -> None:
         """Make advance_block's operators of the loaded operator for blocks
@@ -536,32 +536,28 @@ class _Propagator:
             rows = g[r * (nq - 1 - j):r * (nq - j)]
             np.matmul(self.a_op, dw_rows[:, ns * j:ns * j + ns], out=rows[:, :ns])
             np.matmul(rows[:, :ns], self.f_op[c:], out=rows[:, ns:])
-        if self._back is not None:  # and transpose_block's, transposed
-            ops = self._back[-1]
-            for op, made in zip(ops, (ad_rows.T, dw_rows.T, powers.swapaxes(2, 3))):
-                op[...] = made
-            g_t = ops[3].reshape(nq + 1, r, r)
-            g_t[:-1, c:] = g[:-r].reshape(nq, r, r)[..., :ns].swapaxes(1, 2)
-            g_t[-1, :c] = self.f_op.T
         self._block_loaded = True
+        self._back = None  # the next transpose_block makes them from these
 
     def _make_back(self) -> None:
-        """Make transpose_block's work areas and operator arrays for the
-        blocks of _make_block, up to Q steps: the history; the xi_a
-        (A D^j)^T; per step its views; and the transposes of _load_block's
-        operators, which it writes while these exist: [A D^(Q-1); ..; A]^T,
-        [W, .., D^(Q-1) W]^T, the (D^j)^T, and the stack of the rows
-        [0, G_j^T] of j = Q-1 .. 0, then [F^T] for phi_(i+1) and [0, 1] for
-        the sources of xi_a (A D^(q-1-i))^T.  Drops the loaded block
-        operators, so that the next block writes both."""
-        _, _, _, _, slots, out, _ = self._block
-        k, r, c, nq = len(self._powers), self.rank, self.channels, len(slots)
-        ns, na, cells = r - c, self._dx.shape[2], len(self._phi)
+        """Make transpose_block's work areas for the blocks of _make_block,
+        up to Q steps, and its operators from the loaded block's (see
+        _load_block), transposed: the history; the xi_a (A D^j)^T; per step
+        its views; [A D^(Q-1); ..; A]^T, [W, .., D^(Q-1) W]^T, the (D^j)^T,
+        and the stack of the rows [0, G_j^T] of j = Q-1 .. 0, then [F^T]
+        for phi_(i+1) and [0, 1] for the sources of xi_a (A D^(q-1-i))^T.
+        Copies, not views: a product with a transposed view runs slower."""
+        _, (dw_rows, g, ad_rows), powers, _, slots, out, _ = self._block
+        r, c, nq = self.rank, self.channels, len(slots)
+        ns, cells = r - c, len(self._phi)
         # zeros stay where no covector reaches: E+ in the last cell and E-
         # in the first of every phi but xi_f
         history = np.zeros((cells, r * (nq + 1)))
-        g_t = np.zeros((r * nq + r, r))
-        g_t[-ns:, c:] = np.eye(ns)
+        g_t = np.zeros((nq + 1, r, r))
+        g_t[:-1, c:] = g[:-r].reshape(nq, r, r)[..., :ns].swapaxes(1, 2)
+        g_t[-1, :c] = self.f_op.T
+        g_t[-1, c:, c:] = np.eye(ns)
+        g_t = g_t.reshape(-1, r)
         self._back = (
             history, np.empty(cells * r * nq),
             # per step j from the last: its history, its rows of g_t, where
@@ -570,9 +566,8 @@ class _Propagator:
               [(history[fro, r * j + r + i], out[to, i])
                for i, (to, fro) in enumerate(_ADVECT[:c])]) for j in range(nq)],
             out[:, c:],
-            (np.empty((na * k, r * nq)), np.empty((ns * nq, na * k)),
-             np.empty((nq, k, na, na)), g_t))
-        self._block_loaded = False
+            tuple(np.ascontiguousarray(op) for op in
+                  (ad_rows.T, dw_rows.T, powers.swapaxes(2, 3))))
 
     def transpose_block(self, xi: SimState, q: int, longest: int) -> None:
         """Apply the transpose R^T of advance_block's float map R over q
@@ -599,13 +594,12 @@ class _Propagator:
         """
         if self._block is None or len(self._block[4]) != longest:
             self._make_block(longest)
-        if self._back is None:
-            self._make_back()
         if not self._block_loaded:
             self._load_block()
+        if self._back is None:
+            self._make_back()
         sources, out = self._block[3], self._block[5]
-        history, a_psi, slots, psi_s, ops = self._back
-        ad_t, dw_t, powers_t, _ = ops
+        history, a_psi, slots, psi_s, (ad_t, dw_t, powers_t) = self._back
         r, c = self.rank, self.channels
         ns, cells = r - c, len(history)
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(xi)
@@ -628,16 +622,6 @@ class _Propagator:
         np.add(x, dx_rows, out=x)
         f_float[:] = by_step[:, q, :c]
 
-    def transpose_steps(self, xi: SimState, n: int) -> None:
-        """Apply the transpose of n steps of the loaded operator to the
-        covector xi of a half system in place, in near-equal blocks of at
-        most _BLOCK_STEPS (see transpose_block), the longest sizing them
-        all.  Unlike run_dynamics' forward steps, n < _SHORTEST_BLOCK
-        takes one block too."""
-        parts = -(-n // _BLOCK_STEPS)
-        for i in range(parts):
-            self.transpose_block(xi, n // parts + (i < n % parts), -(-n // parts))
-
 
 def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:
     """Float load table from c, the coefficients of u^p in matrices C^T.
@@ -657,6 +641,66 @@ def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:
         index[pair_at], index[re_im_at] = i, j
         table[tuple(index)] = part
     return table.view(float)
+
+
+def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
+                  held: tuple[np.ndarray, np.ndarray], m: MediumParams,
+                  every: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
+
+    State b, which halves (see _halve), sits at a record step s_b of
+    run_dynamics (a multiple of `every`) and goes on for lengths[b] steps,
+    each with the drive rows `held` (C and A of one step, see _step_reads)
+    and nothing injected, so each step applies the one map R to its half
+    system x_b.  Its E+(1) after j of them, real there, is e . R^j x_b in
+    the dot product of the float views, with e picking E+ in the last
+    cell.  With g_j = (R^T)^j e, R^T the transpose of the step's float map,
+    that is g_j . x_b, so one backward recursion serves every state: at
+    each j that is a multiple of `every`, every state reads its E+(1) from
+    g_j, all in one product, and keeps the reads its stretch reaches.
+    Between two reads the pass applies the `every` steps of R^T in
+    near-equal blocks of at most _BLOCK_STEPS (see
+    _Propagator.transpose_block).  Only the current g_j is held, and the
+    pass ends at its last read.  With A zero in `held`, R maps E- and P-
+    into themselves alone, so g_j never reaches them: the pass runs on the
+    dark system and reads each start's E+, P+ and S, whatever its E- and
+    P- (see _dark).  A non-finite record raises NumericalAbort, as the
+    forward run would.
+    """
+    starts = [_halve(x, *held) for x in starts]
+    if not held[1].any():
+        starts = [_dark(x) for x in starts]
+    x = starts[0]
+    # xi's real fields and its atoms' Re and Im pairs are views of one
+    # float vector; each start's row is the same vector of it
+    flat = np.zeros(x.f.size + 2 * x.a.size)
+    xi = SimState(x.t, flat[:x.f.size].reshape(x.f.shape),
+                  flat[x.f.size:].view(complex).reshape(x.a.shape), x.grid,
+                  x.deltas, x.weights)
+    xi.e_plus[-1] = 1.0
+    prop = _Propagator(m, xi)
+    prop.load(prop.build(*held), 0)
+    rows = np.stack([np.concatenate([x.f.ravel(), x.a.ravel().view(float)])
+                     for x in starts])
+    counts = [n // every for n in lengths]
+    parts = -(-every // _BLOCK_STEPS)
+    blocks = [every // parts + (i < every % parts) for i in range(parts)]
+    reads = np.zeros((max(counts), len(starts)))
+    for read in reads:
+        for q in blocks:
+            prop.transpose_block(xi, q, blocks[0])
+        # einsum sums in its own loop: a BLAS dot would split the sum
+        # by thread count and change the last digits with it
+        np.einsum("bi,i->b", rows, flat, out=read)
+    records = []
+    for x, count, read in zip(starts, counts, reads.T):
+        n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
+        t, intensity = n * prop.dt, np.abs(read[:count]) ** 2
+        if len(bad := t[~np.isfinite(intensity)]):
+            raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
+                                 f"the held stretch from t={x.t:.6g} us")
+        records.append((t, intensity))
+    return records
 
 
 def step(state: SimState, drive: ControlDrive, m: MediumParams, dt: float, *,

@@ -20,10 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (DetectorTrace, Grid, NumericalAbort, SimState,
-                       _check_probe_resolution, _dark, _differ, _halve,
-                       _Propagator, _record_every, _step_index, _step_reads,
-                       balance_residual, run_dynamics)
+from .dynamics import (DetectorTrace, Grid, SimState, _check_probe_resolution,
+                       _differ, _halve, _held_records, _record_every,
+                       _step_reads, balance_residual, run_dynamics)
 from .medium import MediumParams, SpectralClass
 
 CHANNELS = ("P", "C", "A")
@@ -293,67 +292,6 @@ def _held_start(sequence: PulseSequence, dt: float, n_steps: int,
     return 0
 
 
-def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
-                  held: tuple[np.ndarray, np.ndarray], m: MediumParams,
-                  every: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Records (t, |E+(1)|^2) of held stretches, from one adjoint pass.
-
-    State b, which halves (see _halve), sits at a record step s_b of
-    run_dynamics (a multiple of `every`) and goes on for lengths[b] steps,
-    each with the drive rows `held` (C and A of one step, see _step_reads)
-    and nothing injected, so each step applies the one map R to its half
-    system x_b.  Its E+(1) after j of them, real there, is e . R^j x_b in
-    the dot product of the float views, with e picking E+ in the last
-    cell.  With g_j = (R^T)^j e, R^T the transpose of the step's float map,
-    that is g_j . x_b, so one backward recursion serves every state: at
-    each j that is a multiple of `every`, every state whose stretch is
-    that long reads |E+(1)|^2 from g_j, all in one product.  Between two
-    reads the pass applies the `every` steps of R^T in blocks that end at
-    the read (see _Propagator.transpose_steps).  Only the current g_j is
-    held, and the pass ends at its last read.  With A zero in `held`, R
-    maps E- and P- into themselves alone, so g_j never reaches them: the
-    pass runs on the dark system and reads each start's E+, P+ and S,
-    whatever its E- and P- (see _dark).  A non-finite record raises
-    NumericalAbort, as the forward run would.
-    """
-    starts = [_halve(x, *held) for x in starts]
-    if not held[1].any():
-        starts = [_dark(x) for x in starts]
-    x = starts[0]
-    # xi's real fields and its atoms' Re and Im pairs are views of one
-    # float vector; each start's row is the same vector of it
-    flat = np.zeros(x.f.size + 2 * x.a.size)
-    xi = SimState(x.t, flat[:x.f.size].reshape(x.f.shape),
-                  flat[x.f.size:].view(complex).reshape(x.a.shape), x.grid,
-                  x.deltas, x.weights)
-    xi.e_plus[-1] = 1.0
-    prop = _Propagator(m, xi)
-    prop.load(prop.build(*held), 0)
-    # the states in order of their reads, most first, so that those still
-    # in their stretch lead the rows
-    counts = [n // every for n in lengths]
-    order = sorted(range(len(starts)), key=lambda b: -counts[b])
-    rows = np.stack([np.concatenate([starts[b].f.ravel(),
-                                     starts[b].a.ravel().view(float)])
-                     for b in order])
-    reads = np.zeros((max(counts), len(starts)))
-    for r, read in enumerate(reads):
-        prop.transpose_steps(xi, every)
-        due = sum(c > r for c in counts)
-        # einsum sums in its own loop: a BLAS dot would split the sum
-        # by thread count and change the last digits with it
-        np.einsum("bi,i->b", rows[:due], flat, out=read[:due])
-    records = []
-    for b, (x, count) in enumerate(zip(starts, counts)):
-        n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
-        t, intensity = n * prop.dt, np.abs(reads[:count, order.index(b)]) ** 2
-        if len(bad := t[~np.isfinite(intensity)]):
-            raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
-                                 f"the held stretch from t={x.t:.6g} us")
-        records.append((t, intensity))
-    return records
-
-
 def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
            m: MediumParams, grid: Grid, classes: Sequence[SpectralClass],
            threads: int) -> SweepResult:
@@ -368,10 +306,10 @@ def _sweep(kind: str, field: str, values: list[float], base: ProtocolParams,
     point whose held stretch reads the drive rows of the trunk's last step
     runs on to the first record step at or after the stretch's start, and
     one adjoint pass of the shared held map gives the records of all such
-    stretches from there (see _held_records).  A point with no held
-    stretch runs to its end, and so does every point of a sweep that does
-    not halve (see _halve).  Peaks agree with independent runs of each
-    point to rounding.  Each point ends release_window_us after its
+    stretches from there (see dynamics._held_records).  A point with no
+    held stretch runs to its end, and so does every point of a sweep that
+    does not halve (see _halve).  Peaks agree with independent runs of
+    each point to rounding.  Each point ends release_window_us after its
     release, so a base that sets t_end_us is a ValueError.  threads > 1
     runs the points' forward steps in a thread pool.  Each distinct
     warning raised while building the points' sequences or checking the

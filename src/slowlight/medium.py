@@ -107,8 +107,8 @@ def dephasing_time(delta_s_khz: float) -> float:
     This is the 1/e time of the free-decay envelope of a Lorentzian
     ensemble of FWHM delta_S.
     """
-    if delta_s_khz <= 0.0:
-        raise ValueError(f"delta_s_khz must be > 0, got {delta_s_khz!r}")
+    if not (delta_s_khz > 0.0 and math.isfinite(delta_s_khz)):
+        raise ValueError(f"delta_s_khz must be finite and > 0, got {delta_s_khz!r}")
     return 1000.0 / (math.pi * delta_s_khz)
 
 
@@ -126,8 +126,8 @@ def make_spectral_classes(delta_s_khz: float, n: int,
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    if delta_s_khz < 0.0:
-        raise ValueError(f"delta_s_khz must be >= 0, got {delta_s_khz!r}")
+    if not (delta_s_khz >= 0.0 and math.isfinite(delta_s_khz)):
+        raise ValueError(f"delta_s_khz must be finite and >= 0, got {delta_s_khz!r}")
     if shape == "single":
         if n != 1:
             raise ValueError(f"shape='single' requires n=1, got n={n}")

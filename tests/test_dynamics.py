@@ -1379,17 +1379,33 @@ class TestBlocks:
         for arr in (state.f, state.a):
             arr.view(float)[:] = rng.normal(size=arr.view(float).shape)
         prop = _Propagator(m, state)
+
+        def load(p, drive):
+            p.load(p.build(np.full((1, 3), drive + 0j),
+                           np.full((1, 3), 0.3 + 0j)), 0)
+
         inject = rng.normal(size=12)
         blocked, single = state.copy(), state.copy()
         for drive in (1.5, 0.4):
-            prop.load(prop.build(np.full((1, 3), drive + 0j),
-                                 np.full((1, 3), 0.3 + 0j)), 0)
+            load(prop, drive)
             prop.advance_block(blocked, 12, inject, 16)
             for i, value in enumerate(inject):
                 prop.advance(single, i + 1, value, 0.0)
         for got, want in ((blocked.f, single.f), (blocked.a, single.a)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert blocked.t == single.t == 12 * prop.dt
+        # so must a transpose block: after a load, it applies the new
+        # operator's transpose as a fresh propagator does, bit for bit
+        fresh = _Propagator(m, state)
+        load(fresh, 0.4)
+        want = state.copy()
+        fresh.transpose_block(want, 12, 16)
+        load(prop, 1.5)
+        prop.transpose_block(state.copy(), 12, 16)
+        load(prop, 0.4)
+        back = state.copy()
+        prop.transpose_block(back, 12, 16)
+        assert np.array_equal(back.f, want.f) and np.array_equal(back.a, want.a)
 
 
 def _spectral_output(seq, m, classes, times):

@@ -10,13 +10,12 @@ from slowlight import experiment
 from slowlight.analysis import fit_decay
 from slowlight.cli import main
 from slowlight.config import build_protocol, parse_config
-from slowlight.dynamics import (Grid, NumericalAbort, SimState, _Propagator,
-                                run_dynamics)
+from slowlight.dynamics import (Grid, NumericalAbort, SimState, _held_records,
+                                _Propagator, run_dynamics)
 from slowlight.experiment import (_BRANCH_CHUNK, ProtocolParams, PulseEvent,
-                                  PulseSequence, _branch_steps, _held_records,
-                                  _held_start, released_peak,
-                                  standard_sequence, sweep_delay,
-                                  sweep_duration)
+                                  PulseSequence, _branch_steps, _held_start,
+                                  released_peak, standard_sequence,
+                                  sweep_delay, sweep_duration)
 from slowlight.medium import MediumParams, SpectralClass, make_spectral_classes
 
 SINGLE = make_spectral_classes(0.0, 1, "single")
@@ -363,17 +362,19 @@ def _independent(kind, field, values, base, m, grid, classes):
 
 
 def _spy_adjoint(monkeypatch) -> list[str]:
-    """Record, per adjoint pass, the system it runs on: "full", "half", or
-    "dark", the half system without E- and P- (see dynamics._halve)."""
-    passes = []
+    """Record, per adjoint pass, the system it runs on: "half", or "dark",
+    the half system without E- and P- (see dynamics._halve).  A pass is a
+    propagator whose transpose_block runs."""
+    passes, props = [], []
+    transpose_block = _Propagator.transpose_block
 
-    class Spied(experiment._Propagator):
-        def __init__(self, m, state):
-            super().__init__(m, state)
-            passes.append("dark" if self.channels == 1 else
-                          "half" if self.half else "full")
+    def spied(self, *args):
+        if not any(p is self for p in props):
+            props.append(self)
+            passes.append("dark" if self.channels == 1 else "half")
+        return transpose_block(self, *args)
 
-    monkeypatch.setattr(experiment, "_Propagator", Spied)
+    monkeypatch.setattr(_Propagator, "transpose_block", spied)
     return passes
 
 
@@ -771,24 +772,38 @@ class TestAdjointPeaks:
                         <= self.BOUND * want.max())
         assert passes == ["dark"]
 
+    @pytest.mark.parametrize("stretches", [[(1.0, 400)], [(0.0, 8), (1.0, 400)]],
+                             ids=["one", "unequal"])
     @pytest.mark.parametrize("every", [1, 8])
     def test_held_records_abort_when_the_held_map_blows_up(self, monkeypatch,
-                                                           every):
+                                                           every, stretches):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
         # adjoint pass raises as the forward run's finiteness check would,
-        # taking blocks of `every` steps
+        # taking blocks of `every` steps, and blames the stretch from t = 1,
+        # not one that ended before the blow-up (t, steps).  Its products
+        # warn of the overflow as a forward run's do; reading the rows of
+        # an ended stretch adds no warning to those of the pass alone
         blocks = _spy_transpose_blocks(monkeypatch)
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
         held = (np.full((1, 3), 1e4 + 0j), np.zeros((1, 3), complex))
         passes = _spy_adjoint(monkeypatch)
-        state = SimState.zeros(Grid(cells=8), classes)
-        state.s[:] = 0.1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(NumericalAbort, match="held stretch from t=0 us"):
-                _held_records([state], [400], held, m, every)
-        assert passes == ["dark"]
+        warned = []
+        for run in ([(1.0, 400)], stretches):
+            states = []
+            for t in (t for t, _ in run):
+                states.append(SimState.zeros(Grid(cells=8), classes))
+                states[-1].s[:] = 0.1
+                states[-1].t = t
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericalAbort,
+                                   match="held stretch from t=1 us"):
+                    _held_records(states, [n for _, n in run], held, m, every)
+            warned.append([(w.category, str(w.message)) for w in record])
+        assert warned[1] == warned[0]
+        assert {category for category, _ in warned[0]} == {RuntimeWarning}
+        assert passes == ["dark", "dark"]
         assert blocks and set(blocks) == {every}
 
 

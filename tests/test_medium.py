@@ -30,6 +30,12 @@ class TestDephasingTime:
         with pytest.raises(ValueError):
             dephasing_time(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # inf gave 0.0 and nan gave nan
+        with pytest.raises(ValueError, match="finite"):
+            dephasing_time(bad)
+
 
 class TestSpectralClasses:
     def test_single_degenerate(self):
@@ -48,6 +54,13 @@ class TestSpectralClasses:
     def test_rejects_negative_width(self):
         with pytest.raises(ValueError):
             make_spectral_classes(-1.0, 8)
+
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_width(self, bad, shape):
+        # either gave NaN detunings
+        with pytest.raises(ValueError, match="finite"):
+            make_spectral_classes(bad, 4, shape)
 
     def test_rejects_unknown_shape(self):
         with pytest.raises(ValueError):
