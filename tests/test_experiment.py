@@ -779,10 +779,11 @@ class TestAdjointPeaks:
                                                            every, stretches):
         # Omega_C dt = 1250 makes the RK4 map grow without bound; the
         # adjoint pass raises as the forward run's finiteness check would,
-        # taking blocks of `every` steps, and blames the stretch from t = 1,
-        # not one that ended before the blow-up (t, steps).  Its products
-        # warn of the overflow as a forward run's do; reading the rows of
-        # an ended stretch adds no warning to those of the pass alone
+        # taking blocks of `every` steps, and blames the stretch from t = 1
+        # us, not one that ended, 8 steps from t = 0, before the blow-up.
+        # Its products warn of the overflow as a forward run's do; reading
+        # the rows of an ended stretch adds no warning to those of the
+        # pass alone
         blocks = _spy_transpose_blocks(monkeypatch)
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
@@ -790,11 +791,10 @@ class TestAdjointPeaks:
         passes = _spy_adjoint(monkeypatch)
         warned = []
         for run in ([(1.0, 400)], stretches):
-            states = []
-            for t in (t for t, _ in run):
-                states.append(SimState.zeros(Grid(cells=8), classes))
-                states[-1].s[:] = 0.1
-                states[-1].t = t
+            states = [SimState.zeros(Grid(cells=8), classes) for _ in run]
+            for state, (t, _) in zip(states, run):
+                state.s[:] = 0.1
+                state.t = t
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
                 with pytest.raises(NumericalAbort,
