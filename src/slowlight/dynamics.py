@@ -15,9 +15,10 @@ each stretch of one map between two of them as one block, from the
 atoms' response to the stretch's fields (see _Propagator.advance_block).
 While the backward coupling A is zero and E- and P- start at zero, that
 channel stays zero, and the half system drops it: it integrates E+ and
-each class's P+ and S alone (see _dark).  A sweep's held stretches of
-one map take their records from one adjoint pass of that map's
-transpose, which runs on a half system alone, in blocks (see
+each class's P+ and S alone (see _dark), up to the first step that reads
+a nonzero A, where the run goes on as the half system.  A sweep's held
+stretches of one map take their records from one adjoint pass of that
+map's transpose, which runs on a half system alone, in blocks (see
 _held_records).
 
 Amplitude normalization: the single coupling constant used in both the
@@ -471,7 +472,13 @@ class _Propagator:
         r, c = self.rank, self.channels
         ns, cells = r - c, len(history)
         s0 = sources[:cells * ns * q].reshape(cells, ns * q)  # the x_0 D^i W
-        np.matmul(x, stacks[0][:, :ns * q], out=s0)
+        # OpenBLAS sums a product alike on 1 and 2 threads when its column
+        # count is a multiple of 8 (measured); an odd dark block's last 4
+        # columns take a product of their own, too small to be threaded
+        whole = ns * q - ns * q % 8
+        np.matmul(x, stacks[0][:, :whole], out=s0[:, :whole])
+        if whole < ns * q:
+            np.matmul(x, stacks[0][:, whole:ns * q], out=s0[:, whole:])
         history.reshape(cells, -1, r)[:, :q, c:] = s0.reshape(cells, q, ns)
         for j, (to, fro) in enumerate(_ADVECT[:c]):
             history[to, j] = f_float[fro, j]
@@ -665,7 +672,7 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     into themselves alone, so g_j never reaches them: the pass runs on the
     dark system and reads each start's E+, P+ and S, whatever its E- and
     P- (see _dark).  A non-finite record raises NumericalAbort, as the
-    forward run would.
+    forward run would, and numpy warns of no overflow.
     """
     starts = [_halve(x, *held) for x in starts]
     if not held[1].any():
@@ -686,20 +693,21 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     parts = -(-every // _BLOCK_STEPS)
     blocks = [every // parts + (i < every % parts) for i in range(parts)]
     reads = np.zeros((max(counts), len(starts)))
-    for read in reads:
-        for q in blocks:
-            prop.transpose_block(xi, q, blocks[0])
-        # einsum sums in its own loop: a BLAS dot would split the sum
-        # by thread count and change the last digits with it
-        np.einsum("bi,i->b", rows, flat, out=read)
     records = []
-    for x, count, read in zip(starts, counts, reads.T):
-        n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
-        t, intensity = n * prop.dt, np.abs(read[:count]) ** 2
-        if len(bad := t[~np.isfinite(intensity)]):
-            raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
-                                 f"the held stretch from t={x.t:.6g} us")
-        records.append((t, intensity))
+    with np.errstate(over="ignore", invalid="ignore"):  # the read check reports
+        for read in reads:
+            for q in blocks:
+                prop.transpose_block(xi, q, blocks[0])
+            # einsum sums in its own loop: a BLAS dot would split the sum
+            # by thread count and change the last digits with it
+            np.einsum("bi,i->b", rows, flat, out=read)
+        for x, count, read in zip(starts, counts, reads.T):
+            n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
+            t, intensity = n * prop.dt, np.abs(read[:count]) ** 2
+            if len(bad := t[~np.isfinite(intensity)]):
+                raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
+                                     f"the held stretch from t={x.t:.6g} us")
+            records.append((t, intensity))
     return records
 
 
@@ -772,21 +780,29 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     already at t_end_us runs no step.  until_step stops the run after
     that global step, short of t_end_us.  _check_probe=False leaves the
     probe-resolution warning to a sweep that raises it once for all its
-    points.
+    points.  A state that stops being finite raises NumericalAbort at the
+    next check, every _FINITE_CHECK_EVERY steps and at the end; numpy
+    warns of no overflow on the way.
 
     A conjugate-symmetric run (real drives and probe, +/- paired classes
     and a mirrored starting state, see _halve) integrates its half system
     and expands each snapshot and the final state to a full state, mirrored
-    exactly.  Resuming from one halves it back to the same half state.  A
-    run that reads no A from a start with no E- or P- integrates the dark
-    system (see _dark), and its states have E- and P- exactly 0; a resumed
-    run that reads no more A while E- and P- are still exactly 0 is dark
-    where the uninterrupted run was not, so they agree to rounding.
-    Either system walks the block starts of _block_starts, the full one in
-    single steps; the half one steps from each to the next as one block
+    exactly.  Resuming from one halves it back to the same half state.
+    From a start with no E- or P-, a half run integrates the dark system
+    (see _dark) up to the first step that reads a nonzero A, or to its end
+    if none does, and its states there have E- and P- exactly 0.  That
+    step loads an operator, so it starts a block; the run pads the state
+    there with exact zeros and integrates the half system on.  Each of
+    these segments takes the system that _halve picks from its own reads.
+    Every system walks the block starts of _block_starts, the full one in
+    single steps; a half one steps from each to the next as one block
     (see _Propagator.advance_block), or as single steps when they are
-    fewer than _SHORTEST_BLOCK.  A snapshot step starts a block, so
-    resumes are bitwise on either path.
+    fewer than _SHORTEST_BLOCK.  A snapshot step starts a block, and the
+    split follows from the reads and global step indices alone, so
+    resumes are bitwise on every path, with one exception: a snapshot
+    after the first A step whose E- and P- are still exactly 0 (A came
+    before any light) resumes dark up to the next A step, where the
+    uninterrupted run was half, and agrees with it to rounding.
     """
     dt = grid.dz / m.c
     if initial_state is None:
@@ -805,17 +821,12 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
             raise ValueError(f"until_step {until_step} is outside the run's "
                              f"steps {n0}..{n_total}")
         n_total, n_steps = until_step, until_step - n0
-    omega_c, omega_a, inject = _step_reads(sequence, dt, n0, n_total)
+    omega_c, omega_a, probe = _step_reads(sequence, dt, n0, n_total)
     if _check_probe:
         _check_probe_resolution(sequence, m, grid)
-    if (half := _halve(state, omega_c, omega_a, inject)) is not None:
-        state, inject = half, inject.real
-    full_copy = SimState.copy if half is None else _expand
-
     every = _record_every(sequence, dt)
     snap_steps = {n for n in snapshot_steps if n0 < n <= n_total}
     snapshots: list[SimState] = []
-    prop = _Propagator(m, state)
     records = array("d")  # (t, |E+(1)|^2, |E-(0)|^2, spin norm) per record
 
     def record() -> None:
@@ -824,41 +835,64 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
                         abs(f[0, 1]) ** 2 if f.shape[1] > 1 else 0.0,
                         state.spin_norm()))
 
-    # steps on the multiples of `every` record, those of a resumed run too
-    if n0 % every == 0:
-        record()
     # a step whose drive rows differ from its predecessor's (always the
     # first) loads its own operator, built with those of the next
-    # _CHUNK_STEPS - 1 such steps
+    # _CHUNK_STEPS - 1 such steps of its segment
     rebuild = np.ones(n_steps, dtype=bool)
     rebuild[1:] = _differ((omega_c[1:], omega_a[1:]), (omega_c, omega_a))
     # only the changed steps' rows are read again; the others are let go
     changed = np.flatnonzero(rebuild)
     omega_c, omega_a = omega_c[changed], omega_a[changed]
-    built = 0  # changed steps whose operators have been loaded
+    # the cut: the first step that reads a nonzero A, a changed step
+    lit = omega_a.any(axis=1)
+    cut = changed[lit.argmax()] if lit.any() else n_steps
+
+    def segment(i: int, whole: SimState) -> tuple:
+        """The segment from step i, given its full state `whole`: that
+        state on the system that the segment's reads pick (see _halve), its
+        probe, its propagator and the step that ends it.  A half system
+        from before the cut, dark if its E- and P- are 0, ends at the cut;
+        the full system and any segment from the cut run to the end."""
+        end = cut if i < cut else n_steps
+        rows = slice(*np.searchsorted(changed, (i, end)))
+        half = _halve(whole, omega_c[rows], omega_a[rows], probe[i:end])
+        if half is None:
+            return whole, probe, _Propagator(m, whole), n_steps
+        return half, probe.real, _Propagator(m, half), end
+
+    state, inject, prop, stop = segment(0, state)
+    built, table = 0, None  # changed steps loaded; the segment's last build
     starts = np.flatnonzero(_block_starts(n0, rebuild, every, snap_steps)).tolist()
     longest = min(every, _BLOCK_STEPS)  # each record step ends a block
-    for i, end in zip(starts, starts[1:] + [n_steps]):
-        if rebuild[i]:
-            if built % _CHUNK_STEPS == 0:
-                chunk = slice(built, built + _CHUNK_STEPS)
-                table = prop.build(omega_c[chunk], omega_a[chunk])
-            prop.load(table, built % _CHUNK_STEPS)
-            built += 1
-        n = n0 + end  # global index of the step that ends the block
-        if half is not None and end - i >= _SHORTEST_BLOCK:
-            prop.advance_block(state, n, inject[i:end], longest)
-        else:
-            for j in range(i, end):
-                prop.advance(state, n0 + j + 1, inject[j], 0.0)
-        if n % every == 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports
+        # steps on the multiples of `every` record, those of a resumed run too
+        if n0 % every == 0:
             record()
-        if n % _FINITE_CHECK_EVERY == 0:
-            state.check_finite()
-        if n in snap_steps:
-            snapshots.append(full_copy(state))
-    state.check_finite()
-    snapshots.append(state if half is None else _expand(state))
+        for i, end in zip(starts, starts[1:] + [n_steps]):
+            if i == stop:  # let the last system's arrays go first
+                table = prop = None
+                state, inject, prop, stop = segment(i, _expand(state))
+            if rebuild[i]:
+                if table is None or row == len(table[0]):
+                    chunk = slice(built, min(built + _CHUNK_STEPS,
+                                             np.searchsorted(changed, stop)))
+                    table, row = prop.build(omega_c[chunk], omega_a[chunk]), 0
+                prop.load(table, row)
+                built, row = built + 1, row + 1
+            n = n0 + end  # global index of the step that ends the block
+            if prop.half and end - i >= _SHORTEST_BLOCK:
+                prop.advance_block(state, n, inject[i:end], longest)
+            else:
+                for j in range(i, end):
+                    prop.advance(state, n0 + j + 1, inject[j], 0.0)
+            if n % every == 0:
+                record()
+            if n % _FINITE_CHECK_EVERY == 0:
+                state.check_finite()
+            if n in snap_steps:
+                snapshots.append(_expand(state) if prop.half else state.copy())
+        state.check_finite()
+    snapshots.append(_expand(state) if prop.half else state)
 
     columns = np.frombuffer(records).reshape(-1, 4).T.copy()
     return DetectorTrace(*columns), snapshots
@@ -889,7 +923,8 @@ def _halve(state: SimState, *reads: np.ndarray) -> SimState | None:
     keeps the fields real and the pairs mirrored.  The half system is such
     a state's real fields with the first K/2 classes, weighted 2 w; _expand
     expands it back.  It is dark (see _dark) when the reads include A, A
-    is zero throughout and so are the state's E- and P-: they then stay 0."""
+    is zero throughout and so are the state's E- and P-: they then stay 0.
+    run_dynamics asks once per segment, from that segment's reads."""
     d, w, a, k = state.deltas, state.weights, state.a, len(state.deltas) // 2
     if (len(d) % 2 or not np.array_equal(d, -d[::-1])
             or not np.array_equal(w, w[::-1])
@@ -907,7 +942,8 @@ def _dark(half: SimState) -> SimState:
     """The dark system of a half system: its E+, (M, 1), and each class's
     P+ and S, (M, K/2, 2).  With A zero, E- and P- neither feed nor are fed
     by them, so a run from zero E- and P- integrates these alone, at rank 5
-    (see _Propagator).  Also the dark system of a dark system."""
+    (see _Propagator), up to its first step that reads a nonzero A (see
+    run_dynamics).  Also the dark system of a dark system."""
     return SimState(half.t, half.f[:, :1].copy(), half.a[..., [0, -1]],
                     half.grid, half.deltas, half.weights)
 

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ MINIMAL = """
 [protocol]
 kind = slow_light
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_RUN = """
 [medium]
@@ -525,6 +529,23 @@ class TestCommands:
         monkeypatch.setattr(cli, "run_dynamics", boom)
         assert main(["run", "--config", cfg_file(SMALL_RUN)]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_blow_up_exits_numeric_once_and_quietly(self, command, cfg_file,
+                                                    tmp_path):
+        # Omega dt = 1,250 makes the RK4 map grow without bound.  Even with
+        # warnings as errors the command exits 3, and stderr holds the one
+        # failure line: the step loop lets its finiteness check report the
+        # overflow, which numpy does not warn of
+        text = (CONFIGS / "trapping_balanced.cfg").read_text(encoding="utf-8")
+        text = re.sub(r"(?m)^(omega_[CA]) = .*$", r"\1 = 360000", text)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "slowlight.cli", command,
+             "--config", cfg_file(text), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert proc.stderr.startswith("numerical failure: non-finite value")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_spectrum_schema(self, cfg_file, tmp_path):
         out = tmp_path / "spec"
         assert main(["spectrum", "--config", cfg_file(SMALL_RUN),
@@ -557,10 +578,15 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_sweep_byte_identical_across_processes(self, cfg_file, tmp_path):
+    @pytest.mark.parametrize("sweep", ["small", "trapping_balanced"])
+    def test_sweep_byte_identical_across_processes(self, sweep, cfg_file,
+                                                   tmp_path):
         # the second process takes 2 BLAS threads: no sum the sweep writes
-        # may depend on how BLAS splits it
-        config = cfg_file(SMALL_SWEEP)
+        # may depend on how BLAS splits it.  The trapping trunk runs dark
+        # blocks of 29 steps on 72 cells, products large enough for BLAS
+        # to run on both threads
+        config = (cfg_file(SMALL_SWEEP) if sweep == "small"
+                  else str(CONFIGS / f"{sweep}.cfg"))
         outputs = []
         for name, threads in (("a", "1"), ("b", "2")):
             out = tmp_path / name

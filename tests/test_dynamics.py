@@ -459,16 +459,22 @@ class TestRunDynamics:
         oc, oa = seq.drive_samples(0.5 * dt * np.arange(2 * n + 1))
         triples = np.stack([oc[0:-1:2], oc[1::2], oc[2::2],
                             oa[0:-1:2], oa[1::2], oa[2::2]], axis=1)
-        changes = 1 + np.count_nonzero((triples[1:] != triples[:-1]).any(axis=1))
+        moved = np.r_[True, (triples[1:] != triples[:-1]).any(axis=1)]
+        changes = np.count_nonzero(moved)
         rows = _count_built_rows(monkeypatch)  # operators per build call
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run_dynamics(seq, m, grid, classes)
         assert sum(rows) == changes
-        # the changed steps are built _CHUNK_STEPS at a time, wherever they lie
-        assert len(rows) == math.ceil(changes / _CHUNK_STEPS)
+        # the changed steps are built _CHUNK_STEPS at a time, wherever they
+        # lie in a segment: a stationary run's dark prefix ends at its first
+        # A step, where the half system builds anew
+        lit = triples[:, 3:].any(axis=1)
+        first_a = int(lit.argmax()) if lit.any() else n
+        parts = (np.count_nonzero(moved[:first_a]), np.count_nonzero(moved[first_a:]))
+        assert len(rows) == sum(math.ceil(p / _CHUNK_STEPS) for p in parts)
         if kind == "stationary":
-            assert changes <= 8
+            assert changes <= 8 and min(parts) > 0
         else:  # the ramps change the drives on every step, in chunks
             assert changes > 100 and len(rows) < sum(rows)
 
@@ -771,9 +777,12 @@ class TestResumeHalfPath(TestResume):
 
     @pytest.fixture(autouse=True)
     def _every_run_takes_the_half_path(self, monkeypatch):
+        # a run from before the A pulse at 5.5 us runs dark up to it
         paths = _spy_paths(monkeypatch)
         yield
-        assert set(paths) <= {"half"}
+        assert set(paths) <= {"dark", "half"}
+        assert all(after == "half" for before, after
+                   in zip(paths, paths[1:] + [None]) if before == "dark")
 
 
 class TestBalanceResidual:
@@ -1092,14 +1101,16 @@ class TestHalfSystem:
 
     @pytest.mark.parametrize("name", list(SEQUENCES))
     def test_half_path_agrees_with_step_calls(self, name, monkeypatch):
-        # measured at K = 4 and 6: records within 3.4e-15 of each column's
-        # maximum, the final fields and atoms within 1.4e-15 of theirs; the
-        # sequences without A take the dark system (see TestDarkSystem)
+        # measured at K = 4 and 6: records within 2.8e-15 of each column's
+        # maximum, the final fields and atoms within 1.5e-15 of theirs; the
+        # sequences without A take the dark system (see TestDarkSystem), the
+        # stationary ones up to their first A step
         classes = make_spectral_classes(30.0, 4, "lorentzian")
         sequence = self._sequence(name)
         paths = _spy_paths(monkeypatch)
         columns, final = self._run(sequence, classes)
-        assert paths == ["half" if name in ("balanced", "imbalanced") else "dark"]
+        assert paths == (["dark", "half"] if name in ("balanced", "imbalanced")
+                         else ["dark"])
         want, state = _step_loop(sequence, self.M, self.GRID, classes)
         assert np.array_equal(columns[0], want[0])
         for got, ref in zip(columns[1:], want[1:]):
@@ -1214,8 +1225,9 @@ class TestDarkSystem:
         # the memory sequence with A nonzero at one half step, its first or
         # its last, or from a dark state at 9 us with one pair's P- or one
         # E- of 1e-3 (the stationary sequences keep it in TestHalfSystem).
+        # A read at the last step only leaves the steps before it dark.
         # Measured: records within 1.8e-15 of each column's maximum, the
-        # final state within 9.7e-16
+        # final state within 1.0e-15
         sequence, state = self.HALF._sequence("memory"), None
         dt = self.HALF.GRID.dz / self.HALF.M.c
         if fed == "a_first_step":
@@ -1239,7 +1251,56 @@ class TestDarkSystem:
         assert omega_a.any() == (state is None)
         paths = _spy_paths(monkeypatch)
         self._agrees_with_step_calls(sequence, state)
-        assert paths == ["half"]
+        assert paths == (["dark", "half"] if fed == "a_last_step" else ["half"])
+
+
+class TestSplitRun:
+    """A stationary run from zero runs dark up to its first step that reads
+    a nonzero A, then pads its state with zeros there and runs half (see
+    dynamics.run_dynamics); TestHalfSystem checks such runs against step()
+    calls.  The split follows from the reads and global step indices, so
+    a resume on either side of it makes the same split."""
+
+    HALF = TestHalfSystem()
+    CLASSES = TestDarkSystem.CLASSES
+
+    @pytest.mark.parametrize("name", ["balanced", "imbalanced"])
+    def test_resumes_around_the_first_a_step_are_bitwise(self, name,
+                                                         monkeypatch):
+        # snapshots before the first A step, on and off the record cadence
+        # of 3 steps, at it, one step after it and later: E- and P- are
+        # exactly 0 up to it, and a run resumed from each equals the
+        # uninterrupted run bit for bit.  One resumed at the step reads A
+        # at its first step and takes the half system alone
+        sequence, (m, grid) = self.HALF._sequence(name), (self.HALF.M, self.HALF.GRID)
+        dt = grid.dz / m.c
+        omega_a = dynamics._step_reads(sequence, dt, 0,
+                                       round(sequence.t_end_us / dt))[1]
+        first = int(omega_a.any(axis=1).argmax())
+        steps = [first - 40, first - 2, first, first + 1, first + 45]
+        paths = _spy_paths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the probe spans 4 cells
+            whole, snaps = run_dynamics(sequence, m, grid, self.CLASSES,
+                                        snapshot_steps=steps)
+            assert paths == ["dark", "half"]
+            for n, state in zip(steps, snaps):
+                assert (state.e_minus.any() or state.p_minus.any()) == (n > first)
+            for n, start in zip(steps, snaps):
+                paths.clear()
+                part, later = run_dynamics(sequence, m, grid, self.CLASSES,
+                                           snapshot_steps=steps,
+                                           initial_state=start)
+                assert paths == (["dark", "half"] if n < first else ["half"])
+                tail = whole.t >= start.t
+                for column in ("t", "fwd_intensity", "bwd_intensity", "spin_norm"):
+                    assert np.array_equal(getattr(part, column),
+                                          getattr(whole, column)[tail])
+                theirs = [s for s in snaps if s.t > start.t]
+                assert len(later) == len(theirs)
+                for mine, ref in zip(later, theirs):
+                    assert np.array_equal(mine.f, ref.f)
+                    assert np.array_equal(mine.a, ref.a)
 
 
 def _spy_blocks(monkeypatch) -> list[tuple[int, int]]:

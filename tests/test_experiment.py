@@ -781,9 +781,8 @@ class TestAdjointPeaks:
         # adjoint pass raises as the forward run's finiteness check would,
         # taking blocks of `every` steps, and blames the stretch from t = 1
         # us, not one that ended, 8 steps from t = 0, before the blow-up.
-        # Its products warn of the overflow as a forward run's do; reading
-        # the rows of an ended stretch adds no warning to those of the
-        # pass alone
+        # Its products overflow, and the pass warns of nothing: the abort
+        # alone reports the blow-up, as in a forward run
         blocks = _spy_transpose_blocks(monkeypatch)
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
@@ -801,8 +800,7 @@ class TestAdjointPeaks:
                                    match="held stretch from t=1 us"):
                     _held_records(states, [n for _, n in run], held, m, every)
             warned.append([(w.category, str(w.message)) for w in record])
-        assert warned[1] == warned[0]
-        assert {category for category, _ in warned[0]} == {RuntimeWarning}
+        assert warned == [[], []]
         assert passes == ["dark", "dark"]
         assert blocks and set(blocks) == {every}
 
