@@ -44,8 +44,10 @@ from .medium import (MediumParams, SpectralClass, _class_rates, class_arrays,
                      group_velocity)
 
 _CHUNK_STEPS = 16  # most steps whose operators one build call traces
-_BLOCK_STEPS = 32  # most steps in one block (see _block_starts)
-_FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS  # steps between NaN/Inf sweeps, at block starts
+_BLOCK_STEPS = 32  # most steps in one block (see _interval_blocks)
+# a NaN/Inf sweep ends each block or stretch of single steps that reaches a
+# multiple of this (see run_dynamics)
+_FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS
 _SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
 # the cells (to, from) of E+'s and E-'s move in one step, one cell toward
 # z = 1 and toward z = 0; the transpose moves their covectors back
@@ -261,7 +263,10 @@ class _Propagator:
     runs at half size.  On a half system, advance_block applies the loaded
     operator over a stretch of steps at once, and transpose_block its
     transpose, from the same block operators: the one transpose there is,
-    which a sweep's adjoint pass applies (see _held_records).
+    which a sweep's adjoint pass applies (see _held_records).  Within a
+    block the atoms answer to the advected fields alone, through Dc = D +
+    W A_s, so each of its steps makes only the fields, a product as many
+    columns wide as there are fields.
 
     A dark half system (see _dark) has no E- and no P-: y = (E+, x) with x
     the kept classes' (P+, S), and V y = (E+, W x) five functionals, the
@@ -449,18 +454,22 @@ class _Propagator:
         which are made once per loaded operator.
 
         Over such a stretch every step maps the atoms x and the field
-        functionals y = (advected fields, sources s = x W) as x' = x D +
-        y A and f' = y F, so from the stretch's start x_0
+        functionals y = (advected fields e, sources x W) as x' = x D + y A
+        and f' = y F.  With A_f, A_s and F_f, F_s the rows of A and F that
+        the fields and the sources read, x' = x Dc + e A_f, where Dc = D +
+        W A_s is one step's atom map at zero incoming field.  So the atoms
+        answer to the fields alone, and from the stretch's start x_0, with
+        P_l = x_0 Dc^l W,
 
-            s_i = x_0 D^i W + sum_{l<i} y_l G_{i-1-l},   G_j = A D^j W,
-            x_q = x_0 D^q + sum_{l<q} y_l A D^{q-1-l}.
+            f_(i+1) = e_i F_f + P_i F_s + sum_(l<i) e_l A_f Dc^(i-1-l) W F_s,
+            x_q = x_0 D^q + sum_(l<q) (e_l A_f Dc^(q-1-l) + P_l A_s D^(q-1-l)),
 
-        The sources of all q steps take one product of x_0 with
-        [W, D W, ...]; each step then runs the fields alone: one product of
-        the history (y_0 .. y_{i-1}, y_i's fields, x_0 D^i W) with the stacked
-        [G_{i-1} .. G_0] gives y_i's sources and f_{i+1} = y_i F together, and
-        the atoms take one update at the end.  The same map with the sums
-        regrouped, so the rounding differs from advance's.
+        the last as Dc^q = D^q + sum_l Dc^l W A_s D^(q-1-l).  The P_l of
+        all q steps take one product of x_0 with [W, Dc W, ...]; each step
+        then runs the fields alone: one product of the history (e_0, P_0
+        .. e_i, P_i) with a stack c columns wide, c the count of fields,
+        gives f_(i+1), and the atoms take one product at the end.  The same
+        map with the sums regrouped, so the rounding differs from advance's.
         """
         q = len(inject)
         if self._block is None or len(self._block[4]) != longest:  # its slots
@@ -468,10 +477,10 @@ class _Propagator:
         if not self._block_loaded:
             self._load_block()
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(state)
-        history, stacks, powers, sources, slots, out, sources_out = self._block
+        history, stacks, powers, sources, slots, out = self._block
         r, c = self.rank, self.channels
         ns, cells = r - c, len(history)
-        s0 = sources[:cells * ns * q].reshape(cells, ns * q)  # the x_0 D^i W
+        s0 = sources[:cells * ns * q].reshape(cells, ns * q)  # the P_l
         # OpenBLAS sums a product alike on 1 and 2 threads when its column
         # count is a multiple of 8 (measured); an odd dark block's last 4
         # columns take a product of their own, too small to be threaded
@@ -483,12 +492,11 @@ class _Propagator:
         for j, (to, fro) in enumerate(_ADVECT[:c]):
             history[to, j] = f_float[fro, j]
         history[0, 0:r * q:r] = inject  # E+ enters each step at z = 0
-        for y_to_i, g, s_to, moves in slots[:q]:
+        for y_to_i, g, moves in slots[:q]:
             np.matmul(y_to_i, g, out=out)
-            s_to[...] = sources_out
             for to, value in moves:
                 to[...] = value
-        f_float[:] = out[:, ns:]
+        f_float[:] = out
         np.matmul(x_batch, powers[q - 1], out=dx_batch)
         np.matmul(history[:, :r * q], stacks[2][-r * q:], out=x)
         np.add(x, dx_rows, out=x)
@@ -498,83 +506,85 @@ class _Propagator:
         """Make advance_block's work areas and operator arrays for blocks of
         up to Q = longest steps, with r the rank, c of its functionals the
         fields, ns = r - c the sources and na the floats per class: the
-        history, y_0 .. y_(Q-1) and the fields of y_Q; [W, D W, ..,
-        D^(Q-1) W] (na K, ns Q); the history's stack g, the rows [G_j,
-        G_j F_s] of j = Q-1 .. 0, then [0, F_f] for y_i's fields and [1, F_s]
-        for x_0 D^i W (F_f and F_s F's rows of the fields and of the
-        sources); [A D^(Q-1); ..; A] (r Q, na K); D^1 .. D^Q; x_0 D^i W;
-        and per step its views."""
+        history, (e_l, P_l) of l = 0 .. Q-1 and e_Q; [W, Dc W, ..,
+        Dc^(Q-1) W] (na K, ns Q); the history's stack g (r Q + r, c), the
+        rows [A_f Dc^j W F_s; 0] of j = Q-1 .. 0, then F's for (e_i, P_i);
+        the rows [A_f Dc^j; A_s D^j] of j = Q-1 .. 0 (r Q, na K); D^1 ..
+        D^Q; the P_l; per step its views; and f_(i+1)."""
         k, r, c, nq = len(self._powers), self.rank, self.channels, longest
         ns, na, cells = r - c, self._dx.shape[2], len(self._phi)
         history = np.zeros((cells, r * (nq + 1)))
-        g = np.zeros((r * nq + r, r))
-        g[-ns:, :ns] = np.eye(ns)
-        out = np.empty((cells, r))
+        g = np.zeros((r * nq + r, c))
+        out = np.empty((cells, c))
         self._block = (
             history, (np.empty((na * k, ns * nq)), g, np.empty((r * nq, na * k))),
             np.empty((nq, k, na, na)), np.empty(cells * ns * nq),
-            # per step i: its history, its rows of g, where its sources go,
-            # and where the next step's advected fields go, from out
-            [(history[:, :r * i + r], g[r * (nq - i):], history[:, r * i + c:r * i + r],
-              [(history[to, r * i + r + j], out[fro, ns + j])
+            # per step i: its history, its rows of g, and where the next
+            # step's advected fields go, from out
+            [(history[:, :r * i + r], g[r * (nq - i):],
+              [(history[to, r * i + r + j], out[fro, j])
                for j, (to, fro) in enumerate(_ADVECT[:c])]) for i in range(nq)],
-            out, out[:, :ns])
+            out)
         self._block_loaded = False
 
     def _load_block(self) -> None:
         """Make advance_block's operators of the loaded operator for blocks
-        of up to Q steps (see _make_block) from per-class products of the
-        D_k."""
-        _, (dw_rows, g, ad_rows), powers, _, slots, *_ = self._block
+        of up to Q steps (see _make_block): Dc^j W and A_f Dc^j from those
+        of j - 1, through per-class products of the D_k and, for W A_s,
+        products with A Dc^(j-1) W (r, ns)."""
+        _, (dw_rows, g, ad_rows), powers, _, slots, _ = self._block
         k, r, c, nq = len(self._powers), self.rank, self.channels, len(slots)
         ns, na = r - c, self._dx.shape[2]
+        a_dw = np.empty((r, ns))
         dw = dw_rows.reshape(k, na, nq, ns)
         ad = ad_rows.reshape(nq, r, k, na).transpose(0, 2, 1, 3)  # (Q, K, r, na)
         dw[:, :, 0] = self.w.reshape(k, na, ns)
         ad[-1] = self.a_op.reshape(r, k, na).swapaxes(0, 1)
         powers[0] = self.d
-        g[-r:-ns, ns:] = self.f_op[:c]
-        g[-ns:, ns:] = self.f_op[c:]
+        g[-r:] = self.f_op
         for j in range(nq):
-            if j:
+            at = r * (nq - 1 - j)  # the rows of j in g and ad_rows
+            if j:  # a_dw holds A Dc^(j-1) W
                 np.matmul(self.d, dw[:, :, j - 1], out=dw[:, :, j])
+                dw_rows[:, ns * j:ns * j + ns] += self.w @ a_dw[c:]
                 np.matmul(ad[nq - j], self.d, out=ad[nq - 1 - j])
+                ad_rows[at:at + c] += a_dw[:c] @ self.a_op[c:]
                 np.matmul(powers[j - 1], self.d, out=powers[j])
-            rows = g[r * (nq - 1 - j):r * (nq - j)]
-            np.matmul(self.a_op, dw_rows[:, ns * j:ns * j + ns], out=rows[:, :ns])
-            np.matmul(rows[:, :ns], self.f_op[c:], out=rows[:, ns:])
+            np.matmul(self.a_op, dw_rows[:, ns * j:ns * j + ns], out=a_dw)
+            np.matmul(a_dw[:c], self.f_op[c:], out=g[at:at + c])
         self._block_loaded = True
         self._back = None  # the next transpose_block makes them from these
 
     def _make_back(self) -> None:
         """Make transpose_block's work areas for the blocks of _make_block,
         up to Q steps, and its operators from the loaded block's (see
-        _load_block), transposed: the history; the xi_a (A D^j)^T; per step
-        its views; [A D^(Q-1); ..; A]^T, [W, .., D^(Q-1) W]^T, the (D^j)^T,
-        and the stack of the rows [0, G_j^T] of j = Q-1 .. 0, then [F^T]
-        for phi_(i+1) and [0, 1] for the sources of xi_a (A D^(q-1-i))^T.
-        Copies, not views: a product with a transposed view runs slower."""
-        _, (dw_rows, g, ad_rows), powers, _, slots, out, _ = self._block
+        _load_block), transposed: the history; the xi_a [A_f Dc^j; A_s
+        D^j]^T; per step its views; then [A_f Dc^j; A_s D^j]^T of j = Q-1
+        .. 0, the rows [(Dc^j W F_s)^T; (Dc^j W)^T] of j = Q-1 .. 0, the
+        (D^j)^T, and the stack of the rows [(A_f Dc^j W F_s)^T; 0] of j =
+        Q-1 .. 0, then [F_f^T; 0].  Copies, not views: a product with a
+        transposed view runs slower."""
+        _, (dw_rows, g, ad_rows), powers, _, slots, out = self._block
         r, c, nq = self.rank, self.channels, len(slots)
         ns, cells = r - c, len(self._phi)
         # zeros stay where no covector reaches: E+ in the last cell and E-
         # in the first of every phi but xi_f
         history = np.zeros((cells, r * (nq + 1)))
-        g_t = np.zeros((nq + 1, r, r))
-        g_t[:-1, c:] = g[:-r].reshape(nq, r, r)[..., :ns].swapaxes(1, 2)
-        g_t[-1, :c] = self.f_op.T
-        g_t[-1, c:, c:] = np.eye(ns)
-        g_t = g_t.reshape(-1, r)
+        g_t = np.zeros((nq + 1, r, c))
+        g_t[:-1, :c] = g[:-r].reshape(nq, r, c)[:, :c].swapaxes(1, 2)
+        g_t[-1, :c] = self.f_op[:c].T
+        g_t = g_t.reshape(-1, c)
+        dw_t = dw_rows.reshape(-1, nq, ns).transpose(1, 2, 0)[::-1]  # (Q, ns, na K)
+        p_t = np.hstack([self.f_op[c:].T @ dw_t, dw_t]).reshape(r * nq, -1)
         self._back = (
             history, np.empty(cells * r * nq),
-            # per step j from the last: its history, its rows of g_t, where
-            # psi's sources go, and where psi's fields add, moved from out
-            [(history[:, :r * j + r], g_t[r * (nq - j):], history[:, r * j + c:r * j + r],
+            # per step j from the last: its history, its rows of g_t, and
+            # where phi's fields add, moved from out
+            [(history[:, :r * j + r], g_t[r * (nq - j):],
               [(history[fro, r * j + r + i], out[to, i])
                for i, (to, fro) in enumerate(_ADVECT[:c])]) for j in range(nq)],
-            out[:, c:],
             tuple(np.ascontiguousarray(op) for op in
-                  (ad_rows.T, dw_rows.T, powers.swapaxes(2, 3))))
+                  (ad_rows.T, p_t, powers.swapaxes(2, 3))))
 
     def transpose_block(self, xi: SimState, q: int, longest: int) -> None:
         """Apply the transpose R^T of advance_block's float map R over q
@@ -585,19 +595,21 @@ class _Propagator:
         takes transposed (see _make_back).
 
         It runs advance_block's sums in reverse.  With xi_a and xi_f the
-        covectors of x_q and f_q, psi_i that of y_i and phi_i that of the
-        fields f_i that y_i advects (phi_q = xi_f),
+        covectors of x_q and f_q, psi_i that of the advected fields e_i and
+        phi_i that of the fields f_i (phi_q = xi_f, and phi_i psi_i moved
+        back a cell),
 
-            psi_i = xi_a (A D^(q-1-i))^T + phi_(i+1) F^T
-                    + sum_(j>i) psi_j's sources G_(j-1-i)^T,
+            psi_i = xi_a (A_f Dc^(q-1-i))^T + phi_(i+1) F_f^T
+                    + sum_(j>i) phi_(j+1) (A_f Dc^(j-1-i) W F_s)^T,
 
         so the steps run from the last back: one product of the history
-        (the sources of psi_(q-1) .. psi_(i+1), phi_(i+1) and those of
-        xi_a (A D^(q-1-i))^T) with the stacked [G_(q-2-i)^T .. G_0^T]
-        gives psi_i, whose fields, moved against the advection, give
-        phi_i.  The xi_a (A D^(q-1-i))^T of all q steps take one product
-        first.  At the end xi_f is phi_0, and xi_a is xi_a (D^q)^T plus one
-        product of the sources' psi with [W, D W, ...]^T.
+        (phi_(j+1) beside xi_a (A_s D^(q-1-j))^T for j = q-1 .. i) with a
+        stack c columns wide gives psi_i, which adds to phi_i, where xi_a
+        (A_f Dc^(q-1-i))^T, moved back, was put first.  The xi_a [A_f
+        Dc^j; A_s D^j]^T of all q steps take one product first.  At the end
+        xi_f is phi_0, and xi_a is xi_a (D^q)^T plus one product of the
+        history with the rows [(Dc^i W F_s)^T; (Dc^i W)^T], the covector of
+        each P_i times (Dc^i W)^T.
         """
         if self._block is None or len(self._block[4]) != longest:
             self._make_block(longest)
@@ -605,27 +617,23 @@ class _Propagator:
             self._load_block()
         if self._back is None:
             self._make_back()
-        sources, out = self._block[3], self._block[5]
-        history, a_psi, slots, psi_s, (ad_t, dw_t, powers_t) = self._back
-        r, c = self.rank, self.channels
-        ns, cells = r - c, len(history)
+        out = self._block[5]
+        history, a_psi, slots, (ad_t, p_t, powers_t) = self._back
+        r, c, cells = self.rank, self.channels, len(history)
         f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(xi)
         by_step = history[:, :r * q + r].reshape(cells, q + 1, r)
-        a_psi = a_psi[:cells * r * q].reshape(cells, q, r)  # xi_a (A D^(q-1-i))^T
+        a_psi = a_psi[:cells * r * q].reshape(cells, q, r)  # xi_a's, last step first
         np.matmul(x, ad_t[:, -r * q:], out=a_psi.reshape(cells, r * q))
         np.matmul(x_batch, powers_t[q - 1], out=dx_batch)
         by_step[:, :q, c:] = a_psi[:, ::-1, c:]
         for j, (to, fro) in enumerate(_ADVECT[:c]):  # fields moved back a cell
             by_step[fro, 1:, j] = a_psi[to, ::-1, j]
         by_step[:, 0, :c] = f_float
-        for psi_to_i, g_t, s_to, moves in slots[:q]:
+        for psi_to_i, g_t, moves in slots[:q]:
             np.matmul(psi_to_i, g_t, out=out)
-            s_to[...] = psi_s
             for to, value in moves:
                 to += value
-        s = sources[:cells * ns * q].reshape(cells, q, ns)  # psi_0 .. psi_(q-1)
-        s[...] = by_step[:, q - 1::-1, c:]
-        np.matmul(s.reshape(cells, ns * q), dw_t[:ns * q], out=x)
+        np.matmul(history[:, :r * q], p_t[-r * q:], out=x)
         np.add(x, dx_rows, out=x)
         f_float[:] = by_step[:, q, :c]
 
@@ -665,14 +673,16 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     that is g_j . x_b, so one backward recursion serves every state: at
     each j that is a multiple of `every`, every state reads its E+(1) from
     g_j, all in one product, and keeps the reads its stretch reaches.
-    Between two reads the pass applies the `every` steps of R^T in
-    near-equal blocks of at most _BLOCK_STEPS (see
+    Between two reads the pass applies the `every` steps of R^T in the
+    blocks that a forward run takes there, _interval_blocks (see
     _Propagator.transpose_block).  Only the current g_j is held, and the
     pass ends at its last read.  With A zero in `held`, R maps E- and P-
     into themselves alone, so g_j never reaches them: the pass runs on the
     dark system and reads each start's E+, P+ and S, whatever its E- and
-    P- (see _dark).  A non-finite record raises NumericalAbort, as the
-    forward run would, and numpy warns of no overflow.
+    P- (see _dark).  The first read that gives a non-finite record to a
+    stretch that still reads ends the pass: it raises NumericalAbort there,
+    blaming the first such stretch, as the forward run would, and numpy
+    warns of no overflow.
     """
     starts = [_halve(x, *held) for x in starts]
     if not held[1].any():
@@ -689,25 +699,28 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     prop.load(prop.build(*held), 0)
     rows = np.stack([np.concatenate([x.f.ravel(), x.a.ravel().view(float)])
                      for x in starts])
-    counts = [n // every for n in lengths]
-    parts = -(-every // _BLOCK_STEPS)
-    blocks = [every // parts + (i < every % parts) for i in range(parts)]
-    reads = np.zeros((max(counts), len(starts)))
-    records = []
+    counts = np.array([n // every for n in lengths])
+    blocks = _interval_blocks(every)
+    reads = np.zeros((counts.max(), len(starts)))
     with np.errstate(over="ignore", invalid="ignore"):  # the read check reports
-        for read in reads:
+        for j, read in enumerate(reads):
             for q in blocks:
                 prop.transpose_block(xi, q, blocks[0])
             # einsum sums in its own loop: a BLAS dot would split the sum
             # by thread count and change the last digits with it
             np.einsum("bi,i->b", rows, flat, out=read)
-        for x, count, read in zip(starts, counts, reads.T):
-            n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
-            t, intensity = n * prop.dt, np.abs(read[:count]) ** 2
-            if len(bad := t[~np.isfinite(intensity)]):
-                raise NumericalAbort(f"non-finite E+(1) at t={bad[0]:.6g} us, in "
-                                     f"the held stretch from t={x.t:.6g} us")
-            records.append((t, intensity))
+            # a finite sum of squares clears every record of the read
+            if not math.isfinite(read @ read):
+                bad = ~np.isfinite(read ** 2) & (counts > j)
+                if bad.any():
+                    x = starts[bad.argmax()]
+                    t = (_step_index(x.t, prop.dt) + every * (j + 1)) * prop.dt
+                    raise NumericalAbort(f"non-finite E+(1) at t={t:.6g} us, in "
+                                         f"the held stretch from t={x.t:.6g} us")
+    records = []
+    for x, count, read in zip(starts, counts, reads.T):
+        n = _step_index(x.t, prop.dt) + every * np.arange(1, count + 1)
+        records.append((n * prop.dt, np.abs(read[:count]) ** 2))
     return records
 
 
@@ -781,8 +794,9 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     that global step, short of t_end_us.  _check_probe=False leaves the
     probe-resolution warning to a sweep that raises it once for all its
     points.  A state that stops being finite raises NumericalAbort at the
-    next check, every _FINITE_CHECK_EVERY steps and at the end; numpy
-    warns of no overflow on the way.
+    next check, at the end of each block or stretch of single steps that
+    reaches a multiple of _FINITE_CHECK_EVERY, and at the end; numpy warns
+    of no overflow on the way.
 
     A conjugate-symmetric run (real drives and probe, +/- paired classes
     and a mirrored starting state, see _halve) integrates its half system
@@ -797,9 +811,11 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     Every system walks the block starts of _block_starts, the full one in
     single steps; a half one steps from each to the next as one block
     (see _Propagator.advance_block), or as single steps when they are
-    fewer than _SHORTEST_BLOCK.  A snapshot step starts a block, and the
-    split follows from the reads and global step indices alone, so
-    resumes are bitwise on every path, with one exception: a snapshot
+    fewer than _SHORTEST_BLOCK.  No block is longer than the first of
+    _interval_blocks, so a record interval of up to _BLOCK_STEPS steps
+    with no changed step is one block.  A snapshot step starts a block,
+    and the split follows from the reads and global step indices alone,
+    so resumes are bitwise on every path, with one exception: a snapshot
     after the first A step whose E- and P- are still exactly 0 (A came
     before any light) resumes dark up to the next A step, where the
     uninterrupted run was half, and agrees with it to rounding.
@@ -863,7 +879,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
     state, inject, prop, stop = segment(0, state)
     built, table = 0, None  # changed steps loaded; the segment's last build
     starts = np.flatnonzero(_block_starts(n0, rebuild, every, snap_steps)).tolist()
-    longest = min(every, _BLOCK_STEPS)  # each record step ends a block
+    longest = _interval_blocks(every)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports
         # steps on the multiples of `every` record, those of a resumed run too
         if n0 % every == 0:
@@ -887,7 +903,7 @@ def run_dynamics(sequence, m: MediumParams, grid: Grid,
                     prop.advance(state, n0 + j + 1, inject[j], 0.0)
             if n % every == 0:
                 record()
-            if n % _FINITE_CHECK_EVERY == 0:
+            if n // _FINITE_CHECK_EVERY > (n0 + i) // _FINITE_CHECK_EVERY:
                 state.check_finite()
             if n in snap_steps:
                 snapshots.append(_expand(state) if prop.half else state.copy())
@@ -979,15 +995,23 @@ def _block_starts(n0: int, changed: np.ndarray, every: int,
                   snaps=()) -> np.ndarray:
     """Per step n0 + i of a run, whether a block starts there: at a step
     whose drive rows change (changed; always the run's first), at each
-    record step (a multiple of every) and each multiple of _BLOCK_STEPS,
-    so at each multiple of _FINITE_CHECK_EVERY, and at each step in snaps,
+    step that starts one of the _interval_blocks of a record interval, so
+    at each record step (a multiple of every), and at each step in snaps,
     whose states the run reads.  The rule reads global step indices and
     the rows alone, so a run resumed at a block start, such as a record
     step, makes the blocks of the uninterrupted run."""
     n = np.arange(n0, n0 + len(changed))
-    starts = changed | (n % every == 0) | (n % _BLOCK_STEPS == 0)
+    grid = np.cumsum([0, *_interval_blocks(every)[:-1]])  # steps past a record
+    starts = changed | np.isin(n % every, grid)
     starts[[s - n0 for s in snaps if n0 <= s < n0 + len(changed)]] = True
     return starts
+
+
+def _interval_blocks(every: int) -> list[int]:
+    """The blocks that split a record interval of `every` steps: its
+    fewest near-equal parts of at most _BLOCK_STEPS, the longer first."""
+    parts = -(-every // _BLOCK_STEPS)
+    return [every // parts + (i < every % parts) for i in range(parts)]
 
 
 def _record_every(sequence, dt: float) -> int:

@@ -547,12 +547,13 @@ def _step_loop(sequence, m, grid, classes, state=None):
 class TestPropagatorBuild:
     def test_steps_make_no_copy_of_the_state(self):
         # 200 held steps at K = 64, M = 32, whose atoms take 98 KB, and 200
-        # of the half system and of its dark system, then 200 blocks of 8
-        # and 200 of 1 of their transposes, may hold at most 2 KB more at
-        # any time (measured: 560 bytes for advance on any system, and
-        # 1,080 for transpose_block in blocks of either length, on either
-        # half system).  The first call is not traced: it makes the views,
-        # and the transposes their operators and work areas
+        # of the half system and of its dark system, then on each of those
+        # two 200 blocks of 8 and 200 of 29 and, transposed, 200 blocks of 8
+        # and 200 of 1, may hold at most 2 KB more at any time (measured:
+        # 560 bytes for advance on any system, 856 and 944 for advance_block
+        # in blocks of 8 and 29, and 984 for transpose_block in blocks of
+        # either length).  The first call is not traced: it makes the
+        # views, and the blocks their operators and work areas
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=32,
                        classes=make_spectral_classes(30.0, 64, "lorentzian"))
@@ -565,9 +566,14 @@ class TestPropagatorBuild:
         prop, half_prop, dark_prop = props
         assert half_prop.half and half.f.dtype == float
         assert dark_prop.half and dark.f.shape == (32, 1) and dark.a.shape == (32, 32, 2)
+        inject = {q: np.zeros(q) for q in (8, 29)}
         for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
                     lambda n: half_prop.advance(half, n, 0.0, 0.0),
                     lambda n: dark_prop.advance(dark, n, 0.0, 0.0),
+                    lambda n: half_prop.advance_block(half, n, inject[8], 8),
+                    lambda n: half_prop.advance_block(half, n, inject[29], 29),
+                    lambda n: dark_prop.advance_block(dark, n, inject[8], 8),
+                    lambda n: dark_prop.advance_block(dark, n, inject[29], 29),
                     lambda n: half_prop.transpose_block(half, 8, 8),
                     lambda n: half_prop.transpose_block(half, 1, 1),
                     lambda n: dark_prop.transpose_block(dark, 8, 8),
@@ -622,8 +628,8 @@ class TestPropagatorBuild:
         # covectors pick one field at a boundary cell, where the
         # advection's shift and injection rows act.  Work areas sized for
         # 32 steps and left over from a 32-step block each way.  Measured:
-        # at most 2.5e-16 of the sums of the absolute terms, and within
-        # 2.9e-15 of q one-step blocks (dark: 2.6e-16 and 3.1e-15)
+        # at most 1.7e-16 of the sums of the absolute terms, and within
+        # 1.5e-15 of q one-step blocks (dark: 9.8e-17 and 1.5e-15)
         rng = np.random.default_rng(q)
         classes = make_spectral_classes(1600.0, 4, "lorentzian")
         zero = dynamics._halve(_state(grid_cells=4, classes=classes))
@@ -1348,9 +1354,9 @@ class TestBlocks:
     @pytest.mark.parametrize("name", list(TestHalfSystem.SEQUENCES))
     def test_blocks_agree_with_single_steps(self, name, monkeypatch):
         # TestHalfSystem's sequences, recording every 16 steps so that the
-        # blocks run up to 16 steps.  Measured at K = 4, 6 and 8, with
-        # blocks of up to 16 and 32 steps: records within 9.3e-15 of each
-        # column's maximum, the final fields and atoms within 7.9e-15
+        # blocks run up to 16 steps.  Measured at K = 4: records within
+        # 3.7e-15 of each column's maximum, the final fields and atoms
+        # within 6.5e-15
         half = TestHalfSystem()
         sequence = replace(half._sequence(name), sample_rate=4.0)
         classes = make_spectral_classes(30.0, 4, "lorentzian")
@@ -1359,8 +1365,8 @@ class TestBlocks:
 
     def test_stationary_run_at_64_classes(self, monkeypatch):
         # a reduced criterion-3 run: 64 classes, 24 cells, OD 200, both
-        # couplings 4 rad/us.  Measured: records within 3.6e-15 of each
-        # column's maximum, the final state within 3.4e-15
+        # couplings 4 rad/us.  Measured: records within 4.5e-15 of each
+        # column's maximum, the final state within 4.2e-15
         m = MediumParams.from_optical_depth(200.0, gamma_opt=1.0, c=4.0)
         sequence = standard_sequence("stationary", ProtocolParams(
             omega_c=4.0, omega_a=4.0, probe_duration_us=3.0, p_a_delay_us=9.0,
@@ -1368,6 +1374,48 @@ class TestBlocks:
         classes = make_spectral_classes(30.0, 64, "lorentzian")
         self._check(self._both(sequence, m, Grid(cells=24), classes,
                                monkeypatch), 1e-14)
+
+    @pytest.mark.parametrize("every, longest", [(29, 29), (50, 25)])
+    def test_stationary_run_in_long_blocks(self, every, longest, monkeypatch):
+        # test_stationary_run_at_64_classes at OD 800, recording every 29
+        # steps, the trapping configs' cadence (one block per record
+        # interval), and every 50 (two blocks of 25).  Measured: E+(1)
+        # within 2.1e-13 / 3.1e-13 of its maximum, where A turns on and the
+        # light that leaks out is a difference of far larger terms, so any
+        # regrouping of the sums moves it (at OD 200, 4.4e-15 / 3.7e-15);
+        # the other records within 7.3e-16 / 1.6e-15, the final state
+        # within 2.9e-15.  A blocked run also checks the state within a
+        # block of each multiple of _FINITE_CHECK_EVERY
+        m = MediumParams.from_optical_depth(800.0, gamma_opt=1.0, c=4.0)
+        grid = Grid(cells=24)
+        dt = grid.dz / m.c
+        sequence = standard_sequence("stationary", ProtocolParams(
+            omega_c=4.0, omega_a=4.0, probe_duration_us=3.0, p_a_delay_us=9.0,
+            a_duration_us=6.0, release_window_us=8.0, sample_rate=1.0 / (every * dt)))
+        assert _record_every(sequence, dt) == every
+        classes = make_spectral_classes(30.0, 64, "lorentzian")
+        blocks = _spy_blocks(monkeypatch)
+        (blocked, final), (single, ref) = self._both(sequence, m, grid, classes,
+                                                     monkeypatch)
+        for got, want, bound in zip(blocked, single, (1e-12, 2e-14, 2e-14)):
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
+        for got, want in ((final.f, ref.f), (final.a, ref.a)):
+            assert np.abs(got - want).max() <= 2e-14 * np.abs(want).max()
+        assert max(q for _, q in blocks) == longest
+        checks, check_finite = [], SimState.check_finite
+
+        def spied(state):
+            checks.append(round(state.t / dt))
+            return check_finite(state)
+
+        monkeypatch.setattr(SimState, "check_finite", spied)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace, _ = run_dynamics(sequence, m, grid, classes)
+        end = round(trace.t[-1] / dt)
+        assert checks[-1] >= end
+        for n in range(dynamics._FINITE_CHECK_EVERY, end, dynamics._FINITE_CHECK_EVERY):
+            assert any(n <= c < n + longest for c in checks)
 
     def test_blocks_start_where_the_rule_says(self, monkeypatch):
         # the memory sequence of TestHalfSystem, recording every 8 steps,
@@ -1415,20 +1463,25 @@ class TestBlocks:
            snaps=st.lists(st.integers(-10, 310), max_size=6))
     def test_blocks_start_on_the_grid(self, n0, every, changed, snaps):
         # every run of one record cadence starts a block at each record
-        # step and each multiple of _BLOCK_STEPS, whatever its start, drive
-        # rows and snapshots, so a sweep's trunk and points hold the same
-        # state at a record step; no block is longer than run_dynamics's
-        # longest, min(every, _BLOCK_STEPS)
+        # step and splits each record interval into its fewest near-equal
+        # parts of at most _BLOCK_STEPS, the longer first, whatever its
+        # start, drive rows and snapshots, so a sweep's trunk and points
+        # hold the same state at a record step; no block is longer than
+        # run_dynamics's longest, the first part, which the adjoint pass
+        # takes between its reads too
         changed, snaps = np.array(changed), [n0 + s for s in snaps]
         starts = dynamics._block_starts(n0, changed, every, snaps)
         n = np.arange(n0, n0 + len(changed))
-        grid = (n % every == 0) | (n % dynamics._BLOCK_STEPS == 0)
-        assert starts[grid].all()
-        assert starts[n % dynamics._FINITE_CHECK_EVERY == 0].all()
+        parts = -(-every // dynamics._BLOCK_STEPS)
+        size, longer = divmod(every, parts)
+        grid = np.isin(n % every, [k * size + min(k, longer) for k in range(parts)])
+        assert np.array_equal(starts, changed | grid | np.isin(n, snaps))
+        lengths = dynamics._interval_blocks(every)
+        assert sum(lengths) == every and len(lengths) == parts
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[0] - lengths[-1] <= 1 and lengths[0] <= dynamics._BLOCK_STEPS
         blocks = np.diff([*np.flatnonzero(starts), len(changed)])
-        assert (blocks <= min(every, dynamics._BLOCK_STEPS)).all()
-        snapped = np.isin(n, snaps)
-        assert np.array_equal(starts, changed | grid | snapped)
+        assert (blocks <= lengths[0]).all()
 
     def test_a_block_after_a_load_uses_the_loaded_operator(self):
         # a block of one operator, then a load of another: the next block

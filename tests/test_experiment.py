@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -710,8 +711,8 @@ class TestAdjointPeaks:
         # 40.  The pass takes blocks of 4 steps at a cadence of 4, of 2 at
         # 2, and two blocks of 20 between the reads at 40.  Each state's
         # records, read together with those of the others, are its forward
-        # run's, to rounding (measured: at most 3.3e-15 of each stretch's
-        # largest record at 4, 8.1e-15 at 2 and 2.3e-15 at 40)
+        # run's, to rounding (measured: at most 3.9e-15 of each stretch's
+        # largest record at 4, 8.8e-15 at 2 and 2.9e-15 at 40)
         taken = _spy_transpose_blocks(monkeypatch)
         m, grid, classes = _mini_setup(n_classes=4, cells=16)
         seq = PulseSequence(
@@ -741,9 +742,8 @@ class TestAdjointPeaks:
         # 880 .. 1000 (11 .. 12.5 us), hold E- and P-; the held map, C
         # alone, never carries E+(1)'s covector into them, so the pass
         # reads the dark system's part of each start and matches forward
-        # runs, which take the half path, within BOUND (measured: 6.9e-14
-        # of each stretch's largest record; 9.0e-14 with the pass on the
-        # half system)
+        # runs, which take the half path, within BOUND (measured: 9.7e-14
+        # of each stretch's largest record)
         passes = _spy_adjoint(monkeypatch)
         m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=4, cells=16)
         seq = PulseSequence(
@@ -781,8 +781,10 @@ class TestAdjointPeaks:
         # adjoint pass raises as the forward run's finiteness check would,
         # taking blocks of `every` steps, and blames the stretch from t = 1
         # us, not one that ended, 8 steps from t = 0, before the blow-up.
-        # Its products overflow, and the pass warns of nothing: the abort
-        # alone reports the blow-up, as in a forward run
+        # It stops at the read that blames it: its blocks reach that read
+        # and no further, far short of the stretch's 400 steps.  Its
+        # products overflow, and the pass warns of nothing: the abort alone
+        # reports the blow-up, as in a forward run
         blocks = _spy_transpose_blocks(monkeypatch)
         m = MediumParams(gamma_opt=1.0, g2n=1.0, c=1.0)
         classes = make_spectral_classes(30.0, 2, "lorentzian")
@@ -794,12 +796,15 @@ class TestAdjointPeaks:
             for state, (t, _) in zip(states, run):
                 state.s[:] = 0.1
                 state.t = t
+            blocks.clear()
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
                 with pytest.raises(NumericalAbort,
-                                   match="held stretch from t=1 us"):
+                                   match="held stretch from t=1 us") as abort:
                     _held_records(states, [n for _, n in run], held, m, every)
             warned.append([(w.category, str(w.message)) for w in record])
+            bad = float(re.search(r"at t=(\S+) us", str(abort.value))[1])
+            assert sum(blocks) == round((bad - 1.0) / (states[0].grid.dz / m.c)) < 400
         assert warned == [[], []]
         assert passes == ["dark", "dark"]
         assert blocks and set(blocks) == {every}
