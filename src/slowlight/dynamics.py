@@ -17,9 +17,9 @@ While the backward coupling A is zero and E- and P- start at zero, that
 channel stays zero, and the half system drops it: it integrates E+ and
 each class's P+ and S alone (see _dark), up to the first step that reads
 a nonzero A, where the run goes on as the half system.  A sweep's held
-stretches of one map take their records from one adjoint pass of that
-map's transpose, which runs on a half system alone, in blocks (see
-_held_records).
+stretches of one map take their records from one adjoint pass: the same
+blocks, run on a half system alone by a propagator of that map's
+transpose (see _Propagator.transposed and _held_records).
 
 Amplitude normalization: the single coupling constant used in both the
 polarization drive and the field source is sqrt(g2n), the square root of
@@ -50,7 +50,8 @@ _BLOCK_STEPS = 32  # most steps in one block (see _interval_blocks)
 _FINITE_CHECK_EVERY = 2 * _BLOCK_STEPS
 _SHORTEST_BLOCK = 4  # a shorter block takes single steps (see run_dynamics)
 # the cells (to, from) of E+'s and E-'s move in one step, one cell toward
-# z = 1 and toward z = 0; the transpose moves their covectors back
+# z = 1 and toward z = 0; a transposed step moves their covectors the other
+# way (see _Propagator.transposed)
 _ADVECT = ((slice(1, None), slice(None, -1)), (slice(None, -1), slice(1, None)))
 
 
@@ -261,12 +262,13 @@ class _Propagator:
     the Re-output columns of W and F, 0.29 of the flops.  Its F reads the
     moments of the whole class set.  build slices its tables, so that load
     runs at half size.  On a half system, advance_block applies the loaded
-    operator over a stretch of steps at once, and transpose_block its
-    transpose, from the same block operators: the one transpose there is,
-    which a sweep's adjoint pass applies (see _held_records).  Within a
-    block the atoms answer to the advected fields alone, through Dc = D +
-    W A_s, so each of its steps makes only the fields, a product as many
-    columns wide as there are fields.
+    operator over a stretch of steps at once.  Within a block the atoms
+    answer to the advected fields alone, through Dc = D + W A_s, so each
+    of its steps makes only the fields, a product as many columns wide as
+    there are fields.  The transpose of a half system's step is a step of
+    the same form, whose fields move the other way, at rank r + c:
+    transposed makes its propagator, which a sweep's adjoint pass runs in
+    blocks (see _held_records).
 
     A dark half system (see _dark) has no E- and no P-: y = (E+, x) with x
     the kept classes' (P+, S), and V y = (E+, W x) five functionals, the
@@ -286,6 +288,8 @@ class _Propagator:
         # _dark), and the rank: the fields plus their sources per RK4 stage
         self.channels = parts - 1
         self.rank = 5 * self.channels
+        # each field's move (see _ADVECT) and the cell where E+ enters
+        self.moves, self.entry = _ADVECT[:self.channels], 0
         # floats per cell of the fields and of V y, real in a half system,
         # and per class of the atoms
         nf, ny = ((self.channels, self.rank) if self.half
@@ -315,7 +319,6 @@ class _Propagator:
         self.f_op = np.empty((ny, nf))
         self._block = None  # advance_block's operators and work areas
         self._block_loaded = False  # whether its operators are the loaded one's
-        self._back = None  # transpose_block's work areas and operators
         # work areas: the functionals V y, and the per-class part D_k x_k
         # of x' (the coupling part A (V y) is written into the atoms)
         self._phi = np.empty((cells, self.rank), dtype=float if self.half else complex)
@@ -448,10 +451,11 @@ class _Propagator:
     def advance_block(self, state: SimState, n: int, inject: np.ndarray,
                       longest: int) -> None:
         """Advance a half system in place by q = len(inject) steps of the
-        loaded operator, to t = n dt: what q advance calls with inject_plus
-        = inject[i] and no inject_minus do, to rounding.  longest >= q, the
-        longest block of the run, sizes the work areas and the operators,
-        which are made once per loaded operator.
+        loaded operator, to t = n dt, E+ taking inject[i] at its entry cell
+        and E- nothing: what q advance calls with inject_plus = inject[i]
+        do, to rounding, or q steps of a transposed step (see transposed).
+        longest >= q, the longest block of the run, sizes the work areas
+        and the operators, which are made once per loaded operator.
 
         Over such a stretch every step maps the atoms x and the field
         functionals y = (advected fields e, sources x W) as x' = x D + y A
@@ -482,16 +486,16 @@ class _Propagator:
         ns, cells = r - c, len(history)
         s0 = sources[:cells * ns * q].reshape(cells, ns * q)  # the P_l
         # OpenBLAS sums a product alike on 1 and 2 threads when its column
-        # count is a multiple of 8 (measured); an odd dark block's last 4
-        # columns take a product of their own, too small to be threaded
+        # count is a multiple of 8 (measured); the last ns q % 8 columns
+        # take a product of their own, too small to be threaded
         whole = ns * q - ns * q % 8
         np.matmul(x, stacks[0][:, :whole], out=s0[:, :whole])
         if whole < ns * q:
             np.matmul(x, stacks[0][:, whole:ns * q], out=s0[:, whole:])
         history.reshape(cells, -1, r)[:, :q, c:] = s0.reshape(cells, q, ns)
-        for j, (to, fro) in enumerate(_ADVECT[:c]):
+        for j, (to, fro) in enumerate(self.moves):
             history[to, j] = f_float[fro, j]
-        history[0, 0:r * q:r] = inject  # E+ enters each step at z = 0
+        history[self.entry, 0:r * q:r] = inject  # E+ enters each step
         for y_to_i, g, moves in slots[:q]:
             np.matmul(y_to_i, g, out=out)
             for to, value in moves:
@@ -511,8 +515,9 @@ class _Propagator:
         rows [A_f Dc^j W F_s; 0] of j = Q-1 .. 0, then F's for (e_i, P_i);
         the rows [A_f Dc^j; A_s D^j] of j = Q-1 .. 0 (r Q, na K); D^1 ..
         D^Q; the P_l; per step its views; and f_(i+1)."""
-        k, r, c, nq = len(self._powers), self.rank, self.channels, longest
-        ns, na, cells = r - c, self._dx.shape[2], len(self._phi)
+        cells, k, na = self._dx.shape
+        r, c, nq = self.rank, self.channels, longest
+        ns = r - c
         history = np.zeros((cells, r * (nq + 1)))
         g = np.zeros((r * nq + r, c))
         out = np.empty((cells, c))
@@ -523,7 +528,7 @@ class _Propagator:
             # step's advected fields go, from out
             [(history[:, :r * i + r], g[r * (nq - i):],
               [(history[to, r * i + r + j], out[fro, j])
-               for j, (to, fro) in enumerate(_ADVECT[:c])]) for i in range(nq)],
+               for j, (to, fro) in enumerate(self.moves)]) for i in range(nq)],
             out)
         self._block_loaded = False
 
@@ -533,8 +538,9 @@ class _Propagator:
         of j - 1, through per-class products of the D_k and, for W A_s,
         products with A Dc^(j-1) W (r, ns)."""
         _, (dw_rows, g, ad_rows), powers, _, slots, _ = self._block
-        k, r, c, nq = len(self._powers), self.rank, self.channels, len(slots)
-        ns, na = r - c, self._dx.shape[2]
+        _, k, na = self._dx.shape
+        r, c, nq = self.rank, self.channels, len(slots)
+        ns = r - c
         a_dw = np.empty((r, ns))
         dw = dw_rows.reshape(k, na, nq, ns)
         ad = ad_rows.reshape(nq, r, k, na).transpose(0, 2, 1, 3)  # (Q, K, r, na)
@@ -553,89 +559,46 @@ class _Propagator:
             np.matmul(self.a_op, dw_rows[:, ns * j:ns * j + ns], out=a_dw)
             np.matmul(a_dw[:c], self.f_op[c:], out=g[at:at + c])
         self._block_loaded = True
-        self._back = None  # the next transpose_block makes them from these
 
-    def _make_back(self) -> None:
-        """Make transpose_block's work areas for the blocks of _make_block,
-        up to Q steps, and its operators from the loaded block's (see
-        _load_block), transposed: the history; the xi_a [A_f Dc^j; A_s
-        D^j]^T; per step its views; then [A_f Dc^j; A_s D^j]^T of j = Q-1
-        .. 0, the rows [(Dc^j W F_s)^T; (Dc^j W)^T] of j = Q-1 .. 0, the
-        (D^j)^T, and the stack of the rows [(A_f Dc^j W F_s)^T; 0] of j =
-        Q-1 .. 0, then [F_f^T; 0].  Copies, not views: a product with a
-        transposed view runs slower."""
-        _, (dw_rows, g, ad_rows), powers, _, slots, out = self._block
-        r, c, nq = self.rank, self.channels, len(slots)
-        ns, cells = r - c, len(self._phi)
-        # zeros stay where no covector reaches: E+ in the last cell and E-
-        # in the first of every phi but xi_f
-        history = np.zeros((cells, r * (nq + 1)))
-        g_t = np.zeros((nq + 1, r, c))
-        g_t[:-1, :c] = g[:-r].reshape(nq, r, c)[:, :c].swapaxes(1, 2)
-        g_t[-1, :c] = self.f_op[:c].T
-        g_t = g_t.reshape(-1, c)
-        dw_t = dw_rows.reshape(-1, nq, ns).transpose(1, 2, 0)[::-1]  # (Q, ns, na K)
-        p_t = np.hstack([self.f_op[c:].T @ dw_t, dw_t]).reshape(r * nq, -1)
-        self._back = (
-            history, np.empty(cells * r * nq),
-            # per step j from the last: its history, its rows of g_t, and
-            # where phi's fields add, moved from out
-            [(history[:, :r * j + r], g_t[r * (nq - j):],
-              [(history[fro, r * j + r + i], out[to, i])
-               for i, (to, fro) in enumerate(_ADVECT[:c])]) for j in range(nq)],
-            tuple(np.ascontiguousarray(op) for op in
-                  (ad_rows.T, p_t, powers.swapaxes(2, 3))))
+    def transposed(self) -> "_Propagator":
+        """A propagator of the loaded step's transpose, for advance_block
+        alone: its own operators and work areas, made from the loaded
+        operator's, and no build or load tables.
 
-    def transpose_block(self, xi: SimState, q: int, longest: int) -> None:
-        """Apply the transpose R^T of advance_block's float map R over q
-        steps, with nothing injected, to the covector xi of a half system
-        in place, so that xi . (R x) = (R^T xi) . x in the dot product of
-        the float views; xi.t is left as it is.  longest >= q sizes the
-        work areas and operators, as for advance_block, whose operators it
-        takes transposed (see _make_back).
+        A step L = R Adv moves the fields a cell (Adv), then maps each
+        cell's advected fields e and atoms x by R: f' = y F and x' = x D +
+        y A, with y = (e, x W) and A_f, A_s and F_f, F_s the rows of A and
+        F that e and x W read.  Its transpose L^T = Adv^T R^T maps the
+        covectors (phi, eta) of (f', x'): R^T to phi F_f^T + eta A_f^T, that
+        of e, and eta D^T + (phi F_s^T + eta A_s^T) W^T, that of x; Adv^T
+        moves each field's covector a cell back, E+'s out at z = 0.  The
+        step T = R^T Adv^T, whose move lets E+'s covector in at the last
+        cell, is again of advance_block's form, at rank r + c:
 
-        It runs advance_block's sums in reverse.  With xi_a and xi_f the
-        covectors of x_q and f_q, psi_i that of the advected fields e_i and
-        phi_i that of the fields f_i (phi_q = xi_f, and phi_i psi_i moved
-        back a cell),
+            D' = D^T per class,  W' = [A_s^T | A_f^T],
+            A' = [F_s^T W^T; W^T; 0],  F' = [F_f^T; 0; I_c],
 
-            psi_i = xi_a (A_f Dc^(q-1-i))^T + phi_(i+1) F_f^T
-                    + sum_(j>i) phi_(j+1) (A_f Dc^(j-1-i) W F_s)^T,
-
-        so the steps run from the last back: one product of the history
-        (phi_(j+1) beside xi_a (A_s D^(q-1-j))^T for j = q-1 .. i) with a
-        stack c columns wide gives psi_i, which adds to phi_i, where xi_a
-        (A_f Dc^(q-1-i))^T, moved back, was put first.  The xi_a [A_f
-        Dc^j; A_s D^j]^T of all q steps take one product first.  At the end
-        xi_f is phi_0, and xi_a is xi_a (D^q)^T plus one product of the
-        history with the rows [(Dc^i W F_s)^T; (Dc^i W)^T], the covector of
-        each P_i times (Dc^i W)^T.
-        """
-        if self._block is None or len(self._block[4]) != longest:
-            self._make_block(longest)
-        if not self._block_loaded:
-            self._load_block()
-        if self._back is None:
-            self._make_back()
-        out = self._block[5]
-        history, a_psi, slots, (ad_t, p_t, powers_t) = self._back
-        r, c, cells = self.rank, self.channels, len(history)
-        f_float, x, x_batch, *_, dx_rows, dx_batch = self._views(xi)
-        by_step = history[:, :r * q + r].reshape(cells, q + 1, r)
-        a_psi = a_psi[:cells * r * q].reshape(cells, q, r)  # xi_a's, last step first
-        np.matmul(x, ad_t[:, -r * q:], out=a_psi.reshape(cells, r * q))
-        np.matmul(x_batch, powers_t[q - 1], out=dx_batch)
-        by_step[:, :q, c:] = a_psi[:, ::-1, c:]
-        for j, (to, fro) in enumerate(_ADVECT[:c]):  # fields moved back a cell
-            by_step[fro, 1:, j] = a_psi[to, ::-1, j]
-        by_step[:, 0, :c] = f_float
-        for psi_to_i, g_t, moves in slots[:q]:
-            np.matmul(psi_to_i, g_t, out=out)
-            for to, value in moves:
-                to += value
-        np.matmul(history[:, :r * q], p_t[-r * q:], out=x)
-        np.add(x, dx_rows, out=x)
-        f_float[:] = by_step[:, q, :c]
+        with y' = (phi moved back, eta A_s^T, eta A_f^T).  Its powers are
+        those of L^T moved by one Adv^T, Adv^T T^n = (L^T)^n Adv^T, so
+        (T^n h) . (Adv x) = (Adv^T h) . (L^n x) in the dot product of the
+        float views (see _held_records)."""
+        r, c = self.rank, self.channels
+        cells, k, na = self._dx.shape
+        back = _Propagator.__new__(_Propagator)
+        back.dt, back.half, back.channels, back.rank = self.dt, True, c, r + c
+        back.moves, back.entry = _ADVECT[::-1][:c], -1
+        back.d = np.ascontiguousarray(self.d.swapaxes(1, 2))
+        back.w = np.hstack([self.a_op[c:].T, self.a_op[:c].T])
+        back.a_op = np.zeros((r + c, na * k))
+        np.matmul(self.f_op[c:].T, self.w.T, out=back.a_op[:c])
+        back.a_op[c:r] = self.w.T
+        back.f_op = np.zeros((r + c, c))
+        back.f_op[:c] = self.f_op[:c].T
+        back.f_op[r:] = np.eye(c)
+        back._phi = np.empty((cells, r + c))
+        back._dx = np.empty_like(self._dx)
+        back._block, back._block_loaded, back._bound = None, False, (None, None)
+        return back
 
 
 def _table(c: np.ndarray, pair_at: int, re_im_at: int) -> np.ndarray:
@@ -666,46 +629,56 @@ def _held_records(starts: Sequence[SimState], lengths: Sequence[int],
     State b, which halves (see _halve), sits at a record step s_b of
     run_dynamics (a multiple of `every`) and goes on for lengths[b] steps,
     each with the drive rows `held` (C and A of one step, see _step_reads)
-    and nothing injected, so each step applies the one map R to its half
-    system x_b.  Its E+(1) after j of them, real there, is e . R^j x_b in
+    and nothing injected, so each step applies the one map L to its half
+    system x_b.  Its E+(1) after n of them, real there, is e . L^n x_b in
     the dot product of the float views, with e picking E+ in the last
-    cell.  With g_j = (R^T)^j e, R^T the transpose of the step's float map,
-    that is g_j . x_b, so one backward recursion serves every state: at
-    each j that is a multiple of `every`, every state reads its E+(1) from
-    g_j, all in one product, and keeps the reads its stretch reaches.
-    Between two reads the pass applies the `every` steps of R^T in the
-    blocks that a forward run takes there, _interval_blocks (see
-    _Propagator.transpose_block).  Only the current g_j is held, and the
-    pass ends at its last read.  With A zero in `held`, R maps E- and P-
-    into themselves alone, so g_j never reaches them: the pass runs on the
-    dark system and reads each start's E+, P+ and S, whatever its E- and
-    P- (see _dark).  The first read that gives a non-finite record to a
-    stretch that still reads ends the pass: it raises NumericalAbort there,
-    blaming the first such stretch, as the forward run would, and numpy
-    warns of no overflow.
+    cell.  The pass runs the transposed step T (see _Propagator.transposed)
+    from h_0 = 0 and lets e in on its first step alone, so that Adv^T h_n
+    = (L^T)^n e: h_n . Adv x_b is that E+(1), with Adv one move of the
+    fields with nothing injected.  So one recursion serves every state: at
+    each n that is a multiple of `every`, every state reads its E+(1) from
+    h_n, all in one product, and keeps the reads its stretch reaches.
+    Between two reads the pass takes the `every` steps in advance_block's
+    blocks, those that a forward run takes there, _interval_blocks.  Only
+    the current h_n is held, and the pass ends at its last read.  With A
+    zero in `held`, L maps E- and P- into themselves alone, so h_n never
+    reaches them: the pass runs on the dark system and reads each start's
+    E+, P+ and S, whatever its E- and P- (see _dark).  The first read that
+    gives a non-finite record to a stretch that still reads ends the pass:
+    it raises NumericalAbort there, blaming the first such stretch, as the
+    forward run would, and numpy warns of no overflow.
     """
     starts = [_halve(x, *held) for x in starts]
     if not held[1].any():
         starts = [_dark(x) for x in starts]
     x = starts[0]
-    # xi's real fields and its atoms' Re and Im pairs are views of one
-    # float vector; each start's row is the same vector of it
-    flat = np.zeros(x.f.size + 2 * x.a.size)
-    xi = SimState(x.t, flat[:x.f.size].reshape(x.f.shape),
-                  flat[x.f.size:].view(complex).reshape(x.a.shape), x.grid,
-                  x.deltas, x.weights)
-    xi.e_plus[-1] = 1.0
-    prop = _Propagator(m, xi)
+    prop = _Propagator(m, x)
     prop.load(prop.build(*held), 0)
-    rows = np.stack([np.concatenate([x.f.ravel(), x.a.ravel().view(float)])
-                     for x in starts])
+    back = prop.transposed()
+    # h's real fields and its atoms' Re and Im pairs are views of one
+    # float vector; each start's row is the same vector of it, Adv x_b
+    flat = np.zeros(x.f.size + 2 * x.a.size)
+    h = SimState(x.t, flat[:x.f.size].reshape(x.f.shape),
+                 flat[x.f.size:].view(complex).reshape(x.a.shape), x.grid,
+                 x.deltas, x.weights)
+    rows = np.zeros((len(starts), flat.size))
+    for row, x in zip(rows, starts):
+        fields = row[:x.f.size].reshape(x.f.shape)
+        for j, (to, fro) in enumerate(prop.moves):
+            fields[to, j] = x.f[fro, j]
+        row[x.f.size:] = x.a.reshape(-1).view(float)
     counts = np.array([n // every for n in lengths])
     blocks = _interval_blocks(every)
+    inject = np.zeros(blocks[0])
+    inject[0] = 1.0  # e, on the pass's first step alone
     reads = np.zeros((counts.max(), len(starts)))
+    n = 0  # the pass's steps
     with np.errstate(over="ignore", invalid="ignore"):  # the read check reports
         for j, read in enumerate(reads):
             for q in blocks:
-                prop.transpose_block(xi, q, blocks[0])
+                n += q
+                back.advance_block(h, n, inject[:q], blocks[0])
+                inject[0] = 0.0
             # einsum sums in its own loop: a BLAS dot would split the sum
             # by thread count and change the last digits with it
             np.einsum("bi,i->b", rows, flat, out=read)

@@ -548,12 +548,13 @@ class TestPropagatorBuild:
     def test_steps_make_no_copy_of_the_state(self):
         # 200 held steps at K = 64, M = 32, whose atoms take 98 KB, and 200
         # of the half system and of its dark system, then on each of those
-        # two 200 blocks of 8 and 200 of 29 and, transposed, 200 blocks of 8
-        # and 200 of 1, may hold at most 2 KB more at any time (measured:
-        # 560 bytes for advance on any system, 856 and 944 for advance_block
-        # in blocks of 8 and 29, and 984 for transpose_block in blocks of
-        # either length).  The first call is not traced: it makes the
-        # views, and the blocks their operators and work areas
+        # two 200 blocks of 8 and 200 of 29 and, on its transposed
+        # propagator, 200 blocks of 8 and 200 of 1, may hold at most 2 KB
+        # more at any time (measured on Python 3.11: 560 bytes for advance
+        # on any system, 888 and 976 for advance_block in blocks of 8 and
+        # 29, and 888 for the transposed blocks of either length).  The
+        # first call is not traced: it makes the views, and the blocks
+        # their operators and work areas
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         state = _state(grid_cells=32,
                        classes=make_spectral_classes(30.0, 64, "lorentzian"))
@@ -566,7 +567,8 @@ class TestPropagatorBuild:
         prop, half_prop, dark_prop = props
         assert half_prop.half and half.f.dtype == float
         assert dark_prop.half and dark.f.shape == (32, 1) and dark.a.shape == (32, 32, 2)
-        inject = {q: np.zeros(q) for q in (8, 29)}
+        half_back, dark_back = half_prop.transposed(), dark_prop.transposed()
+        inject = {q: np.zeros(q) for q in (1, 8, 29)}
         for run in (lambda n: prop.advance(state, n, 0.0j, 0.0j),
                     lambda n: half_prop.advance(half, n, 0.0, 0.0),
                     lambda n: dark_prop.advance(dark, n, 0.0, 0.0),
@@ -574,10 +576,10 @@ class TestPropagatorBuild:
                     lambda n: half_prop.advance_block(half, n, inject[29], 29),
                     lambda n: dark_prop.advance_block(dark, n, inject[8], 8),
                     lambda n: dark_prop.advance_block(dark, n, inject[29], 29),
-                    lambda n: half_prop.transpose_block(half, 8, 8),
-                    lambda n: half_prop.transpose_block(half, 1, 1),
-                    lambda n: dark_prop.transpose_block(dark, 8, 8),
-                    lambda n: dark_prop.transpose_block(dark, 1, 1)):
+                    lambda n: half_back.advance_block(half, n, inject[8], 8),
+                    lambda n: half_back.advance_block(half, n, inject[1], 1),
+                    lambda n: dark_back.advance_block(dark, n, inject[8], 8),
+                    lambda n: dark_back.advance_block(dark, n, inject[1], 1)):
             run(1)
             tracemalloc.start()
             try:
@@ -619,17 +621,19 @@ class TestPropagatorBuild:
         for edge in (None, (0, 0), (0, -1), (1, 0), (1, -1))
         if system == "half" or edge is None or edge[0] == 0])
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 29, 32])
-    def test_transpose_block_is_the_adjoint_of_advance_block(self, q, system,
+    def test_transposed_step_is_the_adjoint_of_advance_block(self, q, system,
                                                              edge):
-        # xi . advance_block(x) == transpose_block(xi) . x in the dot
-        # product of the float views, for a block of q steps of a held
-        # operator on a half system (K = 4, real drives) and on its dark
-        # system (A = 0, no E- or P-), with nothing injected; the edge
-        # covectors pick one field at a boundary cell, where the
-        # advection's shift and injection rows act.  Work areas sized for
+        # (T^q h) . (Adv x) == (Adv^T h) . (L^q x) in the dot product of the
+        # float views, for one block of q steps of a held operator, L
+        # forward and T on the transposed propagator, on a half system (K =
+        # 4, real drives) and on its dark system (A = 0, no E- or P-), with
+        # nothing injected; Adv and Adv^T are one move of the fields of L
+        # and of T.  The edge covectors h pick one field at a boundary
+        # cell, where the moves' shift and entry act.  Work areas sized for
         # 32 steps and left over from a 32-step block each way.  Measured:
-        # at most 1.7e-16 of the sums of the absolute terms, and within
-        # 1.5e-15 of q one-step blocks (dark: 9.8e-17 and 1.5e-15)
+        # at most 7.7e-16 of the sums of the absolute terms (T's block
+        # operators are made from the transposed step, so the two blocks
+        # round apart), and within 3.4e-15 of q one-step blocks
         rng = np.random.default_rng(q)
         classes = make_spectral_classes(1600.0, 4, "lorentzian")
         zero = dynamics._halve(_state(grid_cells=4, classes=classes))
@@ -638,8 +642,9 @@ class TestPropagatorBuild:
             zero, omega_a = dynamics._dark(zero), 0.0 * omega_a
         m = MediumParams(gamma_opt=0.8, gamma_spin=0.05, g2n=2.5, c=1.0)
         prop = _Propagator(m, zero)
-        assert prop.rank == (10 if system == "half" else 5)
         prop.load(prop.build(omega_c, omega_a), 0)
+        back = prop.transposed()
+        assert (prop.rank, back.rank) == ((10, 12) if system == "half" else (5, 6))
 
         def random_state():
             state = zero.copy()
@@ -647,25 +652,34 @@ class TestPropagatorBuild:
                 arr[:] = rng.normal(size=arr.view(float).shape).view(arr.dtype)
             return state
 
+        def moved(state, p):
+            """state with its fields moved a cell as p's step moves them"""
+            out = state.copy()
+            out.f[:] = 0.0
+            for j, (to, fro) in enumerate(p.moves):
+                out.f[to, j] = state.f[fro, j]
+            return out
+
         def dot(u, v, part=lambda z: z):
             return sum((part(a.view(float)) * part(b.view(float))).sum()
                        for a, b in ((u.f, v.f), (u.a, v.a)))
 
         prop.advance_block(random_state(), 32, np.zeros(32), 32)
-        prop.transpose_block(random_state(), 32, 32)
-        x, xi = random_state(), random_state()
+        back.advance_block(random_state(), 32, np.zeros(32), 32)
+        x, h = random_state(), random_state()
         if edge is not None:
-            xi.f[:] = 0.0
-            xi.a[:] = 0.0
-            xi.f[edge[1], edge[0]] = 1.0
-        moved, back, single = x.copy(), xi.copy(), xi.copy()
-        prop.advance_block(moved, q, np.zeros(q), 32)
-        prop.transpose_block(back, q, 32)
-        scale = dot(xi, moved, abs) + dot(back, x, abs)
-        assert abs(dot(xi, moved) - dot(back, x)) <= 1e-15 * scale
+            h.f[:] = 0.0
+            h.a[:] = 0.0
+            h.f[edge[1], edge[0]] = 1.0
+        forward, backward, single = x.copy(), h.copy(), h.copy()
+        prop.advance_block(forward, q, np.zeros(q), 32)
+        back.advance_block(backward, q, np.zeros(q), 32)
+        pairs = ((backward, moved(x, prop)), (moved(h, back), forward))
+        scale = sum(dot(u, v, abs) for u, v in pairs)
+        assert abs(dot(*pairs[0]) - dot(*pairs[1])) <= 1e-15 * scale
         for _ in range(q):
-            prop.transpose_block(single, 1, 32)
-        for got, want in ((back.f, single.f), (back.a, single.a)):
+            back.advance_block(single, 0, np.zeros(1), 32)
+        for got, want in ((backward.f, single.f), (backward.a, single.a)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -1508,17 +1522,17 @@ class TestBlocks:
         for got, want in ((blocked.f, single.f), (blocked.a, single.a)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert blocked.t == single.t == 12 * prop.dt
-        # so must a transpose block: after a load, it applies the new
-        # operator's transpose as a fresh propagator does, bit for bit
+        # so must a transposed propagator: one made after a load applies the
+        # new operator's transpose as a fresh propagator's does, bit for bit
         fresh = _Propagator(m, state)
         load(fresh, 0.4)
         want = state.copy()
-        fresh.transpose_block(want, 12, 16)
+        fresh.transposed().advance_block(want, 12, inject, 16)
         load(prop, 1.5)
-        prop.transpose_block(state.copy(), 12, 16)
+        prop.transposed().advance_block(state.copy(), 12, inject, 16)
         load(prop, 0.4)
         back = state.copy()
-        prop.transpose_block(back, 12, 16)
+        prop.transposed().advance_block(back, 12, inject, 16)
         assert np.array_equal(back.f, want.f) and np.array_equal(back.a, want.a)
 
 

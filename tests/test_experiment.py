@@ -365,30 +365,35 @@ def _independent(kind, field, values, base, m, grid, classes):
 def _spy_adjoint(monkeypatch) -> list[str]:
     """Record, per adjoint pass, the system it runs on: "half", or "dark",
     the half system without E- and P- (see dynamics._halve).  A pass is a
-    propagator whose transpose_block runs."""
-    passes, props = [], []
-    transpose_block = _Propagator.transpose_block
+    propagator that _Propagator.transposed makes."""
+    passes = []
+    transposed = _Propagator.transposed
 
-    def spied(self, *args):
-        if not any(p is self for p in props):
-            props.append(self)
-            passes.append("dark" if self.channels == 1 else "half")
-        return transpose_block(self, *args)
+    def spied(self):
+        passes.append("dark" if self.channels == 1 else "half")
+        return transposed(self)
 
-    monkeypatch.setattr(_Propagator, "transpose_block", spied)
+    monkeypatch.setattr(_Propagator, "transposed", spied)
     return passes
 
 
 def _spy_transpose_blocks(monkeypatch) -> list[int]:
-    """Record the steps of each transpose_block call."""
-    blocks = []
-    transpose_block = _Propagator.transpose_block
+    """Record the steps of each advance_block call of an adjoint pass's
+    propagator (see _spy_adjoint)."""
+    blocks, made = [], []
+    transposed, advance_block = _Propagator.transposed, _Propagator.advance_block
 
-    def spied(self, xi, q, longest):
-        blocks.append(q)
-        return transpose_block(self, xi, q, longest)
+    def spied_transposed(self):
+        made.append(transposed(self))
+        return made[-1]
 
-    monkeypatch.setattr(_Propagator, "transpose_block", spied)
+    def spied(self, state, n, inject, longest):
+        if any(p is self for p in made):
+            blocks.append(len(inject))
+        return advance_block(self, state, n, inject, longest)
+
+    monkeypatch.setattr(_Propagator, "transposed", spied_transposed)
+    monkeypatch.setattr(_Propagator, "advance_block", spied)
     return blocks
 
 
@@ -415,8 +420,8 @@ def _spy_sweep_runs(monkeypatch, dt):
 def _spy_schedule(monkeypatch, dt):
     """Record a sweep's schedule: its run_dynamics calls (see
     _spy_sweep_runs), the global step at which each held stretch of the
-    adjoint pass starts, and the steps that each advance, advance_block
-    and transpose_block call integrates."""
+    adjoint pass starts, and the steps that each advance and advance_block
+    call integrates, those of the adjoint pass too."""
     runs, held, steps = _spy_sweep_runs(monkeypatch, dt), [], []
     held_records = experiment._held_records
 
@@ -437,7 +442,6 @@ def _spy_schedule(monkeypatch, dt):
 
     count("advance", lambda *args: 1)
     count("advance_block", lambda state, n, inject, longest: len(inject))
-    count("transpose_block", lambda xi, q, longest: q)
     return runs, held, steps
 
 
@@ -586,8 +590,8 @@ class TestAdjointPeaks:
     its peaks, peak times and cut-off windows must agree with independent
     runs of each point."""
 
-    # relative peak bound; measured at most 2.0e-13 on these cases and
-    # 2.1e-14 on the three paper configs
+    # relative peak bound; measured at most 2.3e-13 on these cases and
+    # 1.8e-14 on the three paper configs
     BOUND = 1e-12
 
     def _check(self, monkeypatch, kind, values, base, setup, threads=1,
@@ -711,8 +715,8 @@ class TestAdjointPeaks:
         # 40.  The pass takes blocks of 4 steps at a cadence of 4, of 2 at
         # 2, and two blocks of 20 between the reads at 40.  Each state's
         # records, read together with those of the others, are its forward
-        # run's, to rounding (measured: at most 3.9e-15 of each stretch's
-        # largest record at 4, 8.8e-15 at 2 and 2.9e-15 at 40)
+        # run's, to rounding (measured: at most 4.8e-15 of each stretch's
+        # largest record at 4, 9.7e-15 at 2 and 2.1e-15 at 40)
         taken = _spy_transpose_blocks(monkeypatch)
         m, grid, classes = _mini_setup(n_classes=4, cells=16)
         seq = PulseSequence(
@@ -737,19 +741,16 @@ class TestAdjointPeaks:
         assert [len(t) for t, _ in records] == counts
         assert set(taken) == blocks
 
-    def test_held_records_of_starts_with_a_backward_field(self, monkeypatch):
-        # a stationary run's states after A turns off, at record steps
-        # 880 .. 1000 (11 .. 12.5 us), hold E- and P-; the held map, C
-        # alone, never carries E+(1)'s covector into them, so the pass
-        # reads the dark system's part of each start and matches forward
-        # runs, which take the half path, within BOUND (measured: 9.7e-14
-        # of each stretch's largest record)
+    def _stationary_stretches(self, monkeypatch, a_event, hold_a):
+        """Check the held records of a stationary run's states at record
+        steps 880 .. 1000 (11 .. 12.5 us), each holding C = 2 and A =
+        hold_a, against forward runs of each stretch, within BOUND; the
+        run's A is a_event.  Returns the adjoint passes' systems."""
         passes = _spy_adjoint(monkeypatch)
         m, grid, classes = _mini_setup(optical_depth=200.0, n_classes=4, cells=16)
         seq = PulseSequence(
             events=[PulseEvent("P", 0.0, 6.0, 1.0, "gaussian", 2.0),
-                    PulseEvent("C", 0.0, 16.0, 2.0, open_end=True),
-                    PulseEvent("A", 5.0, 6.0, 2.0)],
+                    PulseEvent("C", 0.0, 16.0, 2.0, open_end=True), a_event],
             t_end_us=16.0, sample_rate=10.0)
         steps, lengths = [880, 920, 1000], [400, 128, 280]
         with warnings.catch_warnings():
@@ -758,7 +759,7 @@ class TestAdjointPeaks:
             for state in states[:3]:
                 assert np.abs(state.e_minus).max() > 1e-3 * np.abs(state.e_plus).max()
                 assert state.p_minus.any()
-            held = (np.full((1, 3), 2.0 + 0j), np.zeros((1, 3), complex))
+            held = (np.full((1, 3), 2.0 + 0j), np.full((1, 3), hold_a + 0j))
             records = _held_records(states[:3], lengths, held, m, 8)
             for state, n, length, (t, intensity) in zip(states, steps, lengths,
                                                         records):
@@ -770,7 +771,25 @@ class TestAdjointPeaks:
                 want = trace.fwd_intensity[later]
                 assert (np.abs(intensity - want).max()
                         <= self.BOUND * want.max())
+        return passes
+
+    def test_held_records_of_starts_with_a_backward_field(self, monkeypatch):
+        # the states after A turns off hold E- and P-; the held map, C
+        # alone, never carries E+(1)'s covector into them, so the pass
+        # reads the dark system's part of each start and matches forward
+        # runs, which take the half path (measured: 5.4e-14 of each
+        # stretch's largest record)
+        passes = self._stationary_stretches(
+            monkeypatch, PulseEvent("A", 5.0, 6.0, 2.0), 0.0)
         assert passes == ["dark"]
+
+    def test_held_records_on_the_half_system(self, monkeypatch):
+        # the held map reads A = 1, so the pass runs on the half system,
+        # whose transposed step moves E-'s covector toward z = 1 (measured:
+        # 1.6e-13 of each stretch's largest record)
+        passes = self._stationary_stretches(
+            monkeypatch, PulseEvent("A", 5.0, 11.0, 1.0, open_end=True), 1.0)
+        assert passes == ["half"]
 
     @pytest.mark.parametrize("stretches", [[(1.0, 400)], [(0.0, 8), (1.0, 400)]],
                              ids=["one", "unequal"])
